@@ -15,6 +15,12 @@ as a rational combination of basis words
 
 and all operations in this module return that normal form.  Coefficients are
 `fractions.Fraction`; nothing here ever touches floating point.
+
+Products (`mul`) scale each operand once to integer numerators over the lcm
+of its coefficient denominators, combine them with the integer structure
+constants of the straightening rule, and accumulate plain ints; only the
+surviving output terms become `Fraction`s again, over the product of the two
+denominators.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
 
 # Lexicographic tie-break used when comparing L-monomials of equal total
@@ -364,24 +372,44 @@ def _rword_past_monomial(rword: tuple[int, ...], lexp: tuple[int, ...]):
     return tuple((s, v, c) for (s, v), c in acc.items())
 
 
+def _numerators(g: Element) -> tuple[int, list[tuple[tuple, tuple, int]]]:
+    """g as (den, [(lexp, rword, num)]) with g = sum(num/den * word), where den
+    is the lcm of the coefficient denominators; terms keep g's term order."""
+    den = lcm(*[c.denominator for c in g._terms.values()])
+    return den, [
+        (w.lexp, w.rword, c.numerator * (den // c.denominator))
+        for w, c in g._terms.items()
+    ]
+
+
 def mul(a: Element, b: Element) -> Element:
-    """Canonical normal form of the product a * b."""
+    """Canonical normal form of the product a * b.
+
+    The term-pair loop only multiplies and adds ints; see the module docstring.
+    The --max-terms guard is charged after each term of a and at construction.
+    """
     a._require_same_ambient(b)
-    acc: dict[BasisWord, Fraction] = {}
-    for w1, c1 in a._terms.items():
-        for w2, c2 in b._terms.items():
+    den_a, nums_a = _numerators(a)
+    den_b, nums_b = _numerators(b)
+    # plain (lexp, rword) keys hash and compare like the BasisWord they become
+    acc: dict[tuple, int] = {}
+    for lexp1, rword1, c1 in nums_a:
+        for lexp2, rword2, c2 in nums_b:
             c = c1 * c2
-            for s, v, k in _rword_past_monomial(w1.rword, w2.lexp):
-                word = BasisWord(
-                    tuple(x + y for x, y in zip(w1.lexp, s)), v + w2.rword
-                )
-                acc2 = acc.get(word, _ZERO) + c * k
-                if acc2:
-                    acc[word] = acc2
-                elif word in acc:
-                    del acc[word]
+            for s, v, k in _rword_past_monomial(rword1, lexp2):
+                key = (tuple(map(_add, lexp1, s)), v + rword2)
+                total = acc.get(key, 0) + c * k
+                if total:
+                    acc[key] = total
+                elif key in acc:
+                    del acc[key]
         _charge(len(acc))
-    return Element(a.n, acc, _trusted=True)
+    den = den_a * den_b
+    return Element(
+        a.n,
+        {BasisWord._make(key): Fraction(c, den) for key, c in acc.items()},
+        _trusted=True,
+    )
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -37,6 +37,7 @@ from .algebra import (
     wdeg,
 )
 from .maps import (
+    AnomalyError,
     UnverifiedMapError,
     ZeroAt,
     ad,
@@ -53,10 +54,10 @@ from .maps import (
     map_to_json,
     probe_nilpotent,
     u1_closed_form,
+    violations_to_json,
 )
 from .parser import ExprSyntaxError, format_element, parse_element
 from .solver import (
-    AnomalyError,
     ad_preimage,
     derivation_space,
     lemma27_solutions,
@@ -95,13 +96,6 @@ def _load_json(path: str) -> dict:
 
 def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=False))
-
-
-def _violation_json(violations):
-    return [
-        {"relation": kind, "i": i, "j": j, "residual": element_to_json(res)}
-        for kind, i, j, res in violations
-    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +349,7 @@ def _run_der(args) -> int:
         d, violations = check_derivation(_load_map(args.file, "derivation"))
         if violations:
             print("derivation: FAIL")
-            _emit_json({"violations": _violation_json(violations)})
+            _emit_json({"violations": violations_to_json(violations)})
             return MATH_FAILURE
         print("derivation: OK")
         return 0
@@ -392,7 +386,7 @@ def _run_endo(args) -> int:
         e, violations = check_endomorphism(_load_map(args.file, "endomorphism"))
         if violations:
             print("endomorphism: FAIL")
-            _emit_json({"violations": _violation_json(violations)})
+            _emit_json({"violations": violations_to_json(violations)})
             return MATH_FAILURE
         print("endomorphism: OK")
         return 0

@@ -28,6 +28,7 @@ from .algebra import (
     DomainError,
     Element,
     commutator,
+    element_to_json,
     gen_l,
     gen_r,
     homogeneous_components,
@@ -41,6 +42,14 @@ from .algebra import (
 
 class UnverifiedMapError(RuntimeError):
     """A map was applied before its defining relations were checked."""
+
+
+class AnomalyError(RuntimeError):
+    """A computed outcome that contradicts a proved statement about U_n."""
+
+    def __init__(self, message: str, payload: dict | None = None):
+        super().__init__(message)
+        self.payload = payload or {}
 
 
 def _as_images(n: int, images) -> tuple[Element, ...]:
@@ -200,6 +209,33 @@ def check_endomorphism(e: Endomorphism) -> tuple[Endomorphism, list]:
             if not res.is_zero:
                 violations.append(("s2", i, j, res))
     return replace(e, verified=not violations), violations
+
+
+def violations_to_json(violations) -> list[dict]:
+    return [
+        {"relation": kind, "i": i, "j": j, "residual": element_to_json(res)}
+        for kind, i, j, res in violations
+    ]
+
+
+def require_verified(m, message: str, **context):
+    """The verified copy of a map that a proved statement says is one.
+
+    A violated relation is bug evidence, so it raises AnomalyError whose
+    payload holds `context`, the map and its violations.
+    """
+    check = check_derivation if isinstance(m, Derivation) else check_endomorphism
+    m, violations = check(m)
+    if violations:
+        raise AnomalyError(
+            message,
+            payload={
+                **context,
+                "map": map_to_json(m),
+                "violations": violations_to_json(violations),
+            },
+        )
+    return m
 
 
 # -- applying maps --------------------------------------------------------------
@@ -389,9 +425,12 @@ def graded_parts(d: Derivation, weights) -> dict[int, Derivation]:
             tuple(split_l[i].get(m, Element.zero(d.n)) for i in range(d.n)),
             tuple(split_r[i].get(m, Element.zero(d.n)) for i in range(d.n)),
         )
-        part, violations = check_derivation(part)
-        assert not violations, "homogeneous piece of a derivation must be one"
-        out[m] = part
+        out[m] = require_verified(
+            part,
+            "homogeneous piece of a derivation fails the relations",
+            weights=list(weights),
+            wdeg=m,
+        )
     return out
 
 
@@ -457,9 +496,11 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
     r_images = [zero] * n
     l_images[0] = g
     r_images[0] = mul(pderiv_l(n, g), gen_r(n, n))
-    d, violations = check_derivation(Derivation(n, tuple(l_images), tuple(r_images)))
-    assert not violations, "the univariate extension always satisfies the relations"
-    return d
+    return require_verified(
+        Derivation(n, tuple(l_images), tuple(r_images)),
+        "univariate extension fails the relations",
+        g=element_to_json(g),
+    )
 
 
 # -- lifting polynomial endomorphisms of L_n -----------------------------------------
@@ -557,10 +598,14 @@ def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
         (inv * gen_l(1, 1) - inv * _subst_r1(h, inv),),
         (inv * gen_r(1, 1),),
     )
-    phi, bad_phi = check_endomorphism(phi)
-    psi, bad_psi = check_endomorphism(psi)
-    assert not bad_phi and not bad_psi
-    assert check_inverse_pair(phi, psi)
+    context = {"alpha": str(alpha), "h": element_to_json(h)}
+    phi = require_verified(phi, "closed-form U_1 map fails the relations", **context)
+    psi = require_verified(psi, "closed-form U_1 inverse fails the relations", **context)
+    if not check_inverse_pair(phi, psi):
+        raise AnomalyError(
+            "closed-form U_1 maps are not mutually inverse",
+            payload={**context, "phi": map_to_json(phi), "psi": map_to_json(psi)},
+        )
     return phi, psi
 
 
@@ -665,8 +710,6 @@ def triangular_tuple(n: int, alphas, fs: Sequence[Element]):
 
 
 def map_to_json(m) -> dict:
-    from .algebra import element_to_json
-
     kind = "derivation" if isinstance(m, Derivation) else "endomorphism"
     return {
         "n": m.n,

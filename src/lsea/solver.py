@@ -37,23 +37,16 @@ from .algebra import (
 from .linalg import RationalMatrix, RowReduction, SolveResult, reduction_of
 from .linalg import solve as _linalg_solve
 from .maps import (
+    AnomalyError,
     Derivation,
     ad,
-    check_derivation,
     derivation_residual_commute,
     derivation_residual_straighten,
+    require_verified,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class AnomalyError(RuntimeError):
-    """A solve outcome that contradicts a proved statement about U_n."""
-
-    def __init__(self, message: str, payload: dict | None = None):
-        super().__init__(message)
-        self.payload = payload or {}
 
 
 @dataclass(frozen=True)
@@ -474,9 +467,15 @@ def derivation_space(
     out = []
     for vec in red.kernel_basis():
         l_imgs, r_imgs = images_from_vector(vec)
-        d, violations = check_derivation(Derivation(n, l_imgs, r_imgs))
-        assert not violations, "kernel member failed the relation re-check"
-        out.append(d)
+        out.append(
+            require_verified(
+                Derivation(n, l_imgs, r_imgs),
+                "kernel member failed the relation re-check",
+                wdeg=m,
+                weights=list(weights),
+                into_I=into_I,
+            )
+        )
     return out
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     wdeg,
 )
 from .maps import (
+    AnomalyError,
     Derivation,
     NonzeroThrough,
     ZeroAt,
@@ -48,9 +49,10 @@ from .maps import (
     is_identity,
     lift_phi,
     probe_nilpotent,
+    require_verified,
     u1_closed_form,
 )
-from .solver import AnomalyError, ad_preimage, lemma27_solutions, rfactor_decompose
+from .solver import ad_preimage, lemma27_solutions, rfactor_decompose
 
 
 @dataclass
@@ -256,9 +258,7 @@ def _example41() -> Derivation:
 
 def example41_derivation() -> Derivation:
     """The standard nonzero derivation of U_2 that kills both l-projections."""
-    d, violations = check_derivation(_example41())
-    assert not violations
-    return d
+    return require_verified(_example41(), "example 4.1 fails the relations")
 
 
 # -- suite implementations --------------------------------------------------------
@@ -540,10 +540,9 @@ def _suite_equ5(seed: int, cases: int) -> RunReport:
     rng = random.Random(seed)
     rep = RunReport("equ5", seed, cases)
     zero = Element.zero(1)
-    d1, violations = check_derivation(
-        Derivation(1, (Element.one(1),), (zero,))
+    d1 = require_verified(
+        Derivation(1, (Element.one(1),), (zero,)), "d/dl_1 fails the relations"
     )
-    assert not violations
     r1 = gen_r(1, 1)
     for _ in range(cases):
         w = rand_element(rng, 1, 5)

@@ -147,6 +147,21 @@ class TestCliBasics:
         assert code == 2
         assert "term budget exceeded" in err
 
+    def test_max_terms_trips_at_fixed_count(self, capsys):
+        # the guard is charged after each term of a product's left factor and
+        # at construction; this pins where the first overrun is seen
+        code, _, err = run_cli(
+            capsys,
+            "-n",
+            "2",
+            "--max-terms",
+            "1500",
+            "norm",
+            "(1*l1+2*l2+3*r1+4*r2)^9",
+        )
+        assert code == 2
+        assert "1524 terms" in err
+
     def test_max_terms_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LSEA_MAX_TERMS", "3")
         code, _, err = run_cli(capsys, "-n", "2", "norm", "(l1+r1+l2+r2)^3")

@@ -1,6 +1,8 @@
 """Graded slices, operator matrices, exact solving, and the constructive lemmas."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -398,3 +400,29 @@ class TestAnomalyPaths:
         # not asserted to any formula, only that the report is stable
         assert ad_kernel_dim(2, 3) == ad_kernel_dim(2, 3)
         assert ad_kernel_dim(2, 2) >= 0
+
+    def test_failed_recheck_raises_anomaly(self, subprocess_env):
+        # patch the relation re-check to report a violation, under `python -O`,
+        # which strips assert statements
+        script = """
+import sys
+import lsea.maps
+from lsea import AnomalyError, derivation_space, gen_r
+real = lsea.maps.check_derivation
+def broken(d):
+    d, _ = real(d)
+    return d, [("s1", 1, 2, gen_r(2, 1))]
+lsea.maps.check_derivation = broken
+try:
+    derivation_space(2, 1, into_I=True)
+except AnomalyError as err:
+    payload = err.payload
+    print(payload["map"]["kind"], payload["violations"][0]["relation"], sys.flags.optimize)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+        )
+        assert proc.stdout.split() == ["derivation", "s1", "1"], proc.stderr

@@ -50,7 +50,7 @@ def test_unknown_suite():
         run_suite("cor25", cases=0)
 
 
-def test_cross_process_determinism():
+def test_cross_process_determinism(subprocess_env):
     """Stdout bytes must not depend on hash seeds or process state."""
     cmd = [
         sys.executable,
@@ -67,7 +67,10 @@ def test_cross_process_determinism():
     outs = set()
     for hashseed in ("1", "7"):
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
+            cmd,
+            capture_output=True,
+            text=True,
+            env={**subprocess_env, "PYTHONHASHSEED": hashseed},
         )
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
