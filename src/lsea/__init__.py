@@ -14,7 +14,6 @@ from .algebra import (
     Element,
     Membership,
     TermBudgetExceeded,
-    add,
     commutator,
     element_from_json,
     element_to_json,
@@ -35,10 +34,10 @@ from .algebra import (
     pderiv_l,
     project_to_L,
     rword_compare,
-    scale,
     shift_lr,
     wdeg,
 )
+from .linalg import solve
 from .maps import (
     AnomalyError,
     Derivation,
@@ -85,7 +84,6 @@ from .solver import (
     lemma27_solutions,
     operator_matrix,
     rfactor_decompose,
-    solve,
     uncoords,
     weighted_slice,
 )

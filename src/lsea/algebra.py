@@ -329,14 +329,6 @@ def gen_r(n: int, i: int) -> Element:
     return generator(n, "r", i)
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def scale(c, a: Element) -> Element:
-    return a * _coeff(c)
-
-
 @lru_cache(maxsize=None)
 def _r_past_monomial(i: int, lexp: tuple[int, ...]):
     """Normal form of r_i * l^lexp as ((lexp', rword', int_coeff), ...).
@@ -620,10 +612,17 @@ def element_to_json(g: Element) -> dict:
     }
 
 
+def _json_coeff(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"zero denominator in coefficient {text!r}") from exc
+
+
 def element_from_json(data: dict) -> Element:
     n = int(data["n"])
     terms = [
-        (BasisWord(tuple(t["l"]), tuple(t["r"])), Fraction(t["c"]))
+        (BasisWord(tuple(t["l"]), tuple(t["r"])), _json_coeff(t["c"]))
         for t in data["terms"]
     ]
     return Element(n, terms)

@@ -13,6 +13,7 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,6 @@ from .maps import (
     apply_endo,
     check_derivation,
     check_endomorphism,
-    check_inverse_pair,
     compose,
     graded_parts,
     is_affine_U,
@@ -98,7 +98,24 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=False))
 
 
+def _leaf(sub, name: str, run, help: str, *positionals: str):
+    p = sub.add_parser(name, help=help)
+    for arg in positionals:
+        p.add_argument(arg)
+    p.set_defaults(run=run)
+    return p
+
+
+def _group(sub, name: str, help: str):
+    return sub.add_parser(name, help=help).add_subparsers(
+        dest=f"{name}_cmd", required=True
+    )
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each leaf subcommand
+    carries its handler as the `run` default."""
     top = argparse.ArgumentParser(
         prog="lsea",
         description="Exact computations in the enveloping algebra U_n "
@@ -114,106 +131,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="normal form of an expression")
-    p.add_argument("expr")
-
-    p = sub.add_parser("mul", help="product of two expressions")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("comm", help="commutator a*b - b*a")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("ad", help="inner derivation of a; optionally applied to b")
-    p.add_argument("a")
+    _leaf(sub, "norm", _norm, "normal form of an expression", "expr")
+    _leaf(sub, "mul", _mul, "product of two expressions", "a", "b")
+    _leaf(sub, "comm", _comm, "commutator a*b - b*a", "a", "b")
+    p = _leaf(sub, "ad", _ad, "inner derivation of a; optionally applied to b", "a")
     p.add_argument("b", nargs="?")
-
-    p = sub.add_parser("pderiv", help="partial derivative of a polynomial")
+    p = _leaf(sub, "pderiv", _pderiv, "partial derivative of a polynomial")
     p.add_argument("j", type=int)
     p.add_argument("expr")
-
-    p = sub.add_parser("shift", help="substitute l_k - r_k into a polynomial")
-    p.add_argument("expr")
-
-    p = sub.add_parser("lm", help="leading L-monomial")
-    p.add_argument("expr")
-
-    p = sub.add_parser("lc", help="leading coefficient in R_n")
-    p.add_argument("expr")
-
-    p = sub.add_parser("wdeg", help="weighted degree")
+    _leaf(sub, "shift", _shift, "substitute l_k - r_k into a polynomial", "expr")
+    _leaf(sub, "lm", _lm, "leading L-monomial", "expr")
+    _leaf(sub, "lc", _lc, "leading coefficient in R_n", "expr")
+    p = _leaf(sub, "wdeg", _wdeg, "weighted degree")
     p.add_argument("--weights", required=True)
     p.add_argument("expr")
-
-    p = sub.add_parser("parts", help="weighted homogeneous components")
+    p = _leaf(sub, "parts", _parts, "weighted homogeneous components")
     p.add_argument("--weights", required=True)
     p.add_argument("expr")
+    _leaf(sub, "member", _member, "membership flags in L_n / R_n / I_n", "expr")
+    _leaf(sub, "project", _project, "split into L_n part and ideal part", "expr")
 
-    p = sub.add_parser("member", help="membership flags in L_n / R_n / I_n")
-    p.add_argument("expr")
-
-    p = sub.add_parser("project", help="split into L_n part and ideal part")
-    p.add_argument("expr")
-
-    der = sub.add_parser("der", help="derivation operations").add_subparsers(
-        dest="der_cmd", required=True
-    )
-    p = der.add_parser("check", help="check the defining relations")
-    p.add_argument("file")
-    p = der.add_parser("apply", help="apply a verified derivation")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p = der.add_parser("probe", help="bounded nilpotency probe")
-    p.add_argument("file")
-    p.add_argument("expr")
+    der = _group(sub, "der", "derivation operations")
+    _leaf(der, "check", _der_check, "check the defining relations", "file")
+    _leaf(der, "apply", _der_apply, "apply a verified derivation", "file", "expr")
+    p = _leaf(der, "probe", _der_probe, "bounded nilpotency probe", "file", "expr")
     p.add_argument("--bound", type=int, default=5)
-    p = der.add_parser("grade", help="weighted homogeneous pieces")
-    p.add_argument("file")
+    p = _leaf(der, "grade", _der_grade, "weighted homogeneous pieces", "file")
     p.add_argument("--weights", required=True)
 
-    endo = sub.add_parser("endo", help="endomorphism operations").add_subparsers(
-        dest="endo_cmd", required=True
+    endo = _group(sub, "endo", "endomorphism operations")
+    _leaf(endo, "check", _endo_check, "check relation preservation", "file")
+    _leaf(endo, "apply", _endo_apply, "apply a verified endomorphism", "file", "expr")
+    _leaf(
+        endo,
+        "compose",
+        _endo_compose,
+        "compose two endomorphisms (first ∘ second)",
+        "outer",
+        "inner",
     )
-    p = endo.add_parser("check", help="check relation preservation")
-    p.add_argument("file")
-    p = endo.add_parser("apply", help="apply a verified endomorphism")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p = endo.add_parser("compose", help="compose two endomorphisms (first ∘ second)")
-    p.add_argument("outer")
-    p.add_argument("inner")
-    p = endo.add_parser("lift", help="lift a polynomial tuple f1;...;fn")
-    p.add_argument("tuple")
-    p = endo.add_parser("affine", help="test whether all images have degree one")
-    p.add_argument("file")
+    _leaf(endo, "lift", _endo_lift, "lift a polynomial tuple f1;...;fn", "tuple")
+    _leaf(
+        endo, "affine", _endo_affine, "test whether all images have degree one", "file"
+    )
 
-    u1 = sub.add_parser("u1", help="rank-one closed forms").add_subparsers(
-        dest="u1_cmd", required=True
-    )
-    p = u1.add_parser("pair", help="the U_1 automorphism and its closed-form inverse")
+    u1 = _group(sub, "u1", "rank-one closed forms")
+    p = _leaf(u1, "pair", _u1_pair, "the U_1 automorphism and its closed-form inverse")
     p.add_argument("--alpha", required=True)
     p.add_argument("--h", required=True)
 
-    solve = sub.add_parser("solve", help="graded solver operations").add_subparsers(
-        dest="solve_cmd", required=True
+    solve = _group(sub, "solve", "graded solver operations")
+    _leaf(
+        solve,
+        "ad-preimage",
+        _solve_ad_preimage,
+        "solve ad_{l_i}(g) = u_i from a JSON file",
+        "file",
     )
-    p = solve.add_parser("ad-preimage", help="solve ad_{l_i}(g) = u_i from a JSON file")
-    p.add_argument("file")
-    p = solve.add_parser("lemma27", help="solutions of -ad_{l_i}(g) = r_i g + g r_i")
+    p = _leaf(
+        solve, "lemma27", _solve_lemma27, "solutions of -ad_{l_i}(g) = r_i g + g r_i"
+    )
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p = solve.add_parser("rfactor", help="decompose r_i^k r_j h")
+    p = _leaf(solve, "rfactor", _solve_rfactor, "decompose r_i^k r_j h")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--h", required=True)
-    p = solve.add_parser("derspace", help="basis of homogeneous derivations")
+    p = _leaf(solve, "derspace", _solve_derspace, "basis of homogeneous derivations")
     p.add_argument("--wdeg", type=int, required=True)
     p.add_argument("--weights", default=None)
     p.add_argument("--into-i", action="store_true")
 
-    p = sub.add_parser("verify", help="run a seeded verification suite")
+    p = _leaf(sub, "verify", _verify, "run a seeded verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
@@ -234,102 +224,84 @@ def _expr(args, text: str, fallback_n: int | None = None) -> Element:
     return parse_element(text, _need_n(args, fallback_n))
 
 
-def _run(args) -> int:
-    cmd = args.command
+# -- subcommand handlers ---------------------------------------------------------
+#
+# Each returns the exit code, None meaning 0.  Library functions are looked up
+# as module globals when a handler runs, so rebinding them on this module
+# (tests, tracing) takes effect even though the parser is built only once.
 
-    if cmd == "norm":
-        print(format_element(_expr(args, args.expr)))
-        return 0
 
-    if cmd == "mul":
-        print(format_element(mul(_expr(args, args.a), _expr(args, args.b))))
-        return 0
+def _norm(args):
+    print(format_element(_expr(args, args.expr)))
 
-    if cmd == "comm":
-        a, b = _expr(args, args.a), _expr(args, args.b)
-        print(format_element(mul(a, b) - mul(b, a)))
-        return 0
 
-    if cmd == "ad":
-        d = ad(_expr(args, args.a))
-        if args.b is None:
-            _emit_json(map_to_json(d))
-        else:
-            print(format_element(apply_derivation(d, _expr(args, args.b))))
-        return 0
+def _mul(args):
+    print(format_element(mul(_expr(args, args.a), _expr(args, args.b))))
 
-    if cmd == "pderiv":
-        print(format_element(pderiv_l(args.j, _expr(args, args.expr))))
-        return 0
 
-    if cmd == "shift":
-        print(format_element(shift_lr(_expr(args, args.expr))))
-        return 0
+def _comm(args):
+    a, b = _expr(args, args.a), _expr(args, args.b)
+    print(format_element(mul(a, b) - mul(b, a)))
 
-    if cmd == "lm":
-        top, _ = lm_lc(_expr(args, args.expr))
-        if top is None:
-            print("0")
-        elif not any(top):
-            print("1")
-        else:
-            factors = [
-                f"l{i + 1}" if e == 1 else f"l{i + 1}^{e}"
-                for i, e in enumerate(top)
-                if e
+
+def _ad(args):
+    d = ad(_expr(args, args.a))
+    if args.b is None:
+        _emit_json(map_to_json(d))
+    else:
+        print(format_element(apply_derivation(d, _expr(args, args.b))))
+
+
+def _pderiv(args):
+    print(format_element(pderiv_l(args.j, _expr(args, args.expr))))
+
+
+def _shift(args):
+    print(format_element(shift_lr(_expr(args, args.expr))))
+
+
+def _lm(args):
+    g = _expr(args, args.expr)
+    top, _ = lm_lc(g)
+    lm = Element.zero(g.n) if top is None else Element.from_word(g.n, top, ())
+    print(format_element(lm))
+
+
+def _lc(args):
+    print(format_element(lm_lc(_expr(args, args.expr))[1]))
+
+
+def _wdeg(args):
+    n = _need_n(args)
+    w = _parse_weights(args.weights, n)
+    val = wdeg(parse_element(args.expr, n), w)
+    print("-inf" if val is NEG_INF else str(val))
+
+
+def _parts(args):
+    n = _need_n(args)
+    w = _parse_weights(args.weights, n)
+    comps = homogeneous_components(parse_element(args.expr, n), w)
+    _emit_json(
+        {
+            "parts": [
+                {"wdeg": d, "element": element_to_json(g)}
+                for d, g in comps.items()
             ]
-            print("*".join(factors))
-        return 0
+        }
+    )
 
-    if cmd == "lc":
-        print(format_element(lm_lc(_expr(args, args.expr))[1]))
-        return 0
 
-    if cmd == "wdeg":
-        n = _need_n(args)
-        w = _parse_weights(args.weights, n)
-        val = wdeg(parse_element(args.expr, n), w)
-        print("-inf" if val is NEG_INF else str(val))
-        return 0
+def _member(args):
+    flags = membership(_expr(args, args.expr))
+    _emit_json({"in_L": flags.in_L, "in_R": flags.in_R, "in_I": flags.in_I})
 
-    if cmd == "parts":
-        n = _need_n(args)
-        w = _parse_weights(args.weights, n)
-        comps = homogeneous_components(parse_element(args.expr, n), w)
-        _emit_json(
-            {
-                "parts": [
-                    {"wdeg": d, "element": element_to_json(g)}
-                    for d, g in comps.items()
-                ]
-            }
-        )
-        return 0
 
-    if cmd == "member":
-        flags = membership(_expr(args, args.expr))
-        _emit_json({"in_L": flags.in_L, "in_R": flags.in_R, "in_I": flags.in_I})
-        return 0
-
-    if cmd == "project":
-        lpart, ipart = project_to_L(_expr(args, args.expr))
-        _emit_json(
-            {"l_part": element_to_json(lpart), "ideal_part": element_to_json(ipart)}
-        )
-        return 0
-
-    if cmd == "der":
-        return _run_der(args)
-    if cmd == "endo":
-        return _run_endo(args)
-    if cmd == "u1":
-        return _run_u1(args)
-    if cmd == "solve":
-        return _run_solve(args)
-    if cmd == "verify":
-        return _run_verify(args)
-
-    raise _CliFailure(USAGE_ERROR, f"unknown command {cmd!r}")
+def _project(args):
+    lpart, ipart = project_to_L(_expr(args, args.expr))
+    _emit_json(
+        {"l_part": element_to_json(lpart), "ideal_part": element_to_json(ipart)}
+    )
 
 
 def _load_map(path: str, want: str):
@@ -344,131 +316,124 @@ def _load_map(path: str, want: str):
     return m
 
 
-def _run_der(args) -> int:
-    if args.der_cmd == "check":
-        d, violations = check_derivation(_load_map(args.file, "derivation"))
-        if violations:
-            print("derivation: FAIL")
-            _emit_json({"violations": violations_to_json(violations)})
-            return MATH_FAILURE
-        print("derivation: OK")
-        return 0
-
-    d = _load_map(args.file, "derivation")
-    if args.der_cmd == "apply":
-        print(format_element(apply_derivation(d, _expr(args, args.expr, d.n))))
-        return 0
-    if args.der_cmd == "probe":
-        res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
-        if isinstance(res, ZeroAt):
-            _emit_json({"zero_at": res.k})
-        else:
-            _emit_json(
-                {"nonzero_through": res.bound, "degrees": list(res.degrees)}
-            )
-        return 0
-    if args.der_cmd == "grade":
-        w = _parse_weights(args.weights, d.n)
-        parts = graded_parts(d, w)
-        _emit_json(
-            {
-                "parts": [
-                    {"wdeg": m, "map": map_to_json(dm)} for m, dm in parts.items()
-                ]
-            }
-        )
-        return 0
-    raise _CliFailure(USAGE_ERROR, "unknown der subcommand")
-
-
-def _run_endo(args) -> int:
-    if args.endo_cmd == "check":
-        e, violations = check_endomorphism(_load_map(args.file, "endomorphism"))
-        if violations:
-            print("endomorphism: FAIL")
-            _emit_json({"violations": violations_to_json(violations)})
-            return MATH_FAILURE
-        print("endomorphism: OK")
-        return 0
-
-    if args.endo_cmd == "lift":
-        n = _need_n(args)
-        pieces = args.tuple.split(";")
-        if len(pieces) != n:
-            raise _CliFailure(USAGE_ERROR, f"expected {n} ';'-separated polynomials")
-        fs = [parse_element(p, n) for p in pieces]
-        _emit_json(map_to_json(lift_phi(n, fs)))
-        return 0
-
-    if args.endo_cmd == "compose":
-        outer = _load_map(args.outer, "endomorphism")
-        inner = _load_map(args.inner, "endomorphism")
-        _emit_json(map_to_json(compose(outer, inner)))
-        return 0
-
-    e = _load_map(args.file, "endomorphism")
-    if args.endo_cmd == "apply":
-        print(format_element(apply_endo(e, _expr(args, args.expr, e.n))))
-        return 0
-    if args.endo_cmd == "affine":
-        if is_affine_U(e):
-            print("affine: yes")
-            return 0
-        print("affine: no")
+def _check_file(args, kind: str, check) -> int:
+    _, violations = check(_load_map(args.file, kind))
+    if violations:
+        print(f"{kind}: FAIL")
+        _emit_json({"violations": violations_to_json(violations)})
         return MATH_FAILURE
-    raise _CliFailure(USAGE_ERROR, "unknown endo subcommand")
+    print(f"{kind}: OK")
+    return 0
 
 
-def _run_u1(args) -> int:
-    if args.u1_cmd != "pair":
-        raise _CliFailure(USAGE_ERROR, "unknown u1 subcommand")
+def _der_check(args):
+    return _check_file(args, "derivation", check_derivation)
+
+
+def _der_apply(args):
+    d = _load_map(args.file, "derivation")
+    print(format_element(apply_derivation(d, _expr(args, args.expr, d.n))))
+
+
+def _der_probe(args):
+    d = _load_map(args.file, "derivation")
+    res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
+    if isinstance(res, ZeroAt):
+        _emit_json({"zero_at": res.k})
+    else:
+        _emit_json(
+            {"nonzero_through": res.bound, "degrees": list(res.degrees)}
+        )
+
+
+def _der_grade(args):
+    d = _load_map(args.file, "derivation")
+    w = _parse_weights(args.weights, d.n)
+    parts = graded_parts(d, w)
+    _emit_json(
+        {
+            "parts": [
+                {"wdeg": m, "map": map_to_json(dm)} for m, dm in parts.items()
+            ]
+        }
+    )
+
+
+def _endo_check(args):
+    return _check_file(args, "endomorphism", check_endomorphism)
+
+
+def _endo_apply(args):
+    e = _load_map(args.file, "endomorphism")
+    print(format_element(apply_endo(e, _expr(args, args.expr, e.n))))
+
+
+def _endo_compose(args):
+    outer = _load_map(args.outer, "endomorphism")
+    inner = _load_map(args.inner, "endomorphism")
+    _emit_json(map_to_json(compose(outer, inner)))
+
+
+def _endo_lift(args):
+    n = _need_n(args)
+    pieces = args.tuple.split(";")
+    if len(pieces) != n:
+        raise _CliFailure(USAGE_ERROR, f"expected {n} ';'-separated polynomials")
+    fs = [parse_element(p, n) for p in pieces]
+    _emit_json(map_to_json(lift_phi(n, fs)))
+
+
+def _endo_affine(args):
+    e = _load_map(args.file, "endomorphism")
+    if is_affine_U(e):
+        print("affine: yes")
+        return 0
+    print("affine: no")
+    return MATH_FAILURE
+
+
+def _u1_pair(args):
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad --alpha: {exc}") from exc
     h = parse_element(args.h, 1)
+    # u1_closed_form checks that the two maps invert each other
     phi, psi = u1_closed_form(alpha, h)
-    if not check_inverse_pair(phi, psi):
-        return MATH_FAILURE
     _emit_json({"phi": map_to_json(phi), "psi": map_to_json(psi)})
-    return 0
 
 
-def _run_solve(args) -> int:
-    if args.solve_cmd == "ad-preimage":
-        data = _load_json(args.file)
-        try:
-            us = [element_from_json(d) for d in data["images"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
-        g, kernel_dim = ad_preimage(us)
-        _emit_json({"g": element_to_json(g), "kernel_dim": kernel_dim})
-        return 0
-
-    if args.solve_cmd == "lemma27":
-        n = _need_n(args)
-        sols = lemma27_solutions(n, args.i, args.degree)
-        _emit_json({"dim": len(sols), "basis": [element_to_json(g) for g in sols]})
-        return 0
-
-    if args.solve_cmd == "rfactor":
-        n = _need_n(args)
-        h = parse_element(args.h, n)
-        u, v = rfactor_decompose(args.k, args.i, args.j, h)
-        _emit_json({"u": element_to_json(u), "v": element_to_json(v)})
-        return 0
-
-    if args.solve_cmd == "derspace":
-        n = _need_n(args)
-        w = _parse_weights(args.weights, n) if args.weights else None
-        basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
-        _emit_json({"dim": len(basis), "basis": [map_to_json(d) for d in basis]})
-        return 0
-
-    raise _CliFailure(USAGE_ERROR, "unknown solve subcommand")
+def _solve_ad_preimage(args):
+    data = _load_json(args.file)
+    try:
+        us = [element_from_json(d) for d in data["images"]]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
+    g, kernel_dim = ad_preimage(us)
+    _emit_json({"g": element_to_json(g), "kernel_dim": kernel_dim})
 
 
-def _run_verify(args) -> int:
+def _solve_lemma27(args):
+    n = _need_n(args)
+    sols = lemma27_solutions(n, args.i, args.degree)
+    _emit_json({"dim": len(sols), "basis": [element_to_json(g) for g in sols]})
+
+
+def _solve_rfactor(args):
+    n = _need_n(args)
+    h = parse_element(args.h, n)
+    u, v = rfactor_decompose(args.k, args.i, args.j, h)
+    _emit_json({"u": element_to_json(u), "v": element_to_json(v)})
+
+
+def _solve_derspace(args):
+    n = _need_n(args)
+    w = _parse_weights(args.weights, n) if args.weights else None
+    basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
+    _emit_json({"dim": len(basis), "basis": [map_to_json(d) for d in basis]})
+
+
+def _verify(args):
     try:
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     except AnomalyError as exc:
@@ -503,7 +468,7 @@ def main(argv=None) -> int:
                 return USAGE_ERROR
     token = TERM_BUDGET.set(budget)
     try:
-        return _run(args)
+        return args.run(args) or 0
     except TermBudgetExceeded as exc:
         print(f"lsea: term budget exceeded: {exc}", file=sys.stderr)
         return USAGE_ERROR

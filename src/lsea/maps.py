@@ -6,7 +6,8 @@ derivations) or preserves (for endomorphisms) the two defining relation
 families; `check_derivation` / `check_endomorphism` test exactly that and set
 the `verified` flag.  Applying an unverified map is an error rather than a
 silent best effort, because the Leibniz/substitution extension is ill-defined
-off the relation variety.
+off the relation variety.  Maps loaded from JSON are re-checked the same
+way; a stored `verified` field is ignored.
 
 Also here: inner derivations ad_a, the Lie bracket on derivations, leading
 data of derivations with respect to the L-monomial ladder, graded pieces,
@@ -74,9 +75,6 @@ class Derivation:
     def __call__(self, g: Element) -> Element:
         return apply_derivation(self, g)
 
-    def is_zero(self) -> bool:
-        return all(h.is_zero for h in self.l_images + self.r_images)
-
 
 @dataclass(frozen=True)
 class PureFormalExpression:
@@ -112,19 +110,6 @@ class Endomorphism:
         return apply_endo(self, g)
 
 
-def derivation(n: int, l_images, r_images) -> Derivation:
-    return Derivation(n, _as_images(n, l_images), _as_images(n, r_images))
-
-
-def endomorphism(n: int, l_images, r_images) -> Endomorphism:
-    return Endomorphism(n, _as_images(n, l_images), _as_images(n, r_images))
-
-
-def zero_derivation(n: int) -> Derivation:
-    z = tuple(Element.zero(n) for _ in range(n))
-    return Derivation(n, z, z, verified=True)
-
-
 def identity_endo(n: int) -> Endomorphism:
     return Endomorphism(
         n,
@@ -140,6 +125,20 @@ def identity_endo(n: int) -> Endomorphism:
 # derivation, checking a candidate endomorphism, and (being linear in the
 # images) assembling the constraint matrices of homogeneous derivation
 # spaces in the solver.
+
+
+def relations(n: int):
+    """The defining relation instances of U_n, in check order.
+
+    ("s1", i, j) for l_i l_j = l_j l_i with i < j, then ("s2", i, j) for
+    r_i l_j = l_j r_i + r_i r_j over all i, j.
+    """
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            yield "s1", i, j
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            yield "s2", i, j
 
 
 def derivation_residual_commute(data, i: int, j: int) -> Element:
@@ -165,23 +164,26 @@ def derivation_residual_straighten(data, i: int, j: int) -> Element:
     )
 
 
-def check_derivation(d: Derivation) -> tuple[Derivation, list]:
-    """Re-check the relation families; returns (flagged copy, violations).
+DERIVATION_RESIDUALS = {
+    "s1": derivation_residual_commute,
+    "s2": derivation_residual_straighten,
+}
 
-    A violation is ("s1"| "s2", i, j, residual) with a nonzero residual.
-    """
+
+def _check(m, residuals):
+    """(flagged copy of m, violations): a violation is (kind, i, j, residual)
+    for each relation instance whose residual is nonzero."""
     violations = []
-    for i in range(1, d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            res = derivation_residual_commute(d, i, j)
-            if not res.is_zero:
-                violations.append(("s1", i, j, res))
-    for i in range(1, d.n + 1):
-        for j in range(1, d.n + 1):
-            res = derivation_residual_straighten(d, i, j)
-            if not res.is_zero:
-                violations.append(("s2", i, j, res))
-    return replace(d, verified=not violations), violations
+    for kind, i, j in relations(m.n):
+        res = residuals[kind](m, i, j)
+        if not res.is_zero:
+            violations.append((kind, i, j, res))
+    return replace(m, verified=not violations), violations
+
+
+def check_derivation(d: Derivation) -> tuple[Derivation, list]:
+    """Re-check the relation families; returns (flagged copy, violations)."""
+    return _check(d, DERIVATION_RESIDUALS)
 
 
 def endo_residual_commute(e, i: int, j: int) -> Element:
@@ -197,18 +199,7 @@ def endo_residual_straighten(e, i: int, j: int) -> Element:
 
 
 def check_endomorphism(e: Endomorphism) -> tuple[Endomorphism, list]:
-    violations = []
-    for i in range(1, e.n + 1):
-        for j in range(i + 1, e.n + 1):
-            res = endo_residual_commute(e, i, j)
-            if not res.is_zero:
-                violations.append(("s1", i, j, res))
-    for i in range(1, e.n + 1):
-        for j in range(1, e.n + 1):
-            res = endo_residual_straighten(e, i, j)
-            if not res.is_zero:
-                violations.append(("s2", i, j, res))
-    return replace(e, verified=not violations), violations
+    return _check(e, {"s1": endo_residual_commute, "s2": endo_residual_straighten})
 
 
 def violations_to_json(violations) -> list[dict]:
@@ -262,17 +253,14 @@ def _word_factor_splits(word: BasisWord, n: int):
         yield BasisWord(lexp, rword[:k]), ("r", j), BasisWord(zero, rword[k + 1 :])
 
 
-def apply_derivation(d: Derivation, g: Element) -> Element:
-    """Extend D linearly and by the Leibniz law to all of U_n."""
-    if not d.verified:
-        raise UnverifiedMapError("refusing to apply an unverified derivation")
-    if d.n != g.n:
-        raise AmbientMismatch("derivation and element ambients differ")
+def _leibniz(g: Element, l_images, r_images) -> Element:
+    """The derivation with these generator images, extended to g by linearity
+    and the Leibniz law over `_word_factor_splits`."""
     out = Element.zero(g.n)
     for word, c in g.terms():
         acc = Element.zero(g.n)
         for prefix, (kind, idx), suffix in _word_factor_splits(word, g.n):
-            img = d.l_images[idx - 1] if kind == "l" else d.r_images[idx - 1]
+            img = (l_images if kind == "l" else r_images)[idx - 1]
             if img.is_zero:
                 continue
             piece = mul(Element(g.n, {prefix: Fraction(1)}, _trusted=True), img)
@@ -281,22 +269,37 @@ def apply_derivation(d: Derivation, g: Element) -> Element:
     return out
 
 
+def _substitute(g: Element, l_images, r_images) -> Element:
+    """g with each generator replaced by its image, multiplied out along
+    each basis word (l-part first, then the r-letters in order)."""
+    out = Element.zero(g.n)
+    for word, c in g.terms():
+        acc = Element.one(g.n)
+        for i, s in enumerate(word.lexp):
+            if s:
+                acc = mul(acc, l_images[i] ** s)
+        for j in word.rword:
+            acc = mul(acc, r_images[j - 1])
+        out = out + c * acc
+    return out
+
+
+def apply_derivation(d: Derivation, g: Element) -> Element:
+    """Extend D linearly and by the Leibniz law to all of U_n."""
+    if not d.verified:
+        raise UnverifiedMapError("refusing to apply an unverified derivation")
+    if d.n != g.n:
+        raise AmbientMismatch("derivation and element ambients differ")
+    return _leibniz(g, d.l_images, d.r_images)
+
+
 def apply_endo(e: Endomorphism, g: Element) -> Element:
     """Substitute generator images along each basis word, multiplying in U_n."""
     if not e.verified:
         raise UnverifiedMapError("refusing to apply an unverified endomorphism")
     if e.n != g.n:
         raise AmbientMismatch("endomorphism and element ambients differ")
-    out = Element.zero(g.n)
-    for word, c in g.terms():
-        acc = Element.one(g.n)
-        for i, s in enumerate(word.lexp):
-            if s:
-                acc = mul(acc, e.l_images[i] ** s)
-        for j in word.rword:
-            acc = mul(acc, e.r_images[j - 1])
-        out = out + c * acc
-    return out
+    return _substitute(g, e.l_images, e.r_images)
 
 
 # -- inner derivations and the Lie structure -----------------------------------
@@ -372,20 +375,8 @@ class RDerivation:
             raise AmbientMismatch("ambient mismatch")
         if not in_R(g):
             raise DomainError("R_n derivation applied outside R_n")
-        zero = (0,) * self.n
-        out = Element.zero(self.n)
-        for word, c in g.terms():
-            acc = Element.zero(self.n)
-            for k, j in enumerate(word.rword):
-                img = self.images[j - 1]
-                if img.is_zero:
-                    continue
-                piece = mul(
-                    Element.from_word(self.n, zero, word.rword[:k]), img
-                )
-                acc = acc + mul(piece, Element.from_word(self.n, zero, word.rword[k + 1 :]))
-            out = out + c * acc
-        return out
+        # an R_n word has no l-letters, so only r-splits reach the images
+        return _leibniz(g, (), self.images)
 
 
 def restrict_r(p: PureFormalExpression) -> RDerivation:
@@ -566,14 +557,6 @@ def is_affine_U(e: Endomorphism) -> bool:
 # -- the rank-one case ------------------------------------------------------------
 
 
-def _subst_r1(h: Element, factor: Fraction) -> Element:
-    """h(factor * r_1) for h a polynomial in r_1 (ambient n = 1)."""
-    out = {}
-    for w, c in h.terms():
-        out[w] = c * factor ** len(w.rword)
-    return Element(h.n, out)
-
-
 def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
     """The U_1 automorphism l1 -> a*l1 + h(r1), r1 -> a*r1, and its inverse.
 
@@ -595,7 +578,7 @@ def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
     )
     psi = Endomorphism(
         1,
-        (inv * gen_l(1, 1) - inv * _subst_r1(h, inv),),
+        (inv * gen_l(1, 1) - inv * _substitute(h, (), (inv * gen_r(1, 1),)),),
         (inv * gen_r(1, 1),),
     )
     context = {"alpha": str(alpha), "h": element_to_json(h)}
@@ -621,15 +604,7 @@ def poly_subst(f: Element, images: Sequence[Element]) -> Element:
     """Substitute images[i-1] for l_i in a polynomial f."""
     if not in_L(f):
         raise DomainError("substitution source must be a polynomial")
-    images = _as_images(f.n, images)
-    out = Element.zero(f.n)
-    for w, c in f.terms():
-        acc = Element.one(f.n)
-        for i, e in enumerate(w.lexp):
-            if e:
-                acc = mul(acc, images[i] ** e)
-        out = out + c * acc
-    return out
+    return _substitute(f, _as_images(f.n, images), ())
 
 
 def compose_tuples(
@@ -721,10 +696,17 @@ def map_to_json(m) -> dict:
 
 
 def map_from_json(data: dict):
+    """The map stored in `data`, flagged by re-checking its relations.
+
+    A stored "verified" field is ignored: input data never carries a proof.
+    """
     from .algebra import element_from_json
 
     n = int(data["n"])
     l_images = tuple(element_from_json(d) for d in data["l_images"])
     r_images = tuple(element_from_json(d) for d in data["r_images"])
-    cls = {"derivation": Derivation, "endomorphism": Endomorphism}[data["kind"]]
-    return cls(n, _as_images(n, l_images), _as_images(n, r_images), bool(data["verified"]))
+    cls, check = {
+        "derivation": (Derivation, check_derivation),
+        "endomorphism": (Endomorphism, check_endomorphism),
+    }[data["kind"]]
+    return check(cls(n, _as_images(n, l_images), _as_images(n, r_images)))[0]

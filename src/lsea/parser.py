@@ -11,7 +11,8 @@ Grammar (whitespace insignificant, no implicit multiplication):
 GEN tokens are l<k> / r<k> with the index part of the token, so `l12` is the
 twelfth l-generator and `l1*2` is a product.  `^` takes non-negative integer
 exponents and binds tightest.  Rational literals are INT '/' INT; `/` has no
-other role.
+other role.  Parentheses and unary minus nest at most MAX_NESTING (100)
+levels deep; deeper input is a syntax error.
 
 `format_element` prints the canonical form: terms in descending order,
 coefficients as p/q with positive denominators, l-parts with exponents and
@@ -63,11 +64,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest allowed nesting of '(' and unary '-'; keeps the recursive descent
+# well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = _tokenize(text)
         self.n = n
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -81,6 +88,15 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "op" or val != op:
             raise ExprSyntaxError(f"expected {op!r}", pos)
+
+    def nested(self, parse, pos: int) -> Element:
+        """parse() one level deeper, refusing past MAX_NESTING levels."""
+        if self.depth >= MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def parse(self) -> Element:
         out = self.expr()
@@ -111,10 +127,10 @@ class _Parser:
                 return out
 
     def atom(self) -> Element:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.atom()
+            return -self.nested(self.atom, pos)
         return self.power()
 
     def power(self) -> Element:
@@ -148,7 +164,7 @@ class _Parser:
             except DomainError as exc:
                 raise ExprSyntaxError(str(exc), pos) from exc
         if kind == "op" and val == "(":
-            out = self.expr()
+            out = self.nested(self.expr, pos)
             self.expect_op(")")
             return out
         raise ExprSyntaxError("expected a literal, generator, or '('", pos)

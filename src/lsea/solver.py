@@ -34,14 +34,13 @@ from .algebra import (
     mul,
     word_key,
 )
-from .linalg import RationalMatrix, RowReduction, SolveResult, reduction_of
-from .linalg import solve as _linalg_solve
+from .linalg import RationalMatrix, RowReduction, reduction_of
 from .maps import (
+    DERIVATION_RESIDUALS,
     AnomalyError,
     Derivation,
     ad,
-    derivation_residual_commute,
-    derivation_residual_straighten,
+    relations,
     require_verified,
 )
 
@@ -61,9 +60,6 @@ class GradedSlice:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index_of(self, word: BasisWord) -> int:
-        return _slice_index(self)[word]
 
 
 @lru_cache(maxsize=None)
@@ -181,11 +177,6 @@ def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> RationalMat
         tuple(columns[j][i] for j in range(source.dim)) for i in range(target.dim)
     )
     return RationalMatrix(target.dim, source.dim, entries)
-
-
-def solve(matrix: RationalMatrix, b) -> SolveResult:
-    """Exact solve re-exported next to the slice machinery."""
-    return _linalg_solve(matrix, b)
 
 
 # -- preimages under the stacked ad_{l_i} ---------------------------------------
@@ -419,20 +410,13 @@ def derivation_space(
             imgs.append(uncoords(chunk, s))
         return tuple(imgs[:n]), tuple(imgs[n:])
 
-    relations = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            relations.append(("s1", i, j))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            relations.append(("s2", i, j))
-
+    rels = list(relations(n))
     residual_slices = {
         rel: weighted_slice(n, m + weights[rel[1] - 1] + weights[rel[2] - 1], weights)
-        for rel in relations
+        for rel in rels
     }
     row_offsets = [0]
-    for rel in relations:
+    for rel in rels:
         row_offsets.append(row_offsets[-1] + residual_slices[rel].dim)
     total_rows = row_offsets[-1]
 
@@ -448,13 +432,9 @@ def derivation_space(
             else:
                 r_imgs[slot - n] = unit
             probe = Derivation(n, tuple(l_imgs), tuple(r_imgs))
-            for ridx, rel in enumerate(relations):
+            for ridx, rel in enumerate(rels):
                 kind, i, j = rel
-                res = (
-                    derivation_residual_commute(probe, i, j)
-                    if kind == "s1"
-                    else derivation_residual_straighten(probe, i, j)
-                )
+                res = DERIVATION_RESIDUALS[kind](probe, i, j)
                 if res.is_zero:
                     continue
                 rslice = residual_slices[rel]

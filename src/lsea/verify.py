@@ -48,6 +48,7 @@ from .maps import (
     is_affine_U,
     is_identity,
     lift_phi,
+    poly_subst,
     probe_nilpotent,
     require_verified,
     u1_closed_form,
@@ -91,11 +92,17 @@ def rand_word(rng: random.Random, n: int, length: int):
     ]
 
 
-def rand_element(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> Element:
+def rand_words(rng: random.Random, n: int, terms: int, degree, l_part) -> Element:
+    """Sum of `terms` random basis words with random coefficients.
+
+    For each word `degree(rng)` draws its total degree and `l_part(rng, deg)`
+    how many of its letters are l's; those fall on random indices and the
+    remaining letters form a random r-word.
+    """
     out = Element.zero(n)
     for _ in range(terms):
-        deg = rng.randint(0, max_deg)
-        a = rng.randint(0, deg)
+        deg = degree(rng)
+        a = l_part(rng, deg)
         lexp = [0] * n
         for _ in range(a):
             lexp[rng.randrange(n)] += 1
@@ -104,61 +111,50 @@ def rand_element(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> El
     return out
 
 
-def rand_nonzero(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> Element:
+def _until_nonzero(draw) -> Element:
     while True:
-        g = rand_element(rng, n, max_deg, terms)
+        g = draw()
         if not g.is_zero:
             return g
 
 
+def _up_to(max_deg: int):
+    return lambda rng: rng.randint(0, max_deg)
+
+
+def _any_split(rng: random.Random, deg: int) -> int:
+    return rng.randint(0, deg)
+
+
+def rand_element(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> Element:
+    return rand_words(rng, n, terms, _up_to(max_deg), _any_split)
+
+
+def rand_nonzero(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> Element:
+    return _until_nonzero(lambda: rand_element(rng, n, max_deg, terms))
+
+
 def rand_lpoly(rng: random.Random, n: int, max_deg: int, terms: int = 4) -> Element:
-    out = Element.zero(n)
-    for _ in range(terms):
-        deg = rng.randint(0, max_deg)
-        lexp = [0] * n
-        for _ in range(deg):
-            lexp[rng.randrange(n)] += 1
-        out = out + Element.from_word(n, tuple(lexp), (), rand_coeff(rng))
-    return out
+    return rand_words(rng, n, terms, _up_to(max_deg), lambda rng, deg: deg)
 
 
 def rand_rpoly(rng: random.Random, n: int, max_deg: int, terms: int = 3) -> Element:
-    out = Element.zero(n)
-    for _ in range(terms):
-        deg = rng.randint(0, max_deg)
-        rword = tuple(rng.randint(1, n) for _ in range(deg))
-        out = out + Element.from_word(n, (0,) * n, rword, rand_coeff(rng))
-    return out
+    return rand_words(rng, n, terms, _up_to(max_deg), lambda rng, deg: 0)
 
 
 def rand_homogeneous_I(rng: random.Random, n: int, deg: int, terms: int = 3) -> Element:
     """Nonzero homogeneous element of I_n of the exact degree."""
-    while True:
-        out = Element.zero(n)
-        for _ in range(terms):
-            b = rng.randint(1, deg)
-            a = deg - b
-            lexp = [0] * n
-            for _ in range(a):
-                lexp[rng.randrange(n)] += 1
-            rword = tuple(rng.randint(1, n) for _ in range(b))
-            out = out + Element.from_word(n, tuple(lexp), rword, rand_coeff(rng))
-        if not out.is_zero:
-            return out
+    return _until_nonzero(
+        lambda: rand_words(
+            rng, n, terms, lambda rng: deg, lambda rng, d: d - rng.randint(1, d)
+        )
+    )
 
 
 def rand_homogeneous(rng: random.Random, n: int, deg: int, terms: int = 3) -> Element:
-    while True:
-        out = Element.zero(n)
-        for _ in range(terms):
-            a = rng.randint(0, deg)
-            lexp = [0] * n
-            for _ in range(a):
-                lexp[rng.randrange(n)] += 1
-            rword = tuple(rng.randint(1, n) for _ in range(deg - a))
-            out = out + Element.from_word(n, tuple(lexp), rword, rand_coeff(rng))
-        if not out.is_zero:
-            return out
+    return _until_nonzero(
+        lambda: rand_words(rng, n, terms, lambda rng: deg, _any_split)
+    )
 
 
 def rand_univariate_last(rng: random.Random, n: int, max_deg: int) -> Element:
@@ -284,13 +280,7 @@ def _suite_lemma22(seed: int, cases: int) -> RunReport:
         i = rng.randint(1, n)
         shifted = shift_lr(f)
         # direct substitution of l_k - r_k, multiplied out
-        direct = Element.zero(n)
-        for w, c in f.terms():
-            acc = Element.one(n)
-            for k, e in enumerate(w.lexp):
-                if e:
-                    acc = mul(acc, (gen_l(n, k + 1) - gen_r(n, k + 1)) ** e)
-            direct = direct + c * acc
+        direct = poly_subst(f, [gen_l(n, k) - gen_r(n, k) for k in range(1, n + 1)])
         a, b = gen_l(n, 1) - gen_r(n, 1), gen_l(n, n) - gen_r(n, n)
         ok = (
             mul(f, gen_r(n, i)) == mul(gen_r(n, i), shifted)

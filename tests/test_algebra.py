@@ -325,3 +325,8 @@ class TestCanonicity:
         data = element_to_json(g)
         assert data["terms"][0]["l"] == [0, 1]
         assert data["terms"][0]["c"] == "2"
+
+    def test_json_zero_denominator_is_domain_error(self):
+        data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": "1/0"}]}
+        with pytest.raises(DomainError):
+            element_from_json(data)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lsea import Element, gen_l, gen_r, mul
-from lsea.cli import main
+from lsea.cli import build_parser, main
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import rand_element
 
@@ -136,6 +136,28 @@ class TestCliBasics:
         code, _, err = run_cli(capsys, "-n", "2", "norm", "r3")
         assert code == 2
 
+    @pytest.mark.parametrize("opener", ["(", "-"])
+    def test_nesting_limit(self, capsys, opener):
+        def nested(depth):
+            closer = ")" * depth if opener == "(" else ""
+            # the leading space keeps argparse from reading '-...' as an option
+            return " " + opener * depth + "l1" + closer
+
+        assert parse_element(nested(100), 1) == gen_l(1, 1)
+        text = nested(10_000)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_element(text, 1)
+        assert exc.value.pos == 101  # the 101st opener
+        code, out, err = run_cli(capsys, "-n", "1", "norm", text)
+        assert code == 2 and out == ""
+        assert "nesting deeper than 100 levels" in err
+
+    def test_parser_built_once(self, capsys):
+        run_cli(capsys, "-n", "1", "norm", "l1")
+        misses = build_parser.cache_info().misses
+        run_cli(capsys, "-n", "1", "norm", "r1")
+        assert misses == 1 and build_parser.cache_info().misses == 1
+
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "norm", "l1")  # missing -n
         assert code == 2
@@ -234,6 +256,49 @@ class TestCliMaps:
         assert code == 0
         data = json.loads(out)
         assert data["l_images"][0]["terms"] == [{"l": [1, 0], "r": [], "c": "1"}]
+
+    def test_stored_verified_flag_not_trusted(self, capsys, tmp_path):
+        from lsea import element_to_json
+
+        def tampered(name, slot):
+            data = json.loads((DATA / name).read_text())
+            assert data["verified"] is True
+            data[slot][0] = element_to_json(gen_r(2, 1))
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            return str(path)
+
+        der = tampered("example41.json", "r_images")
+        endo = tampered("endo_phi.json", "l_images")
+        good = str(DATA / "endo_psi.json")
+        code, out, _ = run_cli(capsys, "der", "check", der)
+        assert code == 1 and out.startswith("derivation: FAIL")
+        for argv in (
+            ("der", "apply", der, "l1"),
+            ("endo", "apply", endo, "l1"),
+            ("endo", "compose", endo, good),
+            ("endo", "compose", good, endo),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "verified" in err, argv
+
+    def test_zero_denominator_in_json_exit_2(self, capsys, tmp_path):
+        zero_den = {"n": 2, "terms": [{"l": [0, 0], "r": [1], "c": "1/0"}]}
+        images = tmp_path / "images.json"
+        images.write_text(json.dumps({"images": [zero_den, {"n": 2, "terms": []}]}))
+        data = json.loads((DATA / "example41.json").read_text())
+        data["l_images"][1] = zero_den
+        der = tmp_path / "der.json"
+        der.write_text(json.dumps(data))
+        for argv in (
+            ("solve", "ad-preimage", str(images)),
+            ("der", "check", str(der)),
+            ("der", "apply", str(der), "l1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "zero denominator" in err, argv
 
     def test_u1_pair(self, capsys):
         code, out, _ = run_cli(

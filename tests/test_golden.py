@@ -1,10 +1,17 @@
-"""Replay of a committed corpus of `norm` / `mul` / `comm` invocations.
+"""Replay of committed corpora of CLI invocations.
 
-Each entry of data/golden_products.json holds an argv, its exit code and the
-SHA-256 of its stdout, recorded from the Fraction-coefficient product kernel
-that preceded the integer-numerator one.  The corpus covers n = 1..3,
-integer, negative and mixed-denominator coefficients, products that cancel to
-0, powers up to (l1+l2+r1+r2)^8 and --max-terms refusals.
+Each entry holds an argv, its exit code and the SHA-256 of its stdout.
+
+- data/golden_products.json: `norm` / `mul` / `comm`, recorded from the
+  Fraction-coefficient product kernel that preceded the integer-numerator
+  one.  It covers n = 1..3, integer, negative and mixed-denominator
+  coefficients, products that cancel to 0, powers up to (l1+l2+r1+r2)^8 and
+  --max-terms refusals.
+- data/golden_cli.json: every other leaf subcommand, all 15 verify suites
+  and the usage errors (missing -n, wrong map kind, bad weights, unknown
+  suite, missing subcommand), recorded before the CLI moved to per-subparser
+  handlers.  A `{data}` prefix in an argv stands for the data directory, so
+  map-file fixtures resolve independently of the working directory.
 """
 
 import hashlib
@@ -15,8 +22,11 @@ import pytest
 
 from lsea.cli import main
 
-CASES = json.loads((Path(__file__).parent / "data" / "golden_products.json").read_text())[
-    "cases"
+DATA = Path(__file__).parent / "data"
+CASES = [
+    case
+    for corpus in ("golden_products.json", "golden_cli.json")
+    for case in json.loads((DATA / corpus).read_text())["cases"]
 ]
 
 
@@ -26,7 +36,7 @@ def _case_id(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_golden_output(case, capsys):
-    code = main(list(case["argv"]))
+    code = main([arg.replace("{data}", str(DATA)) for arg in case["argv"]])
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]

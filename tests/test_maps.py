@@ -485,3 +485,18 @@ class TestMapSerialization:
         e2 = map_from_json(map_to_json(phi))
         assert isinstance(e2, Endomorphism)
         assert e2.l_images == phi.l_images
+
+    def test_stored_verified_flag_ignored(self):
+        z = Element.zero(2)
+        data = map_to_json(Derivation(2, (gen_r(2, 1), z), (z, z)))
+        data["verified"] = True
+        assert not map_from_json(data).verified
+        data = map_to_json(example41_derivation())
+        del data["verified"]
+        assert map_from_json(data).verified
+        data = map_to_json(Endomorphism(2, (gen_r(2, 1), gen_r(2, 2)), (z, z)))
+        data["verified"] = True
+        e = map_from_json(data)
+        assert isinstance(e, Endomorphism) and not e.verified
+        with pytest.raises(UnverifiedMapError):
+            apply_endo(e, gen_l(2, 1))
