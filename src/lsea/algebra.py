@@ -32,12 +32,6 @@ from math import lcm
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
 
-# Lexicographic tie-break used when comparing L-monomials of equal total
-# degree: True means index 1 is the most significant position, False means
-# index n is.  The whole theory is convention-independent; keeping this a
-# module constant lets the test suite rerun under the reverse convention.
-PDEG_INDEX1_MOST_SIGNIFICANT = True
-
 # Optional cap on the number of stored terms of any constructed element.
 # None means unlimited.  The CLI sets this from --max-terms / LSEA_MAX_TERMS;
 # library code only ever reads it.
@@ -107,9 +101,9 @@ class BasisWord(NamedTuple):
 
 
 def pdeg_key(lexp: tuple[int, ...]):
-    """Sort key realizing the degree-then-lex order on L-monomials."""
-    body = lexp if PDEG_INDEX1_MOST_SIGNIFICANT else tuple(reversed(lexp))
-    return (sum(lexp), body)
+    """Sort key realizing the degree-then-lex order on L-monomials; ties of
+    total degree break lexicographically with index 1 most significant."""
+    return (sum(lexp), lexp)
 
 
 def rword_key(rword: tuple[int, ...]):
@@ -121,10 +115,18 @@ def word_key(word: BasisWord):
     return (pdeg_key(word.lexp), rword_key(word.rword))
 
 
-def pdeg_compare(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """-1, 0, or 1 as the L-monomial with exponents u sorts below, equal, above v."""
+def pdeg_compare(
+    u: tuple[int, ...], v: tuple[int, ...], *, index1_most_significant: bool = True
+) -> int:
+    """-1, 0, or 1 as the L-monomial with exponents u sorts below, equal, above v.
+
+    With index1_most_significant=False, ties of total degree break with index
+    n most significant instead; the theory does not depend on the choice.
+    """
     if len(u) != len(v):
         raise DomainError("exponent vectors of different length")
+    if not index1_most_significant:
+        u, v = tuple(reversed(u)), tuple(reversed(v))
     ku, kv = pdeg_key(u), pdeg_key(v)
     return -1 if ku < kv else (0 if ku == kv else 1)
 

@@ -69,6 +69,10 @@ USAGE_ERROR = 2
 MATH_FAILURE = 1
 ANOMALY = 3
 
+# Largest ambient n accepted from -n or from an input file; a larger n is a
+# usage error, refused before any element of U_n is built.
+MAX_N = 64
+
 
 class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
@@ -121,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the enveloping algebra U_n "
         "(generators l1..ln, r1..rn; the l's commute and r_i*l_j = l_j*r_i + r_i*r_j).",
     )
-    top.add_argument("-n", type=int, default=None, help="ambient number of generators")
+    top.add_argument(
+        "-n", type=int, default=None, help=f"ambient number of generators, 1 to {MAX_N}"
+    )
     top.add_argument(
         "--max-terms",
         type=int,
@@ -217,6 +223,12 @@ def _need_n(args, fallback: int | None = None) -> int:
         raise _CliFailure(USAGE_ERROR, "this command needs -n")
     if n < 1:
         raise _CliFailure(USAGE_ERROR, "-n must be >= 1")
+    return _cap_n(n, "-n")
+
+
+def _cap_n(n: int, source: str) -> int:
+    if n > MAX_N:
+        raise _CliFailure(USAGE_ERROR, f"{source}: n = {n} exceeds the limit {MAX_N}")
     return n
 
 
@@ -307,6 +319,7 @@ def _project(args):
 def _load_map(path: str, want: str):
     data = _load_json(path)
     try:
+        _cap_n(int(data["n"]), path)
         m = map_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad map file {path}: {exc}") from exc
@@ -406,6 +419,8 @@ def _u1_pair(args):
 def _solve_ad_preimage(args):
     data = _load_json(args.file)
     try:
+        for d in data["images"]:
+            _cap_n(int(d["n"]), args.file)
         us = [element_from_json(d) for d in data["images"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc

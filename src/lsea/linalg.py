@@ -2,11 +2,13 @@
 
 Everything here works over `fractions.Fraction`.  Rows are kept as sparse
 column->value dicts because the operator matrices arising from graded slices
-are mostly zeros; there is no attempt at asymptotic cleverness beyond that.
+are mostly zeros.  Elimination indexes the rows holding each column and logs
+its row operations; right-hand sides and certificates replay that log.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,9 +43,6 @@ class RationalMatrix:
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
 
-    def column(self, j: int) -> list[Fraction]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def matvec(self, x) -> list[Fraction]:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matvec")
@@ -58,13 +57,15 @@ class RationalMatrix:
 
 
 class RowReduction:
-    """Reduced row echelon form of a matrix with the row transform recorded.
+    """Reduced row echelon form of a sparse matrix, as a replayable operation log.
 
-    Computes E = T*A with E in RREF.  The factorization is done once and can
-    then solve many right-hand sides; it also yields the kernel basis and, on
-    an inconsistent system, a left null vector certifying inconsistency.
-    Pivot rows are chosen deterministically (fewest nonzeros, then lowest
-    index) so repeated runs produce identical output.
+    Columns are eliminated left to right; a column's pivot is the unused row
+    holding it with the fewest nonzeros, then the lowest index, so runs are
+    deterministic.  A column -> rows index, kept through fill-in and
+    cancellation, limits each step to the rows holding its column.  A step is
+    logged as (pivot row, 1/pivot, [(row, factor), ...]); `solve` replays the
+    log on b and, only when b is inconsistent, rebuilds from it a left null
+    vector certifying that.
     """
 
     def __init__(self, rows: int, cols: int, sparse_rows):
@@ -73,13 +74,18 @@ class RowReduction:
         work = [dict(r) for r in sparse_rows]
         if len(work) != rows:
             raise ValueError("row count mismatch")
-        transform = [{i: _ONE} for i in range(rows)]
+        holders = defaultdict(set)
+        for i, row in enumerate(work):
+            for j in row:
+                holders[j].add(i)
 
+        log = []
         pivot_of_col: dict[int, int] = {}
         free: list[int] = []
         unused = set(range(rows))
         for col in range(cols):
-            candidates = [i for i in unused if work[i].get(col)]
+            holding = sorted(i for i in holders.pop(col, ()) if work[i][col])
+            candidates = [i for i in holding if i in unused]
             if not candidates:
                 free.append(col)
                 continue
@@ -88,39 +94,42 @@ class RowReduction:
             inv = _ONE / work[piv][col]
             if inv != 1:
                 work[piv] = {j: v * inv for j, v in work[piv].items()}
-                transform[piv] = {j: v * inv for j, v in transform[piv].items()}
-            prow, trow = work[piv], transform[piv]
-            for i in range(rows):
+            prow = work[piv]
+            steps = []
+            for i in holding:
                 if i == piv:
                     continue
-                factor = work[i].get(col)
-                if not factor:
-                    continue
-                wi, ti = work[i], transform[i]
+                wi = work[i]
+                factor = wi[col]
                 for j, v in prow.items():
                     acc = wi.get(j, _ZERO) - factor * v
                     if acc:
+                        if j not in wi:
+                            holders[j].add(i)
                         wi[j] = acc
                     elif j in wi:
                         del wi[j]
-                for j, v in trow.items():
-                    acc = ti.get(j, _ZERO) - factor * v
-                    if acc:
-                        ti[j] = acc
-                    elif j in ti:
-                        del ti[j]
+                        holders[j].discard(i)
+                steps.append((i, factor))
+            log.append((piv, inv, steps))
             pivot_of_col[col] = piv
 
         self._work = work
-        self._transform = transform
+        self._log = log
         self.pivot_of_col = pivot_of_col
         self.pivot_cols = sorted(pivot_of_col)
         self.free_cols = free
         self.rank = len(self.pivot_cols)
         self._nonpivot_rows = sorted(unused)
 
-    def _transformed_rhs(self, b, row: int) -> Fraction:
-        return sum((v * b[j] for j, v in self._transform[row].items()), _ZERO)
+    def _certificate(self, row: int) -> list[Fraction]:
+        """Row `row` of the product of the logged operations, y with y*A = 0
+        when `row` reduced to zero; rebuilt by applying the log in reverse."""
+        y = {row: _ONE}
+        for piv, inv, steps in reversed(self._log):
+            acc = y.get(piv, _ZERO) - sum((f * y[i] for i, f in steps if i in y), _ZERO)
+            y[piv] = acc * inv
+        return [y.get(j, _ZERO) for j in range(self.rows)]
 
     def solve(self, b):
         """(particular solution, None) or (None, left-null certificate).
@@ -133,16 +142,17 @@ class RowReduction:
         if len(b) != self.rows:
             raise ValueError("dimension mismatch in solve")
         b = [Fraction(x) for x in b]
+        for piv, inv, steps in self._log:
+            bp = b[piv] = b[piv] * inv
+            if bp:
+                for i, f in steps:
+                    b[i] -= f * bp
         for i in self._nonpivot_rows:
-            val = self._transformed_rhs(b, i)
-            if val:
-                cert = [_ZERO] * self.rows
-                for j, v in self._transform[i].items():
-                    cert[j] = v
-                return None, cert
+            if b[i]:
+                return None, self._certificate(i)
         x = [_ZERO] * self.cols
         for col, row in self.pivot_of_col.items():
-            x[col] = self._transformed_rhs(b, row)
+            x[col] = b[row]
         return x, None
 
     def kernel_basis(self) -> list[list[Fraction]]:

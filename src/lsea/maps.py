@@ -170,6 +170,13 @@ DERIVATION_RESIDUALS = {
 }
 
 
+def derivation_residual_slots(n: int, kind: str, i: int, j: int) -> set[int]:
+    """Generator slots (l_1..l_n, then r_1..r_n, from 0) whose images enter
+    the residual of relation instance (kind, i, j): l_i, l_j for "s1" and
+    l_j, r_i, r_j for "s2"."""
+    return {i - 1, j - 1} if kind == "s1" else {j - 1, n + i - 1, n + j - 1}
+
+
 def _check(m, residuals):
     """(flagged copy of m, violations): a violation is (kind, i, j, residual)
     for each relation instance whose residual is nonzero."""

@@ -24,6 +24,7 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    commutator,
     element_to_json,
     gen_l,
     gen_r,
@@ -39,7 +40,7 @@ from .maps import (
     DERIVATION_RESIDUALS,
     AnomalyError,
     Derivation,
-    ad,
+    derivation_residual_slots,
     relations,
     require_verified,
 )
@@ -188,17 +189,17 @@ def _ad_stack(n: int, t: int):
 
     The unknown g runs over the degree-(t-1) part of I_n; the images live in
     the degree-t part of I_n.  Returns (unknown slice, image slice, sparse
-    system rows, reduction).
+    system rows, reduction).  ad_{l_i} is applied as the commutator with l_i.
     """
     unknown = graded_slice(n, t - 1, restrict_to_I=True)
     image = graded_slice(n, t, restrict_to_I=True)
-    ads = [ad(gen_l(n, i)) for i in range(1, n + 1)]
+    ls = [gen_l(n, i) for i in range(1, n + 1)]
     sparse_rows = [dict() for _ in range(n * image.dim)]
     img_index = _slice_index(image)
     for col, w in enumerate(unknown.basis):
         e = Element(n, {w: _ONE}, _trusted=True)
-        for i, di in enumerate(ads):
-            for word, c in di(e).terms():
+        for i, li in enumerate(ls):
+            for word, c in commutator(li, e).terms():
                 sparse_rows[i * image.dim + img_index[word]][col] = c
     red = RowReduction(n * image.dim, unknown.dim, sparse_rows)
     return unknown, image, sparse_rows, red
@@ -247,10 +248,10 @@ def ad_preimage(us) -> tuple[Element, int]:
         return Element.zero(n), 0
     t = degrees.pop()
 
-    ads = [ad(gen_l(n, i)) for i in range(1, n + 1)]
+    ls = [gen_l(n, i) for i in range(1, n + 1)]
     for i in range(n):
         for j in range(i + 1, n):
-            if ads[j](us[i]) != ads[i](us[j]):
+            if commutator(ls[j], us[i]) != commutator(ls[i], us[j]):
                 raise DomainError(
                     f"compatibility fails: ad_l{j+1}(u_{i+1}) != ad_l{i+1}(u_{j+1})"
                 )
@@ -296,11 +297,10 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
         raise DomainError("degree must be >= 2")
     unknown = graded_slice(n, d, restrict_to_I=True)
     target = graded_slice(n, d + 1, restrict_to_I=True)
-    di = ad(gen_l(n, i))
-    ri = gen_r(n, i)
+    li, ri = gen_l(n, i), gen_r(n, i)
 
     def condition(g: Element) -> Element:
-        return -di(g) - mul(ri, g) - mul(g, ri)
+        return -commutator(li, g) - mul(ri, g) - mul(g, ri)
 
     matrix = operator_matrix(condition, unknown, target)
     red = reduction_of(matrix)
@@ -344,11 +344,10 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
         raise DomainError("power must be >= 1")
     if not in_R(h):
         raise DomainError("cofactor must lie in R_n")
-    ri, rj = gen_r(n, i), gen_r(n, j)
-    adi = ad(gen_l(n, i))
-    u, v = _rfactor_rec(k, i, j, h, n, ri, rj, adi)
+    li, ri, rj = gen_l(n, i), gen_r(n, i), gen_r(n, j)
+    u, v = _rfactor_rec(k, i, j, h, n, li, ri, rj)
     lhs = mul(mul(ri**k, rj), h)
-    rhs = adi(mul(ri, u)) + mul(mul(ri, rj), v)
+    rhs = commutator(li, mul(ri, u)) + mul(mul(ri, rj), v)
     if lhs != rhs:
         raise AnomalyError(
             "factorization identity failed",
@@ -357,7 +356,7 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
     return u, v
 
 
-def _rfactor_rec(k, i, j, h, n, ri, rj, adi):
+def _rfactor_rec(k, i, j, h, n, li, ri, rj):
     if h.is_zero:
         return Element.zero(n), Element.zero(n)
     if k == 1:
@@ -365,8 +364,8 @@ def _rfactor_rec(k, i, j, h, n, ri, rj, adi):
     # r_i^k r_j h = -1/(k-1) ad_{l_i}(r_i^{k-1} r_j h) + r_i^{k-1} r_j h'
     # with h' = (-r_i h + ad_{l_i}(h)) / (k-1); recurse on the second piece.
     c = Fraction(1, k - 1)
-    h2 = c * (adi(h) - mul(ri, h))
-    u_rec, v = _rfactor_rec(k - 1, i, j, h2, n, ri, rj, adi)
+    h2 = c * (commutator(li, h) - mul(ri, h))
+    u_rec, v = _rfactor_rec(k - 1, i, j, h2, n, li, ri, rj)
     u = u_rec - c * mul(mul(ri ** (k - 2), rj), h)
     return u, v
 
@@ -390,13 +389,9 @@ def derivation_space(
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
 
-    slot_slices = []
-    for kind in ("l", "r"):
-        for i in range(1, n + 1):
-            slot_slices.append(weighted_slice(n, m + weights[i - 1], weights, into_I))
-    offsets = [0]
-    for s in slot_slices:
-        offsets.append(offsets[-1] + s.dim)
+    # slots l_1..l_n, then r_1..r_n
+    slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
+    offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
     total_unknowns = offsets[-1]
     if total_unknowns == 0:
         return []
@@ -415,31 +410,24 @@ def derivation_space(
         rel: weighted_slice(n, m + weights[rel[1] - 1] + weights[rel[2] - 1], weights)
         for rel in rels
     }
-    row_offsets = [0]
-    for rel in rels:
-        row_offsets.append(row_offsets[-1] + residual_slices[rel].dim)
+    row_offsets = [0, *itertools.accumulate(residual_slices[rel].dim for rel in rels)]
     total_rows = row_offsets[-1]
 
     sparse_rows = [dict() for _ in range(total_rows)]
     for slot, s in enumerate(slot_slices):
+        # a unit image in this slot leaves every other residual zero
+        touching = [
+            (rel, row_offsets[ridx], _slice_index(residual_slices[rel]))
+            for ridx, rel in enumerate(rels)
+            if slot in derivation_residual_slots(n, *rel)
+        ]
         for local, w in enumerate(s.basis):
             col = offsets[slot] + local
-            unit = Element(n, {w: _ONE}, _trusted=True)
-            l_imgs = [zero] * n
-            r_imgs = [zero] * n
-            if slot < n:
-                l_imgs[slot] = unit
-            else:
-                r_imgs[slot - n] = unit
-            probe = Derivation(n, tuple(l_imgs), tuple(r_imgs))
-            for ridx, rel in enumerate(rels):
-                kind, i, j = rel
+            imgs = [zero] * (2 * n)
+            imgs[slot] = Element(n, {w: _ONE}, _trusted=True)
+            probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
+            for (kind, i, j), base, index in touching:
                 res = DERIVATION_RESIDUALS[kind](probe, i, j)
-                if res.is_zero:
-                    continue
-                rslice = residual_slices[rel]
-                base = row_offsets[ridx]
-                index = _slice_index(rslice)
                 for word, c in res.terms():
                     sparse_rows[base + index[word]][col] = c
 

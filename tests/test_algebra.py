@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import lsea.algebra as algebra
 from lsea import (
     NEG_INF,
     AmbientMismatch,
@@ -139,11 +138,11 @@ class TestOrders:
         with pytest.raises(DomainError):
             pdeg_compare((1,), (1, 2))
 
-    def test_pdeg_reverse_convention(self, monkeypatch):
-        monkeypatch.setattr(algebra, "PDEG_INDEX1_MOST_SIGNIFICANT", False)
+    def test_pdeg_reverse_convention(self):
+        reverse = {"index1_most_significant": False}
         # index n most significant: now (2,0) < (1,1) since last slots compare 0 < 1
-        assert pdeg_compare((2, 0), (1, 1)) == -1
-        assert pdeg_compare((1, 0), (0, 2)) == -1  # degree still first
+        assert pdeg_compare((2, 0), (1, 1), **reverse) == -1
+        assert pdeg_compare((1, 0), (0, 2), **reverse) == -1  # degree still first
 
     def test_rword_length_first(self):
         assert rword_compare((1,), (2, 2)) == -1

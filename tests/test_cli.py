@@ -2,12 +2,14 @@
 
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lsea import Element, gen_l, gen_r, mul
-from lsea.cli import build_parser, main
+from lsea.cli import MAX_N, build_parser, main
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import rand_element
 
@@ -192,6 +194,35 @@ class TestCliBasics:
         code, _, _ = run_cli(capsys, "-n", "2", "norm", "(l1+r1+l2+r2)^3")
         assert code == 0
 
+    @pytest.mark.parametrize("n", [MAX_N + 1, 100_000_000, 10**30])
+    def test_n_above_limit_exit_2(self, capsys, n):
+        for argv in (
+            ("norm", "l1"),
+            ("lm", "l1"),
+            ("solve", "derspace", "--wdeg", "1"),
+            ("solve", "lemma27", "--i", "1", "--degree", "2"),
+        ):
+            code, out, err = run_cli(capsys, "-n", str(n), *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"n = {n} exceeds the limit {MAX_N}" in err, argv
+
+    def test_n_at_limit_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "-n", str(MAX_N), "norm", f"r{MAX_N}*l1")
+        assert (code, out) == (0, f"l1*r{MAX_N} + r{MAX_N}*r1\n")
+        assert f"1 to {MAX_N}" in build_parser().format_help()
+
+    def test_huge_n_exits_2_promptly(self, subprocess_env):
+        # without the limit, building l1 in U_n at this n runs out of time or memory
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "-n", "100000000", "norm", "l1"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"lsea: -n: n = 100000000 exceeds the limit {MAX_N}\n"
+
 
 class TestCliMaps:
     def test_der_check_ok(self, capsys):
@@ -299,6 +330,24 @@ class TestCliMaps:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert "zero denominator" in err, argv
+
+    def test_file_n_above_limit_exit_2(self, capsys, tmp_path):
+        data = json.loads((DATA / "example41.json").read_text())
+        data["n"] = 100_000_000
+        der = tmp_path / "der.json"
+        der.write_text(json.dumps(data))
+        images = tmp_path / "images.json"
+        images.write_text(
+            json.dumps({"images": [{"n": 2, "terms": []}, {"n": MAX_N + 1, "terms": []}]})
+        )
+        for argv, path, n in (
+            (("der", "check", str(der)), der, 100_000_000),
+            (("der", "apply", str(der), "l1"), der, 100_000_000),
+            (("solve", "ad-preimage", str(images)), images, MAX_N + 1),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"{path}: n = {n} exceeds the limit {MAX_N}" in err, argv
 
     def test_u1_pair(self, capsys):
         code, out, _ = run_cli(

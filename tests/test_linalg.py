@@ -1,9 +1,16 @@
-"""Randomized properties of the exact solver and the matrix JSON interface."""
+"""Randomized properties of the exact solver, the matrix JSON interface and a
+golden elimination corpus."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from lsea.linalg import RationalMatrix, invert_dense, reduction_of, solve
+import pytest
+
+from lsea import solver
+from lsea.linalg import RationalMatrix, RowReduction, invert_dense, reduction_of, solve
 
 
 def rand_matrix(rng, rows, cols, density=0.6):
@@ -83,3 +90,75 @@ def test_matrix_json_shape():
         "cols": 2,
         "entries": [["1/2", "0"], ["3", "-2/3"]],
     }
+
+
+# -- golden elimination corpus ----------------------------------------------------
+#
+# data/golden_rref.json holds sparse systems (seeded random ones: integer and
+# rational, rank-deficient, up to 60x40; plus the stacked ad_{l_i} system of
+# U_2 at degree 4 and the derivation-space system of U_2 at degree 3) with two
+# right-hand sides each, and the SHA-256 of what the elimination gives: pivot
+# and free columns, the kernel basis, and solve(b) for a consistent and a
+# random (mostly inconsistent) b, certificate included.  The digests were
+# recorded from the elimination that kept a dense row transform, so they pin
+# pivots, kernels and certificates byte for byte.
+
+GOLDEN_RREF = Path(__file__).parent / "data" / "golden_rref.json"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def _strs(vec):
+    return None if vec is None else [str(x) for x in vec]
+
+
+def system_entries(sparse_rows):
+    """Sparse rows as [[col, "value"], ...] lists in column order."""
+    return [[[j, str(row[j])] for j in sorted(row)] for row in sparse_rows]
+
+
+def elimination_digests(red, rhs: dict) -> dict:
+    out = {
+        "pivot_cols": _digest(red.pivot_cols),
+        "free_cols": _digest(red.free_cols),
+        "kernel_basis": _digest([_strs(v) for v in red.kernel_basis()]),
+    }
+    for name, b in rhs.items():
+        x, cert = red.solve(b)
+        out[f"solve_{name}"] = _digest([_strs(x), _strs(cert)])
+    return out
+
+
+def _golden_systems():
+    return json.loads(GOLDEN_RREF.read_text())["systems"]
+
+
+def _built_system(name):
+    """Sparse rows of a system the solver assembles itself."""
+    if name == "ad_stack(2,4)":
+        return solver._ad_stack.__wrapped__(2, 4)[2]
+    if name == "derivation_space(2,3)":
+        captured = []
+
+        class Capture(RowReduction):
+            def __init__(self, rows, cols, sparse_rows):
+                captured.append([dict(r) for r in sparse_rows])
+                super().__init__(rows, cols, sparse_rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "RowReduction", Capture)
+            solver.derivation_space(2, 3)
+        return captured[0]
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("system", _golden_systems(), ids=lambda s: s["name"])
+def test_golden_elimination(system):
+    rows = [{j: Fraction(v) for j, v in row} for row in system["entries"]]
+    if not system["name"].startswith("random"):
+        assert system_entries(_built_system(system["name"])) == system["entries"]
+    red = RowReduction(system["rows"], system["cols"], rows)
+    rhs = {name: [Fraction(v) for v in b] for name, b in system["rhs"].items()}
+    assert elimination_digests(red, rhs) == system["digests"]

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from lsea import (
+    AnomalyError,
     Derivation,
     DomainError,
     Element,
@@ -17,6 +18,7 @@ from lsea import (
     ad_preimage,
     apply_derivation,
     check_derivation,
+    commutator,
     coords,
     derivation_coords,
     derivation_space,
@@ -35,8 +37,15 @@ from lsea import (
     uncoords,
     weighted_slice,
 )
-from lsea.linalg import RationalMatrix, reduction_of
-from lsea.maps import derivation_residual_commute, derivation_residual_straighten
+from lsea import solver
+from lsea.linalg import RationalMatrix, RowReduction, reduction_of
+from lsea.maps import (
+    DERIVATION_RESIDUALS,
+    derivation_residual_commute,
+    derivation_residual_slots,
+    derivation_residual_straighten,
+    relations,
+)
 from lsea.solver import _slice_index
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
@@ -305,6 +314,22 @@ class TestDerivationSpace:
         assert not violations
 
 
+    def test_residual_slots(self):
+        # derivation_space evaluates a unit image only against the residuals
+        # whose slots contain it; every other residual must vanish
+        for n in (2, 3):
+            x = gen_l(n, 1) * gen_r(n, n) - 2 * gen_r(n, 1) + gen_l(n, n)
+            zero = [Element.zero(n)] * n
+            for slot in range(2 * n):
+                imgs = list(zero) + list(zero)
+                imgs[slot] = x
+                probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
+                for kind, i, j in relations(n):
+                    res = DERIVATION_RESIDUALS[kind](probe, i, j)
+                    if slot not in derivation_residual_slots(n, kind, i, j):
+                        assert res.is_zero, (n, slot, kind, i, j)
+
+
 class TestWeightedSpaces:
     def test_weighted_slice_respects_weights(self):
         s = weighted_slice(2, 3, (1, 2))
@@ -426,3 +451,40 @@ except AnomalyError as err:
             env=subprocess_env,
         )
         assert proc.stdout.split() == ["derivation", "s1", "1"], proc.stderr
+
+    def test_inconsistent_ad_system_certificate(self, monkeypatch):
+        # the certificate is rebuilt from the elimination's operation log, and
+        # only once a right-hand side is found inconsistent
+        built = []
+        real_certificate = RowReduction._certificate
+
+        def spy(red, row):
+            built.append(row)
+            return real_certificate(red, row)
+
+        monkeypatch.setattr(RowReduction, "_certificate", spy)
+        g = Element.from_word(2, (1, 0), (1, 2)) + 3 * Element.from_word(2, (0, 0), (2, 1, 1))
+        us = [commutator(gen_l(2, i), g) for i in (1, 2)]
+        assert ad_preimage(us)[0] == g
+        assert built == []
+
+        real_coords = solver.coords
+
+        def shifted(u, s):
+            col = real_coords(u, s)
+            col[0] += 1
+            return col
+
+        monkeypatch.setattr(solver, "coords", shifted)
+        with pytest.raises(AnomalyError) as exc:
+            ad_preimage(us)
+        assert len(built) == 1
+        payload = exc.value.payload
+        system = payload["system"]
+        a = [[Fraction(v) for v in row] for row in system["entries"]]
+        y = [Fraction(v) for v in payload["certificate"]]
+        b = [Fraction(v) for v in payload["rhs"]]
+        assert len(y) == len(b) == system["rows"]
+        for j in range(system["cols"]):
+            assert sum(y[i] * a[i][j] for i in range(system["rows"])) == 0
+        assert sum(yi * bi for yi, bi in zip(y, b)) != 0
