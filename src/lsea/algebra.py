@@ -354,16 +354,20 @@ def _r_past_monomial(i: int, lexp: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _rword_past_monomial(rword: tuple[int, ...], lexp: tuple[int, ...]):
-    """Normal form of (r-word) * l^lexp as ((lexp', rword', int_coeff), ...)."""
-    if not rword:
-        return ((lexp, (), 1),)
-    acc: dict[tuple, int] = {}
-    head = rword[0]
-    for s1, v1, c1 in _rword_past_monomial(rword[1:], lexp):
-        for s2, v2, c2 in _r_past_monomial(head, s1):
-            key = (s2, v2 + v1)
-            acc[key] = acc.get(key, 0) + c1 * c2
-    return tuple((s, v, c) for (s, v), c in acc.items())
+    """Normal form of (r-word) * l^lexp as ((lexp', rword', int_coeff), ...).
+
+    The letters are moved past the monomial last to first, in a loop, so a
+    long word costs no recursion depth.
+    """
+    terms = ((lexp, (), 1),)
+    for head in reversed(rword):
+        acc: dict[tuple, int] = {}
+        for s1, v1, c1 in terms:
+            for s2, v2, c2 in _r_past_monomial(head, s1):
+                key = (s2, v2 + v1)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        terms = tuple((s, v, c) for (s, v), c in acc.items())
+    return terms
 
 
 def _numerators(g: Element) -> tuple[int, list[tuple[tuple, tuple, int]]]:

@@ -1,9 +1,11 @@
 """Exact rational linear algebra: RREF, solving, kernels, certificates.
 
-Everything here works over `fractions.Fraction`.  Rows are kept as sparse
-column->value dicts because the operator matrices arising from graded slices
-are mostly zeros.  Elimination indexes the rows holding each column and logs
-its row operations; right-hand sides and certificates replay that log.
+Everything here works over `fractions.Fraction`.  A system is a list of
+sparse rows, column->value dicts, because the operator matrices arising from
+graded slices are mostly zeros.  Dense row lists enter only through
+`reduction_of`, and `system_json` is the one dense view, for anomaly payloads.
+Elimination indexes the rows holding each column and logs its row
+operations; right-hand sides and certificates replay that log.
 """
 
 from __future__ import annotations
@@ -14,46 +16,6 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense exact matrix; the external face of the solver."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "RationalMatrix":
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows_data)
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        if any(len(row) != ncols for row in entries):
-            raise ValueError("ragged matrix rows")
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[_ONE if i == j else _ZERO for j in range(k)] for i in range(k)]
-        )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
-
-    def matvec(self, x) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return [sum((row[j] * x[j] for j in range(self.cols)), _ZERO) for row in self.entries]
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
 
 class RowReduction:
@@ -169,11 +131,25 @@ class RowReduction:
         return basis
 
 
-def reduction_of(matrix: RationalMatrix) -> RowReduction:
-    sparse = [
-        {j: v for j, v in enumerate(row) if v} for row in matrix.entries
-    ]
-    return RowReduction(matrix.rows, matrix.cols, sparse)
+def reduction_of(rows_data) -> RowReduction:
+    """Reduction of a dense matrix given as a list of rows; zeros are dropped."""
+    rows = [[Fraction(x) for x in row] for row in rows_data]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix rows")
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return RowReduction(len(rows), ncols, sparse)
+
+
+def system_json(sparse_rows, cols: int) -> dict:
+    """Dense JSON view of a sparse system, entries as exact strings."""
+    return {
+        "rows": len(sparse_rows),
+        "cols": cols,
+        "entries": [
+            [str(row.get(j, 0)) for j in range(cols)] for row in sparse_rows
+        ],
+    }
 
 
 @dataclass
@@ -189,9 +165,9 @@ class SolveResult:
         return self.solution is not None
 
 
-def solve(matrix: RationalMatrix, b) -> SolveResult:
+def solve(rows_data, b) -> SolveResult:
     """Particular solution plus kernel basis, or an inconsistency certificate."""
-    red = reduction_of(matrix)
+    red = reduction_of(rows_data)
     x, cert = red.solve(b)
     if x is None:
         return SolveResult(None, [], cert)
@@ -200,15 +176,14 @@ def solve(matrix: RationalMatrix, b) -> SolveResult:
 
 def invert_dense(rows_data) -> list[list[Fraction]]:
     """Inverse of a small square matrix; raises ValueError if singular."""
-    a = RationalMatrix.from_rows(rows_data)
-    if a.rows != a.cols:
+    red = reduction_of(rows_data)
+    k = red.rows
+    if red.cols != k:
         raise ValueError("only square matrices can be inverted")
-    red = reduction_of(a)
-    if red.rank != a.rows:
+    if red.rank != k:
         raise ValueError("matrix is singular")
     cols = []
-    for k in range(a.rows):
-        e = [_ONE if i == k else _ZERO for i in range(a.rows)]
-        x, _ = red.solve(e)
+    for c in range(k):
+        x, _ = red.solve([_ONE if i == c else _ZERO for i in range(k)])
         cols.append(x)
-    return [[cols[j][i] for j in range(a.rows)] for i in range(a.rows)]
+    return [[col[i] for col in cols] for i in range(k)]

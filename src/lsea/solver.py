@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .algebra import (
@@ -35,7 +35,7 @@ from .algebra import (
     mul,
     word_key,
 )
-from .linalg import RationalMatrix, RowReduction, reduction_of
+from .linalg import RowReduction, system_json
 from .maps import (
     DERIVATION_RESIDUALS,
     AnomalyError,
@@ -138,18 +138,26 @@ def weighted_slice(
     return GradedSlice(n, m, weights, tuple(words))
 
 
-def coords(g: Element, s: GradedSlice) -> list[Fraction]:
-    """Coordinate column of a homogeneous element in the slice basis."""
+def _positions(g: Element, s: GradedSlice, index: dict[BasisWord, int]):
+    """(basis position, coefficient) for each term of g, by the index of s.
+
+    The caller looks the index up: hashing a slice hashes its whole basis.
+    """
     if g.n != s.n:
         raise DomainError("ambient mismatch between element and slice")
-    col = [_ZERO] * s.dim
-    index = _slice_index(s)
     for w, c in g.terms():
         pos = index.get(w)
         if pos is None:
             raise DomainError(
                 f"term {w} is not in the degree-{s.degree} slice (inhomogeneous input?)"
             )
+        yield pos, c
+
+
+def coords(g: Element, s: GradedSlice) -> list[Fraction]:
+    """Coordinate column of a homogeneous element in the slice basis."""
+    col = [_ZERO] * s.dim
+    for pos, c in _positions(g, s, _slice_index(s)):
         col[pos] = c
     return col
 
@@ -164,20 +172,19 @@ def uncoords(col, s: GradedSlice) -> Element:
     )
 
 
-def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> RationalMatrix:
-    """Matrix of a linear operator, columnwise over the source basis.
+def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> list[dict]:
+    """Sparse rows of a linear operator, one per target basis word.
 
     Raises DomainError when some basis image fails to land in the target
     slice (checked per basis vector).
     """
-    columns = []
-    for w in source.basis:
+    rows = [{} for _ in range(target.dim)]
+    index = _slice_index(target)
+    for col, w in enumerate(source.basis):
         img = op(Element(source.n, {w: _ONE}, _trusted=True))
-        columns.append(coords(img, target))
-    entries = tuple(
-        tuple(columns[j][i] for j in range(source.dim)) for i in range(target.dim)
-    )
-    return RationalMatrix(target.dim, source.dim, entries)
+        for pos, c in _positions(img, target, index):
+            rows[pos][col] = c
+    return rows
 
 
 # -- preimages under the stacked ad_{l_i} ---------------------------------------
@@ -193,26 +200,11 @@ def _ad_stack(n: int, t: int):
     """
     unknown = graded_slice(n, t - 1, restrict_to_I=True)
     image = graded_slice(n, t, restrict_to_I=True)
-    ls = [gen_l(n, i) for i in range(1, n + 1)]
-    sparse_rows = [dict() for _ in range(n * image.dim)]
-    img_index = _slice_index(image)
-    for col, w in enumerate(unknown.basis):
-        e = Element(n, {w: _ONE}, _trusted=True)
-        for i, li in enumerate(ls):
-            for word, c in commutator(li, e).terms():
-                sparse_rows[i * image.dim + img_index[word]][col] = c
-    red = RowReduction(n * image.dim, unknown.dim, sparse_rows)
+    sparse_rows = []
+    for i in range(1, n + 1):
+        sparse_rows += operator_matrix(partial(commutator, gen_l(n, i)), unknown, image)
+    red = RowReduction(len(sparse_rows), unknown.dim, sparse_rows)
     return unknown, image, sparse_rows, red
-
-
-def _sparse_system_json(sparse_rows, cols: int) -> dict:
-    return {
-        "rows": len(sparse_rows),
-        "cols": cols,
-        "entries": [
-            [str(row.get(j, 0)) for j in range(cols)] for row in sparse_rows
-        ],
-    }
 
 
 def ad_preimage(us) -> tuple[Element, int]:
@@ -269,7 +261,7 @@ def ad_preimage(us) -> tuple[Element, int]:
                 "degree": t,
                 "images": [element_to_json(u) for u in us],
                 "certificate": [str(c) for c in cert],
-                "system": _sparse_system_json(sparse_rows, unknown.dim),
+                "system": system_json(sparse_rows, unknown.dim),
                 "rhs": [str(c) for c in b],
             },
         )
@@ -302,8 +294,8 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     def condition(g: Element) -> Element:
         return -commutator(li, g) - mul(ri, g) - mul(g, ri)
 
-    matrix = operator_matrix(condition, unknown, target)
-    red = reduction_of(matrix)
+    rows = operator_matrix(condition, unknown, target)
+    red = RowReduction(target.dim, unknown.dim, rows)
     out = []
     for vec in red.kernel_basis():
         g = uncoords(vec, unknown)
@@ -319,7 +311,7 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
                     "i": i,
                     "degree": d,
                     "solution": element_to_json(g),
-                    "system": matrix.to_json(),
+                    "system": system_json(rows, unknown.dim),
                 },
             )
         out.append(g)

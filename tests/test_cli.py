@@ -154,6 +154,20 @@ class TestCliBasics:
         assert code == 2 and out == ""
         assert "nesting deeper than 100 levels" in err
 
+    def test_long_r_word(self, capsys):
+        # straightening moves an r-word past a monomial one letter at a time,
+        # so a word thousands of letters long costs no recursion depth
+        code, out, _ = run_cli(capsys, "-n", "1", "norm", "r1^3000")
+        assert code == 0
+        assert out == "*".join(["r1"] * 3000) + "\n"
+
+    def test_long_r_word_past_l(self, capsys):
+        # r1 l1 = l1 r1 + r1 r1 gives r1^k l1 = l1 r1^k + k r1^(k+1)
+        code, out, _ = run_cli(capsys, "-n", "1", "norm", "r1^1500*l1")
+        assert code == 0
+        r1500 = "*".join(["r1"] * 1500)
+        assert out == f"l1*{r1500} + 1500*{r1500}*r1\n"
+
     def test_parser_built_once(self, capsys):
         run_cli(capsys, "-n", "1", "norm", "l1")
         misses = build_parser.cache_info().misses

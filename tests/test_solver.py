@@ -1,5 +1,7 @@
 """Graded slices, operator matrices, exact solving, and the constructive lemmas."""
 
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -38,7 +40,7 @@ from lsea import (
     weighted_slice,
 )
 from lsea import solver
-from lsea.linalg import RationalMatrix, RowReduction, reduction_of
+from lsea.linalg import RowReduction
 from lsea.maps import (
     DERIVATION_RESIDUALS,
     derivation_residual_commute,
@@ -48,6 +50,10 @@ from lsea.maps import (
 )
 from lsea.solver import _slice_index
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
+
+
+def matvec(a, x):
+    return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
 
 
 class TestSlices:
@@ -105,23 +111,24 @@ class TestOperatorMatrix:
         dst = graded_slice(1, 2)
         m = operator_matrix(ad(gen_l(1, 1)), src, dst)
         # basis of src is (l1, r1); ad_l1 kills l1 and sends r1 to -r1*r1
-        col_l1 = [m.entries[i][0] for i in range(m.rows)]
+        assert len(m) == dst.dim
+        col_l1 = [row.get(0, 0) for row in m]
         assert all(x == 0 for x in col_l1)
         r1r1_pos = _slice_index(dst)[((0,), (1, 1))]
-        col_r1 = [m.entries[i][1] for i in range(m.rows)]
+        col_r1 = [row.get(1, 0) for row in m]
         assert col_r1[r1r1_pos] == -1
         assert sum(1 for x in col_r1 if x) == 1
 
     def test_identity_matrix(self):
         s = graded_slice(2, 2)
         m = operator_matrix(lambda g: g, s, s)
-        assert m.entries == RationalMatrix.identity(s.dim).entries
+        assert m == [{i: 1} for i in range(s.dim)]
 
     def test_left_mul_injective(self):
         src = graded_slice(2, 1)
         dst = graded_slice(2, 2)
         m = operator_matrix(lambda g: mul(gen_l(2, 1), g), src, dst)
-        red = reduction_of(m)
+        red = RowReduction(dst.dim, src.dim, m)
         assert red.rank == src.dim
 
     def test_degree_mismatch_rejected(self):
@@ -132,13 +139,13 @@ class TestOperatorMatrix:
 
 class TestSolve:
     def test_identity_system(self):
-        a = RationalMatrix.identity(3)
+        a = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         res = solve(a, [1, 2, 3])
         assert res.solution == [1, 2, 3]
         assert res.kernel == []
 
     def test_zero_matrix_inconsistent(self):
-        a = RationalMatrix.zero(2, 2)
+        a = [[0, 0], [0, 0]]
         res = solve(a, [1, 0])
         assert not res.consistent
         cert = res.certificate
@@ -147,17 +154,17 @@ class TestSolve:
         assert sum(c * b for c, b in zip(cert, [1, 0])) != 0
 
     def test_rational_pivots(self):
-        a = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+        a = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
         res = solve(a, [Fraction(5, 2), Fraction(13, 3)])
         assert res.solution is not None
-        assert a.matvec(res.solution) == [Fraction(5, 2), Fraction(13, 3)]
+        assert matvec(a, res.solution) == [Fraction(5, 2), Fraction(13, 3)]
 
     def test_kernel_vectors_annihilate(self):
-        a = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+        a = [[1, 2, 3], [2, 4, 6]]
         res = solve(a, [0, 0])
         assert len(res.kernel) == 2
         for v in res.kernel:
-            assert a.matvec(v) == [0, 0]
+            assert matvec(a, v) == [0, 0]
 
 
 class TestAdPreimage:
@@ -214,7 +221,7 @@ class TestLemma27:
         )
         stack = [coords(s, graded_slice(2, 2, restrict_to_I=True)) for s in sols]
         tcol = coords(target, graded_slice(2, 2, restrict_to_I=True))
-        m = RationalMatrix.from_rows(list(map(list, zip(*stack))))
+        m = list(map(list, zip(*stack)))
         assert solve(m, tcol).consistent
 
     def test_defining_condition(self):
@@ -408,7 +415,7 @@ class TestProp55UniquenessAtDeskScale:
                 for ridx, w in keys
             ]
             b = [-base_res[ridx].coefficient(w.lexp, w.rword) for ridx, w in keys]
-            res = solve(RationalMatrix.from_rows(rows), b)
+            res = solve(rows, b)
             assert res.consistent
             assert res.kernel == []  # exactly one solution in this shape
             found = candidate(res.solution)
@@ -420,6 +427,23 @@ class TestAnomalyPaths:
     def test_lemma27_empty_for_small_degree(self):
         with pytest.raises(DomainError):
             lemma27_solutions(2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "n, i, d, digest",
+        [
+            (2, 1, 2, "2108d92302a7f56b49b13133029f50ce394d15190285440aae905c0f4f71131a"),
+            (2, 2, 3, "5bd6ea75109a135764ffd3abd5bee621f2e4441da64e77778af4bebd26b6951f"),
+            (3, 1, 3, "8cc74c139a8c5183401cbb9683863573b754a05461fbca746ff4bb0fe859eb95"),
+        ],
+    )
+    def test_lemma27_payload_pinned(self, monkeypatch, n, i, d, digest):
+        # a leading coefficient r_1 lies outside span{r_i r_j}; the payload,
+        # system matrix included, was recorded from the dense-matrix assembly
+        monkeypatch.setattr(solver, "lm_lc", lambda g: (None, gen_r(n, 1)))
+        with pytest.raises(AnomalyError) as exc:
+            lemma27_solutions(n, i, d)
+        payload = json.dumps(exc.value.payload, sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_ad_kernel_dim_reported(self):
         # not asserted to any formula, only that the report is stable

@@ -1,0 +1,20 @@
+"""Rules the package sources keep."""
+
+import ast
+from pathlib import Path
+
+import lsea
+
+SRC = Path(lsea.__file__).resolve().parent
+
+
+def test_no_assert_in_src():
+    # `python -O` strips assert statements, so a runtime invariant written as
+    # one would silently stop being checked; invariants raise instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert list(SRC.glob("*.py"))
+    assert found == []
