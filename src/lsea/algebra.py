@@ -310,8 +310,12 @@ _ZERO = Fraction(0)
 # -- generators and straightening -------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def generator(n: int, kind: str, index: int) -> Element:
-    """The canonical one-term element l_index or r_index of U_n."""
+    """The canonical one-term element l_index or r_index of U_n.
+
+    Cached: elements are immutable, so every caller may share one instance.
+    """
     if not 1 <= index <= n:
         raise DomainError(f"generator index {index} out of range 1..{n}")
     kind = kind.lower()

@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-terms",
         type=int,
         default=None,
-        help="abort when an intermediate result exceeds this many terms "
-        "(default: LSEA_MAX_TERMS or unlimited)",
+        help="abort when an intermediate result exceeds this many terms, "
+        "at least 1 (default: LSEA_MAX_TERMS or unlimited)",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -472,15 +472,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
 
-    budget = args.max_terms
+    budget, source = args.max_terms, "--max-terms"
     if budget is None:
         env = os.environ.get("LSEA_MAX_TERMS")
         if env:
             try:
-                budget = int(env)
+                budget, source = int(env), "LSEA_MAX_TERMS"
             except ValueError:
                 print(f"lsea: bad LSEA_MAX_TERMS {env!r}", file=sys.stderr)
                 return USAGE_ERROR
+    # every element holds at least one term, and one-term generators are
+    # cached and never charged, so a bound below 1 cannot be kept exactly
+    if budget is not None and budget < 1:
+        print(f"lsea: {source} must be at least 1, got {budget}", file=sys.stderr)
+        return USAGE_ERROR
     token = TERM_BUDGET.set(budget)
     try:
         return args.run(args) or 0

@@ -18,6 +18,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def as_fraction(x) -> Fraction:
+    """x itself when it already is a Fraction, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class RowReduction:
     """Reduced row echelon form of a sparse matrix, as a replayable operation log.
 
@@ -103,7 +108,7 @@ class RowReduction:
         """
         if len(b) != self.rows:
             raise ValueError("dimension mismatch in solve")
-        b = [Fraction(x) for x in b]
+        b = [as_fraction(x) for x in b]
         for piv, inv, steps in self._log:
             bp = b[piv] = b[piv] * inv
             if bp:

@@ -121,10 +121,12 @@ def identity_endo(n: int) -> Endomorphism:
 
 # -- relation residuals -------------------------------------------------------
 #
-# The same residual formulas serve three purposes: checking a candidate
-# derivation, checking a candidate endomorphism, and (being linear in the
-# images) assembling the constraint matrices of homogeneous derivation
-# spaces in the solver.
+# Each relation instance is written once, as signed two-letter words over the
+# generator slots (`relation_words`).  An endomorphism's residual applies phi
+# letter by letter.  A derivation's residual is the table the Leibniz rule
+# gives on each word (`derivation_residual_terms`): `check_derivation`
+# evaluates it with `mul`, and the solver evaluates it on unit basis words to
+# assemble the rows of homogeneous derivation spaces.
 
 
 def relations(n: int):
@@ -141,27 +143,64 @@ def relations(n: int):
             yield "s2", i, j
 
 
+def relation_words(n: int, kind: str, i: int, j: int):
+    """Relation instance (kind, i, j) as signed words (sign, a, b) over the
+    generator slots (l_1..l_n, then r_1..r_n, from 0): l_i l_j - l_j l_i for
+    "s1" and r_i l_j - l_j r_i - r_i r_j for "s2"."""
+    if kind == "s1":
+        return ((1, i - 1, j - 1), (-1, j - 1, i - 1))
+    lj, ri, rj = j - 1, n + i - 1, n + j - 1
+    return ((1, ri, lj), (-1, lj, ri), (-1, ri, rj))
+
+
+def derivation_residual_terms(n: int, kind: str, i: int, j: int):
+    """D applied to relation instance (kind, i, j), as signed factor pairs.
+
+    Each word a b gives D(a) b + a D(b).  A term is (sign, left, right) and a
+    factor is (slot, image): the image under D of the generator in `slot`
+    when `image` is true, that generator itself otherwise.
+    """
+    terms = []
+    for sign, a, b in relation_words(n, kind, i, j):
+        terms += [(sign, (a, True), (b, False)), (sign, (a, False), (b, True))]
+    return terms
+
+
+def _image(m, slot: int) -> Element:
+    return m.l_images[slot] if slot < m.n else m.r_images[slot - m.n]
+
+
+def _generator(n: int, slot: int) -> Element:
+    return gen_l(n, slot + 1) if slot < n else gen_r(n, slot - n + 1)
+
+
+def _signed_sum(n: int, products) -> Element:
+    out = Element.zero(n)
+    for sign, a, b in products:
+        p = mul(a, b)
+        out = out + p if sign > 0 else out - p
+    return out
+
+
+def derivation_residual(data, kind: str, i: int, j: int) -> Element:
+    """The residual table of (kind, i, j) evaluated on data's images with `mul`."""
+    n = data.n
+
+    def factor(slot, image):
+        return _image(data, slot) if image else _generator(n, slot)
+
+    terms = derivation_residual_terms(n, kind, i, j)
+    return _signed_sum(n, [(sign, factor(*a), factor(*b)) for sign, a, b in terms])
+
+
 def derivation_residual_commute(data, i: int, j: int) -> Element:
     """D applied to l_i l_j - l_j l_i, for i < j."""
-    li, lj = gen_l(data.n, i), gen_l(data.n, j)
-    di, dj = data.l_images[i - 1], data.l_images[j - 1]
-    return mul(di, lj) + mul(li, dj) - mul(dj, li) - mul(lj, di)
+    return derivation_residual(data, "s1", i, j)
 
 
 def derivation_residual_straighten(data, i: int, j: int) -> Element:
     """D applied to r_i l_j - l_j r_i - r_i r_j."""
-    li, ri = gen_l(data.n, j), gen_r(data.n, i)
-    rj = gen_r(data.n, j)
-    dli = data.l_images[j - 1]
-    dri, drj = data.r_images[i - 1], data.r_images[j - 1]
-    return (
-        mul(dri, li)
-        + mul(ri, dli)
-        - mul(dli, ri)
-        - mul(li, dri)
-        - mul(dri, rj)
-        - mul(ri, drj)
-    )
+    return derivation_residual(data, "s2", i, j)
 
 
 DERIVATION_RESIDUALS = {
@@ -174,15 +213,26 @@ def derivation_residual_slots(n: int, kind: str, i: int, j: int) -> set[int]:
     """Generator slots (l_1..l_n, then r_1..r_n, from 0) whose images enter
     the residual of relation instance (kind, i, j): l_i, l_j for "s1" and
     l_j, r_i, r_j for "s2"."""
-    return {i - 1, j - 1} if kind == "s1" else {j - 1, n + i - 1, n + j - 1}
+    return {
+        slot
+        for _, left, right in derivation_residual_terms(n, kind, i, j)
+        for slot, image in (left, right)
+        if image
+    }
 
 
-def _check(m, residuals):
+def endo_residual(e, kind: str, i: int, j: int) -> Element:
+    """phi applied letter by letter to relation instance (kind, i, j)."""
+    words = relation_words(e.n, kind, i, j)
+    return _signed_sum(e.n, [(sign, _image(e, a), _image(e, b)) for sign, a, b in words])
+
+
+def _check(m, residual):
     """(flagged copy of m, violations): a violation is (kind, i, j, residual)
     for each relation instance whose residual is nonzero."""
     violations = []
     for kind, i, j in relations(m.n):
-        res = residuals[kind](m, i, j)
+        res = residual(m, kind, i, j)
         if not res.is_zero:
             violations.append((kind, i, j, res))
     return replace(m, verified=not violations), violations
@@ -190,23 +240,11 @@ def _check(m, residuals):
 
 def check_derivation(d: Derivation) -> tuple[Derivation, list]:
     """Re-check the relation families; returns (flagged copy, violations)."""
-    return _check(d, DERIVATION_RESIDUALS)
-
-
-def endo_residual_commute(e, i: int, j: int) -> Element:
-    gi, gj = e.l_images[i - 1], e.l_images[j - 1]
-    return mul(gi, gj) - mul(gj, gi)
-
-
-def endo_residual_straighten(e, i: int, j: int) -> Element:
-    hi = e.r_images[i - 1]
-    gj = e.l_images[j - 1]
-    hj = e.r_images[j - 1]
-    return mul(hi, gj) - mul(gj, hi) - mul(hi, hj)
+    return _check(d, derivation_residual)
 
 
 def check_endomorphism(e: Endomorphism) -> tuple[Endomorphism, list]:
-    return _check(e, {"s1": endo_residual_commute, "s2": endo_residual_straighten})
+    return _check(e, endo_residual)
 
 
 def violations_to_json(violations) -> list[dict]:

@@ -7,6 +7,14 @@ ad_{l_i}, enumeration of solutions of the -ad_{l_i}(g) = r_i g + g r_i
 condition, the r_i^k factorization, and bases of homogeneous derivation
 spaces.
 
+The three solver systems (the stacked ad_{l_i}, the Lemma 2.7 condition and
+the relation residuals of derivation spaces) are assembled column by column:
+each column's image is a signed sum of products of one basis word with one
+generator, and each such product is read off the integer straightening
+constants that `mul` uses, so the rows hold ints and no Element is built.
+The residuals come from the one residual table in `maps`, which
+`check_derivation` evaluates with `mul` when it re-checks every solution.
+
 Whenever a solve contradicts one of the proved existence statements the
 failure is raised as `AnomalyError` carrying the full offending system;
 those cases are bug evidence and must never be swallowed.
@@ -17,13 +25,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from math import comb
+from operator import add
 
 from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    _charge,
+    _rword_past_monomial,
     commutator,
     element_to_json,
     gen_l,
@@ -35,12 +46,12 @@ from .algebra import (
     mul,
     word_key,
 )
-from .linalg import RowReduction, system_json
+from .linalg import RowReduction, as_fraction, system_json
 from .maps import (
-    DERIVATION_RESIDUALS,
     AnomalyError,
     Derivation,
     derivation_residual_slots,
+    derivation_residual_terms,
     relations,
     require_verified,
 )
@@ -62,20 +73,19 @@ class GradedSlice:
     def dim(self) -> int:
         return len(self.basis)
 
-
-@lru_cache(maxsize=None)
-def _slice_index(s: GradedSlice) -> dict[BasisWord, int]:
-    return {w: i for i, w in enumerate(s.basis)}
+    @cached_property
+    def index(self) -> dict[BasisWord, int]:
+        """Word -> basis position, built on first use; not a dataclass field,
+        so equality and hashing still look at the basis only."""
+        return {w: i for i, w in enumerate(self.basis)}
 
 
 def _lexps_of_total(n: int, total: int):
-    """All exponent vectors of length n with the given sum."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _lexps_of_total(n - 1, total - first):
-            yield (first,) + rest
+    """All exponent vectors of length n with the given sum, by the positions
+    of the n - 1 bars among total + n - 1 stars and bars."""
+    for bars in itertools.combinations(range(total + n - 1), n - 1):
+        edges = (-1, *bars, total + n - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +113,17 @@ def dim(n: int, m: int) -> int:
 
 
 def _rwords_of_weight(n: int, budget: int, weights: tuple[int, ...]):
-    if budget == 0:
-        yield ()
-        return
-    for j in range(1, n + 1):
-        w = weights[j - 1]
-        if w <= budget:
-            for rest in _rwords_of_weight(n, budget - w, weights):
-                yield (j,) + rest
+    """All r-words of total weight `budget`, grown a letter at a time from an
+    explicit stack of (word, weight left)."""
+    stack = [((), budget)]
+    while stack:
+        word, left = stack.pop()
+        if not left:
+            yield word
+            continue
+        for j in range(1, n + 1):
+            if weights[j - 1] <= left:
+                stack.append((word + (j,), left - weights[j - 1]))
 
 
 @lru_cache(maxsize=None)
@@ -138,26 +151,27 @@ def weighted_slice(
     return GradedSlice(n, m, weights, tuple(words))
 
 
-def _positions(g: Element, s: GradedSlice, index: dict[BasisWord, int]):
-    """(basis position, coefficient) for each term of g, by the index of s.
+def _position(w, s: GradedSlice) -> int:
+    pos = s.index.get(w)
+    if pos is None:
+        raise DomainError(
+            f"term {w} is not in the degree-{s.degree} slice (inhomogeneous input?)"
+        )
+    return pos
 
-    The caller looks the index up: hashing a slice hashes its whole basis.
-    """
+
+def _positions(g: Element, s: GradedSlice):
+    """(basis position, coefficient) for each term of g in the slice s."""
     if g.n != s.n:
         raise DomainError("ambient mismatch between element and slice")
     for w, c in g.terms():
-        pos = index.get(w)
-        if pos is None:
-            raise DomainError(
-                f"term {w} is not in the degree-{s.degree} slice (inhomogeneous input?)"
-            )
-        yield pos, c
+        yield _position(w, s), c
 
 
 def coords(g: Element, s: GradedSlice) -> list[Fraction]:
     """Coordinate column of a homogeneous element in the slice basis."""
     col = [_ZERO] * s.dim
-    for pos, c in _positions(g, s, _slice_index(s)):
+    for pos, c in _positions(g, s):
         col[pos] = c
     return col
 
@@ -167,7 +181,7 @@ def uncoords(col, s: GradedSlice) -> Element:
         raise DomainError("coordinate length does not match slice dimension")
     return Element(
         s.n,
-        {w: Fraction(c) for w, c in zip(s.basis, col) if c},
+        {w: as_fraction(c) for w, c in zip(s.basis, col) if c},
         _trusted=True,
     )
 
@@ -179,12 +193,45 @@ def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> list[dict]:
     slice (checked per basis vector).
     """
     rows = [{} for _ in range(target.dim)]
-    index = _slice_index(target)
     for col, w in enumerate(source.basis):
         img = op(Element(source.n, {w: _ONE}, _trusted=True))
-        for pos, c in _positions(img, target, index):
+        for pos, c in _positions(img, target):
             rows[pos][col] = c
     return rows
+
+
+# -- systems assembled from the straightening constants ----------------------
+
+
+def _generator_word(n: int, slot: int) -> BasisWord:
+    """Basis word of the generator in `slot` (l_1..l_n, then r_1..r_n, from 0)."""
+    if slot < n:
+        return BasisWord(tuple(int(k == slot) for k in range(n)), ())
+    return BasisWord((0,) * n, (slot - n + 1,))
+
+
+def _assemble(rows, row_base, target, col_base, source, products) -> None:
+    """Write into `rows` the integer matrix of w -> sum(sign * left * right).
+
+    `products` holds (sign, left, right) with one factor a generator word and
+    the other None, standing for the unit basis word w of `source`; the image
+    of the k-th word fills column col_base + k of rows row_base + position in
+    `target`.  Each product of two basis words is read off the straightening
+    constants `mul` uses, and each image is charged to the term budget like
+    the Element it replaces.
+    """
+    for col, w in enumerate(source.basis, col_base):
+        acc: dict[tuple, int] = {}
+        for sign, left, right in products:
+            lexp1, rword1 = w if left is None else left
+            lexp2, rword2 = w if right is None else right
+            for s, v, k in _rword_past_monomial(rword1, lexp2):
+                key = (tuple(map(add, lexp1, s)), v + rword2)
+                acc[key] = acc.get(key, 0) + sign * k
+        image = [(key, c) for key, c in acc.items() if c]
+        _charge(len(image))
+        for key, c in image:
+            rows[row_base + _position(key, target)][col] = c
 
 
 # -- preimages under the stacked ad_{l_i} ---------------------------------------
@@ -196,13 +243,15 @@ def _ad_stack(n: int, t: int):
 
     The unknown g runs over the degree-(t-1) part of I_n; the images live in
     the degree-t part of I_n.  Returns (unknown slice, image slice, sparse
-    system rows, reduction).  ad_{l_i} is applied as the commutator with l_i.
+    system rows, reduction).  ad_{l_i}(w) = l_i w - w l_i, block i of the rows.
     """
     unknown = graded_slice(n, t - 1, restrict_to_I=True)
     image = graded_slice(n, t, restrict_to_I=True)
-    sparse_rows = []
-    for i in range(1, n + 1):
-        sparse_rows += operator_matrix(partial(commutator, gen_l(n, i)), unknown, image)
+    sparse_rows = [{} for _ in range(n * image.dim)]
+    for i in range(n):
+        li = _generator_word(n, i)
+        commutator_li = ((1, li, None), (-1, None, li))
+        _assemble(sparse_rows, i * image.dim, image, 0, unknown, commutator_li)
     red = RowReduction(len(sparse_rows), unknown.dim, sparse_rows)
     return unknown, image, sparse_rows, red
 
@@ -289,12 +338,11 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
         raise DomainError("degree must be >= 2")
     unknown = graded_slice(n, d, restrict_to_I=True)
     target = graded_slice(n, d + 1, restrict_to_I=True)
-    li, ri = gen_l(n, i), gen_r(n, i)
-
-    def condition(g: Element) -> Element:
-        return -commutator(li, g) - mul(ri, g) - mul(g, ri)
-
-    rows = operator_matrix(condition, unknown, target)
+    li, ri = _generator_word(n, i - 1), _generator_word(n, n + i - 1)
+    # -(l_i g - g l_i) - r_i g - g r_i
+    condition = ((-1, li, None), (1, None, li), (-1, ri, None), (-1, None, ri))
+    rows = [{} for _ in range(target.dim)]
+    _assemble(rows, 0, target, 0, unknown, condition)
     red = RowReduction(target.dim, unknown.dim, rows)
     out = []
     for vec in red.kernel_basis():
@@ -324,8 +372,8 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
 def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Element]:
     """Write r_i^k r_j h = ad_{l_i}(r_i u) + r_i r_j v with u, v in R_n.
 
-    Follows the degree-reducing recursion on k (base case u=0, v=h); the
-    identity is re-verified by multiplication before returning.
+    Unrolls the degree-reducing recursion on k into a loop (base case u=0,
+    v=h); the identity is re-verified by multiplication before returning.
     """
     n = h.n
     if i == j:
@@ -337,7 +385,16 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
     if not in_R(h):
         raise DomainError("cofactor must lie in R_n")
     li, ri, rj = gen_l(n, i), gen_r(n, i), gen_r(n, j)
-    u, v = _rfactor_rec(k, i, j, h, n, li, ri, rj)
+    # r_i^k r_j h = -1/(k-1) ad_{l_i}(r_i^{k-1} r_j h) + r_i^{k-1} r_j h'
+    # with h' = (-r_i h + ad_{l_i}(h)) / (k-1); repeat on the second piece
+    # down to k = 1, where u gains nothing and v = h.
+    u, v = Element.zero(n), h
+    for kk in range(k, 1, -1):
+        if v.is_zero:
+            break
+        c = Fraction(1, kk - 1)
+        u = u - c * mul(mul(ri ** (kk - 2), rj), v)
+        v = c * (commutator(li, v) - mul(ri, v))
     lhs = mul(mul(ri**k, rj), h)
     rhs = commutator(li, mul(ri, u)) + mul(mul(ri, rj), v)
     if lhs != rhs:
@@ -345,20 +402,6 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
             "factorization identity failed",
             payload={"k": k, "i": i, "j": j, "h": element_to_json(h)},
         )
-    return u, v
-
-
-def _rfactor_rec(k, i, j, h, n, li, ri, rj):
-    if h.is_zero:
-        return Element.zero(n), Element.zero(n)
-    if k == 1:
-        return Element.zero(n), h
-    # r_i^k r_j h = -1/(k-1) ad_{l_i}(r_i^{k-1} r_j h) + r_i^{k-1} r_j h'
-    # with h' = (-r_i h + ad_{l_i}(h)) / (k-1); recurse on the second piece.
-    c = Fraction(1, k - 1)
-    h2 = c * (commutator(li, h) - mul(ri, h))
-    u_rec, v = _rfactor_rec(k - 1, i, j, h2, n, li, ri, rj)
-    u = u_rec - c * mul(mul(ri ** (k - 2), rj), h)
     return u, v
 
 
@@ -371,9 +414,10 @@ def derivation_space(
     """Exact basis of the w-homogeneous derivations of w-degree m.
 
     Unknowns are the images of the 2n generators, each confined to the slice
-    of w-degree m + w_i (optionally inside I_n); the constraints are the same
-    relation residuals used by check_derivation, which are linear in the
-    images.  Every basis member is re-checked before being returned.
+    of w-degree m + w_i (optionally inside I_n); the constraints are the
+    relation residuals of `maps.derivation_residual_terms`, which are linear
+    in the images, evaluated on unit words.  Every basis member is re-checked
+    with check_derivation before being returned.
     """
     weights = tuple(weights) if weights is not None else (1,) * n
     if len(weights) != n:
@@ -388,8 +432,6 @@ def derivation_space(
     if total_unknowns == 0:
         return []
 
-    zero = Element.zero(n)
-
     def images_from_vector(vec):
         imgs = []
         for slot, s in enumerate(slot_slices):
@@ -398,30 +440,31 @@ def derivation_space(
         return tuple(imgs[:n]), tuple(imgs[n:])
 
     rels = list(relations(n))
-    residual_slices = {
-        rel: weighted_slice(n, m + weights[rel[1] - 1] + weights[rel[2] - 1], weights)
-        for rel in rels
-    }
-    row_offsets = [0, *itertools.accumulate(residual_slices[rel].dim for rel in rels)]
+    residual_slices = [
+        weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights)
+        for _, i, j in rels
+    ]
+    row_offsets = [0, *itertools.accumulate(s.dim for s in residual_slices)]
     total_rows = row_offsets[-1]
 
     sparse_rows = [dict() for _ in range(total_rows)]
-    for slot, s in enumerate(slot_slices):
-        # a unit image in this slot leaves every other residual zero
-        touching = [
-            (rel, row_offsets[ridx], _slice_index(residual_slices[rel]))
-            for ridx, rel in enumerate(rels)
-            if slot in derivation_residual_slots(n, *rel)
-        ]
-        for local, w in enumerate(s.basis):
-            col = offsets[slot] + local
-            imgs = [zero] * (2 * n)
-            imgs[slot] = Element(n, {w: _ONE}, _trusted=True)
-            probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
-            for (kind, i, j), base, index in touching:
-                res = DERIVATION_RESIDUALS[kind](probe, i, j)
-                for word, c in res.terms():
-                    sparse_rows[base + index[word]][col] = c
+    for rel, base, target in zip(rels, row_offsets, residual_slices):
+        terms = derivation_residual_terms(n, *rel)
+        # a unit image in `slot` keeps the products whose image factor it is;
+        # every other image is zero
+        for slot in derivation_residual_slots(n, *rel):
+            products = [
+                (
+                    sign,
+                    None if left == (slot, True) else _generator_word(n, left[0]),
+                    None if right == (slot, True) else _generator_word(n, right[0]),
+                )
+                for sign, left, right in terms
+                if (slot, True) in (left, right)
+            ]
+            _assemble(
+                sparse_rows, base, target, offsets[slot], slot_slices[slot], products
+            )
 
     red = RowReduction(total_rows, total_unknowns, sparse_rows)
     out = []

@@ -45,6 +45,11 @@ class TestConstructors:
         assert l1 == gen_l(2, 1)
         assert generator(2, "R", 2) == gen_r(2, 2)
 
+    def test_generators_cached(self):
+        assert gen_l(3, 2) is generator(3, "l", 2)
+        assert gen_r(3, 2) is gen_r(3, 2)
+        assert gen_l(3, 2) is not gen_l(2, 2)
+
     def test_index_bound(self):
         with pytest.raises(DomainError):
             generator(2, "R", 3)

@@ -208,6 +208,29 @@ class TestCliBasics:
         code, _, _ = run_cli(capsys, "-n", "2", "norm", "(l1+r1+l2+r2)^3")
         assert code == 0
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_terms_below_one_is_usage_error(self, capsys, bound):
+        code, out, err = run_cli(capsys, "-n", "2", "--max-terms", bound, "norm", "0")
+        assert (code, out) == (2, "")
+        assert err == f"lsea: --max-terms must be at least 1, got {bound}\n"
+
+    def test_max_terms_env_below_one_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LSEA_MAX_TERMS", "0")
+        code, out, err = run_cli(capsys, "-n", "2", "norm", "l1")
+        assert (code, out) == (2, "")
+        assert err == "lsea: LSEA_MAX_TERMS must be at least 1, got 0\n"
+
+    def test_max_terms_one_admits_generators(self, capsys):
+        code, out, _ = run_cli(capsys, "-n", "2", "--max-terms", "1", "norm", "l1")
+        assert (code, out) == (0, "l1\n")
+
+    def test_max_terms_refuses_derspace(self, capsys):
+        code, out, err = run_cli(
+            capsys, "-n", "2", "--max-terms", "2", "solve", "derspace", "--wdeg", "3"
+        )
+        assert (code, out) == (2, "")
+        assert "term budget exceeded" in err
+
     @pytest.mark.parametrize("n", [MAX_N + 1, 100_000_000, 10**30])
     def test_n_above_limit_exit_2(self, capsys, n):
         for argv in (

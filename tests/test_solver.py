@@ -1,12 +1,15 @@
 """Graded slices, operator matrices, exact solving, and the constructive lemmas."""
 
 import hashlib
+import itertools
 import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
+from operator import attrgetter
 
 import pytest
 
@@ -48,8 +51,9 @@ from lsea.maps import (
     derivation_residual_straighten,
     relations,
 )
-from lsea.solver import _slice_index
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
+
+_slice_index = attrgetter("index")  # word -> position map of a GradedSlice
 
 
 def matvec(a, x):
@@ -103,6 +107,21 @@ class TestSlices:
         s = graded_slice(2, 2)
         with pytest.raises(DomainError):
             coords(gen_l(2, 1), s)
+
+    def test_index_kept_on_the_slice(self):
+        s = graded_slice(2, 3, restrict_to_I=True)
+        assert s.index is s.index
+        assert [s.index[w] for w in s.basis] == list(range(s.dim))
+        # the map is not a field: equality and hashing still see the basis only
+        copy = solver.GradedSlice(s.n, s.degree, s.weights, s.basis)
+        assert copy == s and hash(copy) == hash(s)
+        assert copy.index == s.index
+
+    def test_uncoords_coefficients_are_fractions(self):
+        s = graded_slice(2, 1)
+        g = uncoords([1, 0, "1/2", Fraction(-3)], s)
+        assert all(type(c) is Fraction for _, c in g.terms())
+        assert coords(g, s) == [1, 0, Fraction(1, 2), -3]
 
 
 class TestOperatorMatrix:
@@ -158,6 +177,17 @@ class TestSolve:
         res = solve(a, [Fraction(5, 2), Fraction(13, 3)])
         assert res.solution is not None
         assert matvec(a, res.solution) == [Fraction(5, 2), Fraction(13, 3)]
+
+    def test_rhs_of_ints_strings_and_fractions(self):
+        red = RowReduction(2, 2, [{0: 2}, {1: 1}])
+        x, cert = red.solve([1, "1/3"])
+        assert cert is None and x == [Fraction(1, 2), Fraction(1, 3)]
+        assert all(type(v) is Fraction for v in x)
+        assert red.solve([Fraction(4), 2])[0] == [2, 2]
+        with pytest.raises(ValueError):
+            red.solve([1, "x"])
+        with pytest.raises(ValueError):
+            red.solve([1])
 
     def test_kernel_vectors_annihilate(self):
         a = [[1, 2, 3], [2, 4, 6]]
@@ -261,6 +291,25 @@ class TestRFactor:
                         d = adi.setdefault((n, i), ad(gen_l(n, i)))
                         rhs = apply_derivation(d, mul(ri, u)) + mul(mul(ri, rj), v)
                         assert lhs == rhs
+
+
+    def test_deep_power_needs_no_recursion(self, subprocess_env):
+        # with a recursion limit below k, only a loop gets through
+        script = """
+import sys
+sys.setrecursionlimit(120)
+from lsea import Element, rfactor_decompose, weighted_slice
+u, v = rfactor_decompose(150, 1, 2, Element.one(2))
+print(len(u), len(v), weighted_slice(1, 150, (1,)).dim)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["149", "1", "151"], proc.stderr
 
 
 class TestDerivationSpace:
@@ -421,6 +470,141 @@ class TestProp55UniquenessAtDeskScale:
             found = candidate(res.solution)
             assert found.l_images == dstar.l_images
             assert found.r_images == dstar.r_images
+
+
+def _rows_handed_to_elimination(monkeypatch, build):
+    """Sparse rows of every system `build()` hands to solver.RowReduction."""
+    captured = []
+    real = solver.RowReduction
+
+    def capture(rows, cols, sparse_rows):
+        captured.append([dict(r) for r in sparse_rows])
+        return real(rows, cols, sparse_rows)
+
+    monkeypatch.setattr(solver, "RowReduction", capture)
+    build()
+    return captured
+
+
+def _derivation_rows_via_elements(n, m, into_I, weights):
+    """The derivation-space system built the Element way: every relation
+    residual of a unit-image Derivation probe, by DERIVATION_RESIDUALS."""
+    weights = weights or (1,) * n
+    slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
+    offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
+    rels = list(relations(n))
+    targets = [weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights) for _, i, j in rels]
+    row_offsets = [0, *itertools.accumulate(t.dim for t in targets)]
+    rows = [{} for _ in range(row_offsets[-1])]
+    zero = Element.zero(n)
+    for slot, s in enumerate(slot_slices):
+        for local, w in enumerate(s.basis):
+            imgs = [zero] * (2 * n)
+            imgs[slot] = Element(n, {w: 1})
+            probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
+            for (kind, i, j), base, target in zip(rels, row_offsets, targets):
+                res = DERIVATION_RESIDUALS[kind](probe, i, j)
+                for word, c in res.terms():
+                    rows[base + _slice_index(target)[word]][offsets[slot] + local] = c
+    return rows
+
+
+class TestAssembly:
+    """The solver assembles its systems from the straightening constants;
+    each must equal the one built from Element products."""
+
+    @pytest.mark.parametrize(
+        "n, m, into_I, weights",
+        [
+            (1, 0, False, None),
+            (1, 2, False, None),
+            (1, 3, True, None),
+            (2, -1, False, None),
+            (2, 1, False, None),
+            (2, 2, True, None),
+            (2, 3, False, None),
+            (2, 3, True, (1, 2)),
+            (2, 4, False, (2, 1)),
+            (3, 0, False, None),
+            (3, 1, True, None),
+            (3, 2, False, (1, 2, 3)),
+        ],
+    )
+    def test_derivation_space_rows(self, monkeypatch, n, m, into_I, weights):
+        built = _rows_handed_to_elimination(
+            monkeypatch, lambda: derivation_space(n, m, into_I, weights)
+        )
+        assert built == [_derivation_rows_via_elements(n, m, into_I, weights)]
+
+    @pytest.mark.parametrize(
+        "n, t", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]
+    )
+    def test_ad_stack_rows(self, n, t):
+        unknown = graded_slice(n, t - 1, restrict_to_I=True)
+        image = graded_slice(n, t, restrict_to_I=True)
+        expected = []
+        for i in range(1, n + 1):
+            expected += operator_matrix(partial(commutator, gen_l(n, i)), unknown, image)
+        assert solver._ad_stack.__wrapped__(n, t)[2] == expected
+
+    @pytest.mark.parametrize(
+        "n, i, d",
+        [(1, 1, 3)]
+        + [(n, i, d) for n, d in ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4)) for i in range(1, n + 1)],
+    )
+    def test_lemma27_rows(self, monkeypatch, n, i, d):
+        li, ri = gen_l(n, i), gen_r(n, i)
+
+        def condition(g):
+            return -commutator(li, g) - mul(ri, g) - mul(g, ri)
+
+        built = _rows_handed_to_elimination(monkeypatch, lambda: lemma27_solutions(n, i, d))
+        unknown = graded_slice(n, d, restrict_to_I=True)
+        target = graded_slice(n, d + 1, restrict_to_I=True)
+        assert built == [operator_matrix(condition, unknown, target)]
+
+    def test_no_element_before_elimination(self, monkeypatch):
+        # neither probes nor per-column images: the first Element of a solve
+        # is built after its system has been handed to the elimination
+        count = [0]
+        seen = []
+        real_init = Element.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Element, "__init__", counting_init)
+        real = solver.RowReduction
+
+        def capture(rows, cols, sparse_rows):
+            seen.append(count[0])
+            return real(rows, cols, sparse_rows)
+
+        monkeypatch.setattr(solver, "RowReduction", capture)
+        for build in (
+            lambda: derivation_space(2, 2, into_I=True),
+            lambda: lemma27_solutions(2, 1, 3),
+            lambda: solver._ad_stack.__wrapped__(2, 4),
+        ):
+            count[0] = 0
+            build()
+        assert seen == [0, 0, 0]
+
+
+    def test_assembled_images_are_charged(self):
+        # some [l_1, w] with w of degree 3 in I_2 has three terms, and no
+        # Element is built before the elimination, so only the assembly's own
+        # charge can refuse
+        from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
+
+        token = TERM_BUDGET.set(2)
+        try:
+            solver._ad_stack.__wrapped__(2, 3)
+            with pytest.raises(TermBudgetExceeded, match="has 3 terms"):
+                solver._ad_stack.__wrapped__(2, 4)
+        finally:
+            TERM_BUDGET.reset(token)
 
 
 class TestAnomalyPaths:

@@ -18,3 +18,20 @@ def test_no_assert_in_src():
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_no_self_recursion_in_solver():
+    # recursion depth grows with the degree or the power asked for, so the
+    # solver enumerates and unrolls its recursions with loops
+    path = SRC / "solver.py"
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name
+                ):
+                    found.append(f"solver.py:{node.lineno} {fn.name}")
+    assert found == []
