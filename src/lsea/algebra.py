@@ -13,22 +13,28 @@ as a rational combination of basis words
 
     l_1^{s_1} ... l_n^{s_n} r_{j_1} ... r_{j_s}
 
-and all operations in this module return that normal form.  Coefficients are
-`fractions.Fraction`; nothing here ever touches floating point.
+and all operations in this module return that normal form.  Nothing here
+ever touches floating point.
 
-Products (`mul`) scale each operand once to integer numerators over the lcm
-of its coefficient denominators, combine them with the integer structure
-constants of the straightening rule, and accumulate plain ints; only the
-surviving output terms become `Fraction`s again, over the product of the two
-denominators.
+An `Element` stores its coefficients as integers over one denominator: a
+positive int `_den` and a map `_nums` from basis word to nonzero int
+numerator, with no factor common to `_den` and every numerator, so equal
+elements have identical storage.  Products (`mul`) combine the numerators
+with the integer structure constants of the straightening rule over the
+product of the two denominators; sums, differences and scalings are integer
+map merges over the lcm or product of the denominators, each followed by one
+gcd reduction.  `fractions.Fraction` appears only at the boundary: the
+validating constructor takes rationals, and `terms()`, `canonical_terms()`,
+`coefficient()` and the text and JSON forms hand them out.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
 
@@ -158,48 +164,54 @@ def _charge(count: int) -> None:
 class Element:
     """A canonical finite rational combination of basis words of U_n.
 
-    The term map never stores zero coefficients, so equal elements have
-    identical term maps.  Instances are immutable; every operation returns a
+    The coefficient of a word is `_nums[word] / _den`; no zero numerator is
+    stored and gcd(_den, *_nums.values()) == 1, so equal elements have
+    identical storage.  Instances are immutable; every operation returns a
     new element.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_den", "_nums")
 
-    def __init__(self, n: int, terms=(), _trusted: bool = False):
+    def __init__(self, n: int, terms=()):
+        """Validating constructor from (word, coefficient) pairs or a dict.
+
+        Coefficients are Fractions, ints or strings; repeated words add up.
+        """
         if n < 1:
             raise DomainError("ambient n must be >= 1")
+        clean: dict[BasisWord, Fraction] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for word, c in items:
+            word = BasisWord(tuple(word[0]), tuple(word[1]))
+            if len(word.lexp) != n:
+                raise AmbientMismatch(f"exponent vector {word.lexp} not of length {n}")
+            if any(e < 0 for e in word.lexp):
+                raise DomainError(f"negative exponent in {word.lexp}")
+            if any(not 1 <= j <= n for j in word.rword):
+                raise DomainError(f"r-letter out of range 1..{n} in {word.rword}")
+            c = _coeff(c)
+            acc = clean.get(word, _ZERO) + c
+            if acc:
+                clean[word] = acc
+            elif word in clean:
+                del clean[word]
         self.n = n
-        if _trusted:
-            self._terms = terms
-        else:
-            clean: dict[BasisWord, Fraction] = {}
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, c in items:
-                word = BasisWord(tuple(word[0]), tuple(word[1]))
-                if len(word.lexp) != n:
-                    raise AmbientMismatch(f"exponent vector {word.lexp} not of length {n}")
-                if any(e < 0 for e in word.lexp):
-                    raise DomainError(f"negative exponent in {word.lexp}")
-                if any(not 1 <= j <= n for j in word.rword):
-                    raise DomainError(f"r-letter out of range 1..{n} in {word.rword}")
-                c = _coeff(c)
-                acc = clean.get(word, _ZERO) + c
-                if acc:
-                    clean[word] = acc
-                elif word in clean:
-                    del clean[word]
-            self._terms = clean
-        _charge(len(self._terms))
+        self._nums, self._den = _int_form(clean)
+        _charge(len(self._nums))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Element":
-        return cls(n, {}, _trusted=True)
+        if n < 1:
+            raise DomainError("ambient n must be >= 1")
+        return _from_ints(n, {})
 
     @classmethod
     def one(cls, n: int) -> "Element":
-        return cls.from_word(n, (0,) * n, ())
+        if n < 1:
+            raise DomainError("ambient n must be >= 1")
+        return _from_ints(n, {BasisWord((0,) * n, ()): 1})
 
     @classmethod
     def from_word(cls, n, lexp, rword, coeff=1) -> "Element":
@@ -212,31 +224,39 @@ class Element:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def terms(self) -> Iterator[tuple[BasisWord, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((w, _fraction(c, den)) for w, c in self._nums.items())
+
+    def int_terms(self) -> tuple[int, Iterable[tuple[BasisWord, int]]]:
+        """(den, (word, numerator) pairs) with self = sum(numerator / den * word)."""
+        return self._den, self._nums.items()
 
     def canonical_terms(self) -> list[tuple[BasisWord, Fraction]]:
         """Terms sorted descending: L-monomial first, then r-word."""
-        return sorted(self._terms.items(), key=lambda t: word_key(t[0]), reverse=True)
+        return sorted(self.terms(), key=lambda t: word_key(t[0]), reverse=True)
 
     def coefficient(self, lexp, rword) -> Fraction:
-        return self._terms.get(BasisWord(tuple(lexp), tuple(rword)), _ZERO)
+        c = self._nums.get(BasisWord(tuple(lexp), tuple(rword)))
+        return _ZERO if c is None else _fraction(c, self._den)
 
     def degree(self):
         """Total degree, NEG_INF for the zero element."""
-        if not self._terms:
+        if not self._nums:
             return NEG_INF
-        return max(w.degree for w in self._terms)
+        return max(w.degree for w in self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return (
+            self.n == other.n and self._den == other._den and self._nums == other._nums
+        )
 
     __hash__ = None
 
@@ -251,34 +271,50 @@ class Element:
         if self.n != other.n:
             raise AmbientMismatch(f"ambient mismatch: U_{self.n} vs U_{other.n}")
 
+    def _merge(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other, one int map merge over the common denominator."""
+        self._require_same_ambient(other)
+        den_a, den_b = self._den, other._den
+        if den_a == den_b:
+            den, fa, fb = den_a, 1, sign
+        else:
+            den = lcm(den_a, den_b)
+            fa, fb = den // den_a, sign * (den // den_b)
+        out = dict(self._nums) if fa == 1 else {w: c * fa for w, c in self._nums.items()}
+        for word, c in other._nums.items():
+            acc = out.get(word, 0) + c * fb
+            if acc:
+                out[word] = acc
+            else:
+                del out[word]
+        return _from_ints(self.n, out, den)
+
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._require_same_ambient(other)
-        out = dict(self._terms)
-        for word, c in other._terms.items():
-            acc = out.get(word, _ZERO) + c
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        return Element(self.n, out, _trusted=True)
+        return self._merge(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return Element(self.n, {w: -c for w, c in self._terms.items()}, _trusted=True)
+        negated = {w: -c for w, c in self._nums.items()}
+        return _from_ints(self.n, negated, self._den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return mul(self, other)
-        c = _coeff(other)
-        if not c:
+        if isinstance(other, int):
+            p, q = other, 1
+        else:
+            c = _coeff(other)
+            p, q = c.numerator, c.denominator
+        if not p:
             return Element.zero(self.n)
-        return Element(self.n, {w: c * k for w, k in self._terms.items()}, _trusted=True)
+        scaled = {w: k * p for w, k in self._nums.items()}
+        return _from_ints(self.n, scaled, self._den * q)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -287,7 +323,7 @@ class Element:
         c = _coeff(other)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
-        return self * (Fraction(1) / c)
+        return self * (1 / c)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -305,6 +341,36 @@ class Element:
 
 
 _ZERO = Fraction(0)
+
+
+def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
+    """The element sum(nums[word] / den * word) of U_n, from trusted parts.
+
+    `nums` maps canonical basis words of U_n to nonzero ints and den > 0;
+    their common factor is divided out here.  Charged to the term budget.
+    """
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {w: c // g for w, c in nums.items()}
+    out = object.__new__(Element)
+    out.n = n
+    out._den = den
+    out._nums = nums
+    _charge(len(nums))
+    return out
+
+
+def _int_form(coeffs: dict) -> tuple[dict, int]:
+    """(nums, den) for a map of nonzero Fractions: den is the lcm of their
+    denominators, which leaves no factor common to den and every numerator."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}, den
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 # -- generators and straightening -------------------------------------------
@@ -339,64 +405,94 @@ def gen_r(n: int, i: int) -> Element:
 def _r_past_monomial(i: int, lexp: tuple[int, ...]):
     """Normal form of r_i * l^lexp as ((lexp', rword', int_coeff), ...).
 
-    Uses the straightening rule for a polynomial f:
-        r_i f = f r_i + r_i sum_j (df/dl_j) r_j
-    recursively; the recursion terminates because the polynomial factor
-    strictly drops total degree.  Structure constants are integers.
+    Iterating Cor. 2.3, r_i f = f r_i + r_i sum_j (df/dl_j) r_j, gives
+
+        r_i l^s = sum_{e <= s} (prod_j s_j! / (s_j - e_j)!) l^(s-e) r_i V_e,
+
+    where V_e is the sum of the r-words in which each letter j occurs e_j
+    times.  Distinct contents e give distinct monomials l^(s-e), so nothing
+    cancels and the structure constants are these positive integers.
     """
-    if not any(lexp):
-        return ((lexp, (i,), 1),)
-    acc: dict[tuple, int] = {(lexp, (i,)): 1}
-    for j, e in enumerate(lexp):
-        if e:
-            smaller = lexp[:j] + (e - 1,) + lexp[j + 1 :]
-            for s2, v2, c in _r_past_monomial(i, smaller):
-                key = (s2, v2 + (j + 1,))
-                acc[key] = acc.get(key, 0) + e * c
-    return tuple((s, v, c) for (s, v), c in acc.items())
+    out = []
+    for e in itertools.product(*(range(s + 1) for s in lexp)):
+        c = prod(perm(s, k) for s, k in zip(lexp, e))
+        lower = tuple(s - k for s, k in zip(lexp, e))
+        for v in _words_of_content(e):
+            out.append((lower, (i,) + v, c))
+    return tuple(out)
+
+
+def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All r-words in which each letter j occurs content[j - 1] times, in
+    lexicographic order, each one the next permutation of the one before."""
+    word = [j for j, k in enumerate(content, 1) for _ in range(k)]
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        k = len(word) - 1
+        while word[k] <= word[i]:
+            k -= 1
+        word[i], word[k] = word[k], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+        out.append(tuple(word))
 
 
 @lru_cache(maxsize=None)
 def _rword_past_monomial(rword: tuple[int, ...], lexp: tuple[int, ...]):
     """Normal form of (r-word) * l^lexp as ((lexp', rword', int_coeff), ...).
 
-    The letters are moved past the monomial last to first, in a loop, so a
-    long word costs no recursion depth.
+    The first letter is moved past the cached normal form of the rest of the
+    word, so words with a common suffix share its straightening.
     """
-    terms = ((lexp, (), 1),)
-    for head in reversed(rword):
-        acc: dict[tuple, int] = {}
-        for s1, v1, c1 in terms:
-            for s2, v2, c2 in _r_past_monomial(head, s1):
-                key = (s2, v2 + v1)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        terms = tuple((s, v, c) for (s, v), c in acc.items())
-    return terms
+    if not rword or not any(lexp):
+        return ((lexp, rword, 1),)
+    if len(rword) == 1:
+        return _r_past_monomial(rword[0], lexp)
+    head = rword[0]
+    acc: dict[tuple, int] = {}
+    for s1, v1, c1 in _suffix_past_monomial(rword[1:], lexp):
+        for s2, v2, c2 in _r_past_monomial(head, s1):
+            key = (s2, v2 + v1)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return tuple((s, v, c) for (s, v), c in acc.items())
 
 
-def _numerators(g: Element) -> tuple[int, list[tuple[tuple, tuple, int]]]:
-    """g as (den, [(lexp, rword, num)]) with g = sum(num/den * word), where den
-    is the lcm of the coefficient denominators; terms keep g's term order."""
-    den = lcm(*[c.denominator for c in g._terms.values()])
-    return den, [
-        (w.lexp, w.rword, c.numerator * (den // c.denominator))
-        for w, c in g._terms.items()
-    ]
+def _suffix_past_monomial(rest: tuple[int, ...], lexp: tuple[int, ...]):
+    """`_rword_past_monomial(rest, lexp)`, looked up so that a miss stays shallow.
+
+    An entry that misses needs the entry one letter shorter, so a cold word
+    would be walked one nested call per letter.  Instead the suffixes whose
+    lengths are len(rest) with its low bits cleared are looked up first,
+    shortest first.  Each of those finds the previous one cached, a power
+    of two fewer letters below it, and a walk across 2^j letters nests j
+    calls deep; the nesting grows with the logarithm of the word length.
+    """
+    t, m = len(rest), 0
+    for bit in reversed(range(t.bit_length())):
+        if t >> bit & 1:
+            m |= 1 << bit
+            entry = _rword_past_monomial(rest[-m:], lexp)
+    return entry
 
 
 def mul(a: Element, b: Element) -> Element:
     """Canonical normal form of the product a * b.
 
-    The term-pair loop only multiplies and adds ints; see the module docstring.
-    The --max-terms guard is charged after each term of a and at construction.
+    The term-pair loop multiplies and adds the int numerators of a and b
+    with the int straightening constants; the result lies over the product
+    of the two denominators.  The --max-terms guard is charged after each
+    term of a and at construction.
     """
     a._require_same_ambient(b)
-    den_a, nums_a = _numerators(a)
-    den_b, nums_b = _numerators(b)
+    nums_b = b._nums.items()
     # plain (lexp, rword) keys hash and compare like the BasisWord they become
     acc: dict[tuple, int] = {}
-    for lexp1, rword1, c1 in nums_a:
-        for lexp2, rword2, c2 in nums_b:
+    for (lexp1, rword1), c1 in a._nums.items():
+        for (lexp2, rword2), c2 in nums_b:
             c = c1 * c2
             for s, v, k in _rword_past_monomial(rword1, lexp2):
                 key = (tuple(map(_add, lexp1, s)), v + rword2)
@@ -406,11 +502,8 @@ def mul(a: Element, b: Element) -> Element:
                 elif key in acc:
                     del acc[key]
         _charge(len(acc))
-    den = den_a * den_b
-    return Element(
-        a.n,
-        {BasisWord._make(key): Fraction(c, den) for key, c in acc.items()},
-        _trusted=True,
+    return _from_ints(
+        a.n, {BasisWord._make(key): c for key, c in acc.items()}, a._den * b._den
     )
 
 
@@ -477,7 +570,7 @@ def normal_form_oracle(n: int, word: Iterable[tuple[str, int]]) -> Element:
             out[key] = acc
         elif key in out:
             del out[key]
-    return Element(n, out, _trusted=True)
+    return Element(n, out)
 
 
 # -- leading data, gradings ---------------------------------------------------
@@ -492,12 +585,12 @@ def lm_lc(g: Element) -> tuple[tuple[int, ...] | None, Element]:
     """
     if g.is_zero:
         return None, Element.zero(g.n)
-    top = max((w.lexp for w in g._terms), key=pdeg_key)
+    top = max((w.lexp for w in g._nums), key=pdeg_key)
     zero_exp = (0,) * g.n
     coeff = {
-        BasisWord(zero_exp, w.rword): c for w, c in g._terms.items() if w.lexp == top
+        BasisWord(zero_exp, w.rword): c for w, c in g._nums.items() if w.lexp == top
     }
-    return top, Element(g.n, coeff, _trusted=True)
+    return top, _from_ints(g.n, coeff, g._den)
 
 
 def wdeg(g: Element, weights):
@@ -507,7 +600,7 @@ def wdeg(g: Element, weights):
         raise DomainError("weight vector length must equal the ambient n")
     if g.is_zero:
         return NEG_INF
-    return max(w.wdegree(weights) for w in g._terms)
+    return max(w.wdegree(weights) for w in g._nums)
 
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
@@ -515,12 +608,10 @@ def homogeneous_components(g: Element, weights) -> dict[int, Element]:
     weights = tuple(weights)
     if len(weights) != g.n:
         raise DomainError("weight vector length must equal the ambient n")
-    buckets: dict[int, dict[BasisWord, Fraction]] = {}
-    for w, c in g._terms.items():
+    buckets: dict[int, dict[BasisWord, int]] = {}
+    for w, c in g._nums.items():
         buckets.setdefault(w.wdegree(weights), {})[w] = c
-    return {
-        d: Element(g.n, t, _trusted=True) for d, t in sorted(buckets.items())
-    }
+    return {d: _from_ints(g.n, t, g._den) for d, t in sorted(buckets.items())}
 
 
 def highest_part(g: Element, weights=None) -> Element:
@@ -543,15 +634,15 @@ def is_homogeneous(g: Element, weights=None) -> bool:
 
 
 def in_L(g: Element) -> bool:
-    return all(not w.rword for w in g._terms)
+    return all(not w.rword for w in g._nums)
 
 
 def in_R(g: Element) -> bool:
-    return all(not any(w.lexp) for w in g._terms)
+    return all(not any(w.lexp) for w in g._nums)
 
 
 def in_I(g: Element) -> bool:
-    return all(w.rword for w in g._terms)
+    return all(w.rword for w in g._nums)
 
 
 class Membership(NamedTuple):
@@ -566,12 +657,9 @@ def membership(g: Element) -> Membership:
 
 def project_to_L(g: Element) -> tuple[Element, Element]:
     """Split g = (part in L_n) + (part in I_n); the splitting is unique."""
-    lpart = {w: c for w, c in g._terms.items() if not w.rword}
-    ipart = {w: c for w, c in g._terms.items() if w.rword}
-    return (
-        Element(g.n, lpart, _trusted=True),
-        Element(g.n, ipart, _trusted=True),
-    )
+    lpart = {w: c for w, c in g._nums.items() if not w.rword}
+    ipart = {w: c for w, c in g._nums.items() if w.rword}
+    return _from_ints(g.n, lpart, g._den), _from_ints(g.n, ipart, g._den)
 
 
 def pderiv_l(j: int, f: Element) -> Element:
@@ -580,14 +668,13 @@ def pderiv_l(j: int, f: Element) -> Element:
         raise DomainError(f"variable index {j} out of range 1..{f.n}")
     if not in_L(f):
         raise DomainError("partial derivative only defined on L_n")
-    out: dict[BasisWord, Fraction] = {}
-    for w, c in f._terms.items():
+    # lowering l_j is injective on the words that hold it, so nothing collides
+    out: dict[BasisWord, int] = {}
+    for w, c in f._nums.items():
         e = w.lexp[j - 1]
         if e:
-            lowered = w.lexp[: j - 1] + (e - 1,) + w.lexp[j:]
-            key = BasisWord(lowered, ())
-            out[key] = out.get(key, _ZERO) + e * c
-    return Element(f.n, out, _trusted=True)
+            out[BasisWord(w.lexp[: j - 1] + (e - 1,) + w.lexp[j:], ())] = e * c
+    return _from_ints(f.n, out, f._den)
 
 
 def shift_lr(f: Element) -> Element:

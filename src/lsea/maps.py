@@ -28,6 +28,7 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    _from_ints,
     commutator,
     element_to_json,
     gen_l,
@@ -300,33 +301,38 @@ def _word_factor_splits(word: BasisWord, n: int):
 
 def _leibniz(g: Element, l_images, r_images) -> Element:
     """The derivation with these generator images, extended to g by linearity
-    and the Leibniz law over `_word_factor_splits`."""
+    and the Leibniz law over `_word_factor_splits`; the images of the words
+    are summed with g's int numerators and divided by its denominator once."""
+    den, items = g.int_terms()
     out = Element.zero(g.n)
-    for word, c in g.terms():
+    for word, c in items:
         acc = Element.zero(g.n)
         for prefix, (kind, idx), suffix in _word_factor_splits(word, g.n):
             img = (l_images if kind == "l" else r_images)[idx - 1]
             if img.is_zero:
                 continue
-            piece = mul(Element(g.n, {prefix: Fraction(1)}, _trusted=True), img)
-            acc = acc + mul(piece, Element(g.n, {suffix: Fraction(1)}, _trusted=True))
-        out = out + c * acc
-    return out
+            piece = mul(_from_ints(g.n, {prefix: 1}), img)
+            acc = acc + mul(piece, _from_ints(g.n, {suffix: 1}))
+        out = out + acc * c
+    return out if den == 1 else out / den
 
 
 def _substitute(g: Element, l_images, r_images) -> Element:
     """g with each generator replaced by its image, multiplied out along
-    each basis word (l-part first, then the r-letters in order)."""
+    each basis word (l-part first, then the r-letters in order); the images
+    of the words are summed with g's int numerators and divided by its
+    denominator once."""
+    den, items = g.int_terms()
     out = Element.zero(g.n)
-    for word, c in g.terms():
+    for word, c in items:
         acc = Element.one(g.n)
         for i, s in enumerate(word.lexp):
             if s:
                 acc = mul(acc, l_images[i] ** s)
         for j in word.rword:
             acc = mul(acc, r_images[j - 1])
-        out = out + c * acc
-    return out
+        out = out + acc * c
+    return out if den == 1 else out / den
 
 
 def apply_derivation(d: Derivation, g: Element) -> Element:
@@ -390,18 +396,17 @@ def der_lm_lc(d) -> tuple[tuple[int, ...] | None, PureFormalExpression]:
     ladders = []
     tops = []
     for img in d.l_images + d.r_images:
+        den, items = img.int_terms()
         slot: dict[tuple[int, ...], dict] = {}
-        for w, c in img.terms():
+        for w, c in items:
             slot.setdefault(w.lexp, {})[BasisWord((0,) * n, w.rword)] = c
-        ladders.append(slot)
+        ladders.append((den, slot))
         tops.extend(slot.keys())
     if not tops:
         z = tuple(Element.zero(n) for _ in range(n))
         return None, PureFormalExpression(n, z, z)
     gmax = max(tops, key=pdeg_key)
-    coeffs = [
-        Element(n, slot.get(gmax, {}), _trusted=True) for slot in ladders
-    ]
+    coeffs = [_from_ints(n, slot.get(gmax, {}), den) for den, slot in ladders]
     return gmax, PureFormalExpression(n, tuple(coeffs[:n]), tuple(coeffs[n:]))
 
 

@@ -34,6 +34,8 @@ from .algebra import (
     DomainError,
     Element,
     _charge,
+    _from_ints,
+    _int_form,
     _rword_past_monomial,
     commutator,
     element_to_json,
@@ -57,7 +59,6 @@ from .maps import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -179,11 +180,8 @@ def coords(g: Element, s: GradedSlice) -> list[Fraction]:
 def uncoords(col, s: GradedSlice) -> Element:
     if len(col) != s.dim:
         raise DomainError("coordinate length does not match slice dimension")
-    return Element(
-        s.n,
-        {w: as_fraction(c) for w, c in zip(s.basis, col) if c},
-        _trusted=True,
-    )
+    coeffs = {w: as_fraction(c) for w, c in zip(s.basis, col) if c}
+    return _from_ints(s.n, *_int_form(coeffs))
 
 
 def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> list[dict]:
@@ -194,7 +192,7 @@ def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> list[dict]:
     """
     rows = [{} for _ in range(target.dim)]
     for col, w in enumerate(source.basis):
-        img = op(Element(source.n, {w: _ONE}, _trusted=True))
+        img = op(_from_ints(source.n, {w: 1}))
         for pos, c in _positions(img, target):
             rows[pos][col] = c
     return rows

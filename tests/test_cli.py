@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lsea import Element, gen_l, gen_r, mul
-from lsea.cli import MAX_N, build_parser, main
+from lsea.cli import MAX_K, MAX_N, build_parser, main
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import rand_element
 
@@ -247,6 +247,32 @@ class TestCliBasics:
         code, out, _ = run_cli(capsys, "-n", str(MAX_N), "norm", f"r{MAX_N}*l1")
         assert (code, out) == (0, f"l1*r{MAX_N} + r{MAX_N}*r1\n")
         assert f"1 to {MAX_N}" in build_parser().format_help()
+
+    @pytest.mark.parametrize("k", [MAX_K + 1, 990, 10**30])
+    def test_k_above_limit_exit_2(self, capsys, k):
+        argv = ("-n", "2", "solve", "rfactor", "--k", str(k), "--i", "1", "--j", "2")
+        code, out, err = run_cli(capsys, *argv, "--h", "1")
+        assert (code, out) == (2, "")
+        assert err == f"lsea: --k: k = {k} exceeds the limit {MAX_K}\n"
+
+    def test_k_at_limit_accepted(self, capsys):
+        argv = ("-n", "2", "solve", "rfactor", "--k", str(MAX_K), "--i", "1", "--j", "2")
+        code, out, _ = run_cli(capsys, *argv, "--h", "0")
+        assert code == 0
+        assert json.loads(out) == {"u": {"n": 2, "terms": []}, "v": {"n": 2, "terms": []}}
+        code, out, _ = run_cli(capsys, "solve", "rfactor", "--help")
+        assert code == 0
+        assert f"at most {MAX_K}" in out
+
+    def test_r_past_high_power_needs_no_recursion(self, capsys):
+        # r1 l1^b = sum_k b!/(b-k)! l1^(b-k) r1^(k+1): 1201 terms, one
+        # straightening entry, more l-letters than the default recursion limit
+        code, out, err = run_cli(capsys, "-n", "1", "norm", "r1*l1^1200")
+        assert (code, err) == (0, "")
+        terms = out.rstrip("\n").split(" + ")
+        assert len(terms) == 1201
+        assert terms[0] == "l1^1200*r1"
+        assert terms[1] == "1200*l1^1199*r1*r1"
 
     def test_huge_n_exits_2_promptly(self, subprocess_env):
         # without the limit, building l1 in U_n at this n runs out of time or memory

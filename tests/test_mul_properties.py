@@ -1,4 +1,5 @@
-"""Property tests of the product kernel against the rewriting oracle.
+"""Property tests of the product kernel against the rewriting oracle, and of
+the integer storage of elements.
 
 Elements are drawn as rational combinations of arbitrary generator words in
 U_2 and U_3 and realized through `normal_form_oracle`, which shares no code
@@ -6,6 +7,7 @@ with `mul`.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,3 +81,75 @@ def test_commuting_products_cancel_exactly(ops):
 
     f, g = polynomial(xa), polynomial(xb)
     assert mul(f, g) - mul(g, f) == Element.zero(n)
+
+
+# -- the storage: one positive denominator over reduced int numerators ----------
+
+
+def storage(g):
+    return g.n, g._den, g._nums
+
+
+def assert_canonical(g):
+    assert g._den > 0
+    assert gcd(g._den, *g._nums.values()) == 1
+    assert all(type(c) is int and c for c in g._nums.values())
+    for word, c in g.terms():
+        assert type(c) is Fraction and c
+        assert type(g.coefficient(word.lexp, word.rword)) is Fraction
+        assert g.coefficient(word.lexp, word.rword) == c
+    assert type(g.coefficient((0,) * g.n, (1,) * 9)) is Fraction
+
+
+STEPS = st.sampled_from(["add", "sub", "mul", "scale", "div"])
+
+
+@st.composite
+def programs(draw):
+    """A start expansion and up to four arithmetic steps, each with an
+    operand expansion and a rational scalar."""
+    n = draw(st.sampled_from([2, 3]))
+    steps = st.tuples(STEPS, expansions(n), COEFFS)
+    return n, draw(expansions(n)), draw(st.lists(steps, min_size=1, max_size=4))
+
+
+def apply_step(g, step, n):
+    op, x, q = step
+    h = realize(n, x)
+    if op == "add":
+        return g + h
+    if op == "sub":
+        return g - h
+    if op == "mul":
+        return mul(g, h)
+    return g * q if op == "scale" else g / q
+
+
+@KERNEL
+@given(programs())
+def test_storage_canonical_along_random_arithmetic(program):
+    n, start, steps = program
+    g = realize(n, start)
+    assert_canonical(g)
+    for step in steps:
+        g = apply_step(g, step, n)
+        assert_canonical(g)
+        # rebuilt from its rational terms by the validating constructor
+        assert storage(Element(n, list(g.terms()))) == storage(g)
+
+
+@KERNEL
+@given(operands(), COEFFS)
+def test_two_construction_paths_store_identically(ops, q):
+    n, xa, xb = ops
+    a, b = realize(n, xa), realize(n, xb)
+    for left, right in (
+        ((a + b) - b, a),
+        (a * q / q, a),
+        (mul(a * q, b), q * mul(a, b)),
+        (a - a, Element.zero(n)),
+        (a + b + (-b), a),
+        (a + a, 2 * a),
+    ):
+        assert_canonical(left)
+        assert storage(left) == storage(right)

@@ -20,18 +20,20 @@ def test_no_assert_in_src():
     assert found == []
 
 
-def test_no_self_recursion_in_solver():
-    # recursion depth grows with the degree or the power asked for, so the
-    # solver enumerates and unrolls its recursions with loops
-    path = SRC / "solver.py"
+def test_no_self_recursion_in_src():
+    # recursion depth would grow with the degree, the power or the word
+    # length asked for, so the sources enumerate, unroll and straighten
+    # with loops
     found = []
-    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == fn.name
-                ):
-                    found.append(f"solver.py:{node.lineno} {fn.name}")
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == fn.name
+                    ):
+                        found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert list(SRC.glob("*.py"))
     assert found == []
