@@ -13,8 +13,8 @@ as a rational combination of basis words
 
     l_1^{s_1} ... l_n^{s_n} r_{j_1} ... r_{j_s}
 
-and all operations in this module return that normal form.  Nothing here
-ever touches floating point.
+and all operations in this module return that normal form.  Coefficients
+never touch floating point; the one float is NEG_INF, the degree of zero.
 
 An `Element` stores its coefficients as integers over one denominator: a
 positive int `_den` and a map `_nums` from basis word to nonzero int
@@ -34,9 +34,11 @@ import itertools
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, perm, prod
+from math import gcd, inf, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
+
+from .linalg import as_fraction
 
 # Optional cap on the number of stored terms of any constructed element.
 # None means unlimited.  The CLI sets this from --max-terms / LSEA_MAX_TERMS;
@@ -56,38 +58,8 @@ class TermBudgetExceeded(RuntimeError):
     """An intermediate result grew past the configured --max-terms guard."""
 
 
-class _NegInf:
-    """Degree of the zero element; compares strictly below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
+# Degree of the zero element; compares strictly below every integer.
+NEG_INF = -inf
 
 
 class BasisWord(NamedTuple):
@@ -143,16 +115,6 @@ def rword_compare(v1: tuple[int, ...], v2: tuple[int, ...]) -> int:
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
-
-
 def _charge(count: int) -> None:
     limit = TERM_BUDGET.get()
     if limit is not None and count > limit:
@@ -189,7 +151,7 @@ class Element:
                 raise DomainError(f"negative exponent in {word.lexp}")
             if any(not 1 <= j <= n for j in word.rword):
                 raise DomainError(f"r-letter out of range 1..{n} in {word.rword}")
-            c = _coeff(c)
+            c = as_fraction(c)
             acc = clean.get(word, _ZERO) + c
             if acc:
                 clean[word] = acc
@@ -215,7 +177,7 @@ class Element:
 
     @classmethod
     def from_word(cls, n, lexp, rword, coeff=1) -> "Element":
-        c = _coeff(coeff)
+        c = as_fraction(coeff)
         if not c:
             return cls.zero(n)
         return cls(n, [(BasisWord(tuple(lexp), tuple(rword)), c)])
@@ -309,7 +271,7 @@ class Element:
         if isinstance(other, int):
             p, q = other, 1
         else:
-            c = _coeff(other)
+            c = as_fraction(other)
             p, q = c.numerator, c.denominator
         if not p:
             return Element.zero(self.n)
@@ -320,7 +282,7 @@ class Element:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        c = _coeff(other)
+        c = as_fraction(other)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
         return self * (1 / c)
@@ -711,7 +673,7 @@ def element_to_json(g: Element) -> dict:
 
 def _json_coeff(text) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except ZeroDivisionError as exc:
         raise DomainError(f"zero denominator in coefficient {text!r}") from exc
 

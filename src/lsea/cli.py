@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
-    NEG_INF,
     TERM_BUDGET,
     AmbientMismatch,
     DomainError,
@@ -291,8 +290,7 @@ def _lc(args):
 def _wdeg(args):
     n = _need_n(args)
     w = _parse_weights(args.weights, n)
-    val = wdeg(parse_element(args.expr, n), w)
-    print("-inf" if val is NEG_INF else str(val))
+    print(wdeg(parse_element(args.expr, n), w))
 
 
 def _parts(args):
@@ -494,6 +492,9 @@ def main(argv=None) -> int:
         print(f"lsea: {source} must be at least 1, got {budget}", file=sys.stderr)
         return USAGE_ERROR
     token = TERM_BUDGET.set(budget)
+    # exact coefficients and integer literals may run to any number of digits
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.run(args) or 0
     except TermBudgetExceeded as exc:
@@ -514,6 +515,7 @@ def main(argv=None) -> int:
         return ANOMALY
     finally:
         TERM_BUDGET.reset(token)
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,13 @@ _ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
-    """x itself when it already is a Fraction, else Fraction(x)."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact rational: a Fraction as is, an int or a str converted;
+    anything else, a float included, raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class RowReduction:
@@ -138,7 +143,7 @@ class RowReduction:
 
 def reduction_of(rows_data) -> RowReduction:
     """Reduction of a dense matrix given as a list of rows; zeros are dropped."""
-    rows = [[Fraction(x) for x in row] for row in rows_data]
+    rows = [[as_fraction(x) for x in row] for row in rows_data]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix rows")

@@ -81,29 +81,9 @@ class GradedSlice:
         return {w: i for i, w in enumerate(self.basis)}
 
 
-def _lexps_of_total(n: int, total: int):
-    """All exponent vectors of length n with the given sum, by the positions
-    of the n - 1 bars among total + n - 1 stars and bars."""
-    for bars in itertools.combinations(range(total + n - 1), n - 1):
-        edges = (-1, *bars, total + n - 1)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
-@lru_cache(maxsize=None)
 def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> GradedSlice:
     """Basis of all degree-m basis words (standard weights), canonical order."""
-    if m < 0:
-        return GradedSlice(n, m, (1,) * n, ())
-    words = []
-    for a in range(m + 1):
-        b = m - a
-        for lexp in _lexps_of_total(n, a):
-            for rword in itertools.product(range(1, n + 1), repeat=b):
-                if restrict_to_I and not rword:
-                    continue
-                words.append(BasisWord(lexp, rword))
-    words.sort(key=word_key, reverse=True)
-    return GradedSlice(n, m, (1,) * n, tuple(words))
+    return weighted_slice(n, m, (1,) * n, restrict_to_I)
 
 
 def dim(n: int, m: int) -> int:

@@ -5,6 +5,14 @@ inputs and reports exact pass/fail counts.  Reports are deterministic
 functions of (suite, seed, parameters); counterexamples are serialized JSON
 fragments.  The suites ship with the CLI (`lsea verify <suite>`) so the
 identities can be re-run by end users with one command.
+
+Most suites check one random case at a time: `_per_case(name)` registers
+such a case body in `SUITES` and runs it `cases` times on one
+`random.Random(seed)` and one `RunReport`.  The body draws its inputs,
+appends failures and caught `AnomalyError` payloads to the report, and any
+other anomaly ends the run.  The other suites register a whole run with
+`_suite(name)`: `lemma27` and `example41` draw nothing, `prop32` checks the
+identity lift before its loop, and `equ5` builds and checks d/dl_1 once.
 """
 
 from __future__ import annotations
@@ -270,91 +278,111 @@ def _counterexample(**kv) -> dict:
     return out
 
 
-def _suite_lemma22(seed: int, cases: int) -> RunReport:
+# suite name -> run(seed, cases) -> RunReport
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register `run(seed, cases) -> RunReport` as the suite `name`."""
+
+    def register(run):
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+def _per_case(name: str):
+    """Register the one-case body `case(rng, rep)` as the suite `name`."""
+
+    def register(case):
+        @_suite(name)
+        def run(seed: int, cases: int) -> RunReport:
+            rng = random.Random(seed)
+            rep = RunReport(name, seed, cases)
+            for _ in range(cases):
+                case(rng, rep)
+            return rep
+
+        return case
+
+    return register
+
+
+@_per_case("lemma22")
+def _case_lemma22(rng: random.Random, rep: RunReport) -> None:
     """f(l)r_i = r_i f(l-r); the closed shift formula; shifted generators commute."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma22", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(1, 3)
-        f = rand_lpoly(rng, n, 5)
-        i = rng.randint(1, n)
-        shifted = shift_lr(f)
-        # direct substitution of l_k - r_k, multiplied out
-        direct = poly_subst(f, [gen_l(n, k) - gen_r(n, k) for k in range(1, n + 1)])
-        a, b = gen_l(n, 1) - gen_r(n, 1), gen_l(n, n) - gen_r(n, n)
-        ok = (
-            mul(f, gen_r(n, i)) == mul(gen_r(n, i), shifted)
-            and shifted == direct
-            and mul(a, b) == mul(b, a)
-        )
-        if not ok:
-            rep.failures.append(_counterexample(n=n, f=f, i=i))
-    return rep
+    n = rng.randint(1, 3)
+    f = rand_lpoly(rng, n, 5)
+    i = rng.randint(1, n)
+    shifted = shift_lr(f)
+    # direct substitution of l_k - r_k, multiplied out
+    direct = poly_subst(f, [gen_l(n, k) - gen_r(n, k) for k in range(1, n + 1)])
+    a, b = gen_l(n, 1) - gen_r(n, 1), gen_l(n, n) - gen_r(n, n)
+    ok = (
+        mul(f, gen_r(n, i)) == mul(gen_r(n, i), shifted)
+        and shifted == direct
+        and mul(a, b) == mul(b, a)
+    )
+    if not ok:
+        rep.failures.append(_counterexample(n=n, f=f, i=i))
 
 
-def _suite_cor23(seed: int, cases: int) -> RunReport:
+@_per_case("cor23")
+def _case_cor23(rng: random.Random, rep: RunReport) -> None:
     """r_i f = f r_i + r_i sum_j (df/dl_j) r_j."""
-    rng = random.Random(seed)
-    rep = RunReport("cor23", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(1, 3)
-        f = rand_lpoly(rng, n, 5)
-        i = rng.randint(1, n)
-        ri = gen_r(n, i)
-        tail = Element.zero(n)
-        for j in range(1, n + 1):
-            tail = tail + mul(pderiv_l(j, f), gen_r(n, j))
-        if mul(ri, f) != mul(f, ri) + mul(ri, tail):
-            rep.failures.append(_counterexample(n=n, f=f, i=i))
-    return rep
+    n = rng.randint(1, 3)
+    f = rand_lpoly(rng, n, 5)
+    i = rng.randint(1, n)
+    ri = gen_r(n, i)
+    tail = Element.zero(n)
+    for j in range(1, n + 1):
+        tail = tail + mul(pderiv_l(j, f), gen_r(n, j))
+    if mul(ri, f) != mul(f, ri) + mul(ri, tail):
+        rep.failures.append(_counterexample(n=n, f=f, i=i))
 
 
-def _suite_cor25(seed: int, cases: int) -> RunReport:
+@_per_case("cor25")
+def _case_cor25(rng: random.Random, rep: RunReport) -> None:
     """Leading-monomial multiplicativity, degree additivity, no zero divisors."""
-    rng = random.Random(seed)
-    rep = RunReport("cor25", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(1, 3)
-        g = rand_nonzero(rng, n, 3)
-        h = rand_nonzero(rng, n, 3)
-        p = mul(g, h)
-        lm_g, lm_h, lm_p = lm_lc(g)[0], lm_lc(h)[0], lm_lc(p)[0]
-        ok = not p.is_zero and lm_p == tuple(
-            x + y for x, y in zip(lm_g, lm_h)
-        )
-        dg = rng.randint(0, 3)
-        dh = rng.randint(0, 3)
-        hg = rand_homogeneous(rng, n, dg)
-        hh = rand_homogeneous(rng, n, dh)
-        w = (1,) * n
-        ok = ok and wdeg(mul(hg, hh), w) == wdeg(hg, w) + wdeg(hh, w)
-        if not ok:
-            rep.failures.append(_counterexample(n=n, g=g, h=h))
-    return rep
+    n = rng.randint(1, 3)
+    g = rand_nonzero(rng, n, 3)
+    h = rand_nonzero(rng, n, 3)
+    p = mul(g, h)
+    lm_g, lm_h, lm_p = lm_lc(g)[0], lm_lc(h)[0], lm_lc(p)[0]
+    ok = not p.is_zero and lm_p == tuple(
+        x + y for x, y in zip(lm_g, lm_h)
+    )
+    dg = rng.randint(0, 3)
+    dh = rng.randint(0, 3)
+    hg = rand_homogeneous(rng, n, dg)
+    hh = rand_homogeneous(rng, n, dh)
+    w = (1,) * n
+    ok = ok and wdeg(mul(hg, hh), w) == wdeg(hg, w) + wdeg(hh, w)
+    if not ok:
+        rep.failures.append(_counterexample(n=n, g=g, h=h))
 
 
-def _suite_lemma26(seed: int, cases: int) -> RunReport:
+@_per_case("lemma26")
+def _case_lemma26(rng: random.Random, rep: RunReport) -> None:
     """Forward-apply the stacked inner derivations, then recover a preimage."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma26", seed, cases)
-    for _ in range(cases):
-        n = rng.choice([2, 2, 3])
-        deg = rng.randint(1, 4)
-        g = rand_homogeneous_I(rng, n, deg)
-        us = [apply_derivation(ad(gen_l(n, i)), g) for i in range(1, n + 1)]
-        try:
-            g2, _kdim = ad_preimage(us)
-        except AnomalyError as exc:
-            rep.anomalies.append({"input": element_to_json(g), "payload": exc.payload})
-            continue
-        ok = all(
-            apply_derivation(ad(gen_l(n, i)), g2) == us[i - 1] for i in range(1, n + 1)
-        )
-        if not ok:
-            rep.failures.append(_counterexample(n=n, g=g, recovered=g2))
-    return rep
+    n = rng.choice([2, 2, 3])
+    deg = rng.randint(1, 4)
+    g = rand_homogeneous_I(rng, n, deg)
+    us = [apply_derivation(ad(gen_l(n, i)), g) for i in range(1, n + 1)]
+    try:
+        g2, _kdim = ad_preimage(us)
+    except AnomalyError as exc:
+        rep.anomalies.append({"input": element_to_json(g), "payload": exc.payload})
+        return
+    ok = all(
+        apply_derivation(ad(gen_l(n, i)), g2) == us[i - 1] for i in range(1, n + 1)
+    )
+    if not ok:
+        rep.failures.append(_counterexample(n=n, g=g, recovered=g2))
 
 
+@_suite("lemma27")
 def _suite_lemma27(seed: int, cases: int) -> RunReport:
     """Solutions of -ad_{l_i}(g) = r_i g + g r_i have the predicted leading span."""
     rep = RunReport("lemma27", seed, 0)
@@ -374,46 +402,41 @@ def _suite_lemma27(seed: int, cases: int) -> RunReport:
     return rep
 
 
-def _suite_lemma28(seed: int, cases: int) -> RunReport:
+@_per_case("lemma28")
+def _case_lemma28(rng: random.Random, rep: RunReport) -> None:
     """r_i^k r_j h = ad_{l_i}(r_i u) + r_i r_j v, recursion output re-multiplied."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma28", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        i = rng.randint(1, n)
+    n = rng.randint(2, 3)
+    i = rng.randint(1, n)
+    j = rng.randint(1, n)
+    while j == i:
         j = rng.randint(1, n)
-        while j == i:
-            j = rng.randint(1, n)
-        k = rng.randint(1, 4)
-        h = rand_rpoly(rng, n, 3)
-        try:
-            u, v = rfactor_decompose(k, i, j, h)
-        except AnomalyError as exc:
-            rep.anomalies.append({"k": k, "i": i, "j": j, "payload": exc.payload})
-            continue
-        lhs = mul(mul(gen_r(n, i) ** k, gen_r(n, j)), h)
-        rhs = apply_derivation(ad(gen_l(n, i)), mul(gen_r(n, i), u)) + mul(
-            mul(gen_r(n, i), gen_r(n, j)), v
-        )
-        if lhs != rhs:
-            rep.failures.append(_counterexample(n=n, k=k, i=i, j=j, h=h))
-    return rep
+    k = rng.randint(1, 4)
+    h = rand_rpoly(rng, n, 3)
+    try:
+        u, v = rfactor_decompose(k, i, j, h)
+    except AnomalyError as exc:
+        rep.anomalies.append({"k": k, "i": i, "j": j, "payload": exc.payload})
+        return
+    lhs = mul(mul(gen_r(n, i) ** k, gen_r(n, j)), h)
+    rhs = apply_derivation(ad(gen_l(n, i)), mul(gen_r(n, i), u)) + mul(
+        mul(gen_r(n, i), gen_r(n, j)), v
+    )
+    if lhs != rhs:
+        rep.failures.append(_counterexample(n=n, k=k, i=i, j=j, h=h))
 
 
-def _suite_lemma31(seed: int, cases: int) -> RunReport:
+@_per_case("lemma31")
+def _case_lemma31(rng: random.Random, rep: RunReport) -> None:
     """Endomorphisms keep the ideal generated by the r's inside itself."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma31", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        fwd, _ = rand_tame_tuple(rng, n, rng.randint(1, 3), 4 if n == 2 else 3)
-        phi = lift_phi(n, fwd)
-        g = rand_homogeneous_I(rng, n, rng.randint(1, 3))
-        if not in_I(apply_endo(phi, g)):
-            rep.failures.append(_counterexample(n=n, g=g))
-    return rep
+    n = rng.randint(2, 3)
+    fwd, _ = rand_tame_tuple(rng, n, rng.randint(1, 3), 4 if n == 2 else 3)
+    phi = lift_phi(n, fwd)
+    g = rand_homogeneous_I(rng, n, rng.randint(1, 3))
+    if not in_I(apply_endo(phi, g)):
+        rep.failures.append(_counterexample(n=n, g=g))
 
 
+@_suite("prop32")
 def _suite_prop32(seed: int, cases: int) -> RunReport:
     """Lifting is a group embedding: lifts verify, compose, and separate points."""
     rng = random.Random(seed)
@@ -443,34 +466,29 @@ def _suite_prop32(seed: int, cases: int) -> RunReport:
     return rep
 
 
-def _suite_lemma33(seed: int, cases: int) -> RunReport:
+@_per_case("lemma33")
+def _case_lemma33(rng: random.Random, rep: RunReport) -> None:
     """Affine tuples lift to degree-one automorphisms of U_n."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma33", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        fwd, inv = _rand_affine(rng, n)
-        phi = lift_phi(n, fwd)
-        psi = lift_phi(n, inv)
-        ok = is_affine_U(phi) and check_inverse_pair(phi, psi)
-        if not ok:
-            rep.failures.append({"n": n, "f": [element_to_json(x) for x in fwd]})
-    return rep
+    n = rng.randint(2, 3)
+    fwd, inv = _rand_affine(rng, n)
+    phi = lift_phi(n, fwd)
+    psi = lift_phi(n, inv)
+    ok = is_affine_U(phi) and check_inverse_pair(phi, psi)
+    if not ok:
+        rep.failures.append({"n": n, "f": [element_to_json(x) for x in fwd]})
 
 
-def _suite_lemma41(seed: int, cases: int) -> RunReport:
+@_per_case("lemma41")
+def _case_lemma41(rng: random.Random, rep: RunReport) -> None:
     """Verified derivations keep the ideal generated by the r's inside itself."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma41", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        d = rand_verified_derivation(rng, n)
-        g = rand_homogeneous_I(rng, n, rng.randint(1, 3))
-        if not in_I(apply_derivation(d, g)):
-            rep.failures.append(_counterexample(n=n, g=g))
-    return rep
+    n = rng.randint(2, 3)
+    d = rand_verified_derivation(rng, n)
+    g = rand_homogeneous_I(rng, n, rng.randint(1, 3))
+    if not in_I(apply_derivation(d, g)):
+        rep.failures.append(_counterexample(n=n, g=g))
 
 
+@_suite("example41")
 def _suite_example41(seed: int, cases: int) -> RunReport:
     """The five relation instances of the standard U_2 example all vanish."""
     rep = RunReport("example41", seed, 5)
@@ -484,47 +502,42 @@ def _suite_example41(seed: int, cases: int) -> RunReport:
     return rep
 
 
-def _suite_lemma44(seed: int, cases: int) -> RunReport:
+@_per_case("lemma44")
+def _case_lemma44(rng: random.Random, rep: RunReport) -> None:
     """Graded pieces of degree m send degree-k elements into degree m+k."""
-    rng = random.Random(seed)
-    rep = RunReport("lemma44", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        d = rand_verified_derivation(rng, n)
-        w = rand_weights(rng, n)
-        parts = graded_parts(d, w)
-        pool = homogeneous_components(rand_nonzero(rng, n, 3), w)
-        k, g = rng.choice(sorted(pool.items()))
-        ok = True
-        for m, dm in parts.items():
-            img = apply_derivation(dm, g)
-            if img.is_zero:
-                continue
-            comps = homogeneous_components(img, w)
-            if list(comps) != [m + k]:
-                ok = False
-        if not ok:
-            rep.failures.append(_counterexample(n=n, g=g, w=list(w)))
-    return rep
+    n = rng.randint(2, 3)
+    d = rand_verified_derivation(rng, n)
+    w = rand_weights(rng, n)
+    parts = graded_parts(d, w)
+    pool = homogeneous_components(rand_nonzero(rng, n, 3), w)
+    k, g = rng.choice(sorted(pool.items()))
+    ok = True
+    for m, dm in parts.items():
+        img = apply_derivation(dm, g)
+        if img.is_zero:
+            continue
+        comps = homogeneous_components(img, w)
+        if list(comps) != [m + k]:
+            ok = False
+    if not ok:
+        rep.failures.append(_counterexample(n=n, g=g, w=list(w)))
 
 
-def _suite_prop55(seed: int, cases: int) -> RunReport:
+@_per_case("prop55")
+def _case_prop55(rng: random.Random, rep: RunReport) -> None:
     """The univariate extension verifies and kills l_1, r_1 in two steps."""
-    rng = random.Random(seed)
-    rep = RunReport("prop55", seed, cases)
-    for _ in range(cases):
-        n = rng.randint(2, 3)
-        g = rand_univariate_last(rng, n, 5)
-        d = extend_lnd_prop55(n, g)
-        ok = d.verified
-        for x in (gen_l(n, 1), gen_r(n, 1)):
-            probe = probe_nilpotent(d, x, 3)
-            ok = ok and isinstance(probe, ZeroAt) and probe.k <= 2
-        if not ok:
-            rep.failures.append(_counterexample(n=n, g=g))
-    return rep
+    n = rng.randint(2, 3)
+    g = rand_univariate_last(rng, n, 5)
+    d = extend_lnd_prop55(n, g)
+    ok = d.verified
+    for x in (gen_l(n, 1), gen_r(n, 1)):
+        probe = probe_nilpotent(d, x, 3)
+        ok = ok and isinstance(probe, ZeroAt) and probe.k <= 2
+    if not ok:
+        rep.failures.append(_counterexample(n=n, g=g))
 
 
+@_suite("equ5")
 def _suite_equ5(seed: int, cases: int) -> RunReport:
     """r_1 w = w r_1 + r_1 d(w)/dl_1 r_1 in U_1."""
     rng = random.Random(seed)
@@ -543,37 +556,15 @@ def _suite_equ5(seed: int, cases: int) -> RunReport:
     return rep
 
 
-def _suite_thm72pair(seed: int, cases: int) -> RunReport:
+@_per_case("thm72pair")
+def _case_thm72pair(rng: random.Random, rep: RunReport) -> None:
     """Closed-form U_1 automorphism pairs verify and invert exactly."""
-    rng = random.Random(seed)
-    rep = RunReport("thm72pair", seed, cases)
-    for _ in range(cases):
-        alpha = rand_coeff(rng)
-        h = rand_rpoly(rng, 1, 5)
-        phi, psi = u1_closed_form(alpha, h)
-        ok = phi.verified and psi.verified and check_inverse_pair(phi, psi)
-        if not ok:
-            rep.failures.append(_counterexample(alpha=str(alpha), h=h))
-    return rep
-
-
-SUITES = {
-    "lemma22": _suite_lemma22,
-    "cor23": _suite_cor23,
-    "cor25": _suite_cor25,
-    "lemma26": _suite_lemma26,
-    "lemma27": _suite_lemma27,
-    "lemma28": _suite_lemma28,
-    "lemma31": _suite_lemma31,
-    "prop32": _suite_prop32,
-    "lemma33": _suite_lemma33,
-    "lemma41": _suite_lemma41,
-    "example41": _suite_example41,
-    "lemma44": _suite_lemma44,
-    "prop55": _suite_prop55,
-    "equ5": _suite_equ5,
-    "thm72pair": _suite_thm72pair,
-}
+    alpha = rand_coeff(rng)
+    h = rand_rpoly(rng, 1, 5)
+    phi, psi = u1_closed_form(alpha, h)
+    ok = phi.verified and psi.verified and check_inverse_pair(phi, psi)
+    if not ok:
+        rep.failures.append(_counterexample(alpha=str(alpha), h=h))
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> RunReport:

@@ -382,3 +382,8 @@ class TestCanonicity:
         data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": "1/0"}]}
         with pytest.raises(DomainError):
             element_from_json(data)
+
+    def test_json_float_coefficient_refused(self):
+        data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": 0.1}]}
+        with pytest.raises(TypeError, match="not an exact rational"):
+            element_from_json(data)

@@ -1,6 +1,7 @@
 """Expression grammar, canonical formatting, and the CLI contract."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -91,6 +92,26 @@ class TestCliBasics:
         code, out, _ = run_cli(capsys, "-n", "2", "norm", "r1*l2")
         assert code == 0
         assert out == "l2*r1 + r1*r2\n"
+
+    def test_coefficient_past_int_str_limit(self, capsys):
+        # r1*l1^k ends in k!*r1^(k+1); 1700! has 4756 digits, past the 4300
+        # that int/str conversion allows by default
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "-n", "1", "norm", "r1*l1^1700")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            last = f"{math.factorial(1700)}*" + "*".join(["r1"] * 1701) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.rsplit(" + ", 1)[1] == last
+
+    def test_literal_past_int_str_limit(self, capsys):
+        literal = "7" * 5000
+        code, out, err = run_cli(capsys, "-n", "1", "norm", f"{literal}*l1")
+        assert code == 0 and err == ""
+        assert out == f"{literal}*l1\n"
 
     def test_norm_cancellation(self, capsys):
         code, out, _ = run_cli(capsys, "-n", "1", "norm", "l1 - l1")
@@ -292,6 +313,19 @@ class TestCliMaps:
         code, out, _ = run_cli(capsys, "der", "check", str(DATA / "example41.json"))
         assert code == 0
         assert out == "derivation: OK\n"
+
+    def test_float_coefficient_exit_2(self, capsys, tmp_path):
+        one_half = {"n": 1, "terms": [{"l": [0], "r": [], "c": 0.5}]}
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({
+            "n": 1,
+            "kind": "derivation",
+            "l_images": [one_half],
+            "r_images": [{"n": 1, "terms": []}],
+        }))
+        code, out, err = run_cli(capsys, "der", "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"lsea: bad map file {path}: not an exact rational: 0.5\n"
 
     def test_der_check_fail_exit_1(self, capsys, tmp_path):
         bad = {

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from lsea import solver
-from lsea.linalg import RowReduction, invert_dense, reduction_of, solve, system_json
+from lsea.linalg import (
+    RowReduction,
+    as_fraction,
+    invert_dense,
+    reduction_of,
+    solve,
+    system_json,
+)
+from lsea.solver import graded_slice, uncoords
 
 
 def rand_matrix(rng, rows, cols, density=0.6):
@@ -91,6 +99,20 @@ def test_dense_input_errors():
         invert_dense([[1, 2]])
     with pytest.raises(ValueError, match="singular"):
         invert_dense([[1, 2], [2, 4]])
+
+
+def test_floats_refused():
+    # Fraction(0.1) would be the binary double, not 1/10
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        solve([[1, 0.5]], [Fraction(1, 10)])
+    with pytest.raises(TypeError, match="not an exact rational: 0.1"):
+        solve([[1, Fraction(1, 2)]], [0.1])
+    with pytest.raises(TypeError):
+        reduction_of([[1.0]])
+    with pytest.raises(TypeError):
+        uncoords([Fraction(1), 0.5], graded_slice(1, 1))
+    assert solve([[1, "1/2"]], ["1/10"]).solution == [Fraction(1, 10), 0]
+    assert as_fraction(True) == 1 and as_fraction("-2/4") == Fraction(-1, 2)
 
 
 def test_matrix_json_shape():

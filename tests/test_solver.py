@@ -88,6 +88,19 @@ class TestSlices:
             for m in range(4):
                 assert weighted_slice(n, m, (1,) * n).basis == graded_slice(n, m).basis
 
+    def test_slice_bases_pinned(self):
+        # SHA-256 of every basis for n <= 3, m <= 6, with and without I,
+        # recorded from the stars-and-bars enumerator of the unit-weight slice
+        lines = []
+        for n in (1, 2, 3):
+            for m in range(-1, 7):
+                for restrict in (False, True):
+                    s = graded_slice(n, m, restrict)
+                    basis = [tuple(map(tuple, w)) for w in s.basis]
+                    lines.append(repr((n, m, restrict, basis)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "cd08e60c43e7347878ac74aea5ed78ed8b45a0450b5cb67deb93cc8b0652fc74"
+
     def test_weighted_slice_needs_positive_weights(self):
         with pytest.raises(DomainError):
             weighted_slice(2, 3, (1, 0))

@@ -1,6 +1,7 @@
 """The seeded suite runner itself: every suite passes, reports are stable."""
 
 import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from lsea import verify
+from lsea.cli import main
+from lsea.maps import AnomalyError
 from lsea.parser import format_element
 from lsea.verify import SUITES, run_suite
 
@@ -123,3 +126,52 @@ def test_sampler_draws_pinned(name):
             lines.append(format_element(draw(rng, 1 + k % 3)))
         lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _forced_anomaly(*args, **kwargs):
+    raise AnomalyError("forced", payload={"why": "test"})
+
+
+# SHA-256 of the sorted-key JSON of the anomalies list at seed 3, 4 cases
+ANOMALY_PINS = {
+    "lemma26": (
+        "ad_preimage",
+        {"input", "payload"},
+        "f04bbbf200dcfac68546e0be1ec502d3859f2727db5842c53cdef915816e3ea0",
+    ),
+    "lemma28": (
+        "rfactor_decompose",
+        {"k", "i", "j", "payload"},
+        "57eb46bea705301d87d4d022436ef3d9dec4d7d672111747f8c6ac59278eeb90",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ANOMALY_PINS))
+def test_anomalies_recorded_per_case(monkeypatch, suite):
+    solver_fn, keys, digest = ANOMALY_PINS[suite]
+    monkeypatch.setattr(verify, solver_fn, _forced_anomaly)
+    report = run_suite(suite, seed=3, cases=4)
+    assert report.line() == f"suite {suite}: seed=3 cases=4 failures=0 anomalies=4"
+    assert not report.failures and not report.ok
+    assert all(set(a) == keys and a["payload"] == {"why": "test"} for a in report.anomalies)
+    text = json.dumps(report.anomalies, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_lemma27_anomalies_recorded_per_degree(monkeypatch):
+    monkeypatch.setattr(verify, "lemma27_solutions", _forced_anomaly)
+    report = run_suite("lemma27", seed=3, cases=4)
+    assert report.line() == "suite lemma27: seed=3 cases=0 failures=0 anomalies=4"
+    assert report.anomalies == [
+        {"i": i, "degree": d, "payload": {"why": "test"}} for i in (1, 2) for d in (2, 3)
+    ]
+
+
+def test_uncaught_anomaly_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "graded_parts", _forced_anomaly)
+    code = main(["verify", "lemma44", "--seed", "0", "--cases", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "suite lemma44: anomaly\n"
+    assert json.loads(captured.out) == {"anomaly": "forced", "payload": {"why": "test"}}
