@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
-
-from .linalg import as_fraction
 
 # Optional cap on the number of stored terms of any constructed element.
 # None means unlimited.  The CLI sets this from --max-terms / LSEA_MAX_TERMS;
@@ -60,6 +59,31 @@ class TermBudgetExceeded(RuntimeError):
 
 # Degree of the zero element; compares strictly below every integer.
 NEG_INF = -inf
+
+
+def as_fraction(x) -> Fraction:
+    """x as an exact rational: a Fraction as is, an int or a str converted;
+    anything else, a float included, raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _int_str(k: int) -> str:
+    # the int/str digit limit is never set below 640 digits (2126 bits)
+    return str(k) if k.bit_length() <= 2000 else str(Decimal(k))
+
+
+def exact_str(c) -> str:
+    """str(c) for an int or a Fraction, however many digits it has.
+
+    Long ints are written through Decimal, which the interpreter's int/str
+    digit limit does not cover, so the limit is neither read nor changed.
+    """
+    num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 class BasisWord(NamedTuple):
@@ -665,7 +689,7 @@ def element_to_json(g: Element) -> dict:
     return {
         "n": g.n,
         "terms": [
-            {"l": list(w.lexp), "r": list(w.rword), "c": str(c)}
+            {"l": list(w.lexp), "r": list(w.rword), "c": exact_str(c)}
             for w, c in g.canonical_terms()
         ],
     }

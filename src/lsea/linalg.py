@@ -1,11 +1,15 @@
 """Exact rational linear algebra: RREF, solving, kernels, certificates.
 
-Everything here works over `fractions.Fraction`.  A system is a list of
-sparse rows, column->value dicts, because the operator matrices arising from
-graded slices are mostly zeros.  Dense row lists enter only through
-`reduction_of`, and `system_json` is the one dense view, for anomaly payloads.
-Elimination indexes the rows holding each column and logs its row
-operations; right-hand sides and certificates replay that log.
+A system is a list of sparse rows, column->value dicts, because the operator
+matrices arising from graded slices are mostly zeros; entries are exact
+rationals.  Elimination is fraction-free: each row is scaled once to ints,
+by the lcm of its denominators, and every step replaces a row by an int
+combination of it and the pivot row, with its content divided out.  Kernel
+vectors are read off those int rows.  Right-hand sides and certificates
+replay a rational operation log that is derived from the int log on first
+use, so an elimination whose kernel alone is wanted builds no Fraction.
+Dense row lists enter only through `reduction_of`, and `system_json` is the
+one dense view, for anomaly payloads.
 """
 
 from __future__ import annotations
@@ -13,19 +17,23 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+
+from .algebra import _charge, as_fraction, exact_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = {int}
 
 
-def as_fraction(x) -> Fraction:
-    """x as an exact rational: a Fraction as is, an int or a str converted;
-    anything else, a float included, raises TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+def _int_row(row: dict) -> tuple[dict, int]:
+    """(mu * row, mu) with mu the lcm of the denominators of the entries."""
+    if set(map(type, row.values())) <= _INT:
+        return dict(row), 1
+    row = {j: as_fraction(v) for j, v in row.items()}
+    mu = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (mu // v.denominator) for j, v in row.items()}, mu
 
 
 class RowReduction:
@@ -34,16 +42,25 @@ class RowReduction:
     Columns are eliminated left to right; a column's pivot is the unused row
     holding it with the fewest nonzeros, then the lowest index, so runs are
     deterministic.  A column -> rows index, kept through fill-in and
-    cancellation, limits each step to the rows holding its column.  A step is
-    logged as (pivot row, 1/pivot, [(row, factor), ...]); `solve` replays the
-    log on b and, only when b is inconsistent, rebuilds from it a left null
-    vector certifying that.
+    cancellation, limits each step to the rows holding its column.
+
+    Rows are kept as ints: row i of the rational elimination is the int row
+    divided by a scale.  A step with pivot value pv turns a row w holding
+    entry a into (pv/g) w - (a/g) prow, with g = gcd(pv, a) signed like pv,
+    and divides out its content c; it is logged as (pivot row, pv,
+    [(row, a, g * c), ...]).  Scaling keeps supports, so pivots are those of
+    the rational elimination.  The longest row a step updates is charged to
+    the term budget.
     """
 
     def __init__(self, rows: int, cols: int, sparse_rows):
         self.rows = rows
         self.cols = cols
-        work = [dict(r) for r in sparse_rows]
+        work, scales = [], []
+        for r in sparse_rows:
+            w, mu = _int_row(r)
+            work.append(w)
+            scales.append(mu)
         if len(work) != rows:
             raise ValueError("row count mismatch")
         holders = defaultdict(set)
@@ -53,28 +70,34 @@ class RowReduction:
 
         log = []
         pivot_of_col: dict[int, int] = {}
-        free: list[int] = []
+        free_holders: dict[int, list[int]] = {}
         unused = set(range(rows))
         for col in range(cols):
             holding = sorted(i for i in holders.pop(col, ()) if work[i][col])
             candidates = [i for i in holding if i in unused]
             if not candidates:
-                free.append(col)
+                # rows holding a free column keep it to the end, and no
+                # later step moves it into another row
+                free_holders[col] = holding
                 continue
             piv = min(candidates, key=lambda i: (len(work[i]), i))
             unused.discard(piv)
-            inv = _ONE / work[piv][col]
-            if inv != 1:
-                work[piv] = {j: v * inv for j, v in work[piv].items()}
             prow = work[piv]
+            pv = prow[col]
             steps = []
+            longest = 0
             for i in holding:
                 if i == piv:
                     continue
                 wi = work[i]
-                factor = wi[col]
+                a = wi[col]
+                g = gcd(pv, a) if pv > 0 else -gcd(pv, a)
+                p, q = pv // g, a // g
+                if p != 1:
+                    for j in wi:
+                        wi[j] *= p
                 for j, v in prow.items():
-                    acc = wi.get(j, _ZERO) - factor * v
+                    acc = wi.get(j, 0) - q * v
                     if acc:
                         if j not in wi:
                             holders[j].add(i)
@@ -82,17 +105,47 @@ class RowReduction:
                     elif j in wi:
                         del wi[j]
                         holders[j].discard(i)
-                steps.append((i, factor))
-            log.append((piv, inv, steps))
+                c = gcd(*wi.values()) or 1
+                if c > 1:
+                    for j in wi:
+                        wi[j] //= c
+                steps.append((i, a, g * c))
+                if len(wi) > longest:
+                    longest = len(wi)
+            _charge(longest)
+            log.append((piv, pv, steps))
             pivot_of_col[col] = piv
 
         self._work = work
-        self._log = log
+        self._scales = scales
+        self._int_log = log
+        self._free_holders = free_holders
         self.pivot_of_col = pivot_of_col
         self.pivot_cols = sorted(pivot_of_col)
-        self.free_cols = free
+        self.free_cols = list(free_holders)
         self.rank = len(self.pivot_cols)
         self._nonpivot_rows = sorted(unused)
+
+    @cached_property
+    def _log(self) -> list:
+        """The int log as rational row operations (pivot row, 1/pivot,
+        [(row, factor), ...]).  Row i of the rational elimination is the int
+        row times den/num, with mu[i] = (num, den) kept in lowest terms."""
+        mu = [(m, 1) for m in self._scales]
+        log = []
+        for piv, pv, steps in self._int_log:
+            num, den = mu[piv]
+            inv = Fraction(num, den * pv)
+            mu[piv] = (pv, 1)
+            factors = []
+            for i, a, s in steps:
+                num, den = mu[i]
+                factors.append((i, Fraction(a * den, num)))
+                num, den = num * pv, den * s
+                g = gcd(num, den)
+                mu[i] = (num // g, den // g)
+            log.append((piv, inv, factors))
+        return log
 
     def _certificate(self, row: int) -> list[Fraction]:
         """Row `row` of the product of the logged operations, y with y*A = 0
@@ -127,17 +180,30 @@ class RowReduction:
             x[col] = b[row]
         return x, None
 
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """One kernel vector per free column, deterministic order."""
-        basis = []
+    def kernel_vectors(self) -> list[tuple[int, dict[int, int]]]:
+        """One kernel vector per free column, deterministic order, each as
+        (den, {col: numerator}) in column order: the free column holds den,
+        and a pivot column the negated entry of its reduced row, over den."""
+        work = self._work
+        col_of_row = {row: col for col, row in self.pivot_of_col.items()}
+        out = []
         for f in self.free_cols:
-            vec = [_ZERO] * self.cols
-            vec[f] = _ONE
-            for col, row in self.pivot_of_col.items():
-                coef = self._work[row].get(f)
-                if coef:
-                    vec[col] = -coef
-            basis.append(vec)
+            entries = [(col_of_row[i], work[i]) for i in self._free_holders[f]]
+            den = lcm(*(w[col] for col, w in entries))
+            vec = {f: den}
+            for col, w in entries:
+                vec[col] = -w[f] * (den // w[col])
+            out.append((den, dict(sorted(vec.items()))))
+        return out
+
+    def kernel_basis(self) -> list[list[Fraction]]:
+        """The kernel vectors as dense Fraction lists."""
+        basis = []
+        for den, vec in self.kernel_vectors():
+            dense = [_ZERO] * self.cols
+            for col, v in vec.items():
+                dense[col] = Fraction(v, den)
+            basis.append(dense)
         return basis
 
 
@@ -157,7 +223,7 @@ def system_json(sparse_rows, cols: int) -> dict:
         "rows": len(sparse_rows),
         "cols": cols,
         "entries": [
-            [str(row.get(j, 0)) for j in range(cols)] for row in sparse_rows
+            [exact_str(row.get(j, 0)) for j in range(cols)] for row in sparse_rows
         ],
     }
 

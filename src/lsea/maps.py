@@ -31,6 +31,7 @@ from .algebra import (
     _from_ints,
     commutator,
     element_to_json,
+    exact_str,
     gen_l,
     gen_r,
     homogeneous_components,
@@ -631,7 +632,7 @@ def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
         (inv * gen_l(1, 1) - inv * _substitute(h, (), (inv * gen_r(1, 1),)),),
         (inv * gen_r(1, 1),),
     )
-    context = {"alpha": str(alpha), "h": element_to_json(h)}
+    context = {"alpha": exact_str(alpha), "h": element_to_json(h)}
     phi = require_verified(phi, "closed-form U_1 map fails the relations", **context)
     psi = require_verified(psi, "closed-form U_1 inverse fails the relations", **context)
     if not check_inverse_pair(phi, psi):

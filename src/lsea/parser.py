@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import DomainError, Element, gen_l, gen_r
+from .algebra import DomainError, Element, exact_str, gen_l, gen_r
 
 
 class ExprSyntaxError(ValueError):
@@ -194,11 +194,11 @@ def format_element(g: Element) -> str:
         ws = _word_str(word)
         mag = abs(c)
         if not ws:
-            body = str(mag)
+            body = exact_str(mag)
         elif mag == 1:
             body = ws
         else:
-            body = f"{mag}*{ws}"
+            body = f"{exact_str(mag)}*{ws}"
         pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = body if sign == "+" else f"-{body}"

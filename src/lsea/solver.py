@@ -39,6 +39,7 @@ from .algebra import (
     _rword_past_monomial,
     commutator,
     element_to_json,
+    exact_str,
     gen_l,
     gen_r,
     in_I,
@@ -287,9 +288,9 @@ def ad_preimage(us) -> tuple[Element, int]:
                 "n": n,
                 "degree": t,
                 "images": [element_to_json(u) for u in us],
-                "certificate": [str(c) for c in cert],
+                "certificate": [exact_str(c) for c in cert],
                 "system": system_json(sparse_rows, unknown.dim),
-                "rhs": [str(c) for c in b],
+                "rhs": [exact_str(c) for c in b],
             },
         )
     return uncoords(x, unknown), len(red.free_cols)
@@ -323,11 +324,11 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     _assemble(rows, 0, target, 0, unknown, condition)
     red = RowReduction(target.dim, unknown.dim, rows)
     out = []
-    for vec in red.kernel_basis():
-        g = uncoords(vec, unknown)
+    for den, vec in red.kernel_vectors():
+        g = _from_ints(n, {unknown.basis[c]: v for c, v in vec.items()}, den)
         lc = lm_lc(g)[1]
         ok = all(
-            len(w.rword) == 2 and w.rword[0] == i for w, _ in lc.terms()
+            len(w.rword) == 2 and w.rword[0] == i for w, _ in lc.int_terms()[1]
         )
         if not ok:
             raise AnomalyError(
@@ -410,13 +411,6 @@ def derivation_space(
     if total_unknowns == 0:
         return []
 
-    def images_from_vector(vec):
-        imgs = []
-        for slot, s in enumerate(slot_slices):
-            chunk = vec[offsets[slot] : offsets[slot + 1]]
-            imgs.append(uncoords(chunk, s))
-        return tuple(imgs[:n]), tuple(imgs[n:])
-
     rels = list(relations(n))
     residual_slices = [
         weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights)
@@ -445,12 +439,17 @@ def derivation_space(
             )
 
     red = RowReduction(total_rows, total_unknowns, sparse_rows)
+    slot_words = [(slot, w) for slot, s in enumerate(slot_slices) for w in s.basis]
     out = []
-    for vec in red.kernel_basis():
-        l_imgs, r_imgs = images_from_vector(vec)
+    for den, vec in red.kernel_vectors():
+        chunks = [{} for _ in slot_slices]
+        for col, v in vec.items():
+            slot, w = slot_words[col]
+            chunks[slot][w] = v
+        imgs = tuple(_from_ints(n, chunk, den) for chunk in chunks)
         out.append(
             require_verified(
-                Derivation(n, l_imgs, r_imgs),
+                Derivation(n, imgs[:n], imgs[n:]),
                 "kernel member failed the relation re-check",
                 wdeg=m,
                 weights=list(weights),

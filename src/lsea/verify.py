@@ -24,6 +24,7 @@ from fractions import Fraction
 from .algebra import (
     Element,
     element_to_json,
+    exact_str,
     gen_l,
     gen_r,
     homogeneous_components,
@@ -564,7 +565,7 @@ def _case_thm72pair(rng: random.Random, rep: RunReport) -> None:
     phi, psi = u1_closed_form(alpha, h)
     ok = phi.verified and psi.verified and check_inverse_pair(phi, psi)
     if not ok:
-        rep.failures.append(_counterexample(alpha=str(alpha), h=h))
+        rep.failures.append(_counterexample(alpha=exact_str(alpha), h=h))
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> RunReport:

@@ -5,11 +5,12 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lsea import Element, gen_l, gen_r, mul
+from lsea import Element, element_to_json, gen_l, gen_r, mul
 from lsea.cli import MAX_K, MAX_N, build_parser, main
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import rand_element
@@ -85,6 +86,26 @@ class TestFormat:
             n = rng.randint(1, 3)
             g = rand_element(rng, n, 4)
             assert parse_element(format_element(g), n) == g
+
+    def test_coefficients_past_int_str_limit_in_process(self):
+        # 1700! has 4756 digits; the rational coefficient has a numerator and
+        # a denominator past the limit too
+        g = mul(gen_r(1, 1), gen_l(1, 1) ** 1700)
+        h = Element.from_word(1, (0,), (1,), Fraction(-(7**6000), 11**5000))
+        limit = sys.get_int_max_str_digits()
+        text, data = format_element(g), element_to_json(g)
+        h_text, h_data = format_element(h), element_to_json(h)
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            big = str(math.factorial(1700))
+            ratio = f"{7**6000}/{11**5000}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text.rsplit(" + ", 1)[1] == f"{big}*" + "*".join(["r1"] * 1701)
+        assert data["terms"][-1] == {"l": [0], "r": [1] * 1701, "c": big}
+        assert h_text == f"-{ratio}*r1"
+        assert h_data["terms"] == [{"l": [0], "r": [1], "c": f"-{ratio}"}]
 
 
 class TestCliBasics:
