@@ -349,7 +349,7 @@ def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
 
 
 def _int_form(coeffs: dict) -> tuple[dict, int]:
-    """(nums, den) for a map of nonzero Fractions: den is the lcm of their
+    """(nums, den) for a map of Fractions: den is the lcm of their
     denominators, which leaves no factor common to den and every numerator."""
     den = lcm(*[c.denominator for c in coeffs.values()])
     return {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}, den

@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import (
     TERM_BUDGET,
@@ -25,6 +24,7 @@ from .algebra import (
     DomainError,
     Element,
     TermBudgetExceeded,
+    as_fraction,
     element_from_json,
     element_to_json,
     homogeneous_components,
@@ -410,7 +410,7 @@ def _endo_affine(args):
 
 def _u1_pair(args):
     try:
-        alpha = Fraction(args.alpha)
+        alpha = as_fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad --alpha: {exc}") from exc
     h = parse_element(args.h, 1)
@@ -454,6 +454,8 @@ def _solve_derspace(args):
 
 
 def _verify(args):
+    if args.cases < 1:
+        raise _CliFailure(USAGE_ERROR, f"--cases must be at least 1, got {args.cases}")
     try:
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     except AnomalyError as exc:

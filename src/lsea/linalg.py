@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .algebra import _charge, as_fraction, exact_str
+from .algebra import _charge, _int_form, as_fraction, exact_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,9 +31,7 @@ def _int_row(row: dict) -> tuple[dict, int]:
     """(mu * row, mu) with mu the lcm of the denominators of the entries."""
     if set(map(type, row.values())) <= _INT:
         return dict(row), 1
-    row = {j: as_fraction(v) for j, v in row.items()}
-    mu = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (mu // v.denominator) for j, v in row.items()}, mu
+    return _int_form({j: as_fraction(v) for j, v in row.items()})
 
 
 class RowReduction:

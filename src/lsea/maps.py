@@ -19,7 +19,6 @@ automorphisms with closed-form inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -29,6 +28,7 @@ from .algebra import (
     DomainError,
     Element,
     _from_ints,
+    as_fraction,
     commutator,
     element_to_json,
     exact_str,
@@ -126,9 +126,10 @@ def identity_endo(n: int) -> Endomorphism:
 # Each relation instance is written once, as signed two-letter words over the
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
 # letter by letter.  A derivation's residual is the table the Leibniz rule
-# gives on each word (`derivation_residual_terms`): `check_derivation`
-# evaluates it with `mul`, and the solver evaluates it on unit basis words to
-# assemble the rows of homogeneous derivation spaces.
+# gives on each word (`derivation_residual_terms`), grouped by the slot whose
+# image enters: `check_derivation` evaluates it with `mul` on the images, and
+# the solver hands each slot's products to its assembly unchanged to build
+# the rows of homogeneous derivation spaces.
 
 
 def relations(n: int):
@@ -155,17 +156,19 @@ def relation_words(n: int, kind: str, i: int, j: int):
     return ((1, ri, lj), (-1, lj, ri), (-1, ri, rj))
 
 
-def derivation_residual_terms(n: int, kind: str, i: int, j: int):
-    """D applied to relation instance (kind, i, j), as signed factor pairs.
+def derivation_residual_terms(n: int, kind: str, i: int, j: int) -> dict:
+    """D applied to relation instance (kind, i, j), grouped by image slot.
 
-    Each word a b gives D(a) b + a D(b).  A term is (sign, left, right) and a
-    factor is (slot, image): the image under D of the generator in `slot`
-    when `image` is true, that generator itself otherwise.
+    Each word a b gives D(a) b + a D(b).  The table maps a slot to its
+    products (sign, left, right): one factor is None, standing for D of the
+    generator in that slot, and the other is a generator slot.  The keys are
+    l_i, l_j for "s1" and r_i, l_j, r_j for "s2".
     """
-    terms = []
+    table: dict[int, list] = {}
     for sign, a, b in relation_words(n, kind, i, j):
-        terms += [(sign, (a, True), (b, False)), (sign, (a, False), (b, True))]
-    return terms
+        table.setdefault(a, []).append((sign, None, b))
+        table.setdefault(b, []).append((sign, a, None))
+    return table
 
 
 def _image(m, slot: int) -> Element:
@@ -187,40 +190,14 @@ def _signed_sum(n: int, products) -> Element:
 def derivation_residual(data, kind: str, i: int, j: int) -> Element:
     """The residual table of (kind, i, j) evaluated on data's images with `mul`."""
     n = data.n
-
-    def factor(slot, image):
-        return _image(data, slot) if image else _generator(n, slot)
-
-    terms = derivation_residual_terms(n, kind, i, j)
-    return _signed_sum(n, [(sign, factor(*a), factor(*b)) for sign, a, b in terms])
-
-
-def derivation_residual_commute(data, i: int, j: int) -> Element:
-    """D applied to l_i l_j - l_j l_i, for i < j."""
-    return derivation_residual(data, "s1", i, j)
-
-
-def derivation_residual_straighten(data, i: int, j: int) -> Element:
-    """D applied to r_i l_j - l_j r_i - r_i r_j."""
-    return derivation_residual(data, "s2", i, j)
-
-
-DERIVATION_RESIDUALS = {
-    "s1": derivation_residual_commute,
-    "s2": derivation_residual_straighten,
-}
-
-
-def derivation_residual_slots(n: int, kind: str, i: int, j: int) -> set[int]:
-    """Generator slots (l_1..l_n, then r_1..r_n, from 0) whose images enter
-    the residual of relation instance (kind, i, j): l_i, l_j for "s1" and
-    l_j, r_i, r_j for "s2"."""
-    return {
-        slot
-        for _, left, right in derivation_residual_terms(n, kind, i, j)
-        for slot, image in (left, right)
-        if image
-    }
+    products = []
+    for slot, terms in derivation_residual_terms(n, kind, i, j).items():
+        image = _image(data, slot)
+        for sign, left, right in terms:
+            left = image if left is None else _generator(n, left)
+            right = image if right is None else _generator(n, right)
+            products.append((sign, left, right))
+    return _signed_sum(n, products)
 
 
 def endo_residual(e, kind: str, i: int, j: int) -> Element:
@@ -614,14 +591,14 @@ def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
     The inverse sends l1 to a^{-1} l1 - a^{-1} h(a^{-1} r1) and r1 to
     a^{-1} r1; both directions are checked and composed to the identity.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not alpha:
         raise DomainError("scale factor must be nonzero")
     if h.n != 1:
         raise AmbientMismatch("closed form lives in U_1")
     if not in_R(h):
         raise DomainError("shift term must be a polynomial in r_1")
-    inv = Fraction(1) / alpha
+    inv = 1 / alpha
     phi = Endomorphism(
         1,
         (alpha * gen_l(1, 1) + h,),
@@ -675,7 +652,7 @@ def identity_tuple(n: int) -> tuple[Element, ...]:
 
 def elementary_tuple(n: int, i: int, alpha, f: Element):
     """l_i -> alpha*l_i + f with f free of l_i; returns (tuple, inverse tuple)."""
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not alpha:
         raise DomainError("elementary scale must be nonzero")
     if not 1 <= i <= n:
@@ -693,8 +670,8 @@ def elementary_tuple(n: int, i: int, alpha, f: Element):
 
 def affine_tuple(n: int, matrix, shift=None):
     """l_i -> sum_j A[i][j] l_j + c_i for invertible A; returns both tuples."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    c = [Fraction(x) for x in (shift or [0] * n)]
+    a = [[as_fraction(x) for x in row] for row in matrix]
+    c = [as_fraction(x) for x in (shift or [0] * n)]
     if len(a) != n or any(len(row) != n for row in a) or len(c) != n:
         raise DomainError("affine data has wrong shape")
     a_inv = linalg.invert_dense(a)  # raises ValueError when singular
@@ -716,7 +693,7 @@ def affine_tuple(n: int, matrix, shift=None):
 
 def triangular_tuple(n: int, alphas, fs: Sequence[Element]):
     """l_i -> alpha_i l_i + f_i(l_{i+1}..l_n); returns (tuple, inverse tuple)."""
-    alphas = [Fraction(x) for x in alphas]
+    alphas = [as_fraction(x) for x in alphas]
     fs = list(fs)
     if len(alphas) != n or len(fs) != n or any(not a for a in alphas):
         raise DomainError("triangular data has wrong shape")

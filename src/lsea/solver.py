@@ -12,8 +12,9 @@ the relation residuals of derivation spaces) are assembled column by column:
 each column's image is a signed sum of products of one basis word with one
 generator, and each such product is read off the integer straightening
 constants that `mul` uses, so the rows hold ints and no Element is built.
-The residuals come from the one residual table in `maps`, which
-`check_derivation` evaluates with `mul` when it re-checks every solution.
+All three share the (sign, left, right) form of the one residual table in
+`maps`: derivation spaces pass its entries as they are, and
+`check_derivation` evaluates it with `mul` when it re-checks every solution.
 
 Whenever a solve contradicts one of the proved existence statements the
 failure is raised as `AnomalyError` carrying the full offending system;
@@ -53,7 +54,6 @@ from .linalg import RowReduction, as_fraction, system_json
 from .maps import (
     AnomalyError,
     Derivation,
-    derivation_residual_slots,
     derivation_residual_terms,
     relations,
     require_verified,
@@ -192,13 +192,20 @@ def _generator_word(n: int, slot: int) -> BasisWord:
 def _assemble(rows, row_base, target, col_base, source, products) -> None:
     """Write into `rows` the integer matrix of w -> sum(sign * left * right).
 
-    `products` holds (sign, left, right) with one factor a generator word and
-    the other None, standing for the unit basis word w of `source`; the image
-    of the k-th word fills column col_base + k of rows row_base + position in
-    `target`.  Each product of two basis words is read off the straightening
-    constants `mul` uses, and each image is charged to the term budget like
-    the Element it replaces.
+    `products` holds (sign, left, right) in the form of the residual table in
+    `maps`: one factor is None, standing for the unit basis word w of
+    `source`, and the other a generator slot (l_1..l_n, then r_1..r_n, from
+    0), read here as its basis word.  The image of the k-th word fills
+    column col_base + k of rows row_base + position in `target`.  Each
+    product of two basis words is read off the straightening constants `mul`
+    uses, and each image is charged to the term budget like the Element it
+    replaces.
     """
+
+    def word(slot):
+        return None if slot is None else _generator_word(source.n, slot)
+
+    products = [(sign, word(left), word(right)) for sign, left, right in products]
     for col, w in enumerate(source.basis, col_base):
         acc: dict[tuple, int] = {}
         for sign, left, right in products:
@@ -228,8 +235,7 @@ def _ad_stack(n: int, t: int):
     image = graded_slice(n, t, restrict_to_I=True)
     sparse_rows = [{} for _ in range(n * image.dim)]
     for i in range(n):
-        li = _generator_word(n, i)
-        commutator_li = ((1, li, None), (-1, None, li))
+        commutator_li = ((1, i, None), (-1, None, i))
         _assemble(sparse_rows, i * image.dim, image, 0, unknown, commutator_li)
     red = RowReduction(len(sparse_rows), unknown.dim, sparse_rows)
     return unknown, image, sparse_rows, red
@@ -317,7 +323,7 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
         raise DomainError("degree must be >= 2")
     unknown = graded_slice(n, d, restrict_to_I=True)
     target = graded_slice(n, d + 1, restrict_to_I=True)
-    li, ri = _generator_word(n, i - 1), _generator_word(n, n + i - 1)
+    li, ri = i - 1, n + i - 1
     # -(l_i g - g l_i) - r_i g - g r_i
     condition = ((-1, li, None), (1, None, li), (-1, ri, None), (-1, None, ri))
     rows = [{} for _ in range(target.dim)]
@@ -395,8 +401,9 @@ def derivation_space(
     Unknowns are the images of the 2n generators, each confined to the slice
     of w-degree m + w_i (optionally inside I_n); the constraints are the
     relation residuals of `maps.derivation_residual_terms`, which are linear
-    in the images, evaluated on unit words.  Every basis member is re-checked
-    with check_derivation before being returned.
+    in the images: each slot's products are evaluated on the unit words of
+    that slot's slice, and images of other slots do not enter.  Every basis
+    member is re-checked with check_derivation before being returned.
     """
     weights = tuple(weights) if weights is not None else (1,) * n
     if len(weights) != n:
@@ -421,19 +428,7 @@ def derivation_space(
 
     sparse_rows = [dict() for _ in range(total_rows)]
     for rel, base, target in zip(rels, row_offsets, residual_slices):
-        terms = derivation_residual_terms(n, *rel)
-        # a unit image in `slot` keeps the products whose image factor it is;
-        # every other image is zero
-        for slot in derivation_residual_slots(n, *rel):
-            products = [
-                (
-                    sign,
-                    None if left == (slot, True) else _generator_word(n, left[0]),
-                    None if right == (slot, True) else _generator_word(n, right[0]),
-                )
-                for sign, left, right in terms
-                if (slot, True) in (left, right)
-            ]
+        for slot, products in derivation_residual_terms(n, *rel).items():
             _assemble(
                 sparse_rows, base, target, offsets[slot], slot_slices[slot], products
             )

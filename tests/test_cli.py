@@ -556,6 +556,19 @@ class TestCliVerify:
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_cases_below_one_is_usage_error(self, subprocess_env, cases):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "verify", "cor23", "--cases", cases],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"lsea: --cases must be at least 1, got {cases}\n"
+
     def test_verify_failures_exit_1(self, capsys, monkeypatch):
         import lsea.cli
         from lsea.verify import RunReport

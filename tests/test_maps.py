@@ -414,6 +414,31 @@ class TestTupleConstructors:
         assert poly_subst(f, images) == gen_l(2, 2) ** 2 + gen_l(2, 1)
 
 
+# each maps constructor with one coefficient left open
+_CONSTRUCTORS = {
+    "u1_closed_form": lambda x: u1_closed_form(x, gen_r(1, 1)),
+    "elementary_tuple": lambda x: elementary_tuple(2, 1, x, Element.zero(2)),
+    "affine_tuple_matrix": lambda x: affine_tuple(2, [[x, 1], [0, 1]]),
+    "affine_tuple_shift": lambda x: affine_tuple(2, [[1, 0], [0, 1]], [x, 0]),
+    "triangular_tuple": lambda x: triangular_tuple(
+        2, (x, 1), (gen_l(2, 2), Element.zero(2))
+    ),
+}
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+    def test_float_refused(self, name):
+        with pytest.raises(TypeError):
+            _CONSTRUCTORS[name](0.1)
+
+    @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+    def test_exact_forms_accepted(self, name):
+        build = _CONSTRUCTORS[name]
+        assert build(3) == build(Fraction(3))
+        assert build("3/2") == build(Fraction(3, 2))
+
+
 class TestU1ClosedForm:
     def test_documented_inverse(self):
         phi, psi = u1_closed_form(2, gen_r(1, 1) ** 3)

@@ -45,10 +45,9 @@ from lsea import (
 from lsea import solver
 from lsea.linalg import RowReduction
 from lsea.maps import (
-    DERIVATION_RESIDUALS,
-    derivation_residual_commute,
-    derivation_residual_slots,
-    derivation_residual_straighten,
+    derivation_residual,
+    derivation_residual_terms,
+    relation_words,
     relations,
 )
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
@@ -394,9 +393,28 @@ class TestDerivationSpace:
                 imgs[slot] = x
                 probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
                 for kind, i, j in relations(n):
-                    res = DERIVATION_RESIDUALS[kind](probe, i, j)
-                    if slot not in derivation_residual_slots(n, kind, i, j):
+                    res = derivation_residual(probe, kind, i, j)
+                    if slot not in derivation_residual_terms(n, kind, i, j):
                         assert res.is_zero, (n, slot, kind, i, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_table_shape(self, n):
+        # one product per factor of each relation word, grouped under the
+        # slot of its image factor; the other factor is a generator slot
+        for kind, i, j in relations(n):
+            table = derivation_residual_terms(n, kind, i, j)
+            li, lj, ri, rj = i - 1, j - 1, n + i - 1, n + j - 1
+            assert set(table) == ({li, lj} if kind == "s1" else {lj, ri, rj})
+            expected = []
+            for sign, a, b in relation_words(n, kind, i, j):
+                expected += [(a, (sign, None, b)), (b, (sign, a, None))]
+            got = [(slot, p) for slot, ps in table.items() for p in ps]
+            assert sorted(got, key=repr) == sorted(expected, key=repr)
+            for products in table.values():
+                for _, left, right in products:
+                    assert (left is None) != (right is None)
+                    other = right if left is None else left
+                    assert isinstance(other, int) and 0 <= other < 2 * n
 
 
 class TestWeightedSpaces:
@@ -451,10 +469,10 @@ class TestProp55UniquenessAtDeskScale:
                 out = []
                 for i in range(1, n + 1):
                     for j in range(i + 1, n + 1):
-                        out.append(derivation_residual_commute(d, i, j))
+                        out.append(derivation_residual(d, "s1", i, j))
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        out.append(derivation_residual_straighten(d, i, j))
+                        out.append(derivation_residual(d, "s2", i, j))
                 return out
 
             base_res = residuals(base)
@@ -501,7 +519,7 @@ def _rows_handed_to_elimination(monkeypatch, build):
 
 def _derivation_rows_via_elements(n, m, into_I, weights):
     """The derivation-space system built the Element way: every relation
-    residual of a unit-image Derivation probe, by DERIVATION_RESIDUALS."""
+    residual of a unit-image Derivation probe, by derivation_residual."""
     weights = weights or (1,) * n
     slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
     offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
@@ -516,7 +534,7 @@ def _derivation_rows_via_elements(n, m, into_I, weights):
             imgs[slot] = Element(n, {w: 1})
             probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
             for (kind, i, j), base, target in zip(rels, row_offsets, targets):
-                res = DERIVATION_RESIDUALS[kind](probe, i, j)
+                res = derivation_residual(probe, kind, i, j)
                 for word, c in res.terms():
                     rows[base + _slice_index(target)[word]][offsets[slot] + local] = c
     return rows
