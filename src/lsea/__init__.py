@@ -82,7 +82,6 @@ from .solver import (
     dim,
     graded_slice,
     lemma27_solutions,
-    operator_matrix,
     rfactor_decompose,
     uncoords,
     weighted_slice,

@@ -34,7 +34,7 @@ import itertools
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, inf, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
@@ -100,6 +100,10 @@ class BasisWord(NamedTuple):
         return sum(e * w for e, w in zip(self.lexp, weights)) + sum(
             weights[j - 1] for j in self.rword
         )
+
+
+# BasisWord from a (lexp, rword) pair built here, without `_make`'s length check
+_basis_word = partial(tuple.__new__, BasisWord)
 
 
 def pdeg_key(lexp: tuple[int, ...]):
@@ -465,31 +469,50 @@ def _suffix_past_monomial(rest: tuple[int, ...], lexp: tuple[int, ...]):
     return entry
 
 
+def _signed_products(products) -> dict[tuple, int]:
+    """sum(k * left * right) as a map from (lexp, rword) to nonzero int.
+
+    `products` holds (k, left, right): k an int and left, right the (word,
+    int numerator) pairs of two elements of one U_n, as `int_terms` hands
+    them out (any re-iterable pairs will do).  Every term pair is
+    multiplied and added with the int straightening constants of
+    `_rword_past_monomial` into one map, so a sum of products builds no
+    Element per product; the caller puts the map over its denominator.  The
+    --max-terms guard is charged after each term of each left factor.
+    """
+    # plain (lexp, rword) keys hash and compare like the BasisWord they become
+    acc: dict[tuple, int] = {}
+    limit = TERM_BUDGET.get()
+    for k, left, right in products:
+        for (lexp1, rword1), c1 in left:
+            c1 *= k
+            # without l-letters on the left, the straightened l-part is the key's
+            shift = any(lexp1)
+            for (lexp2, rword2), c2 in right:
+                c = c1 * c2
+                for s, v, kk in _rword_past_monomial(rword1, lexp2):
+                    key = (tuple(map(_add, lexp1, s)) if shift else s, v + rword2)
+                    total = acc.get(key, 0) + c * kk
+                    if total:
+                        acc[key] = total
+                    elif key in acc:
+                        del acc[key]
+            if limit is not None and len(acc) > limit:
+                _charge(len(acc))
+    return acc
+
+
 def mul(a: Element, b: Element) -> Element:
     """Canonical normal form of the product a * b.
 
-    The term-pair loop multiplies and adds the int numerators of a and b
-    with the int straightening constants; the result lies over the product
-    of the two denominators.  The --max-terms guard is charged after each
-    term of a and at construction.
+    One `_signed_products` call on the int numerators of a and b; the
+    result lies over the product of the two denominators.  The --max-terms
+    guard is charged after each term of a and at construction.
     """
     a._require_same_ambient(b)
-    nums_b = b._nums.items()
-    # plain (lexp, rword) keys hash and compare like the BasisWord they become
-    acc: dict[tuple, int] = {}
-    for (lexp1, rword1), c1 in a._nums.items():
-        for (lexp2, rword2), c2 in nums_b:
-            c = c1 * c2
-            for s, v, k in _rword_past_monomial(rword1, lexp2):
-                key = (tuple(map(_add, lexp1, s)), v + rword2)
-                total = acc.get(key, 0) + c * k
-                if total:
-                    acc[key] = total
-                elif key in acc:
-                    del acc[key]
-        _charge(len(acc))
+    acc = _signed_products(((1, a._nums.items(), b._nums.items()),))
     return _from_ints(
-        a.n, {BasisWord._make(key): c for key, c in acc.items()}, a._den * b._den
+        a.n, {_basis_word(key): c for key, c in acc.items()}, a._den * b._den
     )
 
 
@@ -695,7 +718,17 @@ def element_to_json(g: Element) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    """x if it is a plain int; a bool, float, str or anything else is a
+    DomainError, so JSON input never reaches a word uncanonical."""
+    if type(x) is not int:
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _json_coeff(text) -> Fraction:
+    if isinstance(text, bool):
+        raise DomainError(f"coefficient must be an integer or a string, got {text!r}")
     try:
         return as_fraction(text)
     except ZeroDivisionError as exc:
@@ -703,9 +736,16 @@ def _json_coeff(text) -> Fraction:
 
 
 def element_from_json(data: dict) -> Element:
-    n = int(data["n"])
-    terms = [
-        (BasisWord(tuple(t["l"]), tuple(t["r"])), _json_coeff(t["c"]))
-        for t in data["terms"]
-    ]
+    """The element stored in `data` by `element_to_json`.
+
+    n, every exponent and every r-letter must be a plain int and each
+    coefficient an int or a string; anything else is a DomainError.
+    """
+    n = _json_int(data["n"], "n")
+    terms = []
+    for t in data["terms"]:
+        lexp, rword = tuple(t["l"]), tuple(t["r"])
+        for x in lexp + rword:
+            _json_int(x, "an exponent or r-letter")
+        terms.append((BasisWord(lexp, rword), _json_coeff(t["c"])))
     return Element(n, terms)

@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
     TERM_BUDGET,
@@ -102,8 +103,112 @@ def _load_json(path: str) -> dict:
         raise _CliFailure(USAGE_ERROR, f"cannot read {path}: {exc}") from exc
 
 
+_TERM_KEYS = ("l", "r", "c")
+_ONLY_INTS = frozenset((int,)).issuperset
+
+
+def _indented_json(data) -> str:
+    """The text of json.dumps(data, indent=2), byte for byte, by a loop.
+
+    The stack holds text still to write (a str) and values still to write
+    ((value, newline and indent) pairs), popped in output order.  A term
+    {"l": [ints], "r": [ints], "c": str} of the JSON form of an element is
+    written from one template; every other value takes the encoder's
+    rules: ASCII-escaped strings, `int.__repr__`, true/false/null, keys in
+    insertion order, "[]" and "{}" when empty, and `json.dumps` for a float
+    or for a value it refuses.
+    """
+    out: list[str] = []
+    stack: list = [(data, "\n")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        obj, nl = item
+        if isinstance(obj, dict):
+            if (
+                type(obj) is dict
+                and tuple(obj) == _TERM_KEYS
+                and type(lexp := obj["l"]) is list
+                and type(rword := obj["r"]) is list
+                and type(c := obj["c"]) is str
+                and _ONLY_INTS(map(type, lexp + rword))
+            ):
+                head, mid_r, mid_c, tail, sep, close = _term_template(nl)
+                lexp, rword = _int_list(lexp, sep, close), _int_list(rword, sep, close)
+                out.append(f"{head}{lexp}{mid_r}{rword}{mid_c}{_quote(c)}{tail}")
+            elif not obj:
+                out.append("{}")
+            else:
+                inner = nl + "  "
+                out.append("{")
+                stack.append(nl + "}")
+                sep = "," + inner
+                for k, (key, value) in reversed(list(enumerate(obj.items()))):
+                    stack.append((value, inner))
+                    stack.append((sep if k else inner) + _json_key(key) + ": ")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+            else:
+                inner = nl + "  "
+                out.append("[")
+                stack.append(nl + "]")
+                sep = "," + inner
+                for k in range(len(obj) - 1, -1, -1):
+                    stack.append((obj[k], inner))
+                    stack.append(sep if k else inner)
+        elif isinstance(obj, str):
+            out.append(_quote(obj))
+        elif obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        else:
+            out.append(json.dumps(obj))
+    return "".join(out)
+
+
+@functools.cache
+def _term_template(nl: str) -> tuple[str, ...]:
+    """The fixed text of a term written at indent `nl`: what goes before the
+    "l" list, before the "r" list, before the coefficient and after it, and
+    the separator and closing line of a nonempty int list."""
+    inner = nl + "  "
+    return (
+        "{" + inner + '"l": ',
+        "," + inner + '"r": ',
+        "," + inner + '"c": ',
+        nl + "}",
+        "," + inner + "  ",
+        inner + "]",
+    )
+
+
+def _int_list(values: list, sep: str, close: str) -> str:
+    if not values:
+        return "[]"
+    return f"[{sep[1:]}{sep.join(map(int.__repr__, values))}{close}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: str as is; float, int, bool and
+    None as their JSON text in quotes; anything else refused."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (bool, int, float)):
+        return _quote(json.dumps(key))
+    kind = type(key).__name__
+    raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+
+
 def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=False))
+    print(_indented_json(data))
 
 
 def _leaf(sub, name: str, run, help: str, *positionals: str):

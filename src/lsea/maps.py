@@ -19,6 +19,7 @@ automorphisms with closed-form inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -27,9 +28,13 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    _basis_word,
     _from_ints,
+    _json_int,
+    _signed_products,
     as_fraction,
     commutator,
+    element_from_json,
     element_to_json,
     exact_str,
     gen_l,
@@ -127,9 +132,12 @@ def identity_endo(n: int) -> Endomorphism:
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
 # letter by letter.  A derivation's residual is the table the Leibniz rule
 # gives on each word (`derivation_residual_terms`), grouped by the slot whose
-# image enters: `check_derivation` evaluates it with `mul` on the images, and
-# the solver hands each slot's products to its assembly unchanged to build
-# the rows of homogeneous derivation spaces.
+# image enters: `check_derivation` evaluates it on the images, and the solver
+# hands each slot's products to its assembly unchanged to build the rows of
+# homogeneous derivation spaces.  Either residual is one
+# `algebra._signed_products` sum over the lcm of the products' denominators
+# (`_signed_sum`), so no Element is built per product; the check reads only
+# the map's images, never a solver's rows or kernel.
 
 
 def relations(n: int):
@@ -180,15 +188,21 @@ def _generator(n: int, slot: int) -> Element:
 
 
 def _signed_sum(n: int, products) -> Element:
-    out = Element.zero(n)
+    """sum(sign * a * b) over (sign, a, b), one `_signed_products` map over
+    the lcm of the products' denominators."""
+    terms = []
     for sign, a, b in products:
-        p = mul(a, b)
-        out = out + p if sign > 0 else out - p
-    return out
+        if a.n != n or b.n != n:
+            raise AmbientMismatch("image ambient differs from map ambient")
+        (den_a, items_a), (den_b, items_b) = a.int_terms(), b.int_terms()
+        terms.append((sign, den_a * den_b, items_a, items_b))
+    den = lcm(*(d for _, d, _, _ in terms))
+    acc = _signed_products((sign * (den // d), ia, ib) for sign, d, ia, ib in terms)
+    return _from_ints(n, {_basis_word(key): c for key, c in acc.items()}, den)
 
 
 def derivation_residual(data, kind: str, i: int, j: int) -> Element:
-    """The residual table of (kind, i, j) evaluated on data's images with `mul`."""
+    """The residual table of (kind, i, j) evaluated on data's images."""
     n = data.n
     products = []
     for slot, terms in derivation_residual_terms(n, kind, i, j).items():
@@ -728,9 +742,7 @@ def map_from_json(data: dict):
 
     A stored "verified" field is ignored: input data never carries a proof.
     """
-    from .algebra import element_from_json
-
-    n = int(data["n"])
+    n = _json_int(data["n"], "n")
     l_images = tuple(element_from_json(d) for d in data["l_images"])
     r_images = tuple(element_from_json(d) for d in data["r_images"])
     cls, check = {

@@ -1,20 +1,21 @@
 """Exact linear algebra on finite-dimensional graded slices of U_n.
 
 Makes the existence statements about the algebra constructive at desk scale:
-basis enumeration of homogeneous components, matrices of linear operators
-between slices, exact solving, preimages under the stacked inner derivations
-ad_{l_i}, enumeration of solutions of the -ad_{l_i}(g) = r_i g + g r_i
+basis enumeration of homogeneous components, coordinates in a slice basis,
+exact solving, preimages under the stacked inner derivations ad_{l_i},
+enumeration of solutions of the -ad_{l_i}(g) = r_i g + g r_i
 condition, the r_i^k factorization, and bases of homogeneous derivation
 spaces.
 
 The three solver systems (the stacked ad_{l_i}, the Lemma 2.7 condition and
 the relation residuals of derivation spaces) are assembled column by column:
 each column's image is a signed sum of products of one basis word with one
-generator, and each such product is read off the integer straightening
-constants that `mul` uses, so the rows hold ints and no Element is built.
-All three share the (sign, left, right) form of the one residual table in
-`maps`: derivation spaces pass its entries as they are, and
-`check_derivation` evaluates it with `mul` when it re-checks every solution.
+generator, computed by `algebra._signed_products`, the accumulator `mul`
+runs on, so the rows hold ints and no Element is built.  All three share
+the (sign, left, right) form of the one residual table in `maps`:
+derivation spaces pass its entries as they are, and `check_derivation`
+evaluates the same table on the images of every solution when it
+re-checks it, never on the rows or the kernel.
 
 Whenever a solve contradicts one of the proved existence statements the
 failure is raised as `AnomalyError` carrying the full offending system;
@@ -28,16 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from operator import add
 
 from .algebra import (
     BasisWord,
     DomainError,
     Element,
-    _charge,
     _from_ints,
     _int_form,
-    _rword_past_monomial,
+    _signed_products,
     commutator,
     element_to_json,
     exact_str,
@@ -142,19 +141,13 @@ def _position(w, s: GradedSlice) -> int:
     return pos
 
 
-def _positions(g: Element, s: GradedSlice):
-    """(basis position, coefficient) for each term of g in the slice s."""
-    if g.n != s.n:
-        raise DomainError("ambient mismatch between element and slice")
-    for w, c in g.terms():
-        yield _position(w, s), c
-
-
 def coords(g: Element, s: GradedSlice) -> list[Fraction]:
     """Coordinate column of a homogeneous element in the slice basis."""
+    if g.n != s.n:
+        raise DomainError("ambient mismatch between element and slice")
     col = [_ZERO] * s.dim
-    for pos, c in _positions(g, s):
-        col[pos] = c
+    for w, c in g.terms():
+        col[_position(w, s)] = c
     return col
 
 
@@ -163,20 +156,6 @@ def uncoords(col, s: GradedSlice) -> Element:
         raise DomainError("coordinate length does not match slice dimension")
     coeffs = {w: as_fraction(c) for w, c in zip(s.basis, col) if c}
     return _from_ints(s.n, *_int_form(coeffs))
-
-
-def operator_matrix(op, source: GradedSlice, target: GradedSlice) -> list[dict]:
-    """Sparse rows of a linear operator, one per target basis word.
-
-    Raises DomainError when some basis image fails to land in the target
-    slice (checked per basis vector).
-    """
-    rows = [{} for _ in range(target.dim)]
-    for col, w in enumerate(source.basis):
-        img = op(_from_ints(source.n, {w: 1}))
-        for pos, c in _positions(img, target):
-            rows[pos][col] = c
-    return rows
 
 
 # -- systems assembled from the straightening constants ----------------------
@@ -196,27 +175,19 @@ def _assemble(rows, row_base, target, col_base, source, products) -> None:
     `maps`: one factor is None, standing for the unit basis word w of
     `source`, and the other a generator slot (l_1..l_n, then r_1..r_n, from
     0), read here as its basis word.  The image of the k-th word fills
-    column col_base + k of rows row_base + position in `target`.  Each
-    product of two basis words is read off the straightening constants `mul`
-    uses, and each image is charged to the term budget like the Element it
-    replaces.
+    column col_base + k of rows row_base + position in `target`.  The
+    generators left of w add up to one int combination a, those right of it
+    to one combination b, and each image a w + w b is one `_signed_products`
+    map, read off the straightening constants and charged to the term
+    budget as `mul` would charge it.
     """
-
-    def word(slot):
-        return None if slot is None else _generator_word(source.n, slot)
-
-    products = [(sign, word(left), word(right)) for sign, left, right in products]
+    n = source.n
+    a = [(_generator_word(n, x), sign) for sign, x, _ in products if x is not None]
+    b = [(_generator_word(n, x), sign) for sign, _, x in products if x is not None]
     for col, w in enumerate(source.basis, col_base):
-        acc: dict[tuple, int] = {}
-        for sign, left, right in products:
-            lexp1, rword1 = w if left is None else left
-            lexp2, rword2 = w if right is None else right
-            for s, v, k in _rword_past_monomial(rword1, lexp2):
-                key = (tuple(map(add, lexp1, s)), v + rword2)
-                acc[key] = acc.get(key, 0) + sign * k
-        image = [(key, c) for key, c in acc.items() if c]
-        _charge(len(image))
-        for key, c in image:
+        unit = ((w, 1),)
+        image = _signed_products(((1, a, unit), (1, unit, b)))
+        for key, c in image.items():
             rows[row_base + _position(key, target)][col] = c
 
 

@@ -387,3 +387,24 @@ class TestCanonicity:
         data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": 0.1}]}
         with pytest.raises(TypeError, match="not an exact rational"):
             element_from_json(data)
+
+    @pytest.mark.parametrize(
+        "n, lexp, rword, c",
+        [
+            (2.0, [0, 1], [1, 2], "1"),
+            (True, [1], [1], "1"),
+            ("2", [0, 1], [1, 2], "1"),
+            (2, [0.0, 1], [1, 2], "1"),
+            (2, [False, 1], [1, 2], "1"),
+            (2, ["0", 1], [1, 2], "1"),
+            (2, [0, 1], [1.0, 2], "1"),
+            (2, [0, 1], [True, 2], "1"),
+            (2, [0, 1], "12", "1"),
+            (2, [0, 1], [1, 2], True),
+        ],
+    )
+    def test_json_non_int_refused(self, n, lexp, rword, c):
+        # equal to ints as they are, these would build words that are not canonical
+        data = {"n": n, "terms": [{"l": lexp, "r": rword, "c": c}]}
+        with pytest.raises(DomainError, match="must be an"):
+            element_from_json(data)

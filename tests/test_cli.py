@@ -9,11 +9,37 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsea import Element, element_to_json, gen_l, gen_r, mul
-from lsea.cli import MAX_K, MAX_N, build_parser, main
+from lsea import (
+    Derivation,
+    Element,
+    ad,
+    ad_preimage,
+    apply_derivation,
+    check_derivation,
+    derivation_space,
+    element_to_json,
+    gen_l,
+    gen_r,
+    lemma27_solutions,
+    lift_phi,
+    map_to_json,
+    mul,
+    rfactor_decompose,
+    u1_closed_form,
+)
+from lsea.cli import MAX_K, MAX_N, _indented_json, build_parser, main
+from lsea.maps import violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
-from lsea.verify import rand_element
+from lsea.verify import (
+    rand_element,
+    rand_homogeneous_I,
+    rand_lpoly,
+    rand_rpoly,
+    rand_verified_derivation,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -645,3 +671,193 @@ class TestDeterminism:
             assert code1 == code2, argv
             assert out1 == out2, argv
             assert code1 in (0, 1), argv
+
+
+# -- the indented JSON writer ---------------------------------------------------
+
+WRITER = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# any character, with quotes, backslashes, control and non-ASCII ones boosted
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\r\t\x00\x1f\x7f é€😀'))
+SCALARS = st.none() | st.booleans() | st.integers() | TEXT
+# the term shape {"l", "r", "c"} of element JSON, which the writer prints from
+# a template, and near misses of it, which it must not
+TERM = st.fixed_dictionaries(
+    {
+        "l": st.lists(st.integers(0, 3), max_size=3),
+        "r": st.lists(st.integers(1, 3), max_size=4),
+        "c": TEXT,
+    }
+)
+NEAR_TERM = st.fixed_dictionaries(
+    {
+        "l": st.lists(st.integers(0, 3) | st.booleans(), max_size=3),
+        "r": st.lists(st.integers(1, 3), max_size=4) | st.tuples(st.integers(1, 3)),
+        "c": TEXT | st.integers(),
+    }
+)
+JSON_DATA = st.recursive(
+    SCALARS | TERM | NEAR_TERM,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _call_site_payloads(seed):
+    """One payload of each shape `_emit_json` prints, built from seeded data."""
+    rng = random.Random(seed)
+    z = Element.zero(2)
+    phi = lift_phi(2, [gen_l(2, 1) + rand_lpoly(rng, 2, 2), gen_l(2, 2)])
+    pre = rand_homogeneous_I(rng, 2, 3)
+    us = [apply_derivation(ad(gen_l(2, i)), pre) for i in (1, 2)]
+    g_pre, kernel_dim = ad_preimage(us)
+    u, v = rfactor_decompose(3, 2, 1, rand_rpoly(rng, 2, 2))
+    alpha = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    phi1, psi1 = u1_closed_form(alpha, rand_rpoly(rng, 1, 3))
+    bad = check_derivation(Derivation(2, (gen_r(2, 1), z), (z, z)))[1]
+    space = derivation_space(2, 1, into_I=True)
+    sols = lemma27_solutions(2, 1, 2)
+    return {
+        "element": element_to_json(rand_element(rng, 2, 4)),
+        "zero element": element_to_json(Element.zero(3)),
+        "derivation": map_to_json(rand_verified_derivation(rng, 2)),
+        "endomorphism": map_to_json(phi),
+        "derspace": {"dim": len(space), "basis": [map_to_json(d) for d in space]},
+        "ad-preimage": {"g": element_to_json(g_pre), "kernel_dim": kernel_dim},
+        "lemma27": {"dim": len(sols), "basis": [element_to_json(h) for h in sols]},
+        "rfactor": {"u": element_to_json(u), "v": element_to_json(v)},
+        "u1 pair": {"phi": map_to_json(phi1), "psi": map_to_json(psi1)},
+        "violations": {"violations": violations_to_json(bad)},
+        "member": {"in_L": False, "in_R": True, "in_I": True},
+        "probe": {"nonzero_through": 3, "degrees": [2, 3, 4]},
+    }
+
+
+class TestIndentedJson:
+    @WRITER
+    @given(JSON_DATA)
+    def test_matches_json_dumps(self, data):
+        assert _indented_json(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            (),
+            "",
+            0,
+            -(10**40),
+            {"l": [], "r": [], "c": ""},
+            {"l": [0, 2], "r": [1], "c": "-3/4"},
+            {"r": [1], "l": [0], "c": "1"},
+            {"l": [True], "r": [], "c": "1"},
+            {"l": [0], "r": [], "c": 1},
+            {"l": (0,), "r": [], "c": "1"},
+            {"l": [0], "r": [], "c": "1", "x": None},
+            {1: "a", None: "b", True: "c", 2.5: "d"},
+            [1.5, float("inf"), -0.0],
+        ],
+    )
+    def test_edge_shapes(self, data):
+        assert _indented_json(data) == json.dumps(data, indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        for data in ({(1, 2): 3}, {"a": object()}, [{1, 2}]):
+            with pytest.raises(TypeError):
+                json.dumps(data, indent=2)
+            with pytest.raises(TypeError):
+                _indented_json(data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_call_site_shape(self, seed):
+        for name, data in _call_site_payloads(seed).items():
+            assert _indented_json(data) == json.dumps(data, indent=2), name
+
+    def test_anomaly_payload_with_system(self, monkeypatch):
+        from lsea import solver
+        from lsea.solver import AnomalyError, lemma27_solutions
+
+        monkeypatch.setattr(solver, "lm_lc", lambda g: (None, gen_r(2, 1)))
+        with pytest.raises(AnomalyError) as exc:
+            lemma27_solutions(2, 1, 3)
+        data = {"anomaly": str(exc.value), "payload": exc.value.payload}
+        assert "system" in data["payload"]
+        assert _indented_json(data) == json.dumps(data, indent=2)
+
+
+# -- strict JSON loaders ----------------------------------------------------------
+
+
+def _example41_with(field, value):
+    """example41.json with one int of its first l-image replaced."""
+    data = json.loads((DATA / "example41.json").read_text())
+    target = data if field == "map n" else data["l_images"][0]
+    if field in ("map n", "n"):
+        target["n"] = value
+    else:
+        target["terms"][0][field] = value
+    return data
+
+
+def _images_with(field, value):
+    """ad_images.json with one int of its first image replaced."""
+    data = json.loads((DATA / "ad_images.json").read_text())
+    target = data["images"][0]
+    if field == "n":
+        target["n"] = value
+    else:
+        target["terms"][0][field] = value
+    return data
+
+
+class TestStrictJsonLoaders:
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (("-n", "2", "der", "apply", "{file}", "l1"), _example41_with),
+            (("der", "grade", "{file}", "--weights", "1,1"), _example41_with),
+            (("solve", "ad-preimage", "{file}"), _images_with),
+        ],
+        ids=["der-apply", "der-grade", "ad-preimage"],
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.7), ("l", [0.0, False]), ("r", [1.0, True])],
+        ids=["n", "exponents", "r-letters"],
+    )
+    def test_non_int_exits_2_without_traceback(
+        self, subprocess_env, tmp_path, argv, build, field, value
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(build(field, value)))
+        argv = [a.replace("{file}", str(path)) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("lsea: bad ")
+        assert "must be an integer" in proc.stderr
+
+    @pytest.mark.parametrize("field", ["map n", "n", "l", "r"])
+    @pytest.mark.parametrize("bad", [float, bool, str], ids=["float", "bool", "str"])
+    def test_every_non_int_is_usage_error(self, capsys, tmp_path, field, bad):
+        if field in ("map n", "n"):
+            value = bad(2)
+        else:
+            ints = json.loads((DATA / "example41.json").read_text())["l_images"][0]
+            value = [bad(x) for x in ints["terms"][0][field]]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_example41_with(field, value)))
+        for argv in (("der", "check", str(path)), ("der", "apply", str(path), "l1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "must be an integer" in err, argv

@@ -1,11 +1,13 @@
 """Derivations, endomorphisms, lifting, gradings of maps, nilpotency probes."""
 
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
 
 from lsea import (
+    AmbientMismatch,
     Derivation,
     DomainError,
     Element,
@@ -43,6 +45,7 @@ from lsea import (
     triangular_tuple,
     u1_closed_form,
 )
+from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
 from lsea.maps import PureFormalExpression, identity_tuple, is_identity, poly_subst
 from lsea.verify import (
     example41_derivation,
@@ -525,3 +528,151 @@ class TestMapSerialization:
         assert isinstance(e, Endomorphism) and not e.verified
         with pytest.raises(UnverifiedMapError):
             apply_endo(e, gen_l(2, 1))
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_map_from_json_non_int_n_refused(n):
+    data = map_to_json(example41_derivation())
+    data["n"] = n
+    with pytest.raises(DomainError, match="n must be an integer"):
+        map_from_json(data)
+
+
+def _signed_mul_sum(n, products):
+    """Reference: sum(sign * mul(a, b)), one Element per product."""
+    out = Element.zero(n)
+    for sign, a, b in products:
+        out = out + sign * mul(a, b)
+    return out
+
+
+def _reference_derivation_residual(d, kind, i, j):
+    """D(l_i l_j - l_j l_i) or D(r_i l_j - l_j r_i - r_i r_j), written out by
+    the Leibniz rule D(ab) = D(a) b + a D(b)."""
+    n = d.n
+    li, lj, ri, rj = gen_l(n, i), gen_l(n, j), gen_r(n, i), gen_r(n, j)
+    dli, dlj = d.l_images[i - 1], d.l_images[j - 1]
+    dri, drj = d.r_images[i - 1], d.r_images[j - 1]
+    if kind == "s1":
+        products = [(1, dli, lj), (1, li, dlj), (-1, dlj, li), (-1, lj, dli)]
+    else:
+        products = [
+            (1, dri, lj), (1, ri, dlj),
+            (-1, dlj, ri), (-1, lj, dri),
+            (-1, dri, rj), (-1, ri, drj),
+        ]
+    return _signed_mul_sum(n, products)
+
+
+def _reference_endo_residual(e, kind, i, j):
+    """phi(l_i) phi(l_j) - phi(l_j) phi(l_i) or
+    phi(r_i) phi(l_j) - phi(l_j) phi(r_i) - phi(r_i) phi(r_j)."""
+    li, lj = e.l_images[i - 1], e.l_images[j - 1]
+    ri, rj = e.r_images[i - 1], e.r_images[j - 1]
+    if kind == "s1":
+        products = [(1, li, lj), (-1, lj, li)]
+    else:
+        products = [(1, ri, lj), (-1, lj, ri), (-1, ri, rj)]
+    return _signed_mul_sum(e.n, products)
+
+
+def _perturbed(m, slot, extra):
+    images = list(m.l_images + m.r_images)
+    images[slot] = images[slot] + extra
+    return type(m)(m.n, tuple(images[: m.n]), tuple(images[m.n :]))
+
+
+class TestRelationRecheck:
+    """The re-check accumulates each relation instance in one int map over
+    the lcm of the images' denominators; every residual it reports must equal
+    the sum of Element products written out here."""
+
+    @staticmethod
+    def _assert_flags_like_reference(m, check, reference):
+        ns = range(1, m.n + 1)
+        relations = [("s1", i, j) for i in ns for j in ns if i < j]
+        relations += [("s2", i, j) for i in ns for j in ns]
+        expected = {}
+        for kind, i, j in relations:
+            res = reference(m, kind, i, j)
+            if not res.is_zero:
+                expected[kind, i, j] = res
+        flagged, violations = check(m)
+        assert {(k, i, j): res for k, i, j, res in violations} == expected
+        assert flagged.verified == (not expected)
+        return {kind for kind, _, _ in expected}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_perturbed_derivation(self, n):
+        a = (
+            Fraction(1, 2) * mul(gen_l(n, 1), gen_r(n, n))
+            + Fraction(1, 3) * gen_r(n, 1)
+            + Fraction(2, 5) * mul(gen_l(n, n), gen_l(n, 1))
+        )
+        d = ad(a)
+        dens = {g.int_terms()[0] for g in d.l_images + d.r_images if not g.is_zero}
+        assert len(dens) > 1
+        assert not check_derivation(d)[1]
+        extra = Fraction(1, 7) * mul(gen_l(n, 1), gen_r(n, 2))
+        kinds = set()
+        for slot in range(2 * n):
+            perturbed = _perturbed(d, slot, extra)
+            kinds |= self._assert_flags_like_reference(
+                perturbed, check_derivation, _reference_derivation_residual
+            )
+        assert kinds == {"s1", "s2"}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_perturbed_endomorphism(self, n):
+        fs = [gen_l(n, i) for i in range(1, n + 1)]
+        fs[0] = Fraction(3, 2) * fs[0] + Fraction(1, 3) * mul(gen_l(n, n), gen_l(n, n))
+        fs[-1] = fs[-1] + Fraction(5, 4) * Element.one(n)
+        e = lift_phi(n, fs)
+        dens = {g.int_terms()[0] for g in e.l_images + e.r_images}
+        assert len(dens) > 1
+        assert not check_endomorphism(e)[1]
+        extra = Fraction(1, 7) * mul(gen_l(n, 2), gen_r(n, 1))
+        kinds = set()
+        for slot in range(2 * n):
+            perturbed = _perturbed(e, slot, extra)
+            kinds |= self._assert_flags_like_reference(
+                perturbed, check_endomorphism, _reference_endo_residual
+            )
+        assert kinds == {"s1", "s2"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_images(self, seed):
+        # arbitrary images with mixed denominators, mostly not maps at all
+        rng = random.Random(seed)
+        n = 2
+        images = [rand_element(rng, n, 2) for _ in range(2 * n)]
+        d = Derivation(n, tuple(images[:n]), tuple(images[n:]))
+        e = Endomorphism(n, tuple(images[:n]), tuple(images[n:]))
+        check = self._assert_flags_like_reference
+        check(d, check_derivation, _reference_derivation_residual)
+        check(e, check_endomorphism, _reference_endo_residual)
+
+    def test_image_of_other_ambient_refused(self):
+        z = Element.zero(2)
+        with pytest.raises(AmbientMismatch):
+            check_derivation(Derivation(2, (gen_l(3, 1), z), (z, z)))
+
+    @pytest.mark.parametrize("kind", ["derivation", "endomorphism"])
+    def test_max_terms_trips_in_the_accumulator(self, kind):
+        n = 2
+        big = (gen_l(n, 1) + 2 * gen_l(n, 2) + 3 * gen_r(n, 1) + 5 * gen_r(n, 2)) ** 4
+        images = [big, gen_l(n, 2), gen_r(n, 1), gen_r(n, 2)]
+        cls, check = {
+            "derivation": (Derivation, check_derivation),
+            "endomorphism": (Endomorphism, check_endomorphism),
+        }[kind]
+        m = cls(n, tuple(images[:n]), tuple(images[n:]))
+        token = TERM_BUDGET.set(len(big))
+        try:
+            with pytest.raises(TermBudgetExceeded) as exc:
+                check(m)
+        finally:
+            TERM_BUDGET.reset(token)
+        frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
+        assert frames[-2:] == ["_signed_products", "_charge"]
+        assert "mul" not in frames

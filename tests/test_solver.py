@@ -36,7 +36,6 @@ from lsea import (
     lemma27_solutions,
     lm_lc,
     mul,
-    operator_matrix,
     rfactor_decompose,
     solve,
     uncoords,
@@ -53,6 +52,18 @@ from lsea.maps import (
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
 _slice_index = attrgetter("index")  # word -> position map of a GradedSlice
+
+
+def operator_matrix(op, source, target):
+    """Reference: sparse rows of a linear operator, one per target basis word,
+    from the Element image of each source basis word; an image outside the
+    target slice raises DomainError (from `coords`)."""
+    rows = [{} for _ in range(target.dim)]
+    for col, w in enumerate(source.basis):
+        for pos, c in enumerate(coords(op(Element(source.n, {w: 1})), target)):
+            if c:
+                rows[pos][col] = c
+    return rows
 
 
 def matvec(a, x):
