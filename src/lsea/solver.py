@@ -1,24 +1,22 @@
 """Exact linear algebra on finite-dimensional graded slices of U_n.
 
 Makes the existence statements about the algebra constructive at desk scale:
-basis enumeration of homogeneous components, coordinates in a slice basis,
-exact solving, preimages under the stacked inner derivations ad_{l_i},
-enumeration of solutions of the -ad_{l_i}(g) = r_i g + g r_i
-condition, the r_i^k factorization, and bases of homogeneous derivation
-spaces.
+basis enumeration of homogeneous components, preimages under the inner
+derivations ad_{l_i} (in closed form, see `ad_preimage`), enumeration of
+solutions of the -ad_{l_i}(g) = r_i g + g r_i condition, the r_i^k
+factorization, and bases of homogeneous derivation spaces.
 
-The three solver systems (the stacked ad_{l_i}, the Lemma 2.7 condition and
-the relation residuals of derivation spaces) are assembled column by column:
-each column's image is a signed sum of products of one basis word with one
-generator, computed by `algebra._signed_products`, the accumulator `mul`
-runs on, so the rows hold ints and no Element is built.  All three share
-the (sign, left, right) form of the one residual table in `maps`:
-derivation spaces pass its entries as they are, and `check_derivation`
-evaluates the same table on the images of every solution when it
-re-checks it, never on the rows or the kernel.
+The two solver systems (the Lemma 2.7 condition and the relation residuals
+of derivation spaces) are assembled column by column: each column's image
+is a signed sum of products of one basis word with one generator, computed
+by `algebra._signed_products`, the accumulator `mul` runs on, so the rows
+hold ints and no Element is built.  Both share the (sign, left, right) form
+of the one residual table in `maps`: derivation spaces pass its entries as
+they are, and `check_derivation` evaluates the same table on the images of
+every solution when it re-checks it, never on the rows or the kernel.
 
 Whenever a solve contradicts one of the proved existence statements the
-failure is raised as `AnomalyError` carrying the full offending system;
+failure is raised as `AnomalyError` carrying the full offending data;
 those cases are bug evidence and must never be swallowed.
 """
 
@@ -26,20 +24,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, factorial
 
 from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    _basis_word,
+    _charge,
     _from_ints,
-    _int_form,
     _signed_products,
     commutator,
     element_to_json,
-    exact_str,
     gen_l,
     gen_r,
     in_I,
@@ -49,7 +46,7 @@ from .algebra import (
     mul,
     word_key,
 )
-from .linalg import RowReduction, as_fraction, system_json
+from .linalg import RowReduction, system_json
 from .maps import (
     AnomalyError,
     Derivation,
@@ -57,8 +54,6 @@ from .maps import (
     relations,
     require_verified,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -141,23 +136,6 @@ def _position(w, s: GradedSlice) -> int:
     return pos
 
 
-def coords(g: Element, s: GradedSlice) -> list[Fraction]:
-    """Coordinate column of a homogeneous element in the slice basis."""
-    if g.n != s.n:
-        raise DomainError("ambient mismatch between element and slice")
-    col = [_ZERO] * s.dim
-    for w, c in g.terms():
-        col[_position(w, s)] = c
-    return col
-
-
-def uncoords(col, s: GradedSlice) -> Element:
-    if len(col) != s.dim:
-        raise DomainError("coordinate length does not match slice dimension")
-    coeffs = {w: as_fraction(c) for w, c in zip(s.basis, col) if c}
-    return _from_ints(s.n, *_int_form(coeffs))
-
-
 # -- systems assembled from the straightening constants ----------------------
 
 
@@ -191,37 +169,56 @@ def _assemble(rows, row_base, target, col_base, source, products) -> None:
             rows[row_base + _position(key, target)][col] = c
 
 
-# -- preimages under the stacked ad_{l_i} ---------------------------------------
+# -- preimages under the inner derivations ad_{l_i} ------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ad_stack(n: int, t: int):
-    """Cached reduction of the stacked system ad_{l_i}(g) = u_i.
+def _shuffle_letter(pairs, i: int, out: dict) -> dict[tuple, int]:
+    """Add T_i = (. ⧢ r_i) of ((head, r-word), int) pairs into `out`; return it.
 
-    The unknown g runs over the degree-(t-1) part of I_n; the images live in
-    the degree-t part of I_n.  Returns (unknown slice, image slice, sparse
-    system rows, reduction).  ad_{l_i}(w) = l_i w - w l_i, block i of the rows.
+    r_i goes into each of the len + 1 places of every r-word; the m + 1 places
+    around a run of m letters r_i make one word, added once with weight m + 1.
+    The head is carried along.  Charged to the term budget.
     """
-    unknown = graded_slice(n, t - 1, restrict_to_I=True)
-    image = graded_slice(n, t, restrict_to_I=True)
-    sparse_rows = [{} for _ in range(n * image.dim)]
-    for i in range(n):
-        commutator_li = ((1, i, None), (-1, None, i))
-        _assemble(sparse_rows, i * image.dim, image, 0, unknown, commutator_li)
-    red = RowReduction(len(sparse_rows), unknown.dim, sparse_rows)
-    return unknown, image, sparse_rows, red
+    for (head, v), c in pairs:
+        run = 0
+        for p, x in enumerate((*v, 0)):  # 0 is no letter: it ends the last run
+            if x == i:
+                run += 1
+                continue
+            key = (head, v[:p] + (i,) + v[p:])
+            total = out.get(key, 0) + c * (run + 1)
+            if total:
+                out[key] = total
+            elif key in out:
+                del out[key]
+            run = 0
+    _charge(len(out))
+    return out
 
 
-def ad_preimage(us) -> tuple[Element, int]:
-    """Solve ad_{l_i}(g) = u_i for all i simultaneously.
+def ad_preimage(us) -> Element:
+    """The g in I_n with ad_{l_i}(g) = u_i for all i, in closed form.
 
-    The u_i must be homogeneous of one common degree, lie in I_n, and satisfy
-    the compatibility ad_{l_j}(u_i) = ad_{l_i}(u_j); existence of g is then a
-    theorem, so an inconsistent system raises AnomalyError with the offending
-    data.  Free coordinates are pinned to zero, making the returned g the
-    deterministic representative supported on pivot columns of the canonical
-    slice order.  Also returns the kernel dimension at this degree, which is
-    reported rather than asserted.
+    The u_i must be homogeneous of one degree t, lie in I_n and satisfy the
+    compatibility ad_{l_j}(u_i) = ad_{l_i}(u_j); g then exists (a theorem).
+    It is computed from the first nonzero u_i and re-checked against every
+    u_k; a failure raises AnomalyError.
+
+    Why g is unique and of this form.  For an r-word w, w l_i = l_i w +
+    D_i(w), D_i the derivation of R_n inserting r_i after each letter, so
+    ad_{l_i}(l^s r_a v) = -l^s r_a T_i(v) with T_i(v) = v ⧢ r_i: ad_{l_i} is
+    block diagonal in (s, a), and -T_i on each block.  The left residual d_i
+    (d_i(r_i v) = v, d_i(r_b v) = 0 for b != i) is a shuffle derivation with
+    d_i(r_i) = 1, so d_i^(k+1) T_i = T_i d_i^(k+1) + (k+1) d_i^k.  With
+    L = sum_k (-1)^k T_i^k d_i^(k+1) / (k+1)! and a_k = (-1)^k T_i^k d_i^k / k!,
+    L T_i = sum_k (a_k - a_(k+1)) = a_0 = 1, all sums finite.  So T_i and
+    every ad_{l_i} on I_n are injective, the stacked system has kernel 0 at
+    every degree, and for u_i = -sum l^s r_a h_(s,a), g = sum l^s r_a L(h_(s,a)).
+
+    L runs as acc <- T_i(acc) + (-1)^k d_i^(k+1) h / (k+1)! for k = p-1 .. 0,
+    in ints over p! times u_i's denominator, p the longest leading run of r_i
+    in the h.  For h = T_i(x) the commutation above makes acc after step k
+    (-1)^k d_i^k(x) / k!, so no partial sum has more terms than g.
     """
     us = list(us)
     if not us:
@@ -242,40 +239,46 @@ def ad_preimage(us) -> tuple[Element, int]:
     if len(degrees) > 1:
         raise DomainError("images must share one degree")
     if not degrees:
-        return Element.zero(n), 0
-    t = degrees.pop()
+        return Element.zero(n)
 
-    ls = [gen_l(n, i) for i in range(1, n + 1)]
     for i in range(n):
         for j in range(i + 1, n):
-            if commutator(ls[j], us[i]) != commutator(ls[i], us[j]):
+            if commutator(gen_l(n, j + 1), us[i]) != commutator(gen_l(n, i + 1), us[j]):
                 raise DomainError(
                     f"compatibility fails: ad_l{j+1}(u_{i+1}) != ad_l{i+1}(u_{j+1})"
                 )
 
-    unknown, image, sparse_rows, red = _ad_stack(n, t)
-    b = []
-    for u in us:
-        b.extend(coords(u, image))
-    x, cert = red.solve(b)
-    if x is None:
-        raise AnomalyError(
-            "stacked ad-system inconsistent despite compatible homogeneous input",
-            payload={
-                "n": n,
-                "degree": t,
-                "images": [element_to_json(u) for u in us],
-                "certificate": [exact_str(c) for c in cert],
-                "system": system_json(sparse_rows, unknown.dim),
-                "rhs": [exact_str(c) for c in b],
-            },
-        )
-    return uncoords(x, unknown), len(red.free_cols)
+    i = next(k for k, u in enumerate(us, 1) if not u.is_zero)
+    den, terms = us[i - 1].int_terms()
+    # the nonzero d_i^(k+1) h, keyed by ((s, a), tail), from k = 0
+    residuals = []
+    h = {((w.lexp, w.rword[0]), w.rword[1:]): -c for w, c in terms}
+    while h := {(head, v[1:]): c for (head, v), c in h.items() if v[:1] == (i,)}:
+        residuals.append(h)
+    scale = factorial(len(residuals))
+    acc: dict[tuple, int] = {}
+    for k in reversed(range(len(residuals))):
+        f = (-1) ** k * (scale // factorial(k + 1))
+        scaled = {w: f * c for w, c in residuals[k].items()}
+        acc = _shuffle_letter(acc.items(), i, scaled)
+    nums = {BasisWord(s, (a,) + v): c for ((s, a), v), c in acc.items()}
+    g = _from_ints(n, nums, den * scale)
 
-
-def ad_kernel_dim(n: int, t: int) -> int:
-    """Dimension of {g in I_n degree t-1 : all ad_{l_i}(g) = 0} (reported, not asserted)."""
-    return len(_ad_stack(n, t)[3].free_cols)
+    for k in range(n):
+        residual = commutator(gen_l(n, k + 1), g) - us[k]
+        if not residual.is_zero:
+            raise AnomalyError(
+                "ad-preimage re-check failed despite compatible homogeneous input",
+                payload={
+                    "n": n,
+                    "degree": us[i - 1].degree(),
+                    "images": [element_to_json(u) for u in us],
+                    "g": element_to_json(g),
+                    "k": k + 1,
+                    "residual": element_to_json(residual),
+                },
+            )
+    return g
 
 
 # -- the quadratic leading-coefficient condition ---------------------------------
@@ -341,16 +344,17 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
     if not in_R(h):
         raise DomainError("cofactor must lie in R_n")
     li, ri, rj = gen_l(n, i), gen_r(n, i), gen_r(n, j)
-    # r_i^k r_j h = -1/(k-1) ad_{l_i}(r_i^{k-1} r_j h) + r_i^{k-1} r_j h'
-    # with h' = (-r_i h + ad_{l_i}(h)) / (k-1); repeat on the second piece
-    # down to k = 1, where u gains nothing and v = h.
+    # r_i^k r_j h = -1/(k-1) ad_{l_i}(r_i^{k-1} r_j h) + r_i^{k-1} r_j h' with
+    # h' = (ad_{l_i}(h) - r_i h) / (k-1) = -T_i(h) / (k-1); repeat on the
+    # second piece down to k = 1, where u gains nothing and v = h.
     u, v = Element.zero(n), h
     for kk in range(k, 1, -1):
         if v.is_zero:
             break
-        c = Fraction(1, kk - 1)
-        u = u - c * mul(mul(ri ** (kk - 2), rj), v)
-        v = c * (commutator(li, v) - mul(ri, v))
+        u = u - mul(mul(ri ** (kk - 2), rj), v) / (kk - 1)
+        den, terms = v.int_terms()
+        shuffled = _shuffle_letter(terms, i, {}).items()
+        v = _from_ints(n, {_basis_word(w): -c for w, c in shuffled}, den * (kk - 1))
     lhs = mul(mul(ri**k, rj), h)
     rhs = commutator(li, mul(ri, u)) + mul(mul(ri, rj), v)
     if lhs != rhs:
@@ -379,8 +383,6 @@ def derivation_space(
     weights = tuple(weights) if weights is not None else (1,) * n
     if len(weights) != n:
         raise DomainError("weight vector length must equal the ambient n")
-    if any(w < 1 for w in weights):
-        raise DomainError("weighted slices are finite only for positive weights")
 
     # slots l_1..l_n, then r_1..r_n
     slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2

@@ -372,7 +372,7 @@ def _case_lemma26(rng: random.Random, rep: RunReport) -> None:
     g = rand_homogeneous_I(rng, n, deg)
     us = [apply_derivation(ad(gen_l(n, i)), g) for i in range(1, n + 1)]
     try:
-        g2, _kdim = ad_preimage(us)
+        g2 = ad_preimage(us)
     except AnomalyError as exc:
         rep.anomalies.append({"input": element_to_json(g), "payload": exc.payload})
         return

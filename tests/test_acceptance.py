@@ -241,7 +241,7 @@ def test_criterion_08_ad_preimage_recovery():
         g = rand_homogeneous_I(rng, n, deg)
         us = [apply_derivation(ad(gen_l(n, i)), g) for i in range(1, n + 1)]
         try:
-            rec, _ = ad_preimage(us)
+            rec = ad_preimage(us)
         except Exception:
             anomalies += 1
             continue

@@ -20,6 +20,7 @@ from lsea import (
     apply_derivation,
     check_derivation,
     derivation_space,
+    element_from_json,
     element_to_json,
     gen_l,
     gen_r,
@@ -530,6 +531,42 @@ class TestCliSolver:
         assert code == 2
         assert "compatibility" in err
 
+    @pytest.mark.parametrize(
+        "g, code",
+        [
+            # degree 42: an elimination over its slice would have about 10^13 unknowns
+            (Element.from_word(2, (0, 40), (1,)), 0),
+            # 256 terms, whose compatibility commutators have 1022
+            (mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8), 2),
+        ],
+    )
+    def test_ad_preimage_bounded(self, tmp_path, subprocess_env, g, code):
+        # a child capped at 1 GB of address space answers at once or exits 2
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        us = [apply_derivation(ad(gen_l(2, i)), g) for i in (1, 2)]
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps({"images": [element_to_json(u) for u in us]}))
+        argv = ["--max-terms", "1000", "solve", "ad-preimage", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert format_element(element_from_json(json.loads(proc.stdout)["g"])) == (
+                "l2^40*r1"
+            )
+        else:
+            assert proc.stdout == "" and "over the --max-terms bound 1000" in proc.stderr
+
     def test_lemma27(self, capsys):
         code, out, _ = run_cli(
             capsys, "-n", "2", "solve", "lemma27", "--i", "1", "--degree", "2"
@@ -712,7 +749,7 @@ def _call_site_payloads(seed):
     phi = lift_phi(2, [gen_l(2, 1) + rand_lpoly(rng, 2, 2), gen_l(2, 2)])
     pre = rand_homogeneous_I(rng, 2, 3)
     us = [apply_derivation(ad(gen_l(2, i)), pre) for i in (1, 2)]
-    g_pre, kernel_dim = ad_preimage(us)
+    g_pre = ad_preimage(us)
     u, v = rfactor_decompose(3, 2, 1, rand_rpoly(rng, 2, 2))
     alpha = Fraction(rng.randint(1, 5), rng.randint(1, 5))
     phi1, psi1 = u1_closed_form(alpha, rand_rpoly(rng, 1, 3))
@@ -725,7 +762,7 @@ def _call_site_payloads(seed):
         "derivation": map_to_json(rand_verified_derivation(rng, 2)),
         "endomorphism": map_to_json(phi),
         "derspace": {"dim": len(space), "basis": [map_to_json(d) for d in space]},
-        "ad-preimage": {"g": element_to_json(g_pre), "kernel_dim": kernel_dim},
+        "ad-preimage": {"g": element_to_json(g_pre), "kernel_dim": 0},
         "lemma27": {"dim": len(sols), "basis": [element_to_json(h) for h in sols]},
         "rfactor": {"u": element_to_json(u), "v": element_to_json(v)},
         "u1 pair": {"phi": map_to_json(phi1), "psi": map_to_json(psi1)},

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from lsea import solver
+from lsea import Element, commutator, gen_l, solver
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded, as_fraction
 from lsea.cli import main
 from lsea.linalg import RowReduction
+from lsea.verify import rand_homogeneous_I
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -278,11 +279,12 @@ def _captured_system(build):
     return captured[0]
 
 
-def test_integer_elimination_builds_no_fraction(fraction_count):
+def test_integer_elimination_builds_no_fraction(fraction_count, ad_stack):
+    unknown, _, stacked = ad_stack(3, 4)
     systems = [
         _captured_system(lambda: solver.derivation_space(2, 3)),
         _captured_system(lambda: solver.lemma27_solutions(2, 1, 4)),
-        _captured_system(lambda: solver._ad_stack.__wrapped__(3, 4)),
+        (len(stacked), unknown.dim, stacked),
     ]
     fraction_count[0] = 0
     reds = [RowReduction(*system) for system in systems]
@@ -292,6 +294,26 @@ def test_integer_elimination_builds_no_fraction(fraction_count):
     assert all("_log" not in vars(red) for red in reds)
     reds[2].solve([0] * reds[2].rows)
     assert "_log" in vars(reds[2])
+
+
+@pytest.mark.parametrize("n, t", [(n, t) for n in (2, 3) for t in range(2, 7)])
+def test_stacked_elimination_gives_the_closed_form(ad_stack, n, t):
+    # the stacked ad_{l_i} system, eliminated, has kernel 0 and the same g
+    # as ad_preimage's closed form, on seeded images of every shape
+    unknown, image, rows = ad_stack(n, t)
+    red = RowReduction(len(rows), unknown.dim, rows)
+    assert red.free_cols == []
+    rng = random.Random(f"closed-form/{n}/{t}")
+    for _ in range(4):
+        g = rand_homogeneous_I(rng, n, t - 1) / rng.choice([1, 2, 3, 7])
+        us = [commutator(gen_l(n, i), g) for i in range(1, n + 1)]
+        b = [Fraction(0)] * len(rows)
+        for i, u in enumerate(us):
+            for w, c in u.terms():
+                b[i * image.dim + image.index[w]] = c
+        x, cert = red.solve(b)
+        eliminated = Element(n, [(w, c) for w, c in zip(unknown.basis, x) if c])
+        assert cert is None and eliminated == solver.ad_preimage(us) == g
 
 
 def test_kernel_vectors_become_derivations_without_fractions(

@@ -417,8 +417,10 @@ class TestTupleConstructors:
         assert poly_subst(f, images) == gen_l(2, 2) ** 2 + gen_l(2, 1)
 
 
-# each maps constructor with one coefficient left open
+# each maps constructor, and the Element ones, with one coefficient left open
 _CONSTRUCTORS = {
+    "Element.from_word": lambda x: Element.from_word(2, (0, 0), (), x),
+    "Element.__mul__": lambda x: gen_r(2, 1) * x,
     "u1_closed_form": lambda x: u1_closed_form(x, gen_r(1, 1)),
     "elementary_tuple": lambda x: elementary_tuple(2, 1, x, Element.zero(2)),
     "affine_tuple_matrix": lambda x: affine_tuple(2, [[x, 1], [0, 1]]),
@@ -432,8 +434,10 @@ _CONSTRUCTORS = {
 class TestExactCoefficients:
     @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
     def test_float_refused(self, name):
-        with pytest.raises(TypeError):
-            _CONSTRUCTORS[name](0.1)
+        # a bool is an int to Python, but no coefficient the user meant
+        for bad in (0.1, True):
+            with pytest.raises(TypeError):
+                _CONSTRUCTORS[name](bad)
 
     @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
     def test_exact_forms_accepted(self, name):

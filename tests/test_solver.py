@@ -19,15 +19,15 @@ from lsea import (
     DomainError,
     Element,
     ad,
-    ad_kernel_dim,
     ad_preimage,
     apply_derivation,
     check_derivation,
     commutator,
-    coords,
     derivation_coords,
     derivation_space,
     dim,
+    element_from_json,
+    element_to_json,
     extend_lnd_prop55,
     gen_l,
     gen_r,
@@ -38,10 +38,10 @@ from lsea import (
     mul,
     rfactor_decompose,
     solve,
-    uncoords,
     weighted_slice,
 )
 from lsea import solver
+from lsea.cli import main as cli_main
 from lsea.linalg import RowReduction
 from lsea.maps import (
     derivation_residual,
@@ -54,13 +54,21 @@ from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 _slice_index = attrgetter("index")  # word -> position map of a GradedSlice
 
 
+def column(g, s):
+    """Coordinate column of a homogeneous element in a slice basis; a term
+    outside the slice raises DomainError (from `solver._position`)."""
+    col = [Fraction(0)] * s.dim
+    for w, c in g.terms():
+        col[solver._position(w, s)] = c
+    return col
+
+
 def operator_matrix(op, source, target):
     """Reference: sparse rows of a linear operator, one per target basis word,
-    from the Element image of each source basis word; an image outside the
-    target slice raises DomainError (from `coords`)."""
+    from the Element image of each source basis word."""
     rows = [{} for _ in range(target.dim)]
     for col, w in enumerate(source.basis):
-        for pos, c in enumerate(coords(op(Element(source.n, {w: 1})), target)):
+        for pos, c in enumerate(column(op(Element(source.n, {w: 1})), target)):
             if c:
                 rows[pos][col] = c
     return rows
@@ -115,22 +123,6 @@ class TestSlices:
         with pytest.raises(DomainError):
             weighted_slice(2, 3, (1, 0))
 
-    def test_coords_round_trip(self):
-        s = graded_slice(2, 2)
-        g = Element.from_word(2, (1, 1), ()) - 3 * Element.from_word(2, (0, 0), (1, 2))
-        assert uncoords(coords(g, s), s) == g
-        assert coords(Element.zero(2), s) == [0] * s.dim
-
-    def test_coords_basic(self):
-        s = graded_slice(1, 1)
-        g = gen_l(1, 1) + gen_r(1, 1)
-        assert coords(g, s) == [1, 1]
-
-    def test_coords_rejects_inhomogeneous(self):
-        s = graded_slice(2, 2)
-        with pytest.raises(DomainError):
-            coords(gen_l(2, 1), s)
-
     def test_index_kept_on_the_slice(self):
         s = graded_slice(2, 3, restrict_to_I=True)
         assert s.index is s.index
@@ -139,12 +131,6 @@ class TestSlices:
         copy = solver.GradedSlice(s.n, s.degree, s.weights, s.basis)
         assert copy == s and hash(copy) == hash(s)
         assert copy.index == s.index
-
-    def test_uncoords_coefficients_are_fractions(self):
-        s = graded_slice(2, 1)
-        g = uncoords([1, 0, "1/2", Fraction(-3)], s)
-        assert all(type(c) is Fraction for _, c in g.terms())
-        assert coords(g, s) == [1, 0, Fraction(1, 2), -3]
 
 
 class TestOperatorMatrix:
@@ -228,13 +214,10 @@ class TestAdPreimage:
             2, (0, 0), (1, 2, 1)
         )
         assert us[1] == -2 * Element.from_word(2, (0, 0), (1, 2, 2))
-        rec, kdim = ad_preimage(us)
-        assert rec == g
-        assert kdim == ad_kernel_dim(2, 3)
+        assert ad_preimage(us) == g
 
     def test_zero_input(self):
-        rec, _ = ad_preimage([Element.zero(2), Element.zero(2)])
-        assert rec.is_zero
+        assert ad_preimage([Element.zero(2), Element.zero(2)]).is_zero
 
     def test_compatibility_checked(self):
         u1 = Element.from_word(2, (0, 0), (1, 1))
@@ -249,10 +232,38 @@ class TestAdPreimage:
             deg = rng.randint(1, 4)
             g = rand_homogeneous_I(rng, n, deg)
             us = [apply_derivation(ad(gen_l(n, i)), g) for i in range(1, n + 1)]
-            rec, _ = ad_preimage(us)
+            rec = ad_preimage(us)
             assert in_I(rec)
             for i in range(1, n + 1):
                 assert apply_derivation(ad(gen_l(n, i)), rec) == us[i - 1]
+
+    def test_inverse_is_charged_and_stays_small(self, monkeypatch):
+        # each T_i step is charged to the term budget as it is built ...
+        from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
+
+        token = TERM_BUDGET.set(2)
+        try:
+            with pytest.raises(TermBudgetExceeded, match="has 3 terms"):
+                solver._shuffle_letter([(((), (1, 2)), 1)], 3, {})
+        finally:
+            TERM_BUDGET.reset(token)
+        # ... and is applied to a partial sum of at most as many terms as g
+        sizes = []
+        real = solver._shuffle_letter
+
+        def recording(pairs, i, out):
+            pairs = list(pairs)
+            sizes.append(len(pairs))
+            return real(pairs, i, out)
+
+        monkeypatch.setattr(solver, "_shuffle_letter", recording)
+        rng = random.Random(117)
+        for _ in range(30):
+            n = rng.choice([2, 3])
+            g = rand_homogeneous_I(rng, n, rng.randint(2, 6))
+            sizes.clear()
+            assert ad_preimage([commutator(gen_l(n, i), g) for i in range(1, n + 1)]) == g
+            assert max(sizes, default=0) <= len(g)
 
 
 class TestLemma27:
@@ -272,8 +283,8 @@ class TestLemma27:
         assert -apply_derivation(di, target) == mul(gen_r(2, 1), target) + mul(
             target, gen_r(2, 1)
         )
-        stack = [coords(s, graded_slice(2, 2, restrict_to_I=True)) for s in sols]
-        tcol = coords(target, graded_slice(2, 2, restrict_to_I=True))
+        stack = [column(s, graded_slice(2, 2, restrict_to_I=True)) for s in sols]
+        tcol = column(target, graded_slice(2, 2, restrict_to_I=True))
         m = list(map(list, zip(*stack)))
         assert solve(m, tcol).consistent
 
@@ -581,13 +592,14 @@ class TestAssembly:
     @pytest.mark.parametrize(
         "n, t", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]
     )
-    def test_ad_stack_rows(self, n, t):
-        unknown = graded_slice(n, t - 1, restrict_to_I=True)
-        image = graded_slice(n, t, restrict_to_I=True)
+    def test_ad_stack_rows(self, ad_stack, n, t):
+        unknown, image, rows = ad_stack(n, t)
+        assert unknown == graded_slice(n, t - 1, restrict_to_I=True)
+        assert image == graded_slice(n, t, restrict_to_I=True)
         expected = []
         for i in range(1, n + 1):
             expected += operator_matrix(partial(commutator, gen_l(n, i)), unknown, image)
-        assert solver._ad_stack.__wrapped__(n, t)[2] == expected
+        assert rows == expected
 
     @pytest.mark.parametrize(
         "n, i, d",
@@ -605,7 +617,7 @@ class TestAssembly:
         target = graded_slice(n, d + 1, restrict_to_I=True)
         assert built == [operator_matrix(condition, unknown, target)]
 
-    def test_no_element_before_elimination(self, monkeypatch):
+    def test_no_element_before_elimination(self, monkeypatch, ad_stack):
         # neither probes nor per-column images: the first Element of a solve
         # is built after its system has been handed to the elimination
         count = [0]
@@ -624,17 +636,22 @@ class TestAssembly:
             return real(rows, cols, sparse_rows)
 
         monkeypatch.setattr(solver, "RowReduction", capture)
+
+        def stacked():
+            unknown, _, rows = ad_stack(2, 4)
+            solver.RowReduction(len(rows), unknown.dim, rows)
+
         for build in (
             lambda: derivation_space(2, 2, into_I=True),
             lambda: lemma27_solutions(2, 1, 3),
-            lambda: solver._ad_stack.__wrapped__(2, 4),
+            stacked,
         ):
             count[0] = 0
             build()
         assert seen == [0, 0, 0]
 
 
-    def test_assembled_images_are_charged(self):
+    def test_assembled_images_are_charged(self, ad_stack):
         # some [l_1, w] with w of degree 3 in I_2 has three terms, and no
         # Element is built before the elimination, so only the assembly's own
         # charge can refuse
@@ -642,9 +659,9 @@ class TestAssembly:
 
         token = TERM_BUDGET.set(2)
         try:
-            solver._ad_stack.__wrapped__(2, 3)
+            ad_stack(2, 3)
             with pytest.raises(TermBudgetExceeded, match="has 3 terms"):
-                solver._ad_stack.__wrapped__(2, 4)
+                ad_stack(2, 4)
         finally:
             TERM_BUDGET.reset(token)
 
@@ -671,10 +688,18 @@ class TestAnomalyPaths:
         payload = json.dumps(exc.value.payload, sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
-    def test_ad_kernel_dim_reported(self):
-        # not asserted to any formula, only that the report is stable
-        assert ad_kernel_dim(2, 3) == ad_kernel_dim(2, 3)
-        assert ad_kernel_dim(2, 2) >= 0
+    def test_ad_kernel_dim_reported(self, ad_stack, capsys, tmp_path):
+        # the CLI reports the constant 0 that ad_preimage's docstring proves;
+        # the stacked reference system has no free column either
+        for n, t in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 4)):
+            unknown, _, rows = ad_stack(n, t)
+            assert RowReduction(len(rows), unknown.dim, rows).free_cols == []
+        g = Element.from_word(2, (0, 1), (1, 1, 2))
+        path = tmp_path / "images.json"
+        images = [element_to_json(commutator(gen_l(2, i), g)) for i in (1, 2)]
+        path.write_text(json.dumps({"images": images}))
+        assert cli_main(["solve", "ad-preimage", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_dim"] == 0
 
     def test_failed_recheck_raises_anomaly(self, subprocess_env):
         # patch the relation re-check to report a violation, under `python -O`,
@@ -702,39 +727,27 @@ except AnomalyError as err:
         )
         assert proc.stdout.split() == ["derivation", "s1", "1"], proc.stderr
 
-    def test_inconsistent_ad_system_certificate(self, monkeypatch):
-        # the certificate is rebuilt from the elimination's operation log, and
-        # only once a right-hand side is found inconsistent
-        built = []
-        real_certificate = RowReduction._certificate
-
-        def spy(red, row):
-            built.append(row)
-            return real_certificate(red, row)
-
-        monkeypatch.setattr(RowReduction, "_certificate", spy)
+    def test_failed_ad_recheck_raises_anomaly(self, monkeypatch):
+        # a closed-form inverse that triples each shuffle gives a wrong g;
+        # the payload carries enough to recompute the failing residual
         g = Element.from_word(2, (1, 0), (1, 2)) + 3 * Element.from_word(2, (0, 0), (2, 1, 1))
         us = [commutator(gen_l(2, i), g) for i in (1, 2)]
-        assert ad_preimage(us)[0] == g
-        assert built == []
-
-        real_coords = solver.coords
-
-        def shifted(u, s):
-            col = real_coords(u, s)
-            col[0] += 1
-            return col
-
-        monkeypatch.setattr(solver, "coords", shifted)
+        assert ad_preimage(us) == g
+        real = solver._shuffle_letter
+        monkeypatch.setattr(
+            solver,
+            "_shuffle_letter",
+            lambda pairs, i, out: real([(k, 3 * c) for k, c in pairs], i, out),
+        )
         with pytest.raises(AnomalyError) as exc:
             ad_preimage(us)
-        assert len(built) == 1
         payload = exc.value.payload
-        system = payload["system"]
-        a = [[Fraction(v) for v in row] for row in system["entries"]]
-        y = [Fraction(v) for v in payload["certificate"]]
-        b = [Fraction(v) for v in payload["rhs"]]
-        assert len(y) == len(b) == system["rows"]
-        for j in range(system["cols"]):
-            assert sum(y[i] * a[i][j] for i in range(system["rows"])) == 0
-        assert sum(yi * bi for yi, bi in zip(y, b)) != 0
+        assert (payload["n"], payload["degree"]) == (2, 4)
+        assert [element_from_json(u) for u in payload["images"]] == us
+        wrong = element_from_json(payload["g"])
+        k = payload["k"]
+        residual = element_from_json(payload["residual"])
+        assert wrong != g and not residual.is_zero
+        assert residual == commutator(gen_l(2, k), wrong) - us[k - 1]
+        for j in range(1, k):
+            assert commutator(gen_l(2, j), wrong) == us[j - 1]
