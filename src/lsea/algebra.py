@@ -24,8 +24,9 @@ with the integer structure constants of the straightening rule over the
 product of the two denominators; sums, differences and scalings are integer
 map merges over the lcm or product of the denominators, each followed by one
 gcd reduction.  `fractions.Fraction` appears only at the boundary: the
-validating constructor takes rationals, and `terms()`, `canonical_terms()`,
-`coefficient()` and the text and JSON forms hand them out.
+validating constructor takes rationals, and `terms()` and `coefficient()`
+hand them out.  The text and JSON forms print from `canonical_walk`, which
+reads the ints directly.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class TermBudgetExceeded(RuntimeError):
 
 # Degree of the zero element; compares strictly below every integer.
 NEG_INF = -inf
+
+# Largest exponent `Element.__pow__` accepts.  A power costs one product per
+# unit of the exponent, so even r1^k is quadratic in k (k = 10000 takes about
+# a second); a larger exponent is a DomainError.
+MAX_EXPONENT = 10000
 
 
 def as_fraction(x) -> Fraction:
@@ -224,10 +230,6 @@ class Element:
         """(den, (word, numerator) pairs) with self = sum(numerator / den * word)."""
         return self._den, self._nums.items()
 
-    def canonical_terms(self) -> list[tuple[BasisWord, Fraction]]:
-        """Terms sorted descending: L-monomial first, then r-word."""
-        return sorted(self.terms(), key=lambda t: word_key(t[0]), reverse=True)
-
     def coefficient(self, lexp, rword) -> Fraction:
         c = self._nums.get(BasisWord(tuple(lexp), tuple(rword)))
         return _ZERO if c is None else _fraction(c, self._den)
@@ -316,17 +318,21 @@ class Element:
         return self * (1 / c)
 
     def __pow__(self, k: int):
+        """self^k as k right multiplications, out <- mul(out, self), from one.
+
+        Each step straightens the words of out past the terms of self only:
+        past a generator l_j a word w gives the |w| + 1 words of
+        w l_j = l_j w + D_j(w), where squaring would straighten whole words
+        past powers of the l's.  An exponent above MAX_EXPONENT is a
+        DomainError, raised before any product.
+        """
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a non-negative integer")
+        if k > MAX_EXPONENT:
+            raise DomainError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
         out = Element.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
+        for _ in range(k):
+            out = mul(out, self)
         return out
 
 
@@ -477,7 +483,9 @@ def _signed_products(products) -> dict[tuple, int]:
     them out (any re-iterable pairs will do).  Every term pair is
     multiplied and added with the int straightening constants of
     `_rword_past_monomial` into one map, so a sum of products builds no
-    Element per product; the caller puts the map over its denominator.  The
+    Element per product; the caller puts the map over its denominator.  A
+    right term without l-letters only concatenates the r-words, with no
+    lookup, so that the r-only steps of a power fill no cache entries.  The
     --max-terms guard is charged after each term of each left factor.
     """
     # plain (lexp, rword) keys hash and compare like the BasisWord they become
@@ -490,6 +498,15 @@ def _signed_products(products) -> dict[tuple, int]:
             shift = any(lexp1)
             for (lexp2, rword2), c2 in right:
                 c = c1 * c2
+                if not any(lexp2):
+                    # without l-letters on the right, there is nothing to straighten
+                    key = (lexp1, rword1 + rword2)
+                    total = acc.get(key, 0) + c
+                    if total:
+                        acc[key] = total
+                    elif key in acc:
+                        del acc[key]
+                    continue
                 for s, v, kk in _rword_past_monomial(rword1, lexp2):
                     key = (tuple(map(_add, lexp1, s)) if shift else s, v + rword2)
                     total = acc.get(key, 0) + c * kk
@@ -707,13 +724,45 @@ def shift_lr(f: Element) -> Element:
 # -- serialization ------------------------------------------------------------
 
 
+def canonical_walk(g: Element) -> Iterator[tuple[tuple, tuple, bool, str]]:
+    """The terms of g in descending order, as (lexp, rword, negative, text).
+
+    `text` is exact_str of the coefficient's magnitude, reduced with one gcd.
+    The order is `word_key` descending, read off the ints by C sorts: the
+    L-monomials by `pdeg_key`, and within one the r-words longest first,
+    ties in ascending tuple order (letter 1 is the largest).  The words of
+    one L-monomial share its `lexp` object.
+    """
+    groups: dict[tuple, dict] = {}
+    for (lexp, rword), c in g._nums.items():
+        groups.setdefault(lexp, {})[rword] = c
+    den = g._den
+    for lexp in sorted(groups, key=pdeg_key, reverse=True):
+        group = groups[lexp]
+        rwords = sorted(group)
+        rwords.sort(key=len, reverse=True)
+        for rword in rwords:
+            c = group[rword]
+            negative = c < 0
+            if negative:
+                c = -c
+            if den == 1:
+                text = _int_str(c)
+            else:
+                d = gcd(c, den)
+                text = _int_str(c // d)
+                if d != den:
+                    text = f"{text}/{_int_str(den // d)}"
+            yield lexp, rword, negative, text
+
+
 def element_to_json(g: Element) -> dict:
     """JSON form {n, terms: [{l, r, c}]} with terms in canonical order."""
     return {
         "n": g.n,
         "terms": [
-            {"l": list(w.lexp), "r": list(w.rword), "c": exact_str(c)}
-            for w, c in g.canonical_terms()
+            {"l": list(lexp), "r": list(rword), "c": f"-{text}" if neg else text}
+            for lexp, rword, neg, text in canonical_walk(g)
         ],
     }
 

@@ -10,11 +10,13 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 GEN tokens are l<k> / r<k> with the index part of the token, so `l12` is the
 twelfth l-generator and `l1*2` is a product.  `^` takes non-negative integer
-exponents and binds tightest.  Rational literals are INT '/' INT; `/` has no
+exponents up to algebra.MAX_EXPONENT (10000) and binds tightest; a larger
+exponent is a DomainError.  Rational literals are INT '/' INT; `/` has no
 other role.  Parentheses and unary minus nest at most MAX_NESTING (100)
 levels deep; deeper input is a syntax error.
 
-`format_element` prints the canonical form: terms in descending order,
+`format_element` prints the canonical form, read off
+`algebra.canonical_walk`: terms in descending order,
 coefficients as p/q with positive denominators, l-parts with exponents and
 r-parts as spelled-out letters, e.g. `l1^2*r1 + 2*l1*r1*r1`.  Parsing a
 formatted string returns the identical element.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import DomainError, Element, exact_str, gen_l, gen_r
+from .algebra import DomainError, Element, canonical_walk, gen_l, gen_r
 
 
 class ExprSyntaxError(ValueError):
@@ -175,33 +177,27 @@ def parse_element(text: str, n: int) -> Element:
     return _Parser(text, n).parse()
 
 
-def _word_str(word) -> str:
-    factors = [
-        f"l{i + 1}" if e == 1 else f"l{i + 1}^{e}"
-        for i, e in enumerate(word.lexp)
-        if e
-    ]
-    factors.extend(f"r{j}" for j in word.rword)
-    return "*".join(factors)
-
-
 def format_element(g: Element) -> str:
     """Canonical text form; parse(format(g)) == g."""
     if g.is_zero:
         return "0"
+    letters = [f"r{j}" for j in range(g.n + 1)]
     pieces = []
-    for word, c in g.canonical_terms():
-        ws = _word_str(word)
-        mag = abs(c)
-        if not ws:
-            body = exact_str(mag)
-        elif mag == 1:
-            body = ws
+    last = None
+    for lexp, rword, negative, text in canonical_walk(g):
+        if lexp is not last:
+            last = lexp
+            lpart = "*".join(
+                f"l{i}" if e == 1 else f"l{i}^{e}" for i, e in enumerate(lexp, 1) if e
+            )
+        rpart = "*".join(map(letters.__getitem__, rword))
+        word = f"{lpart}*{rpart}" if lpart and rpart else lpart or rpart
+        if not word:
+            body = text
+        elif text == "1":
+            body = word
         else:
-            body = f"{exact_str(mag)}*{ws}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = f"{text}*{word}"
+        pieces.append(f"- {body}" if negative else f"+ {body}")
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else f"-{out[2:]}"

@@ -202,7 +202,9 @@ def ad_preimage(us) -> Element:
     The u_i must be homogeneous of one degree t, lie in I_n and satisfy the
     compatibility ad_{l_j}(u_i) = ad_{l_i}(u_j); g then exists (a theorem).
     It is computed from the first nonzero u_i and re-checked against every
-    u_k; a failure raises AnomalyError.
+    u_k.  A passing re-check implies compatibility, since the ad_{l_i}
+    commute, so compatibility is checked only after a failed one: incompatible
+    images raise DomainError, and a failure on compatible ones AnomalyError.
 
     Why g is unique and of this form.  For an r-word w, w l_i = l_i w +
     D_i(w), D_i the derivation of R_n inserting r_i after each letter, so
@@ -241,13 +243,6 @@ def ad_preimage(us) -> Element:
     if not degrees:
         return Element.zero(n)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if commutator(gen_l(n, j + 1), us[i]) != commutator(gen_l(n, i + 1), us[j]):
-                raise DomainError(
-                    f"compatibility fails: ad_l{j+1}(u_{i+1}) != ad_l{i+1}(u_{j+1})"
-                )
-
     i = next(k for k, u in enumerate(us, 1) if not u.is_zero)
     den, terms = us[i - 1].int_terms()
     # the nonzero d_i^(k+1) h, keyed by ((s, a), tail), from k = 0
@@ -267,6 +262,7 @@ def ad_preimage(us) -> Element:
     for k in range(n):
         residual = commutator(gen_l(n, k + 1), g) - us[k]
         if not residual.is_zero:
+            _require_compatible(us)
             raise AnomalyError(
                 "ad-preimage re-check failed despite compatible homogeneous input",
                 payload={
@@ -279,6 +275,17 @@ def ad_preimage(us) -> Element:
                 },
             )
     return g
+
+
+def _require_compatible(us) -> None:
+    """DomainError unless ad_{l_j}(u_i) = ad_{l_i}(u_j) for all i < j."""
+    n = len(us)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if commutator(gen_l(n, j + 1), us[i]) != commutator(gen_l(n, i + 1), us[j]):
+                raise DomainError(
+                    f"compatibility fails: ad_l{j+1}(u_{i+1}) != ad_l{i+1}(u_{j+1})"
+                )
 
 
 # -- the quadratic leading-coefficient condition ---------------------------------

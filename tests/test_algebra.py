@@ -1,6 +1,7 @@
 """Core arithmetic: constructors, normal form, orders, gradings, subalgebras."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from lsea import (
     shift_lr,
     wdeg,
 )
-from lsea.algebra import _r_past_monomial, _rword_past_monomial
+from lsea.algebra import MAX_EXPONENT, _r_past_monomial, _rword_past_monomial
 from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights, rand_word
 
 
@@ -163,6 +164,78 @@ class TestMul:
         assert len(g) == 65
         assert g.coefficient((64,), ()) == 1
         assert elapsed < 2.0
+
+
+def _square_and_multiply(x, k):
+    # the binary powering Element.__pow__ used before it became a right fold
+    out, base = Element.one(x.n), x
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
+class TestPowers:
+    def test_power_matches_oracle(self):
+        # (c_0 + sum c_g g)^k expanded over every sequence of k summands,
+        # each product of generators put in normal form by the oracle
+        rng = random.Random(1401)
+        for n, top in ((1, 4), (2, 3), (3, 3)):
+            for _ in range(4):
+                pool = [(kind, i) for kind in "lr" for i in range(1, n + 1)]
+                summands = [(None, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))]
+                for g in rng.sample(pool, min(3, 2 * n)):
+                    c = Fraction(rng.randint(1, 3), rng.choice([-1, 3]))
+                    summands.append((g, c))
+                x = Element.zero(n)
+                for g, c in summands:
+                    x = x + c * (Element.one(n) if g is None else generator(n, *g))
+                for k in range(top + 1):
+                    expected = Element.zero(n)
+                    for seq in itertools.product(summands, repeat=k):
+                        coeff = Fraction(1)
+                        for _, c in seq:
+                            coeff *= c
+                        letters = [g for g, _ in seq if g is not None]
+                        expected = expected + coeff * normal_form_oracle(n, letters)
+                    assert x**k == expected, (x, k)
+
+    def test_power_matches_repeated_squaring(self):
+        rng = random.Random(1402)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            x = rand_element(rng, n, 2, terms=3)
+            for k in range(5):
+                assert x**k == _square_and_multiply(x, k), (x, k)
+        n2 = gen_l(2, 1) + 2 * gen_l(2, 2) + 3 * gen_r(2, 1) + 4 * gen_r(2, 2)
+        assert n2**9 == _square_and_multiply(n2, 9)
+        u3 = sum((generator(3, c, i) for c in "lr" for i in (1, 2, 3)), Element.zero(3))
+        assert u3**5 == _square_and_multiply(u3, 5)
+
+    def test_power_of_two_terms_is_fast(self):
+        # 128 right multiplications, each word past one l1; squaring straightened
+        # whole words past l1^64 and took 9.8 s on a 2-vCPU machine
+        _rword_past_monomial.cache_clear()
+        _r_past_monomial.cache_clear()
+        start = time.perf_counter()
+        g = (gen_l(1, 1) + gen_r(1, 1)) ** 128
+        elapsed = time.perf_counter() - start
+        assert len(g) == 129
+        assert g.coefficient((128,), ()) == 1
+        assert g.coefficient((0,), (1,) * 128) == math.factorial(128)
+        assert elapsed < 2.0
+
+    def test_exponent_cap(self):
+        assert gen_l(1, 1) ** MAX_EXPONENT == Element.from_word(1, (MAX_EXPONENT,), ())
+        for k in (MAX_EXPONENT + 1, 10**20):
+            with pytest.raises(DomainError, match=f"exponent {k} exceeds the limit"):
+                gen_r(1, 1) ** k
+        for k in (-1, Fraction(2), 2.0):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                gen_r(1, 1) ** k
 
 
 class TestCommutator:

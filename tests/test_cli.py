@@ -31,6 +31,7 @@ from lsea import (
     rfactor_decompose,
     u1_closed_form,
 )
+from lsea.algebra import MAX_EXPONENT
 from lsea.cli import MAX_K, MAX_N, _indented_json, build_parser, main
 from lsea.maps import violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
@@ -256,7 +257,8 @@ class TestCliBasics:
 
     def test_max_terms_trips_at_fixed_count(self, capsys):
         # the guard is charged after each term of a product's left factor and
-        # at construction; this pins where the first overrun is seen
+        # at construction; this pins where the first overrun is seen, in
+        # x^8 * x of the power's right multiplications
         code, _, err = run_cli(
             capsys,
             "-n",
@@ -267,7 +269,7 @@ class TestCliBasics:
             "(1*l1+2*l2+3*r1+4*r2)^9",
         )
         assert code == 2
-        assert "1524 terms" in err
+        assert "1501 terms" in err
 
     def test_max_terms_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LSEA_MAX_TERMS", "3")
@@ -354,6 +356,36 @@ class TestCliBasics:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"lsea: -n: n = 100000000 exceeds the limit {MAX_N}\n"
+
+    @pytest.mark.parametrize(
+        "exponent, code",
+        [("9" * 20, 2), (str(MAX_EXPONENT + 1), 2), (str(MAX_EXPONENT), 0)],
+    )
+    def test_exponent_cap(self, subprocess_env, exponent, code):
+        # a child capped at 1 GB of address space: above the cap the power is
+        # refused before its first product (10^20 used to end in a MemoryError)
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "-n", "1", "norm", f"r1^{exponent}"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert proc.returncode == code
+        if code == 2:
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"lsea: exponent {exponent} exceeds the limit {MAX_EXPONENT}\n"
+            )
+        else:
+            assert proc.stderr == ""
+            assert proc.stdout == "*".join(["r1"] * MAX_EXPONENT) + "\n"
 
 
 class TestCliMaps:
@@ -536,8 +568,15 @@ class TestCliSolver:
         [
             # degree 42: an elimination over its slice would have about 10^13 unknowns
             (Element.from_word(2, (0, 40), (1,)), 0),
-            # 256 terms, whose compatibility commutators have 1022
-            (mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8), 2),
+            # 256 terms: the re-check's products have at most 767, and the
+            # compatibility commutators (1022 terms) run only after a failure
+            (mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8), 0),
+            # 384 terms and images of 766 and 894: the re-check's g * l1 has 1150
+            (
+                mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8)
+                + mul(gen_r(2, 2) * gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 7),
+                2,
+            ),
         ],
     )
     def test_ad_preimage_bounded(self, tmp_path, subprocess_env, g, code):
@@ -561,9 +600,7 @@ class TestCliSolver:
         )
         assert proc.returncode == code and "Traceback" not in proc.stderr
         if code == 0:
-            assert format_element(element_from_json(json.loads(proc.stdout)["g"])) == (
-                "l2^40*r1"
-            )
+            assert element_from_json(json.loads(proc.stdout)["g"]) == g
         else:
             assert proc.stdout == "" and "over the --max-terms bound 1000" in proc.stderr
 

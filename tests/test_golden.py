@@ -11,7 +11,10 @@ Each entry holds an argv, its exit code and the SHA-256 of its stdout.
   and the usage errors (missing -n, wrong map kind, bad weights, unknown
   suite, missing subcommand), recorded before the CLI moved to per-subparser
   handlers.  A `{data}` prefix in an argv stands for the data directory, so
-  map-file fixtures resolve independently of the working directory.
+  map-file fixtures resolve independently of the working directory.  Its
+  last three entries, `(l1+r1)^128`, `(l1+l2+r1+r2)^12` and
+  `(l1+l2+l3+r1+r2+r3)^7`, were recorded from the binary powering that
+  preceded the right fold.
 """
 
 import hashlib
