@@ -326,10 +326,7 @@ class Element:
         past powers of the l's.  An exponent above MAX_EXPONENT is a
         DomainError, raised before any product.
         """
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("exponent must be a non-negative integer")
-        if k > MAX_EXPONENT:
-            raise DomainError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
+        _require_exponent(k)
         out = Element.one(self.n)
         for _ in range(k):
             out = mul(out, self)
@@ -337,6 +334,14 @@ class Element:
 
 
 _ZERO = Fraction(0)
+
+
+def _require_exponent(k) -> None:
+    """A DomainError unless k is an int from 0 to MAX_EXPONENT."""
+    if not isinstance(k, int) or k < 0:
+        raise DomainError("exponent must be a non-negative integer")
+    if k > MAX_EXPONENT:
+        raise DomainError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
 
 
 def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
@@ -528,9 +533,12 @@ def mul(a: Element, b: Element) -> Element:
     """
     a._require_same_ambient(b)
     acc = _signed_products(((1, a._nums.items(), b._nums.items()),))
-    return _from_ints(
-        a.n, {_basis_word(key): c for key, c in acc.items()}, a._den * b._den
-    )
+    return _from_products(a.n, acc, a._den * b._den)
+
+
+def _from_products(n: int, acc: dict, den: int = 1) -> Element:
+    """The element sum(acc[key] / den * key) of a `_signed_products` map."""
+    return _from_ints(n, {_basis_word(key): c for key, c in acc.items()}, den)
 
 
 def commutator(a: Element, b: Element) -> Element:

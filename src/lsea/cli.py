@@ -78,6 +78,12 @@ MAX_N = 64
 # output), so a larger k is a usage error, refused before anything is built.
 MAX_K = 300
 
+# Largest iteration count accepted from `der probe --bound`.  The k-th
+# iterate may hold only k + 1 terms, so --max-terms need not trip, while the
+# work grows about as k^4 (bound 100 takes about a second, 200 about ten);
+# a larger bound is a usage error, refused before anything is built.
+MAX_BOUND = 100
+
 
 class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
@@ -270,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(der, "check", _der_check, "check the defining relations", "file")
     _leaf(der, "apply", _der_apply, "apply a verified derivation", "file", "expr")
     p = _leaf(der, "probe", _der_probe, "bounded nilpotency probe", "file", "expr")
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument(
+        "--bound", type=int, default=5, help=f"iterations, at most {MAX_BOUND}"
+    )
     p = _leaf(der, "grade", _der_grade, "weighted homogeneous pieces", "file")
     p.add_argument("--weights", required=True)
 
@@ -457,6 +465,10 @@ def _der_apply(args):
 
 
 def _der_probe(args):
+    if args.bound > MAX_BOUND:
+        raise _CliFailure(
+            USAGE_ERROR, f"--bound: bound = {args.bound} exceeds the limit {MAX_BOUND}"
+        )
     d = _load_map(args.file, "derivation")
     res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
     if isinstance(res, ZeroAt):

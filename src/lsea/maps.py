@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import lcm
+from operator import add as _add
 from typing import Sequence
 
 from . import linalg
@@ -28,9 +29,10 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
-    _basis_word,
     _from_ints,
+    _from_products,
     _json_int,
+    _require_exponent,
     _signed_products,
     as_fraction,
     commutator,
@@ -136,8 +138,11 @@ def identity_endo(n: int) -> Endomorphism:
 # hands each slot's products to its assembly unchanged to build the rows of
 # homogeneous derivation spaces.  Either residual is one
 # `algebra._signed_products` sum over the lcm of the products' denominators
-# (`_signed_sum`), so no Element is built per product; the check reads only
-# the map's images, never a solver's rows or kernel.
+# (`_signed_sum`); the check reads only the map's images, never a solver's
+# rows or kernel.  Applying a map works the same way: `_leibniz` sums every
+# Leibniz split of a call in one such map, and `_substitute` the last
+# product of every word, so no Element is built per product anywhere in
+# checking or applying a map.
 
 
 def relations(n: int):
@@ -198,7 +203,7 @@ def _signed_sum(n: int, products) -> Element:
         terms.append((sign, den_a * den_b, items_a, items_b))
     den = lcm(*(d for _, d, _, _ in terms))
     acc = _signed_products((sign * (den // d), ia, ib) for sign, d, ia, ib in terms)
-    return _from_ints(n, {_basis_word(key): c for key, c in acc.items()}, den)
+    return _from_products(n, acc, den)
 
 
 def derivation_residual(data, kind: str, i: int, j: int) -> Element:
@@ -293,38 +298,77 @@ def _word_factor_splits(word: BasisWord, n: int):
 
 def _leibniz(g: Element, l_images, r_images) -> Element:
     """The derivation with these generator images, extended to g by linearity
-    and the Leibniz law over `_word_factor_splits`; the images of the words
-    are summed with g's int numerators and divided by its denominator once."""
+    and the Leibniz law over `_word_factor_splits`.
+
+    Every split of every word of g is one product prefix * image * suffix,
+    and all of them go into one `_signed_products` map over g's denominator
+    times the lcm of the images' denominators.  For an l-split the prefix is
+    a pure l-monomial, so prefix * image only adds exponents; for an r-split
+    the suffix is a pure r-word, so image * suffix only concatenates.  Either
+    way the three factors are two, and no Element is built per product.
+    """
+    n = g.n
     den, items = g.int_terms()
-    out = Element.zero(g.n)
-    for word, c in items:
-        acc = Element.zero(g.n)
-        for prefix, (kind, idx), suffix in _word_factor_splits(word, g.n):
-            img = (l_images if kind == "l" else r_images)[idx - 1]
-            if img.is_zero:
-                continue
-            piece = mul(_from_ints(g.n, {prefix: 1}), img)
-            acc = acc + mul(piece, _from_ints(g.n, {suffix: 1}))
-        out = out + acc * c
-    return out if den == 1 else out / den
+    l_terms = [img.int_terms() for img in l_images]
+    r_terms = [img.int_terms() for img in r_images]
+    img_den = lcm(*(d for d, _ in l_terms + r_terms))
+
+    def products():
+        for word, c in items:
+            for prefix, (kind, idx), suffix in _word_factor_splits(word, n):
+                d, img = (l_terms if kind == "l" else r_terms)[idx - 1]
+                if not img:
+                    continue
+                k = c * (img_den // d)
+                if kind == "l":
+                    shift = prefix.lexp
+                    left = [((tuple(map(_add, shift, s)), v), x) for (s, v), x in img]
+                    yield k, left, ((suffix, 1),)
+                else:
+                    tail = suffix.rword
+                    right = [((s, v + tail), x) for (s, v), x in img] if tail else img
+                    yield k, ((prefix, 1),), right
+
+    return _from_products(n, _signed_products(products()), den * img_den)
 
 
 def _substitute(g: Element, l_images, r_images) -> Element:
     """g with each generator replaced by its image, multiplied out along
-    each basis word (l-part first, then the r-letters in order); the images
-    of the words are summed with g's int numerators and divided by its
-    denominator once."""
+    each basis word: the l-part first, then the r-letters in order.
+
+    Each power of an l-image is built once per call, by right
+    multiplications up a ladder shared by all words.  A word's factors but
+    the last are multiplied into an int map over the product of their
+    denominators; the last product of every word goes into one
+    `_signed_products` map over g's denominator times the lcm of the words'
+    denominators, so one Element is built for the whole image.
+    """
+    n = g.n
     den, items = g.int_terms()
-    out = Element.zero(g.n)
+    unit = (((0,) * n, ()), 1)
+    ladders = [[Element.one(n), f] for f in l_images]
+    words = []
     for word, c in items:
-        acc = Element.one(g.n)
+        factors = []
         for i, s in enumerate(word.lexp):
             if s:
-                acc = mul(acc, l_images[i] ** s)
-        for j in word.rword:
-            acc = mul(acc, r_images[j - 1])
-        out = out + acc * c
-    return out if den == 1 else out / den
+                _require_exponent(s)
+                ladder = ladders[i]
+                while len(ladder) <= s:
+                    ladder.append(mul(ladder[-1], l_images[i]))
+                factors.append(ladder[s].int_terms())
+        factors.extend(r_images[j - 1].int_terms() for j in word.rword)
+        last_den, last = factors.pop() if factors else (1, (unit,))
+        word_den, left = 1, (unit,)
+        for d, right in factors:
+            word_den *= d
+            left = _signed_products(((1, left, right),)).items()
+        words.append((c, word_den * last_den, left, last))
+    words_den = lcm(*(d for _, d, _, _ in words))
+    acc = _signed_products(
+        (c * (words_den // d), left, last) for c, d, left, last in words
+    )
+    return _from_products(n, acc, den * words_den)
 
 
 def apply_derivation(d: Derivation, g: Element) -> Element:
@@ -542,25 +586,21 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
 def lift_phi(n: int, fs: Sequence[Element]) -> Endomorphism:
     """Lift a polynomial tuple (f_1..f_n) of L_n to an endomorphism of U_n.
 
-    l_i goes to f_i and r_i to sum_s (df_i/dl_s) r_s.  Preserving the
-    straightening relation reduces to the substitution rule for moving an r
-    past a polynomial, so the lift of any polynomial tuple is an
-    endomorphism; it is marked verified on construction and the suite
-    re-checks it.
+    l_i goes to f_i and r_i to sum_s (df_i/dl_s) r_s, one `_signed_sum`
+    per r-image.  Preserving the straightening relation reduces to the
+    substitution rule for moving an r past a polynomial, so the lift of any
+    polynomial tuple is an endomorphism; it is marked verified on
+    construction and the suite re-checks it.
     """
     fs = _as_images(n, fs)
     for f in fs:
         if not in_L(f):
             raise DomainError("lift requires polynomial images")
-    r_images = []
-    for f in fs:
-        img = Element.zero(n)
-        for s in range(1, n + 1):
-            df = pderiv_l(s, f)
-            if not df.is_zero:
-                img = img + mul(df, gen_r(n, s))
-        r_images.append(img)
-    return Endomorphism(n, fs, tuple(r_images), verified=True)
+    r_images = tuple(
+        _signed_sum(n, [(1, pderiv_l(s, f), gen_r(n, s)) for s in range(1, n + 1)])
+        for f in fs
+    )
+    return Endomorphism(n, fs, r_images, verified=True)
 
 
 def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:

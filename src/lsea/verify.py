@@ -106,9 +106,9 @@ def rand_words(rng: random.Random, n: int, terms: int, degree, l_part) -> Elemen
 
     For each word `degree(rng)` draws its total degree and `l_part(rng, deg)`
     how many of its letters are l's; those fall on random indices and the
-    remaining letters form a random r-word.
+    remaining letters form a random r-word.  Repeated words add up.
     """
-    out = Element.zero(n)
+    pairs = []
     for _ in range(terms):
         deg = degree(rng)
         a = l_part(rng, deg)
@@ -116,8 +116,8 @@ def rand_words(rng: random.Random, n: int, terms: int, degree, l_part) -> Elemen
         for _ in range(a):
             lexp[rng.randrange(n)] += 1
         rword = tuple(rng.randint(1, n) for _ in range(deg - a))
-        out = out + Element.from_word(n, tuple(lexp), rword, rand_coeff(rng))
-    return out
+        pairs.append(((tuple(lexp), rword), rand_coeff(rng)))
+    return Element(n, pairs)
 
 
 def _until_nonzero(draw) -> Element:
@@ -169,14 +169,13 @@ def rand_homogeneous(rng: random.Random, n: int, deg: int, terms: int = 3) -> El
 def rand_univariate_last(rng: random.Random, n: int, max_deg: int) -> Element:
     """Random nonzero polynomial in the last variable l_n."""
     while True:
-        out = Element.zero(n)
-        for k in range(max_deg + 1):
-            if rng.random() < 0.5:
-                lexp = [0] * n
-                lexp[n - 1] = k
-                out = out + Element.from_word(n, tuple(lexp), (), rand_coeff(rng))
-        if not out.is_zero:
-            return out
+        pairs = [
+            (((0,) * (n - 1) + (k,), ()), rand_coeff(rng))
+            for k in range(max_deg + 1)
+            if rng.random() < 0.5
+        ]
+        if pairs:
+            return Element(n, pairs)
 
 
 def rand_weights(rng: random.Random, n: int, lo: int = -2, hi: int = 3):
@@ -222,7 +221,7 @@ def _rand_affine(rng: random.Random, n: int):
 def _rand_elementary(rng: random.Random, n: int):
     i = rng.randint(1, n)
     alpha = Fraction(rng.choice([-2, -1, 1, 2]))
-    f = Element.zero(n)
+    pairs = []
     for _ in range(rng.randint(1, 2)):
         deg = rng.randint(0, 2)
         lexp = [0] * n
@@ -231,10 +230,8 @@ def _rand_elementary(rng: random.Random, n: int):
             while j == i - 1:
                 j = rng.randrange(n)
             lexp[j] += 1
-        f = f + Element.from_word(n, tuple(lexp), (), rand_coeff(rng))
-    if n == 1:
-        f = Element.zero(n)
-    return elementary_tuple(n, i, alpha, f)
+        pairs.append(((tuple(lexp), ()), rand_coeff(rng)))
+    return elementary_tuple(n, i, alpha, Element(n, pairs if n > 1 else ()))
 
 
 def rand_verified_derivation(rng: random.Random, n: int) -> Derivation:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lsea import (
     Derivation,
     Element,
+    Endomorphism,
     ad,
     ad_preimage,
     apply_derivation,
@@ -32,7 +33,7 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.algebra import MAX_EXPONENT
-from lsea.cli import MAX_K, MAX_N, _indented_json, build_parser, main
+from lsea.cli import MAX_BOUND, MAX_K, MAX_N, _indented_json, build_parser, main
 from lsea.maps import violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import (
@@ -387,6 +388,39 @@ class TestCliBasics:
             assert proc.stderr == ""
             assert proc.stdout == "*".join(["r1"] * MAX_EXPONENT) + "\n"
 
+    @pytest.mark.parametrize("bound", [MAX_BOUND, MAX_BOUND + 1, 10**9])
+    def test_probe_bound_cap(self, subprocess_env, bound):
+        # the k-th iterate of example 4.1 on r2 has k + 1 terms, so a 1000-term
+        # budget trips only near k = 1000; without the cap a bound of 10^9
+        # runs past any timeout, and the cap refuses it before the map is read
+        argv = ["-n", "2", "--max-terms", "1000", "der", "probe"]
+        argv += [str(DATA / "example41.json"), "r2", "--bound", str(bound)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        if bound > MAX_BOUND:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (
+                f"lsea: --bound: bound = {bound} exceeds the limit {MAX_BOUND}\n"
+            )
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            data = json.loads(proc.stdout)
+            assert data == {
+                "nonzero_through": MAX_BOUND,
+                "degrees": list(range(2, MAX_BOUND + 2)),
+            }
+
+    def test_probe_bound_in_help(self, capsys):
+        code, out, _ = run_cli(capsys, "der", "probe", "--help")
+        assert code == 0
+        assert f"at most {MAX_BOUND}" in out
+
 
 class TestCliMaps:
     def test_der_check_ok(self, capsys):
@@ -437,6 +471,30 @@ class TestCliMaps:
         code, out, _ = run_cli(capsys, "der", "grade", path, "--weights", "1,1")
         data = json.loads(out)
         assert [p["wdeg"] for p in data["parts"]] == [1]
+
+    def test_map_application_under_max_terms(self, capsys, tmp_path):
+        # l_i -> f_i, r_i -> 0 is an endomorphism whose relation checks stay
+        # within 4 terms, while applying or composing it multiplies out
+        # powers of the f_i; example 4.1 checks within 5 terms
+        z = Element.zero(2)
+        fs = (parse_element("l1^5+l2", 2), parse_element("l2^5+l1", 2))
+        endo = tmp_path / "endo.json"
+        endo.write_text(json.dumps(map_to_json(Endomorphism(2, fs, (z, z)))))
+        endo, der = str(endo), str(DATA / "example41.json")
+        for budget, kind, path, argv in (
+            ("8", "der", der, ("-n", "2", "der", "apply", der, "l1^2*l2^2")),
+            ("5", "endo", endo, ("-n", "2", "endo", "apply", endo, "l1^2*l2^2")),
+            ("5", "endo", endo, ("endo", "compose", endo, endo)),
+        ):
+            # the budget holds while the map is loaded and checked
+            code, _, _ = run_cli(capsys, "--max-terms", budget, kind, "check", path)
+            assert code == 0, argv
+            code, out, err = run_cli(capsys, "--max-terms", budget, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "over the --max-terms bound" in err, argv
+            assert "Traceback" not in err, argv
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
 
     def test_endo_lift_and_check(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "-n", "2", "endo", "lift", "l1+l2^2;l2")

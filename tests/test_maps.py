@@ -46,11 +46,23 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
-from lsea.maps import PureFormalExpression, identity_tuple, is_identity, poly_subst
+from lsea.algebra import MAX_EXPONENT
+from lsea.maps import (
+    PureFormalExpression,
+    RDerivation,
+    _leibniz,
+    _substitute,
+    _word_factor_splits,
+    identity_tuple,
+    is_identity,
+    poly_subst,
+)
 from lsea.verify import (
     example41_derivation,
     rand_element,
     rand_homogeneous_I,
+    rand_lpoly,
+    rand_rpoly,
     rand_tame_tuple,
     rand_verified_derivation,
 )
@@ -568,6 +580,39 @@ def _reference_derivation_residual(d, kind, i, j):
     return _signed_mul_sum(n, products)
 
 
+def _reference_leibniz(g, l_images, r_images):
+    """Reference: the Leibniz extension with one Element per split product,
+    summed word by word and divided by g's denominator at the end."""
+    den, items = g.int_terms()
+    out = Element.zero(g.n)
+    for w, c in items:
+        acc = Element.zero(g.n)
+        for prefix, (kind, idx), suffix in _word_factor_splits(w, g.n):
+            img = (l_images if kind == "l" else r_images)[idx - 1]
+            if img.is_zero:
+                continue
+            piece = mul(Element(g.n, {prefix: 1}), img)
+            acc = acc + mul(piece, Element(g.n, {suffix: 1}))
+        out = out + acc * c
+    return out if den == 1 else out / den
+
+
+def _reference_substitute(g, l_images, r_images):
+    """Reference: each word's image as a chain of Element products, with
+    l_images[i] ** s computed afresh for every word."""
+    den, items = g.int_terms()
+    out = Element.zero(g.n)
+    for w, c in items:
+        acc = Element.one(g.n)
+        for i, s in enumerate(w.lexp):
+            if s:
+                acc = mul(acc, l_images[i] ** s)
+        for j in w.rword:
+            acc = mul(acc, r_images[j - 1])
+        out = out + acc * c
+    return out if den == 1 else out / den
+
+
 def _reference_endo_residual(e, kind, i, j):
     """phi(l_i) phi(l_j) - phi(l_j) phi(l_i) or
     phi(r_i) phi(l_j) - phi(l_j) phi(r_i) - phi(r_i) phi(r_j)."""
@@ -675,6 +720,142 @@ class TestRelationRecheck:
         try:
             with pytest.raises(TermBudgetExceeded) as exc:
                 check(m)
+        finally:
+            TERM_BUDGET.reset(token)
+        frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
+        assert frames[-2:] == ["_signed_products", "_charge"]
+        assert "mul" not in frames
+
+
+def _rand_images(rng, n, k):
+    """k random images in U_n, a quarter of them zero; coefficients have
+    denominators 1, 2 and 3."""
+    return tuple(
+        Element.zero(n) if rng.random() < 0.25 else rand_element(rng, n, 2, terms=3)
+        for _ in range(k)
+    )
+
+
+def _with_unit(rng, g):
+    """g, half the time plus a rational multiple of the unit word."""
+    if rng.random() < 0.5:
+        return g
+    c = Fraction(rng.choice([-3, 1, 5]), rng.choice([1, 2, 7]))
+    return g + c * Element.one(g.n)
+
+
+class TestApplicationReference:
+    """Leibniz application and substitution accumulate each call in one int
+    map; every result must equal the chain of Element products written out
+    in `_reference_leibniz` and `_reference_substitute`."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leibniz(self, seed):
+        rng = random.Random(seed)
+        dens = set()
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            images = _rand_images(rng, n, 2 * n)
+            dens.update(g.int_terms()[0] for g in images)
+            g = _with_unit(rng, rand_element(rng, n, 3))
+            got = _leibniz(g, images[:n], images[n:])
+            assert got == _reference_leibniz(g, images[:n], images[n:])
+        assert max(dens) > 1
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_apply_derivation(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            d = rand_verified_derivation(rng, n)
+            g = _with_unit(rng, rand_element(rng, n, 3))
+            assert apply_derivation(d, g) == _reference_leibniz(
+                g, d.l_images, d.r_images
+            )
+
+    def test_r_derivation(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            images = tuple(
+                Element.zero(n) if rng.random() < 0.25 else rand_rpoly(rng, n, 2)
+                for _ in range(n)
+            )
+            g = _with_unit(rng, rand_rpoly(rng, n, 4))
+            assert RDerivation(n, images)(g) == _reference_leibniz(g, (), images)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_substitute(self, seed):
+        rng = random.Random(200 + seed)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            images = _rand_images(rng, n, 2 * n)
+            g = _with_unit(rng, rand_element(rng, n, 3))
+            got = _substitute(g, images[:n], images[n:])
+            assert got == _reference_substitute(g, images[:n], images[n:])
+
+    def test_apply_lifted_endo(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            n = rng.randint(2, 3)
+            fwd, _ = rand_tame_tuple(rng, n, 2, 3)
+            phi = lift_phi(n, fwd)
+            g = _with_unit(rng, rand_element(rng, n, 3))
+            assert apply_endo(phi, g) == _reference_substitute(
+                g, phi.l_images, phi.r_images
+            )
+
+    def test_poly_subst(self):
+        rng = random.Random(13)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            images = tuple(rand_lpoly(rng, n, 2, terms=3) for _ in range(n))
+            f = _with_unit(rng, rand_lpoly(rng, n, 4))
+            assert poly_subst(f, images) == _reference_substitute(f, images, ())
+
+    def test_u1_shift_substitution(self):
+        # the h(a^{-1} r1) term of the closed-form U_1 inverse
+        rng = random.Random(17)
+        for _ in range(25):
+            inv = Fraction(1, rng.choice([-3, -2, 2, 3]))
+            h = _with_unit(rng, rand_rpoly(rng, 1, 5))
+            images = (inv * gen_r(1, 1),)
+            assert _substitute(h, (), images) == _reference_substitute(h, (), images)
+            _, psi = u1_closed_form(1 / inv, h)
+            expect = inv * gen_l(1, 1) - inv * _reference_substitute(h, (), images)
+            assert psi.l_images[0] == expect
+
+    def test_zero_and_unit(self):
+        n = 2
+        z = Element.zero(n)
+        images = (gen_r(n, 1), z, z, Fraction(1, 3) * gen_l(n, 2))
+        for g in (z, Element.one(n), Fraction(2, 5) * Element.one(n)):
+            assert _leibniz(g, images[:n], images[n:]) == z
+            assert _substitute(g, images[:n], images[n:]) == g
+
+    def test_exponent_cap(self):
+        g = Element.from_word(1, (MAX_EXPONENT + 1,), ())
+        for substitute in (_substitute, _reference_substitute):
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                substitute(g, (gen_l(1, 1),), (gen_r(1, 1),))
+
+    @pytest.mark.parametrize("kind", ["derivation", "endomorphism"])
+    def test_max_terms_trips_in_the_accumulator(self, kind):
+        n = 2
+        l1, l2 = gen_l(n, 1), gen_l(n, 2)
+        if kind == "derivation":
+            # example 4.1 on l1^2 l2^2 has 18 terms
+            apply, m, budget = apply_derivation, example41_derivation(), 8
+            g = mul(l1**2, l2**2)
+        else:
+            # (l1^5 + l2)(l2^5 + l1) has 4 terms; no power is built
+            z = Element.zero(n)
+            m = Endomorphism(n, (l1**5 + l2, l2**5 + l1), (z, z), verified=True)
+            apply, g, budget = apply_endo, mul(l1, l2), 3
+        token = TERM_BUDGET.set(budget)
+        try:
+            with pytest.raises(TermBudgetExceeded) as exc:
+                apply(m, g)
         finally:
             TERM_BUDGET.reset(token)
         frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lsea import verify
+from lsea import Element, verify
 from lsea.cli import main
 from lsea.maps import AnomalyError
 from lsea.parser import format_element
@@ -113,7 +113,27 @@ SAMPLER_PINS = {
         lambda rng, n: verify.rand_homogeneous(rng, n, 2),
         "2ccc18b6bd07c81cb0d65975c6ea56b78e1fbd634c3b936cfa4e64c1fcbfe2fa",
     ),
+    # these three were recorded while the samplers still added one term at a
+    # time; a tuple draw is formatted as its images joined by "; "
+    "rand_univariate_last": (
+        lambda rng, n: verify.rand_univariate_last(rng, n, 4),
+        "09ead47981b6d78d9c26a7a8e75649db96fb3632d7922276d529f10ec100d57e",
+    ),
+    "_rand_elementary": (
+        lambda rng, n: verify._rand_elementary(rng, n + 1),
+        "c0b4b0c0b7bea2575be99ca0518e7d1d90195108d083168da43fef3cdbf55b96",
+    ),
+    "rand_tame_tuple": (
+        lambda rng, n: verify.rand_tame_tuple(rng, n + 1, 3, 3),
+        "8a32aba473ffedeb012642581b4a29c501a48012c615376e86a48747aa6c7d11",
+    ),
 }
+
+
+def _formatted(draw) -> str:
+    if isinstance(draw, Element):
+        return format_element(draw)
+    return "; ".join(map(_formatted, draw))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_PINS))
@@ -123,7 +143,7 @@ def test_sampler_draws_pinned(name):
     for seed in range(6):
         rng = random.Random(seed)
         for k in range(5):
-            lines.append(format_element(draw(rng, 1 + k % 3)))
+            lines.append(_formatted(draw(rng, 1 + k % 3)))
         lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
