@@ -4,12 +4,13 @@ A system is a list of sparse rows, column->value dicts, because the operator
 matrices arising from graded slices are mostly zeros; entries are exact
 rationals.  Elimination is fraction-free: each row is scaled once to ints,
 by the lcm of its denominators, and every step replaces a row by an int
-combination of it and the pivot row, with its content divided out.  Kernel
-vectors are read off those int rows.  Right-hand sides and certificates
-replay a rational operation log that is derived from the int log on first
-use, so an elimination whose kernel alone is wanted builds no Fraction.
-Dense row lists enter only through `reduction_of`, and `system_json` is the
-one dense view, for anomaly payloads.
+combination of it and the pivot row, with its content divided out.  The
+reduced rows are read off those int rows as numerators over their pivots
+(`echelon_rows`, the row space a derivation space is read from), and
+kernel bases from the same rows.  Right-hand sides and certificates replay
+a rational operation log that is derived from the int log on first use, so
+an elimination whose rows alone are wanted builds no Fraction.  Dense row
+lists enter only through `reduction_of`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
-from .algebra import _charge, _int_form, as_fraction, exact_str
+from .algebra import _charge, _int_form, as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -178,29 +179,30 @@ class RowReduction:
             x[col] = b[row]
         return x, None
 
-    def kernel_vectors(self) -> list[tuple[int, dict[int, int]]]:
-        """One kernel vector per free column, deterministic order, each as
-        (den, {col: numerator}) in column order: the free column holds den,
-        and a pivot column the negated entry of its reduced row, over den."""
-        work = self._work
-        col_of_row = {row: col for col, row in self.pivot_of_col.items()}
+    def echelon_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """The nonzero rows of the reduced echelon form, in pivot column
+        order, each as (den, {col: numerator}) with den > 0: over den it holds
+        1 in its own pivot column and 0 in every other."""
         out = []
-        for f in self.free_cols:
-            entries = [(col_of_row[i], work[i]) for i in self._free_holders[f]]
-            den = lcm(*(w[col] for col, w in entries))
-            vec = {f: den}
-            for col, w in entries:
-                vec[col] = -w[f] * (den // w[col])
-            out.append((den, dict(sorted(vec.items()))))
+        for col in self.pivot_cols:
+            row = self._work[self.pivot_of_col[col]]
+            sign = 1 if row[col] > 0 else -1
+            out.append((sign * row[col], {j: sign * v for j, v in row.items() if v}))
         return out
 
     def kernel_basis(self) -> list[list[Fraction]]:
-        """The kernel vectors as dense Fraction lists."""
+        """One kernel vector per free column, in column order, as a dense
+        Fraction list: 1 in its free column and, in a pivot column, the
+        negated entry of that column's reduced row."""
+        work = self._work
+        col_of_row = {row: col for col, row in self.pivot_of_col.items()}
         basis = []
-        for den, vec in self.kernel_vectors():
+        for f in self.free_cols:
             dense = [_ZERO] * self.cols
-            for col, v in vec.items():
-                dense[col] = Fraction(v, den)
+            dense[f] = _ONE
+            for i in self._free_holders[f]:
+                col = col_of_row[i]
+                dense[col] = Fraction(-work[i][f], work[i][col])
             basis.append(dense)
         return basis
 
@@ -213,17 +215,6 @@ def reduction_of(rows_data) -> RowReduction:
         raise ValueError("ragged matrix rows")
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     return RowReduction(len(rows), ncols, sparse)
-
-
-def system_json(sparse_rows, cols: int) -> dict:
-    """Dense JSON view of a sparse system, entries as exact strings."""
-    return {
-        "rows": len(sparse_rows),
-        "cols": cols,
-        "entries": [
-            [exact_str(row.get(j, 0)) for j in range(cols)] for row in sparse_rows
-        ],
-    }
 
 
 @dataclass

@@ -134,13 +134,12 @@ def identity_endo(n: int) -> Endomorphism:
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
 # letter by letter.  A derivation's residual is the table the Leibniz rule
 # gives on each word (`derivation_residual_terms`), grouped by the slot whose
-# image enters: `check_derivation` evaluates it on the images, and the solver
-# hands each slot's products to its assembly unchanged to build the rows of
-# homogeneous derivation spaces.  Either residual is one
-# `algebra._signed_products` sum over the lcm of the products' denominators
-# (`_signed_sum`); the check reads only the map's images, never a solver's
-# rows or kernel.  Applying a map works the same way: `_leibniz` sums every
-# Leibniz split of a call in one such map, and `_substitute` the last
+# image enters: `check_derivation` evaluates it on the images, which is how
+# every member of a solver's derivation space is re-checked.  Either residual
+# is one `algebra._signed_products` sum over the lcm of the products'
+# denominators (`_signed_sum`); the check reads only the map's images, never
+# how a solver found them.  Applying a map works the same way: `_leibniz`
+# sums every Leibniz split of a call in one such map, and `_substitute` the last
 # product of every word, so no Element is built per product anywhere in
 # checking or applying a map.
 

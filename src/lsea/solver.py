@@ -1,23 +1,14 @@
 """Exact linear algebra on finite-dimensional graded slices of U_n.
 
 Makes the existence statements about the algebra constructive at desk scale:
-basis enumeration of homogeneous components, preimages under the inner
-derivations ad_{l_i} (in closed form, see `ad_preimage`), enumeration of
-solutions of the -ad_{l_i}(g) = r_i g + g r_i condition, the r_i^k
-factorization, and bases of homogeneous derivation spaces.
-
-The two solver systems (the Lemma 2.7 condition and the relation residuals
-of derivation spaces) are assembled column by column: each column's image
-is a signed sum of products of one basis word with one generator, computed
-by `algebra._signed_products`, the accumulator `mul` runs on, so the rows
-hold ints and no Element is built.  Both share the (sign, left, right) form
-of the one residual table in `maps`: derivation spaces pass its entries as
-they are, and `check_derivation` evaluates the same table on the images of
-every solution when it re-checks it, never on the rows or the kernel.
-
-Whenever a solve contradicts one of the proved existence statements the
-failure is raised as `AnomalyError` carrying the full offending data;
-those cases are bug evidence and must never be swallowed.
+graded slices (their sizes charged to the term budget before enumeration),
+ad_{l_i}-preimages, the solutions of -ad_{l_i}(g) = r_i g + g r_i, the
+r_i^k factorization and bases of homogeneous derivation spaces, each from
+a closed form or an explicit spanning family, with its proof in its
+docstring; no residual system is assembled.  Every answer is re-checked
+against its defining condition, and a result contradicting a proved
+statement raises `AnomalyError` carrying the full offending data; those
+cases are bug evidence and must never be swallowed.
 """
 
 from __future__ import annotations
@@ -25,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .algebra import (
     BasisWord,
@@ -34,7 +25,6 @@ from .algebra import (
     _basis_word,
     _charge,
     _from_ints,
-    _signed_products,
     commutator,
     element_to_json,
     gen_l,
@@ -44,16 +34,11 @@ from .algebra import (
     is_homogeneous,
     lm_lc,
     mul,
+    shift_lr,
     word_key,
 )
-from .linalg import RowReduction, system_json
-from .maps import (
-    AnomalyError,
-    Derivation,
-    derivation_residual_terms,
-    relations,
-    require_verified,
-)
+from .linalg import RowReduction
+from .maps import AnomalyError, Derivation, require_verified
 
 
 @dataclass(frozen=True)
@@ -88,85 +73,61 @@ def dim(n: int, m: int) -> int:
     return sum(comb(a + n - 1, n - 1) * n ** (m - a) for a in range(m + 1))
 
 
-def _rwords_of_weight(n: int, budget: int, weights: tuple[int, ...]):
-    """All r-words of total weight `budget`, grown a letter at a time from an
-    explicit stack of (word, weight left)."""
-    stack = [((), budget)]
-    while stack:
-        word, left = stack.pop()
-        if not left:
-            yield word
-            continue
-        for j in range(1, n + 1):
-            if weights[j - 1] <= left:
-                stack.append((word + (j,), left - weights[j - 1]))
+def _slice_size(m: int, weights: tuple[int, ...], restrict_to_I: bool) -> int:
+    """Number of basis words of w-degree m >= 0, counted as l-monomials
+    (lmon[k]) times r-words (rwords[m - k]) of w-degrees adding up to m."""
+    lmon = [1] + [0] * m
+    for w in weights:
+        for k in range(w, m + 1):
+            lmon[k] += lmon[k - w]
+    rwords = [1] + [0] * m
+    for k in range(1, m + 1):
+        rwords[k] = sum(rwords[k - w] for w in weights if w <= k)
+    total = sum(map(int.__mul__, lmon, reversed(rwords)))
+    return total - lmon[m] if restrict_to_I else total
 
 
-@lru_cache(maxsize=None)
+def _lmonomials(m: int, weights: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Exponent vectors of the l-monomials of w-degree m, in lex order."""
+    if m < 0:
+        return []
+    vecs = [((), m)]
+    for w in weights[:-1]:
+        vecs = [(e + (k,), left - k * w) for e, left in vecs for k in range(left // w + 1)]
+    last = weights[-1]
+    return [e + (left // last,) for e, left in vecs if left % last == 0]
+
+
 def weighted_slice(
     n: int, m: int, weights: tuple[int, ...], restrict_to_I: bool = False
 ) -> GradedSlice:
-    """Basis of the w-degree-m component for strictly positive weights."""
+    """Basis of the w-degree-m component for strictly positive weights; its
+    size is charged to the term budget on every call, cached or not."""
     if len(weights) != n:
         raise DomainError("weight vector length must equal the ambient n")
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
-    if m < 0:
-        return GradedSlice(n, m, weights, ())
-    words = []
-    max_exp = [m // w for w in weights]
-    for lexp in itertools.product(*(range(e + 1) for e in max_exp)):
-        lw = sum(e * w for e, w in zip(lexp, weights))
-        if lw > m:
-            continue
-        for rword in _rwords_of_weight(n, m - lw, weights):
-            if restrict_to_I and not rword:
-                continue
-            words.append(BasisWord(tuple(lexp), rword))
+    if m >= 0:
+        _charge(_slice_size(m, weights, restrict_to_I))
+    return _weighted_slice(n, m, tuple(weights), restrict_to_I)
+
+
+@lru_cache(maxsize=None)
+def _weighted_slice(
+    n: int, m: int, weights: tuple[int, ...], restrict_to_I: bool
+) -> GradedSlice:
+    rwords = [[()]]  # rwords[k]: the r-words of w-degree k
+    for k in range(1, m + 1):
+        rwords.append([v + (j,) for j, w in enumerate(weights, 1) if w <= k for v in rwords[k - w]])
+    words = [
+        BasisWord(lexp, v)
+        for k in range(m + 1)
+        for lexp in _lmonomials(k, weights)
+        for v in rwords[m - k]
+        if v or not restrict_to_I
+    ]
     words.sort(key=word_key, reverse=True)
     return GradedSlice(n, m, weights, tuple(words))
-
-
-def _position(w, s: GradedSlice) -> int:
-    pos = s.index.get(w)
-    if pos is None:
-        raise DomainError(
-            f"term {w} is not in the degree-{s.degree} slice (inhomogeneous input?)"
-        )
-    return pos
-
-
-# -- systems assembled from the straightening constants ----------------------
-
-
-def _generator_word(n: int, slot: int) -> BasisWord:
-    """Basis word of the generator in `slot` (l_1..l_n, then r_1..r_n, from 0)."""
-    if slot < n:
-        return BasisWord(tuple(int(k == slot) for k in range(n)), ())
-    return BasisWord((0,) * n, (slot - n + 1,))
-
-
-def _assemble(rows, row_base, target, col_base, source, products) -> None:
-    """Write into `rows` the integer matrix of w -> sum(sign * left * right).
-
-    `products` holds (sign, left, right) in the form of the residual table in
-    `maps`: one factor is None, standing for the unit basis word w of
-    `source`, and the other a generator slot (l_1..l_n, then r_1..r_n, from
-    0), read here as its basis word.  The image of the k-th word fills
-    column col_base + k of rows row_base + position in `target`.  The
-    generators left of w add up to one int combination a, those right of it
-    to one combination b, and each image a w + w b is one `_signed_products`
-    map, read off the straightening constants and charged to the term
-    budget as `mul` would charge it.
-    """
-    n = source.n
-    a = [(_generator_word(n, x), sign) for sign, x, _ in products if x is not None]
-    b = [(_generator_word(n, x), sign) for sign, _, x in products if x is not None]
-    for col, w in enumerate(source.basis, col_base):
-        unit = ((w, 1),)
-        image = _signed_products(((1, a, unit), (1, unit, b)))
-        for key, c in image.items():
-            rows[row_base + _position(key, target)][col] = c
 
 
 # -- preimages under the inner derivations ad_{l_i} ------------------------------
@@ -292,42 +253,60 @@ def _require_compatible(us) -> None:
 
 
 def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
-    """Basis of homogeneous g in I_n of degree d with -ad_{l_i}(g) = r_i g + g r_i.
+    """Basis of the homogeneous g of degree d with -ad_{l_i}(g) = r_i g + g r_i.
 
-    Every solution's leading coefficient must lie in span{r_i r_1, .., r_i r_n};
-    a solution violating that contradicts the proved statement and raises
-    AnomalyError.
+    The basis is g_{j,t} = r_i (l^t / t!) r_j, j = 1..n, |t| = d - 2, t! =
+    prod_k t_k!, ordered by each member's least word (`word_key`), greatest
+    first.  A member's size is charged to the term budget before it is
+    built; a member failing its re-check against the condition, or with a
+    leading coefficient outside span{r_i r_j}, raises AnomalyError.
+
+    Proof.  ad_{l_i} kills L_n and ad_{l_i}(r_k) = -r_k r_i, so every
+    r_i h r_j with h in L_n solves.  Conversely, with g = sum_u l^u g_u and
+    g_u in R_n, Cor. 2.3 makes the l^u part of the condition T(g_u) =
+    sum_{e != 0} (u+e)!/u! r_i V_e g_{u+e}, V_e the r-words of content e,
+    T(x) = D_i(x) - x r_i - r_i x and D_i inserting r_i after each letter.
+    So g_u is fixed by the g_{u'} with |u'| > |u| up to ker T, which is
+    span{r_i r_b} at length 2 and 0 elsewhere: there are at most n dim
+    L_{d-2} independent solutions, and the g_{j,t} are that many (the
+    length-2 part of g_{j,t} at l^t is r_i r_j / t!).  The least word of
+    g_{j,t}, an r_i V_t r_j with coefficient 1, is in no other member, so
+    they are the kernel basis an elimination of the condition reads off.
+    ker T: with r_i the greatest letter, inserting r_i at the first of
+    several places gives the lex-greatest word, one-to-one and monotone, so
+    S (insertion at every place but the last) is injective from length 1
+    and E (at every inner place) from length 2.  T(1) = -2 r_i and
+    T(r_b y) = r_b S(y) - r_i r_b y, so x = sum_b r_b y_b in ker T has
+    S(y_b) = 0 for b != i and S(y_i) = x: at length 1, y_i is a scalar and
+    x = S(y_i) = 0; beyond, x = r_i y_i and E(y_i) = x - r_i y_i = 0, so
+    |y_i| = 1.
     """
     if not 1 <= i <= n:
         raise DomainError("index out of range")
     if d < 2:
         raise DomainError("degree must be >= 2")
-    unknown = graded_slice(n, d, restrict_to_I=True)
-    target = graded_slice(n, d + 1, restrict_to_I=True)
-    li, ri = i - 1, n + i - 1
-    # -(l_i g - g l_i) - r_i g - g r_i
-    condition = ((-1, li, None), (1, None, li), (-1, ri, None), (-1, None, ri))
-    rows = [{} for _ in range(target.dim)]
-    _assemble(rows, 0, target, 0, unknown, condition)
-    red = RowReduction(target.dim, unknown.dim, rows)
+
+    def least_word(member):
+        j, t = member
+        middle = [k for k in range(n, 0, -1) for _ in range(t[k - 1])]
+        return word_key(BasisWord((0,) * n, (i, *middle, j)))
+
+    members = [(j, t) for t in _lmonomials(d - 2, (1,) * n) for j in range(1, n + 1)]
+    li, ri = gen_l(n, i), gen_r(n, i)
     out = []
-    for den, vec in red.kernel_vectors():
-        g = _from_ints(n, {unknown.basis[c]: v for c, v in vec.items()}, den)
-        lc = lm_lc(g)[1]
-        ok = all(
-            len(w.rword) == 2 and w.rword[0] == i for w, _ in lc.int_terms()[1]
-        )
-        if not ok:
-            raise AnomalyError(
-                "solution with leading coefficient outside the predicted span",
-                payload={
-                    "n": n,
-                    "i": i,
-                    "degree": d,
-                    "solution": element_to_json(g),
-                    "system": system_json(rows, unknown.dim),
-                },
-            )
+    for j, t in sorted(members, key=least_word, reverse=True):
+        boxes = itertools.product(*(range(k + 1) for k in t))
+        _charge(sum(factorial(sum(e)) // prod(map(factorial, e)) for e in boxes))
+        lt = _from_ints(n, {BasisWord(t, ()): 1}, prod(map(factorial, t)))
+        g = mul(mul(ri, lt), gen_r(n, j))
+        payload = {"n": n, "i": i, "degree": d}
+        residual = commutator(g, li) - mul(ri, g) - mul(g, ri)
+        if not residual.is_zero:
+            payload.update(solution=element_to_json(g), residual=element_to_json(residual))
+            raise AnomalyError("Lemma 2.7 solution failed its re-check", payload)
+        if not all(len(w.rword) == 2 and w.rword[0] == i for w, _ in lm_lc(g)[1].int_terms()[1]):
+            payload["solution"] = element_to_json(g)
+            raise AnomalyError("leading coefficient outside the predicted span", payload)
         out.append(g)
     return out
 
@@ -380,52 +359,80 @@ def derivation_space(
 ) -> list[Derivation]:
     """Exact basis of the w-homogeneous derivations of w-degree m.
 
-    Unknowns are the images of the 2n generators, each confined to the slice
-    of w-degree m + w_i (optionally inside I_n); the constraints are the
-    relation residuals of `maps.derivation_residual_terms`, which are linear
-    in the images: each slot's products are evaluated on the unit words of
-    that slot's slice, and images of other slots do not enter.  Every basis
-    member is re-checked with check_derivation before being returned.
+    For positive weights these derivations are spanned by the families
+    - inner: ad_w for every basis word w of w-degree m in I_n (for w in
+      L_n, ad_w lies in the next family: ad_w(r_k) = -r_k sum_j (dw/dl_j) r_j);
+    - vanishing on L_n: D(l_k) = 0, D(r_k) = r_k f r_j for all k, for each
+      j and each l-monomial f of w-degree m - w_j;
+    - lifted, unless into_I: for each slot k and l-monomial g of w-degree
+      m + w_k, D(l_k) = g, D(r_k) = sum_j (dg/dl_j) r_j, other images 0;
+    - for n = 1 and m = 0 only: D(l_1) = r_1, D(r_1) = 0.
+    The members are laid out over the (slot, basis word) columns they touch,
+    in slice order, and one elimination over the columns in reverse order
+    gives the reduced echelon form read from the right: its rows over their
+    pivots, in pivot column order, are the kernel basis an elimination of
+    the relation residuals would give.  Each is re-checked with
+    check_derivation before being returned.
+
+    Proof.  The members are derivations: ad_w plainly, the lifts by Cor.
+    2.3, D(l_1) = r_1 by relation s2(1,1), the second family by the steps
+    below.  Let D have w-degree m.  Subtract the lift of the L-parts of the
+    D(l_k).  For n >= 2 the l-images left lie in I_n and are compatible
+    (relation s1), so `ad_preimage`'s theorem gives h in I_n with D - lift
+    - ad_h zero on L_n.  Then relation s2(i,i) is the Lemma 2.7 condition
+    on D(r_i), so D(r_i) = r_i F_i, F_i = sum_k f_{ik} r_k with f_{ik} in
+    L_n (`lemma27_solutions`).  As ad_{l_j}(f r_k) = -f r_k r_j, relation
+    s2(i,j) reduces to r_i r_j F_i = r_i r_j F_j, and left multiplication
+    by r_k is injective (it prepends r_k to the R_n-coefficient of the
+    greatest L-monomial), so all F_i are one F.  For n = 1, ad_{l_1}(I_1)
+    misses the words l^s r_1, which leaves D(l_1) = a l^s r_1, s w_1 = m:
+    for s >= 1 the l^(s+1), l^s r_1^2 and l^(s-1) r_1^3 coefficients of
+    relation s2(1,1) give a s = 0; for s = 0 it is a times the last member.
     """
     weights = tuple(weights) if weights is not None else (1,) * n
     if len(weights) != n:
         raise DomainError("weight vector length must equal the ambient n")
-
-    # slots l_1..l_n, then r_1..r_n
-    slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
-    offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
-    total_unknowns = offsets[-1]
-    if total_unknowns == 0:
-        return []
-
-    rels = list(relations(n))
-    residual_slices = [
-        weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights)
-        for _, i, j in rels
+    zero = Element.zero(n)
+    gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
+    members = [
+        [commutator(_from_ints(n, {w: 1}), x) for x in gens]
+        for w in weighted_slice(n, m, weights, restrict_to_I=True).basis
     ]
-    row_offsets = [0, *itertools.accumulate(s.dim for s in residual_slices)]
-    total_rows = row_offsets[-1]
+    for j, wj in enumerate(weights, 1):
+        for f in _lmonomials(m - wj, weights):
+            lf = _from_ints(n, {BasisWord(f, ()): 1})
+            members.append([zero] * n + [mul(mul(r, lf), gens[n + j - 1]) for r in gens[n:]])
+    if not into_I:
+        for k, wk in enumerate(weights):
+            for g in _lmonomials(m + wk, weights):
+                lg = _from_ints(n, {BasisWord(g, ()): 1})
+                images = [zero] * (2 * n)
+                # g(l) - g(l - r) = sum_j (dg/dl_j) r_j, by `shift_lr`
+                images[k], images[n + k] = lg, lg - shift_lr(lg)
+                members.append(images)
+    if n == 1 and m == 0:
+        members.append([gens[1], zero])
 
-    sparse_rows = [dict() for _ in range(total_rows)]
-    for rel, base, target in zip(rels, row_offsets, residual_slices):
-        for slot, products in derivation_residual_terms(n, *rel).items():
-            _assemble(
-                sparse_rows, base, target, offsets[slot], slot_slices[slot], products
-            )
-
-    red = RowReduction(total_rows, total_unknowns, sparse_rows)
-    slot_words = [(slot, w) for slot, s in enumerate(slot_slices) for w in s.basis]
+    # the family images are integral, so their numerators are their coefficients
+    rows = [
+        {(slot, w): c for slot, g in enumerate(images) for w, c in g.int_terms()[1]}
+        for images in members
+    ]
+    columns = sorted({key for row in rows for key in row}, key=lambda k: (-k[0], word_key(k[1])))
+    col_of = {key: col for col, key in enumerate(columns)}
+    sparse_rows = [{col_of[key]: c for key, c in row.items()} for row in rows]
+    red = RowReduction(len(rows), len(columns), sparse_rows)
     out = []
-    for den, vec in red.kernel_vectors():
-        chunks = [{} for _ in slot_slices]
-        for col, v in vec.items():
-            slot, w = slot_words[col]
-            chunks[slot][w] = v
-        imgs = tuple(_from_ints(n, chunk, den) for chunk in chunks)
+    for den, row in reversed(red.echelon_rows()):
+        chunks = [{} for _ in range(2 * n)]
+        for col, c in row.items():
+            slot, w = columns[col]
+            chunks[slot][w] = c
+        imgs = [_from_ints(n, chunk, den) for chunk in chunks]
         out.append(
             require_verified(
-                Derivation(n, imgs[:n], imgs[n:]),
-                "kernel member failed the relation re-check",
+                Derivation(n, tuple(imgs[:n]), tuple(imgs[n:])),
+                "basis member failed the relation re-check",
                 wdeg=m,
                 weights=list(weights),
                 into_I=into_I,

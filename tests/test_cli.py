@@ -1,5 +1,6 @@
 """Expression grammar, canonical formatting, and the CLI contract."""
 
+import hashlib
 import json
 import math
 import random
@@ -698,6 +699,48 @@ class TestCliSolver:
         assert code == 0
         assert json.loads(out)["dim"] == 4
 
+    def test_derspace_u1_degree_zero_pinned(self, capsys):
+        # D(l_1) = r_1 and the lift of l_1 d/dl_1; the stdout digest was
+        # recorded from the eliminated residual system
+        code, out, _ = run_cli(capsys, "-n", "1", "solve", "derspace", "--wdeg", "0")
+        assert code == 0
+        members = [
+            [format_element(element_from_json(g)) for g in (*d["l_images"], *d["r_images"])]
+            for d in json.loads(out)["basis"]
+        ]
+        assert members == [["r1", "0"], ["l1", "r1"]]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "fdeba9d9867a7c5d63df20b26dde879accfeb08e4584e896f8839ce462c6326e"
+
+    @pytest.mark.parametrize(
+        "n, argv, code",
+        [
+            (2, ["derspace", "--wdeg", "60"], 2),
+            (2, ["lemma27", "--i", "1", "--degree", "40"], 2),
+            (1, ["lemma27", "--i", "1", "--degree", "40"], 0),
+            (1, ["derspace", "--wdeg", "60"], 0),
+        ],
+    )
+    def test_large_degree_under_max_terms(self, subprocess_env, n, argv, code):
+        # slice sizes and Lemma 2.7 member sizes are charged before anything
+        # is enumerated, so these refuse at once instead of running out of
+        # memory; at n = 1 the answers stay small
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "-n", str(n), "--max-terms", "1000"]
+            + ["solve", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=20,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert "over the --max-terms bound 1000" in proc.stderr
+        else:
+            assert json.loads(proc.stdout)["dim"] == {"lemma27": 1, "derspace": 62}[argv[0]]
+
 
 class TestCliVerify:
     def test_verify_ok(self, capsys):
@@ -908,15 +951,19 @@ class TestIndentedJson:
         for name, data in _call_site_payloads(seed).items():
             assert _indented_json(data) == json.dumps(data, indent=2), name
 
-    def test_anomaly_payload_with_system(self, monkeypatch):
+    def test_anomaly_payload_with_system(self, monkeypatch, residual_system, system_json):
+        # a leading-span anomaly payload with the dense view of the Lemma 2.7
+        # reference system beside it: long rows of exact strings
         from lsea import solver
         from lsea.solver import AnomalyError, lemma27_solutions
 
         monkeypatch.setattr(solver, "lm_lc", lambda g: (None, gen_r(2, 1)))
         with pytest.raises(AnomalyError) as exc:
             lemma27_solutions(2, 1, 3)
-        data = {"anomaly": str(exc.value), "payload": exc.value.payload}
-        assert "system" in data["payload"]
+        unknown, rows = residual_system.lemma27(2, 1, 3)
+        payload = {**exc.value.payload, "system": system_json(rows, unknown.dim)}
+        data = {"anomaly": str(exc.value), "payload": payload}
+        assert (payload["system"]["rows"], payload["system"]["cols"]) == (52, 22)
         assert _indented_json(data) == json.dumps(data, indent=2)
 
 

@@ -223,18 +223,32 @@ def test_matches_fraction_reference(kind, shape):
 
 
 def test_sparse_kernel_vectors_are_the_dense_basis():
+    # the int rows `echelon_rows` reads are the reference's reduced rows, and
+    # each dense kernel vector is read off them: 1 in its free column and,
+    # in each pivot column, minus that row's entry in the free column
     rng = random.Random(77)
     for kind in KINDS:
         system = _random_system(rng, kind, 20, 24, 0.15)
         red = RowReduction(20, 24, system)
-        vectors = red.kernel_vectors()
-        assert len(vectors) == len(red.free_cols)
-        for (den, vec), dense, f in zip(vectors, red.kernel_basis(), red.free_cols):
-            assert den > 0 and list(vec) == sorted(vec) and vec[f] == den
-            assert all(type(v) is int and v for v in vec.values())
-            assert {j: Fraction(v, den) for j, v in vec.items()} == {
-                j: v for j, v in enumerate(dense) if v
+        ref = FractionRowReduction(
+            20, 24, [{j: Fraction(v) for j, v in r.items()} for r in system]
+        )
+        rows = red.echelon_rows()
+        assert len(rows) == red.rank
+        for (den, row), col in zip(rows, red.pivot_cols):
+            assert den > 0 and row[col] == den
+            assert all(type(v) is int and v for v in row.values())
+            assert {j: Fraction(v, den) for j, v in row.items()} == {
+                j: v for j, v in ref._work[ref.pivot_of_col[col]].items() if v
             }
+        basis = red.kernel_basis()
+        assert len(basis) == len(red.free_cols)
+        for dense, f in zip(basis, red.free_cols):
+            expected = {f: _ONE}
+            for (den, row), col in zip(rows, red.pivot_cols):
+                if f in row:
+                    expected[col] = Fraction(-row[f], den)
+            assert {j: v for j, v in enumerate(dense) if v} == expected
             assert all(_dense_value(r, dense) == 0 for r in system)
 
 
@@ -265,30 +279,31 @@ def fraction_count(monkeypatch):
     return state
 
 
-def _captured_system(build):
-    captured = []
-
-    class Capture(RowReduction):
-        def __init__(self, rows, cols, sparse_rows):
-            captured.append((rows, cols, [dict(r) for r in sparse_rows]))
-            super().__init__(rows, cols, sparse_rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "RowReduction", Capture)
-        build()
-    return captured[0]
-
-
-def test_integer_elimination_builds_no_fraction(fraction_count, ad_stack):
+def test_integer_elimination_builds_no_fraction(
+    fraction_count, ad_stack, residual_system, monkeypatch
+):
+    columns, derivation_rows = residual_system.derivation(2, 3)
+    unknown27, lemma27_rows = residual_system.lemma27(2, 1, 4)
     unknown, _, stacked = ad_stack(3, 4)
+    families = []
+    real = solver.RowReduction
+
+    def capture(rows, cols, sparse_rows):
+        families.append((rows, cols, [dict(r) for r in sparse_rows]))
+        return real(rows, cols, sparse_rows)
+
+    monkeypatch.setattr(solver, "RowReduction", capture)
+    solver.derivation_space(2, 3)
     systems = [
-        _captured_system(lambda: solver.derivation_space(2, 3)),
-        _captured_system(lambda: solver.lemma27_solutions(2, 1, 4)),
+        (len(derivation_rows), len(columns), derivation_rows),
+        (len(lemma27_rows), unknown27.dim, lemma27_rows),
         (len(stacked), unknown.dim, stacked),
+        families[0],
     ]
     fraction_count[0] = 0
     reds = [RowReduction(*system) for system in systems]
-    assert [len(red.kernel_vectors()) for red in reds] == [38, 6, 0]
+    assert [len(red.free_cols) for red in reds[:3]] == [38, 6, 0]
+    assert len(reds[3].echelon_rows()) == 38
     assert fraction_count[0] == 0
     # the rational log that solve replays is derived on first use
     assert all("_log" not in vars(red) for red in reds)
@@ -354,8 +369,9 @@ def test_fill_in_charged_per_step():
 
 
 def test_derspace_fill_in_over_budget_exits_2(capsys, monkeypatch):
-    # every image the assembly builds has at most 6 terms, and the
-    # elimination of the wdeg-1 system of U_3 grows a row to 7
+    # with weights (1, 2), the w-degree-2 slice of I_2 and every family
+    # member of the w-degree-2 derivations of U_2 into I_2 have at most 6
+    # terms, and the echelon pass over the members grows a row to 7
     stage = []
     real = solver.RowReduction
 
@@ -366,7 +382,8 @@ def test_derspace_fill_in_over_budget_exits_2(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "RowReduction", tracked)
-    code = main(["-n", "3", "--max-terms", "6", "solve", "derspace", "--wdeg", "1"])
+    argv = ["-n", "2", "--max-terms", "6", "solve", "derspace", "--wdeg", "2"]
+    code = main([*argv, "--weights", "1,2", "--into-i"])
     out, err = capsys.readouterr()
     assert (code, out, stage) == (2, "", ["eliminating"])
     assert err == (

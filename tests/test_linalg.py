@@ -1,5 +1,5 @@
-"""Randomized properties of the exact solver, the system JSON view and a
-golden elimination corpus."""
+"""Randomized properties of the exact solver, the reference system JSON view
+and a golden elimination corpus."""
 
 import hashlib
 import json
@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from lsea import solver
 from lsea.linalg import (
     RowReduction,
     as_fraction,
     invert_dense,
     reduction_of,
     solve,
-    system_json,
 )
 
 
@@ -115,7 +113,8 @@ def test_floats_refused():
     assert as_fraction(1) == 1 and as_fraction("-2/4") == Fraction(-1, 2)
 
 
-def test_matrix_json_shape():
+def test_matrix_json_shape(system_json):
+    # the dense view of a reference residual system (conftest)
     data = system_json([{0: Fraction(1, 2)}, {0: Fraction(3), 1: Fraction(-2, 3)}], 2)
     assert data == {
         "rows": 2,
@@ -128,7 +127,8 @@ def test_matrix_json_shape():
 #
 # data/golden_rref.json holds sparse systems (seeded random ones: integer and
 # rational, rank-deficient, up to 60x40; plus the stacked ad_{l_i} system of
-# U_2 at degree 4 and the derivation-space system of U_2 at degree 3) with two
+# U_2 at degree 4 and the derivation-space system of U_2 at degree 3, both
+# from the reference builders in conftest) with two
 # right-hand sides each, and the SHA-256 of what the elimination gives: pivot
 # and free columns, the kernel basis, and solve(b) for a consistent and a
 # random (mostly inconsistent) b, certificate included.  The digests were
@@ -167,30 +167,20 @@ def _golden_systems():
     return json.loads(GOLDEN_RREF.read_text())["systems"]
 
 
-def _built_system(name, ad_stack):
-    """Sparse rows of a system assembled by the solver's `_assemble`."""
+def _built_system(name, ad_stack, residual_system):
+    """Sparse rows of a reference residual system (conftest)."""
     if name == "ad_stack(2,4)":
         return ad_stack(2, 4)[2]
     if name == "derivation_space(2,3)":
-        captured = []
-
-        class Capture(RowReduction):
-            def __init__(self, rows, cols, sparse_rows):
-                captured.append([dict(r) for r in sparse_rows])
-                super().__init__(rows, cols, sparse_rows)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "RowReduction", Capture)
-            solver.derivation_space(2, 3)
-        return captured[0]
+        return residual_system.derivation(2, 3)[1]
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("system", _golden_systems(), ids=lambda s: s["name"])
-def test_golden_elimination(system, ad_stack):
+def test_golden_elimination(system, ad_stack, residual_system):
     rows = [{j: Fraction(v) for j, v in row} for row in system["entries"]]
     if not system["name"].startswith("random"):
-        built = _built_system(system["name"], ad_stack)
+        built = _built_system(system["name"], ad_stack, residual_system)
         assert system_entries(built) == system["entries"]
     red = RowReduction(system["rows"], system["cols"], rows)
     rhs = {name: [Fraction(v) for v in b] for name, b in system["rhs"].items()}

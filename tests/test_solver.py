@@ -49,6 +49,7 @@ from lsea.maps import (
     relation_words,
     relations,
 )
+from lsea.parser import format_element
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
 _slice_index = attrgetter("index")  # word -> position map of a GradedSlice
@@ -56,10 +57,12 @@ _slice_index = attrgetter("index")  # word -> position map of a GradedSlice
 
 def column(g, s):
     """Coordinate column of a homogeneous element in a slice basis; a term
-    outside the slice raises DomainError (from `solver._position`)."""
+    outside the slice raises DomainError."""
     col = [Fraction(0)] * s.dim
     for w, c in g.terms():
-        col[solver._position(w, s)] = c
+        if w not in s.index:
+            raise DomainError(f"term {w} is not in the degree-{s.degree} slice")
+        col[s.index[w]] = c
     return col
 
 
@@ -118,6 +121,36 @@ class TestSlices:
                     lines.append(repr((n, m, restrict, basis)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "cd08e60c43e7347878ac74aea5ed78ed8b45a0450b5cb67deb93cc8b0652fc74"
+
+    def test_slice_size_is_the_word_count(self):
+        for n, weights in ((1, (1,)), (1, (3,)), (2, (1, 1)), (2, (1, 2)), (3, (2, 1, 3))):
+            for m in range(9):
+                for restrict in (False, True):
+                    size = solver._slice_size(m, weights, restrict)
+                    assert size == weighted_slice(n, m, weights, restrict).dim
+                    if weights == (1,) * n and not restrict:
+                        assert size == dim(n, m)
+
+    def test_slice_charged_before_enumeration(self, monkeypatch):
+        from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
+
+        def unreachable(*args):
+            raise AssertionError("slice enumerated before its charge")
+
+        graded_slice(2, 3)  # cached: the charge is made on every call
+        monkeypatch.setattr(solver, "_lmonomials", unreachable)
+        token = TERM_BUDGET.set(26)
+        try:
+            assert graded_slice(2, 3).dim == 26
+            for m, restrict in ((4, False), (4, True), (60, False)):
+                words = dim(2, m) - (m + 1 if restrict else 0)
+                with pytest.raises(TermBudgetExceeded, match=f"has {words} terms"):
+                    graded_slice(2, m, restrict)
+            TERM_BUDGET.set(25)
+            with pytest.raises(TermBudgetExceeded, match="has 26 terms"):
+                graded_slice(2, 3)
+        finally:
+            TERM_BUDGET.reset(token)
 
     def test_weighted_slice_needs_positive_weights(self):
         with pytest.raises(DomainError):
@@ -288,6 +321,19 @@ class TestLemma27:
         m = list(map(list, zip(*stack)))
         assert solve(m, tcol).consistent
 
+    def test_member_charged_before_it_is_built(self, monkeypatch):
+        # each member's size is charged before the first product that builds it
+        events = []
+        real_mul = solver.mul
+        monkeypatch.setattr(solver, "_charge", events.append)
+        monkeypatch.setattr(solver, "mul", lambda a, b: events.append("mul") or real_mul(a, b))
+        members = lemma27_solutions(2, 1, 5)
+        charges = [k for k, e in enumerate(events) if e != "mul"]
+        assert charges[0] == 0 and all(events[k + 1] == "mul" for k in charges)
+        assert [events[k] for k in charges] == [len(g) for g in members]
+        # t = (2, 1): the words of content e <= t number 1 + 1 + 1 + 1 + 2 + 3
+        assert [len(g) for g in members] == [4, 4, 9, 9, 9, 9, 4, 4]
+
     def test_defining_condition(self):
         for g in lemma27_solutions(2, 2, 3):
             di = ad(gen_l(2, 2))
@@ -439,6 +485,90 @@ class TestDerivationSpace:
                     assert isinstance(other, int) and 0 <= other < 2 * n
 
 
+def _reference_derivation_cases():
+    """n = 1 at m = -1, 0, 1 both ways, weighted n = 1 at m = 0, then seeded
+    (n, m, into_I, weights) draws."""
+    cases = [(1, m, into_I, None) for m in (-1, 0, 1) for into_I in (False, True)]
+    cases += [(1, 0, False, (2,)), (1, 0, True, (3,)), (1, 4, False, (2,))]
+    rng = random.Random("derivation-space-reference")
+    for n, top in ((1, 6), (2, 4), (3, 2)):
+        for into_I in (False, True):
+            for weighted in (False, True):
+                weights = tuple(rng.randint(1, 3) for _ in range(n)) if weighted else None
+                cases.append((n, rng.randint(-1, top), into_I, weights))
+    return cases
+
+
+def _reference_lemma27_cases():
+    cases = [(1, 1, 2), (1, 1, 6), (2, 1, 2), (2, 2, 4), (3, 2, 3), (4, 4, 3)]
+    rng = random.Random("lemma27-reference")
+    for n, top in ((1, 8), (2, 6), (3, 4), (4, 3)):
+        for _ in range(2):
+            cases.append((n, rng.randint(1, n), rng.randint(2, top)))
+    return cases
+
+
+class TestResidualReference:
+    """Eliminating a reference residual system (conftest) gives the solver's
+    answer member for member: the kernel vector of each free column, in
+    column order."""
+
+    @pytest.mark.parametrize("n, m, into_I, weights", _reference_derivation_cases())
+    def test_derivation_space_is_the_eliminated_system(
+        self, residual_system, n, m, into_I, weights
+    ):
+        columns, rows = residual_system.derivation(n, m, into_I, weights)
+        red = RowReduction(len(rows), len(columns), rows)
+        expected = []
+        for vec in red.kernel_basis():
+            images = [{} for _ in range(2 * n)]
+            for (slot, w), c in zip(columns, vec):
+                if c:
+                    images[slot][w] = c
+            expected.append([Element(n, img) for img in images])
+        space = derivation_space(n, m, into_I, weights)
+        assert [list(d.l_images + d.r_images) for d in space] == expected
+
+    @pytest.mark.parametrize("n, i, d", _reference_lemma27_cases())
+    def test_lemma27_is_the_eliminated_system(self, residual_system, n, i, d):
+        unknown, rows = residual_system.lemma27(n, i, d)
+        red = RowReduction(len(rows), unknown.dim, rows)
+        expected = [
+            Element(n, {w: c for w, c in zip(unknown.basis, vec) if c})
+            for vec in red.kernel_basis()
+        ]
+        assert lemma27_solutions(n, i, d) == expected
+
+
+def _dim_L(n, k):
+    return comb(k + n - 1, n - 1) if k >= 0 else 0
+
+
+@pytest.mark.parametrize("n, top", [(1, 7), (2, 4), (3, 2)])
+@pytest.mark.parametrize("into_I", [False, True])
+def test_derivation_space_dimension(n, top, into_I):
+    # dim U_n(m) - dim L_m + n dim L_(m-1), plus n dim L_(m+1) for the lifts
+    # and 1 for D(l_1) = r_1 at n = 1, m = 0: from the closed-form dims only
+    for m in range(-3, top + 1):
+        expected = dim(n, m) - _dim_L(n, m) + n * _dim_L(n, m - 1)
+        if not into_I:
+            expected += n * _dim_L(n, m + 1)
+        if n == 1 and m == 0:
+            expected += 1
+        assert len(derivation_space(n, m, into_I)) == expected, m
+
+
+@pytest.mark.parametrize(
+    "into_I, members",
+    [(False, [("r1", "0"), ("l1", "r1")]), (True, [("r1", "0")])],
+)
+def test_u1_degree_zero_members(into_I, members):
+    # D(l_1) = r_1 is the member no inner, L-vanishing or lifted derivation
+    # gives; pinned from the eliminated residual system
+    space = derivation_space(1, 0, into_I)
+    assert [(format_element(d.l_images[0]), format_element(d.r_images[0])) for d in space] == members
+
+
 class TestWeightedSpaces:
     def test_weighted_slice_respects_weights(self):
         s = weighted_slice(2, 3, (1, 2))
@@ -525,20 +655,6 @@ class TestProp55UniquenessAtDeskScale:
             assert found.r_images == dstar.r_images
 
 
-def _rows_handed_to_elimination(monkeypatch, build):
-    """Sparse rows of every system `build()` hands to solver.RowReduction."""
-    captured = []
-    real = solver.RowReduction
-
-    def capture(rows, cols, sparse_rows):
-        captured.append([dict(r) for r in sparse_rows])
-        return real(rows, cols, sparse_rows)
-
-    monkeypatch.setattr(solver, "RowReduction", capture)
-    build()
-    return captured
-
-
 def _derivation_rows_via_elements(n, m, into_I, weights):
     """The derivation-space system built the Element way: every relation
     residual of a unit-image Derivation probe, by derivation_residual."""
@@ -563,8 +679,9 @@ def _derivation_rows_via_elements(n, m, into_I, weights):
 
 
 class TestAssembly:
-    """The solver assembles its systems from the straightening constants;
-    each must equal the one built from Element products."""
+    """The reference residual systems (conftest) are assembled from the
+    straightening constants; each must equal the one built from Element
+    products."""
 
     @pytest.mark.parametrize(
         "n, m, into_I, weights",
@@ -583,11 +700,13 @@ class TestAssembly:
             (3, 2, False, (1, 2, 3)),
         ],
     )
-    def test_derivation_space_rows(self, monkeypatch, n, m, into_I, weights):
-        built = _rows_handed_to_elimination(
-            monkeypatch, lambda: derivation_space(n, m, into_I, weights)
-        )
-        assert built == [_derivation_rows_via_elements(n, m, into_I, weights)]
+    def test_derivation_space_rows(self, residual_system, n, m, into_I, weights):
+        columns, rows = residual_system.derivation(n, m, into_I, weights)
+        slot_slices = [
+            weighted_slice(n, m + w, weights or (1,) * n, into_I) for w in weights or (1,) * n
+        ] * 2
+        assert columns == [(slot, w) for slot, s in enumerate(slot_slices) for w in s.basis]
+        assert rows == _derivation_rows_via_elements(n, m, into_I, weights)
 
     @pytest.mark.parametrize(
         "n, t", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]
@@ -606,22 +725,21 @@ class TestAssembly:
         [(1, 1, 3)]
         + [(n, i, d) for n, d in ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4)) for i in range(1, n + 1)],
     )
-    def test_lemma27_rows(self, monkeypatch, n, i, d):
+    def test_lemma27_rows(self, residual_system, n, i, d):
         li, ri = gen_l(n, i), gen_r(n, i)
 
         def condition(g):
             return -commutator(li, g) - mul(ri, g) - mul(g, ri)
 
-        built = _rows_handed_to_elimination(monkeypatch, lambda: lemma27_solutions(n, i, d))
-        unknown = graded_slice(n, d, restrict_to_I=True)
+        unknown, rows = residual_system.lemma27(n, i, d)
+        assert unknown == graded_slice(n, d, restrict_to_I=True)
         target = graded_slice(n, d + 1, restrict_to_I=True)
-        assert built == [operator_matrix(condition, unknown, target)]
+        assert rows == operator_matrix(condition, unknown, target)
 
-    def test_no_element_before_elimination(self, monkeypatch, ad_stack):
-        # neither probes nor per-column images: the first Element of a solve
-        # is built after its system has been handed to the elimination
+    def test_no_element_before_elimination(self, monkeypatch, residual_system, ad_stack):
+        # neither probes nor per-column images: assembling a reference
+        # system builds no Element
         count = [0]
-        seen = []
         real_init = Element.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -629,34 +747,21 @@ class TestAssembly:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(Element, "__init__", counting_init)
-        real = solver.RowReduction
-
-        def capture(rows, cols, sparse_rows):
-            seen.append(count[0])
-            return real(rows, cols, sparse_rows)
-
-        monkeypatch.setattr(solver, "RowReduction", capture)
-
-        def stacked():
-            unknown, _, rows = ad_stack(2, 4)
-            solver.RowReduction(len(rows), unknown.dim, rows)
-
         for build in (
-            lambda: derivation_space(2, 2, into_I=True),
-            lambda: lemma27_solutions(2, 1, 3),
-            stacked,
+            lambda: residual_system.derivation(2, 2, into_I=True),
+            lambda: residual_system.lemma27(2, 1, 3),
+            lambda: ad_stack(2, 4),
         ):
-            count[0] = 0
             build()
-        assert seen == [0, 0, 0]
+        assert count == [0]
 
-
-    def test_assembled_images_are_charged(self, ad_stack):
-        # some [l_1, w] with w of degree 3 in I_2 has three terms, and no
-        # Element is built before the elimination, so only the assembly's own
-        # charge can refuse
+    def test_assembled_images_are_charged(self, ad_stack, monkeypatch):
+        # some [l_1, w] with w of degree 3 in I_2 has three terms, and the
+        # assembly builds no Element; with the slices' own charge lifted,
+        # only the assembly's charge can refuse
         from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
 
+        monkeypatch.setattr(solver, "_charge", lambda count: None)
         token = TERM_BUDGET.set(2)
         try:
             ad_stack(2, 3)
@@ -674,19 +779,37 @@ class TestAnomalyPaths:
     @pytest.mark.parametrize(
         "n, i, d, digest",
         [
-            (2, 1, 2, "2108d92302a7f56b49b13133029f50ce394d15190285440aae905c0f4f71131a"),
-            (2, 2, 3, "5bd6ea75109a135764ffd3abd5bee621f2e4441da64e77778af4bebd26b6951f"),
-            (3, 1, 3, "8cc74c139a8c5183401cbb9683863573b754a05461fbca746ff4bb0fe859eb95"),
+            pytest.param(2, 1, 2, "a76baddfde6a70479d62c175d2d4e1e9d10b03e9ad268aacfc21c0898e2f94a1", id="2-1-2"),
+            pytest.param(2, 2, 3, "dd8cfe22e31d5e02adfd5cc781208662e66712457e170126a7c55cf1fa38d449", id="2-2-3"),
+            pytest.param(3, 1, 3, "528c79ffc0ebf35723090cf62acd5814041bf4379b3a08a34f3180595f0dbc92", id="3-1-3"),
         ],
     )
     def test_lemma27_payload_pinned(self, monkeypatch, n, i, d, digest):
-        # a leading coefficient r_1 lies outside span{r_i r_j}; the payload,
-        # system matrix included, was recorded from the dense-matrix assembly
-        monkeypatch.setattr(solver, "lm_lc", lambda g: (None, gen_r(n, 1)))
-        with pytest.raises(AnomalyError) as exc:
+        # a commutator patched to zero fails the re-check of the first member;
+        # the payload carries the member and its residual
+        first = lemma27_solutions(n, i, d)[0]
+        monkeypatch.setattr(solver, "commutator", lambda a, b: Element.zero(n))
+        with pytest.raises(AnomalyError, match="failed its re-check") as exc:
             lemma27_solutions(n, i, d)
-        payload = json.dumps(exc.value.payload, sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+        payload = exc.value.payload
+        assert (payload["n"], payload["i"], payload["degree"]) == (n, i, d)
+        g = element_from_json(payload["solution"])
+        ri = gen_r(n, i)
+        assert g == first
+        assert element_from_json(payload["residual"]) == -mul(ri, g) - mul(g, ri)
+        encoded = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(encoded.encode()).hexdigest() == digest
+
+    def test_lemma27_leading_span_payload(self, monkeypatch):
+        # a leading coefficient r_1 lies outside span{r_i r_j}
+        first = lemma27_solutions(2, 2, 3)[0]
+        monkeypatch.setattr(solver, "lm_lc", lambda g: (None, gen_r(2, 1)))
+        with pytest.raises(AnomalyError, match="outside the predicted span") as exc:
+            lemma27_solutions(2, 2, 3)
+        payload = exc.value.payload
+        assert sorted(payload) == ["degree", "i", "n", "solution"]
+        assert (payload["n"], payload["i"], payload["degree"]) == (2, 2, 3)
+        assert element_from_json(payload["solution"]) == first
 
     def test_ad_kernel_dim_reported(self, ad_stack, capsys, tmp_path):
         # the CLI reports the constant 0 that ad_preimage's docstring proves;
