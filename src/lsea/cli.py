@@ -84,6 +84,18 @@ MAX_K = 300
 # a larger bound is a usage error, refused before anything is built.
 MAX_BOUND = 100
 
+# Largest degrees accepted from `solve derspace --wdeg` and `solve lemma27
+# --degree`.  Before the first --max-terms charge, a slice's word count
+# takes two lists of wdeg + 1 ints and the Lemma 2.7 members are listed,
+# about n * degree^(n-1) / (n-1)! of them; a degree of 10^8 ran out of memory
+# either way.  At n = 1 the answers at the caps take well under a second
+# (derspace 0.2 s, lemma27 0.1 s); at n >= 2 and standard weights a slice
+# of degree m holds over 2^m words, so below the caps --max-terms bounds
+# the work.  A larger degree is a usage error, refused before anything is
+# built.
+MAX_WDEG = 100
+MAX_DEGREE = 100
+
 
 class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
@@ -315,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
         solve, "lemma27", _solve_lemma27, "solutions of -ad_{l_i}(g) = r_i g + g r_i"
     )
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True, help=f"at most {MAX_DEGREE}")
     p = _leaf(solve, "rfactor", _solve_rfactor, "decompose r_i^k r_j h")
     p.add_argument("--k", type=int, required=True, help=f"the power k, at most {MAX_K}")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--h", required=True)
     p = _leaf(solve, "derspace", _solve_derspace, "basis of homogeneous derivations")
-    p.add_argument("--wdeg", type=int, required=True)
+    p.add_argument("--wdeg", type=int, required=True, help=f"at most {MAX_WDEG}")
     p.add_argument("--weights", default=None)
     p.add_argument("--into-i", action="store_true")
 
@@ -550,6 +562,10 @@ def _solve_ad_preimage(args):
 
 def _solve_lemma27(args):
     n = _need_n(args)
+    if args.degree > MAX_DEGREE:
+        raise _CliFailure(
+            USAGE_ERROR, f"--degree: degree = {args.degree} exceeds the limit {MAX_DEGREE}"
+        )
     sols = lemma27_solutions(n, args.i, args.degree)
     _emit_json({"dim": len(sols), "basis": [element_to_json(g) for g in sols]})
 
@@ -565,6 +581,10 @@ def _solve_rfactor(args):
 
 def _solve_derspace(args):
     n = _need_n(args)
+    if args.wdeg > MAX_WDEG:
+        raise _CliFailure(
+            USAGE_ERROR, f"--wdeg: wdeg = {args.wdeg} exceeds the limit {MAX_WDEG}"
+        )
     w = _parse_weights(args.weights, n) if args.weights else None
     basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
     _emit_json({"dim": len(basis), "basis": [map_to_json(d) for d in basis]})

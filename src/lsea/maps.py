@@ -19,19 +19,23 @@ automorphisms with closed-form inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import lcm
 from operator import add as _add
 from typing import Sequence
 
 from . import linalg
 from .algebra import (
+    TERM_BUDGET,
     AmbientMismatch,
     BasisWord,
     DomainError,
     Element,
+    _charge,
     _from_ints,
     _from_products,
     _json_int,
+    _r_past_monomial,
     _require_exponent,
     _signed_products,
     as_fraction,
@@ -132,14 +136,26 @@ def identity_endo(n: int) -> Endomorphism:
 #
 # Each relation instance is written once, as signed two-letter words over the
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
-# letter by letter.  A derivation's residual is the table the Leibniz rule
-# gives on each word (`derivation_residual_terms`), grouped by the slot whose
-# image enters: `check_derivation` evaluates it on the images, which is how
-# every member of a solver's derivation space is re-checked.  Either residual
-# is one `algebra._signed_products` sum over the lcm of the products'
-# denominators (`_signed_sum`); the check reads only the map's images, never
-# how a solver found them.  Applying a map works the same way: `_leibniz`
-# sums every Leibniz split of a call in one such map, and `_substitute` the last
+# letter by letter: one `algebra._signed_products` sum over the lcm of the
+# products' denominators (`_signed_sum`).  A derivation's residual is read
+# off the images in closed form.  With A_k = D(l_k) and B_k = D(r_k),
+#
+#     s1(i, j) = [A_i, l_j] - [A_j, l_i],
+#     s2(i, j) = [B_i, l_j] + r_i A_j - A_j r_i - B_i r_j - r_i B_j,
+#
+# by D(ab) = D(a) b + a D(b) on each word, the terms D(x) l_j and -l_j D(x)
+# of two words pairing into [D(x), l_j].  Each piece is a letter operator
+# on an image term c l^s w, w an r-word:
+# - [., l_j] gives c l^s D_j(w), D_j inserting r_j after each letter of w,
+#   as r_a l_j = l_j r_a + r_a r_j and l^s commutes with l_j;
+# - . r_j appends r_j to w;
+# - r_i . prepends the cached normal form of r_i l^s (`_r_past_monomial`).
+# So `derivation_residual` is one int map over the lcm of the images'
+# denominators (`_letter_sum`), and no word is straightened past an l:
+# `check_derivation`, which re-checks every member of a solver's derivation
+# space, reads only the map's images and shares no product with how the
+# solver built them.  Applying a map is one accumulation as well: `_leibniz`
+# sums every Leibniz split of a call in one map, and `_substitute` the last
 # product of every word, so no Element is built per product anywhere in
 # checking or applying a map.
 
@@ -168,27 +184,54 @@ def relation_words(n: int, kind: str, i: int, j: int):
     return ((1, ri, lj), (-1, lj, ri), (-1, ri, rj))
 
 
-def derivation_residual_terms(n: int, kind: str, i: int, j: int) -> dict:
-    """D applied to relation instance (kind, i, j), grouped by image slot.
+# The operators of the closed form on an image x, for a letter index k:
+# x -> [x, l_k], x -> x r_k and x -> r_k x.
+_BRACKET, _APPEND, _PREPEND = range(3)
 
-    Each word a b gives D(a) b + a D(b).  The table maps a slot to its
-    products (sign, left, right): one factor is None, standing for D of the
-    generator in that slot, and the other is a generator slot.  The keys are
-    l_i, l_j for "s1" and r_i, l_j, r_j for "s2".
-    """
-    table: dict[int, list] = {}
-    for sign, a, b in relation_words(n, kind, i, j):
-        table.setdefault(a, []).append((sign, None, b))
-        table.setdefault(b, []).append((sign, a, None))
-    return table
+
+def _letter_operators(n: int, kind: str, i: int, j: int) -> dict:
+    """The closed form of D on relation instance (kind, i, j), grouped by
+    image slot: slot -> ((sign, operator, k), ...)."""
+    if kind == "s1":
+        return {i - 1: ((1, _BRACKET, j),), j - 1: ((-1, _BRACKET, i),)}
+    ops = {
+        j - 1: ((1, _PREPEND, i), (-1, _APPEND, i)),
+        n + i - 1: ((1, _BRACKET, j), (-1, _APPEND, j)),
+    }
+    ops[n + j - 1] = ops.get(n + j - 1, ()) + ((-1, _PREPEND, i),)
+    return ops
+
+
+@lru_cache(maxsize=None)
+def _r_word_part(ops: tuple, rword: tuple) -> tuple:
+    """sum(sign * op_k(w)) over the operators of ops that keep the l-part
+    (all but _PREPEND), on the r-word w = rword: (r-word, nonzero int) pairs.
+
+    [w, l_k] is D_k(w), r_k inserted after each letter of w, and w r_k
+    appends it.  Equal words merge: inside a run of r_k's the insertions
+    coincide, and in [B_i, l_j] - B_i r_j the insertion after the last
+    letter cancels the append."""
+    acc: dict[tuple, int] = {}
+    for sign, op, k in ops:
+        x = (k,)
+        if op == _BRACKET:
+            words = [rword[:p] + x + rword[p:] for p in range(1, len(rword) + 1)]
+        elif op == _APPEND:
+            words = [rword + x]
+        else:
+            continue
+        for v in words:
+            acc[v] = acc.get(v, 0) + sign
+    return tuple((v, m) for v, m in acc.items() if m)
 
 
 def _image(m, slot: int) -> Element:
     return m.l_images[slot] if slot < m.n else m.r_images[slot - m.n]
 
 
-def _generator(n: int, slot: int) -> Element:
-    return gen_l(n, slot + 1) if slot < n else gen_r(n, slot - n + 1)
+@lru_cache(maxsize=None)
+def _zero(n: int) -> Element:
+    return Element.zero(n)
 
 
 def _signed_sum(n: int, products) -> Element:
@@ -205,17 +248,63 @@ def _signed_sum(n: int, products) -> Element:
     return _from_products(n, acc, den)
 
 
+def _letter_sum(n: int, images) -> tuple[dict, int]:
+    """(acc, den) with sum(sign * op_k(g)) = sum(acc[key] / den * key) over
+    (g, ((sign, op, k), ...)) in images; acc maps (lexp, rword) to nonzero
+    int, den is the lcm of the images' denominators.  The --max-terms guard
+    is charged after each image term."""
+    parts = []
+    for g, ops in images:
+        if g.n != n:
+            raise AmbientMismatch("image ambient differs from map ambient")
+        den, items = g.int_terms()
+        if items:
+            prepends = [(sign, k) for sign, op, k in ops if op == _PREPEND]
+            parts.append((den, items, ops, prepends))
+    den = lcm(*(d for d, _, _, _ in parts))
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    limit = TERM_BUDGET.get()
+    # every added value is nonzero, so a zero total means the key was there
+    for d, items, ops, prepends in parts:
+        scale = den // d
+        for (lexp, rword), c in items:
+            c *= scale
+            for v, m in _r_word_part(ops, rword):
+                key = (lexp, v)
+                total = get(key, 0) + c * m
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+            for sign, k in prepends:
+                ck = sign * c
+                for s, v, m in _r_past_monomial(k, lexp):
+                    key = (s, v + rword)
+                    total = get(key, 0) + ck * m
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+            if limit is not None and len(acc) > limit:
+                _charge(len(acc))
+    return acc, den
+
+
 def derivation_residual(data, kind: str, i: int, j: int) -> Element:
-    """The residual table of (kind, i, j) evaluated on data's images."""
+    """D applied to relation instance (kind, i, j), D given by data's images.
+
+    With A_k = D(l_k) and B_k = D(r_k): s1(i, j) = [A_i, l_j] - [A_j, l_i]
+    and s2(i, j) = [B_i, l_j] + r_i A_j - A_j r_i - B_i r_j - r_i B_j.
+    Proof: D(ab) = D(a) b + a D(b) on the words l_i l_j - l_j l_i and
+    r_i l_j - l_j r_i - r_i r_j, with D(x) l_j - l_j D(x) = [D(x), l_j].
+    Summed by the letter operators of the comment above in one
+    `_letter_sum`; a zero residual builds no Element.
+    """
     n = data.n
-    products = []
-    for slot, terms in derivation_residual_terms(n, kind, i, j).items():
-        image = _image(data, slot)
-        for sign, left, right in terms:
-            left = image if left is None else _generator(n, left)
-            right = image if right is None else _generator(n, right)
-            products.append((sign, left, right))
-    return _signed_sum(n, products)
+    ops = _letter_operators(n, kind, i, j)
+    acc, den = _letter_sum(n, [(_image(data, slot), o) for slot, o in ops.items()])
+    return _from_products(n, acc, den) if acc else _zero(n)
 
 
 def endo_residual(e, kind: str, i: int, j: int) -> Element:

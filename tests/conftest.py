@@ -16,7 +16,7 @@ import pytest
 import lsea
 from lsea import solver
 from lsea.algebra import BasisWord, DomainError, _signed_products, exact_str
-from lsea.maps import derivation_residual_terms, relations
+from lsea.maps import relation_words, relations
 
 
 @pytest.fixture
@@ -29,6 +29,21 @@ def subprocess_env():
 
 
 # -- reference assembly of residual systems ---------------------------------------
+
+
+def derivation_residual_terms(n: int, kind: str, i: int, j: int) -> dict:
+    """D applied to relation instance (kind, i, j), grouped by image slot.
+
+    Each word a b gives D(a) b + a D(b).  The table maps a slot to its
+    products (sign, left, right): one factor is None, standing for D of the
+    generator in that slot, and the other is a generator slot.  The keys are
+    l_i, l_j for "s1" and r_i, l_j, r_j for "s2".
+    """
+    table: dict[int, list] = {}
+    for sign, a, b in relation_words(n, kind, i, j):
+        table.setdefault(a, []).append((sign, None, b))
+        table.setdefault(b, []).append((sign, a, None))
+    return table
 
 
 def _position(w, s) -> int:

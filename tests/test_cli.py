@@ -34,7 +34,16 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.algebra import MAX_EXPONENT
-from lsea.cli import MAX_BOUND, MAX_K, MAX_N, _indented_json, build_parser, main
+from lsea.cli import (
+    MAX_BOUND,
+    MAX_DEGREE,
+    MAX_K,
+    MAX_N,
+    MAX_WDEG,
+    _indented_json,
+    build_parser,
+    main,
+)
 from lsea.maps import violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import (
@@ -421,6 +430,57 @@ class TestCliBasics:
         code, out, _ = run_cli(capsys, "der", "probe", "--help")
         assert code == 0
         assert f"at most {MAX_BOUND}" in out
+
+    @pytest.mark.parametrize(
+        "n, argv, code",
+        [
+            (2, ["derspace", "--wdeg", str(10**8)], 2),
+            (2, ["derspace", "--wdeg", str(MAX_WDEG + 1)], 2),
+            (1, ["derspace", "--wdeg", str(MAX_WDEG)], 0),
+            (3, ["lemma27", "--i", "1", "--degree", str(10**5)], 2),
+            (3, ["lemma27", "--i", "1", "--degree", str(MAX_DEGREE + 1)], 2),
+            (1, ["lemma27", "--i", "1", "--degree", str(MAX_DEGREE)], 0),
+        ],
+    )
+    def test_degree_caps(self, subprocess_env, n, argv, code):
+        # a child capped at 1 GB of address space: above the caps the degree
+        # is refused before a slice is counted or a member listed (10^8 and
+        # 10^5 used to end in a MemoryError, even under --max-terms)
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "-n", str(n), "--max-terms", "1000"]
+            + ["solve", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        if code:
+            option, value = argv[-2], int(argv[-1])
+            limit = {"--wdeg": MAX_WDEG, "--degree": MAX_DEGREE}[option]
+            name = option[2:]
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (
+                f"lsea: {option}: {name} = {value} exceeds the limit {limit}\n"
+            )
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            dim = {"derspace": MAX_WDEG + 2, "lemma27": 1}[argv[0]]
+            assert json.loads(proc.stdout)["dim"] == dim
+
+    @pytest.mark.parametrize(
+        "command, limit", [("derspace", MAX_WDEG), ("lemma27", MAX_DEGREE)]
+    )
+    def test_degree_caps_in_help(self, capsys, command, limit):
+        code, out, _ = run_cli(capsys, "solve", command, "--help")
+        assert code == 0
+        assert f"at most {limit}" in out
 
 
 class TestCliMaps:

@@ -53,6 +53,7 @@ from lsea.maps import (
     _leibniz,
     _substitute,
     _word_factor_splits,
+    derivation_residual,
     identity_tuple,
     is_identity,
     poly_subst,
@@ -701,6 +702,57 @@ class TestRelationRecheck:
         check(d, check_derivation, _reference_derivation_residual)
         check(e, check_endomorphism, _reference_endo_residual)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_matches_the_leibniz_products(self, n, seed):
+        # images drawn from every shape the closed form reads differently:
+        # zero, the unit word, pure-L, pure-R, r-words with runs of one
+        # letter and mixed words, over denominators 1 to 7
+        rng = random.Random(f"closed-form/{n}/{seed}")
+        violated = runs = 0
+        dens = set()
+        for _ in range(12):
+            images = tuple(_closed_form_image(rng, n) for _ in range(2 * n))
+            dens.update(g.int_terms()[0] for g in images)
+            runs += any(
+                v[k] == v[k + 1] for g in images for (_, v), _ in g.int_terms()[1]
+                for k in range(len(v) - 1)
+            )
+            d = Derivation(n, images[:n], images[n:])
+            kinds = self._assert_flags_like_reference(
+                d, check_derivation, _reference_derivation_residual
+            )
+            violated += bool(kinds)
+        assert violated and runs and len(dens - {1}) > 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_on_unit_images(self, n):
+        # one unit word c*1 in one slot at a time: [c, l_j] = 0, so only the
+        # products by r's are left, e.g. s2(i, i) = -2c r_i for B_i = c
+        c = Fraction(-3, 2)
+        for slot in range(2 * n):
+            images = [Element.zero(n)] * (2 * n)
+            images[slot] = c * Element.one(n)
+            d = Derivation(n, tuple(images[:n]), tuple(images[n:]))
+            self._assert_flags_like_reference(d, check_derivation, _reference_derivation_residual)
+            if slot >= n:
+                i = slot - n + 1
+                assert derivation_residual(d, "s2", i, i) == -2 * c * gen_r(n, i)
+
+    def test_closed_form_on_runs(self):
+        # B_1 = r1 r1 r2, other images 0: [B_1, l_j] inserts r_j after each
+        # letter, twice into the run when j = 1, and -B_1 r_j - r_1 B_j
+        # takes away the append and, for j = 1, the prepend
+        n = 2
+        r1, r2 = gen_r(n, 1), gen_r(n, 2)
+        zero = Element.zero(n)
+        d = Derivation(n, (zero, zero), (r1 * r1 * r2, zero))
+        assert derivation_residual(d, "s2", 1, 1) == r1 * r1 * r1 * r2
+        assert derivation_residual(d, "s2", 1, 2) == r1 * r2 * r1 * r2 + r1 * r1 * r2 * r2
+        assert commutator(r1 * r1 * r2, gen_l(n, 1)) == 2 * r1 * r1 * r1 * r2 + r1 * r1 * r2 * r1
+        d = Derivation(1, (Element.zero(1),), (gen_r(1, 1) ** 3,))
+        assert derivation_residual(d, "s2", 1, 1) == gen_r(1, 1) ** 4
+
     def test_image_of_other_ambient_refused(self):
         z = Element.zero(2)
         with pytest.raises(AmbientMismatch):
@@ -711,9 +763,9 @@ class TestRelationRecheck:
         n = 2
         big = (gen_l(n, 1) + 2 * gen_l(n, 2) + 3 * gen_r(n, 1) + 5 * gen_r(n, 2)) ** 4
         images = [big, gen_l(n, 2), gen_r(n, 1), gen_r(n, 2)]
-        cls, check = {
-            "derivation": (Derivation, check_derivation),
-            "endomorphism": (Endomorphism, check_endomorphism),
+        cls, check, accumulator = {
+            "derivation": (Derivation, check_derivation, "_letter_sum"),
+            "endomorphism": (Endomorphism, check_endomorphism, "_signed_products"),
         }[kind]
         m = cls(n, tuple(images[:n]), tuple(images[n:]))
         token = TERM_BUDGET.set(len(big))
@@ -723,8 +775,30 @@ class TestRelationRecheck:
         finally:
             TERM_BUDGET.reset(token)
         frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
-        assert frames[-2:] == ["_signed_products", "_charge"]
+        assert frames[-2:] == [accumulator, "_charge"]
         assert "mul" not in frames
+
+
+def _closed_form_image(rng, n):
+    """A random image for the closed-form tests: zero, a multiple of the
+    unit word, pure-L, pure-R or mixed, its r-words built from runs of one
+    letter; coefficients over denominators 1, 2, 3, 5 and 7."""
+    shape = rng.choice(["zero", "unit", "L", "R", "mixed", "mixed"])
+    if shape == "zero":
+        return Element.zero(n)
+    terms = []
+    for _ in range(1 if shape == "unit" else rng.randint(1, 3)):
+        lexp = [0] * n
+        if shape in ("L", "mixed"):
+            for _ in range(rng.randint(1 if shape == "L" else 0, 3)):
+                lexp[rng.randrange(n)] += 1
+        rword = ()
+        if shape in ("R", "mixed"):
+            while len(rword) < rng.randint(1, 4):
+                rword += (rng.randint(1, n),) * rng.randint(1, 3)
+        c = Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.choice([1, 2, 3, 5, 7]))
+        terms.append(((tuple(lexp), rword), c))
+    return Element(n, terms)
 
 
 def _rand_images(rng, n, k):

@@ -12,6 +12,7 @@ from math import comb
 from operator import attrgetter
 
 import pytest
+from conftest import derivation_residual_terms
 
 from lsea import (
     AnomalyError,
@@ -43,12 +44,7 @@ from lsea import (
 from lsea import solver
 from lsea.cli import main as cli_main
 from lsea.linalg import RowReduction
-from lsea.maps import (
-    derivation_residual,
-    derivation_residual_terms,
-    relation_words,
-    relations,
-)
+from lsea.maps import derivation_residual, relation_words, relations
 from lsea.parser import format_element
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
