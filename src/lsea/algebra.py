@@ -31,12 +31,11 @@ reads the ints directly.
 
 from __future__ import annotations
 
-import itertools
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, inf, lcm, perm, prod
+from math import gcd, inf, lcm
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
 
@@ -402,82 +401,67 @@ def gen_r(n: int, i: int) -> Element:
     return generator(n, "r", i)
 
 
-@lru_cache(maxsize=None)
-def _r_past_monomial(i: int, lexp: tuple[int, ...]):
-    """Normal form of r_i * l^lexp as ((lexp', rword', int_coeff), ...).
+def _insert_letter(word: tuple[int, ...], j: int, start: int) -> list:
+    """r_j put into every place p >= start of the r-word `word` (before
+    word[p], or at its end), as (word', multiplicity) pairs.
 
-    Iterating Cor. 2.3, r_i f = f r_i + r_i sum_j (df/dl_j) r_j, gives
-
-        r_i l^s = sum_{e <= s} (prod_j s_j! / (s_j - e_j)!) l^(s-e) r_i V_e,
-
-    where V_e is the sum of the r-words in which each letter j occurs e_j
-    times.  Distinct contents e give distinct monomials l^(s-e), so nothing
-    cancels and the structure constants are these positive integers.
+    The places around a run of letters r_j give one word, kept once with the
+    number of those places from `start` on as its multiplicity.  From start
+    0 this is the shuffle T_j(w) = w ⧢ r_j; from start 1 it is D_j(w), r_j
+    inserted after each letter, and D_j(1) = 0.
     """
     out = []
-    for e in itertools.product(*(range(s + 1) for s in lexp)):
-        c = prod(perm(s, k) for s, k in zip(lexp, e))
-        lower = tuple(s - k for s, k in zip(lexp, e))
-        for v in _words_of_content(e):
-            out.append((lower, (i,) + v, c))
-    return tuple(out)
-
-
-def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All r-words in which each letter j occurs content[j - 1] times, in
-    lexicographic order, each one the next permutation of the one before."""
-    word = [j for j, k in enumerate(content, 1) for _ in range(k)]
-    out = [tuple(word)]
-    while True:
-        i = len(word) - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        k = len(word) - 1
-        while word[k] <= word[i]:
-            k -= 1
-        word[i], word[k] = word[k], word[i]
-        word[i + 1 :] = reversed(word[i + 1 :])
-        out.append(tuple(word))
+    lo = start  # the first place not yet counted
+    for p, x in enumerate(word):
+        if x != j and p >= start:
+            out.append((word[:p] + (j,) + word[p:], p + 1 - lo))
+            lo = p + 1
+    if lo <= len(word):
+        out.append((word + (j,), len(word) + 1 - lo))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _rword_past_monomial(rword: tuple[int, ...], lexp: tuple[int, ...]):
     """Normal form of (r-word) * l^lexp as ((lexp', rword', int_coeff), ...).
 
-    The first letter is moved past the cached normal form of the rest of the
-    word, so words with a common suffix share its straightening.
+    For an r-word w, w l_j = l_j w + D_j(w) (Cor. 2.3), D_j inserting r_j
+    after each letter of w (`_insert_letter` from place 1).  The D_j
+    commute, and so do the l's, so
+
+        w l^s = sum_{e <= s} C(s, e) l^(s-e) D^e(w),
+
+    C(s, e) = prod_j binom(s_j, e_j) and D^e = prod_j D_j^(e_j).  One int
+    map D^e(w) is kept per layer e, together with l^(s-e) and C(s, e); the
+    layers are raised one index j at a time, D^(e + delta_j) = D_j(D^e).
+    Distinct layers carry distinct l^(s-e) and every multiplicity is
+    positive, so nothing cancels and the structure constants are positive
+    integers.  The --max-terms guard is charged on the running term count
+    as each layer is added.
     """
     if not rword or not any(lexp):
         return ((lexp, rword, 1),)
-    if len(rword) == 1:
-        return _r_past_monomial(rword[0], lexp)
-    head = rword[0]
-    acc: dict[tuple, int] = {}
-    for s1, v1, c1 in _suffix_past_monomial(rword[1:], lexp):
-        for s2, v2, c2 in _r_past_monomial(head, s1):
-            key = (s2, v2 + v1)
-            acc[key] = acc.get(key, 0) + c1 * c2
-    return tuple((s, v, c) for (s, v), c in acc.items())
-
-
-def _suffix_past_monomial(rest: tuple[int, ...], lexp: tuple[int, ...]):
-    """`_rword_past_monomial(rest, lexp)`, looked up so that a miss stays shallow.
-
-    An entry that misses needs the entry one letter shorter, so a cold word
-    would be walked one nested call per letter.  Instead the suffixes whose
-    lengths are len(rest) with its low bits cleared are looked up first,
-    shortest first.  Each of those finds the previous one cached, a power
-    of two fewer letters below it, and a walk across 2^j letters nests j
-    calls deep; the nesting grows with the logarithm of the word length.
-    """
-    t, m = len(rest), 0
-    for bit in reversed(range(t.bit_length())):
-        if t >> bit & 1:
-            m |= 1 << bit
-            entry = _rword_past_monomial(rest[-m:], lexp)
-    return entry
+    layers = [(lexp, 1, ((rword, 1),))]
+    size = 1
+    limit = TERM_BUDGET.get()
+    for j, s in enumerate(lexp, 1):
+        if not s:
+            continue
+        for lower, c, words in layers[:]:
+            for k in range(1, s + 1):
+                c = c * lower[j - 1] // k
+                lower = lower[: j - 1] + (lower[j - 1] - 1,) + lower[j:]
+                raised: dict[tuple, int] = {}
+                get = raised.get
+                for v, m in words:
+                    for u, x in _insert_letter(v, j, 1):
+                        raised[u] = get(u, 0) + m * x
+                words = raised.items()
+                layers.append((lower, c, words))
+                size += len(raised)
+                if limit is not None and size > limit:
+                    _charge(size)
+    return tuple([(lower, v, c * m) for lower, c, words in layers for v, m in words])
 
 
 def _signed_products(products) -> dict[tuple, int]:

@@ -34,9 +34,10 @@ from .algebra import (
     _charge,
     _from_ints,
     _from_products,
+    _insert_letter,
     _json_int,
-    _r_past_monomial,
     _require_exponent,
+    _rword_past_monomial,
     _signed_products,
     as_fraction,
     commutator,
@@ -146,10 +147,12 @@ def identity_endo(n: int) -> Endomorphism:
 # by D(ab) = D(a) b + a D(b) on each word, the terms D(x) l_j and -l_j D(x)
 # of two words pairing into [D(x), l_j].  Each piece is a letter operator
 # on an image term c l^s w, w an r-word:
-# - [., l_j] gives c l^s D_j(w), D_j inserting r_j after each letter of w,
-#   as r_a l_j = l_j r_a + r_a r_j and l^s commutes with l_j;
+# - [., l_j] gives c l^s D_j(w), D_j inserting r_j after each letter of w
+#   (`algebra._insert_letter` from place 1), as r_a l_j = l_j r_a + r_a r_j
+#   and l^s commutes with l_j;
 # - . r_j appends r_j to w;
-# - r_i . prepends the cached normal form of r_i l^s (`_r_past_monomial`).
+# - r_i . prepends the cached normal form of r_i l^s, the one-letter word
+#   r_i straightened past l^s (`_rword_past_monomial((i,), s)`).
 # So `derivation_residual` is one int map over the lcm of the images'
 # denominators (`_letter_sum`), and no word is straightened past an l:
 # `check_derivation`, which re-checks every member of a solver's derivation
@@ -207,21 +210,20 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
     """sum(sign * op_k(w)) over the operators of ops that keep the l-part
     (all but _PREPEND), on the r-word w = rword: (r-word, nonzero int) pairs.
 
-    [w, l_k] is D_k(w), r_k inserted after each letter of w, and w r_k
-    appends it.  Equal words merge: inside a run of r_k's the insertions
-    coincide, and in [B_i, l_j] - B_i r_j the insertion after the last
-    letter cancels the append."""
+    [w, l_k] is D_k(w), r_k inserted after each letter of w with the
+    insertions inside a run of r_k's merged (`_insert_letter` from place
+    1), and w r_k appends it.  Equal words merge: in [B_i, l_j] - B_i r_j
+    the insertion after the last letter cancels the append."""
     acc: dict[tuple, int] = {}
     for sign, op, k in ops:
-        x = (k,)
         if op == _BRACKET:
-            words = [rword[:p] + x + rword[p:] for p in range(1, len(rword) + 1)]
+            words = _insert_letter(rword, k, 1)
         elif op == _APPEND:
-            words = [rword + x]
+            words = [(rword + (k,), 1)]
         else:
             continue
-        for v in words:
-            acc[v] = acc.get(v, 0) + sign
+        for v, m in words:
+            acc[v] = acc.get(v, 0) + sign * m
     return tuple((v, m) for v, m in acc.items() if m)
 
 
@@ -279,7 +281,7 @@ def _letter_sum(n: int, images) -> tuple[dict, int]:
                     del acc[key]
             for sign, k in prepends:
                 ck = sign * c
-                for s, v, m in _r_past_monomial(k, lexp):
+                for s, v, m in _rword_past_monomial((k,), lexp):
                     key = (s, v + rword)
                     total = get(key, 0) + ck * m
                     if total:

@@ -25,6 +25,7 @@ from .algebra import (
     _basis_word,
     _charge,
     _from_ints,
+    _insert_letter,
     commutator,
     element_to_json,
     gen_l,
@@ -136,23 +137,18 @@ def _weighted_slice(
 def _shuffle_letter(pairs, i: int, out: dict) -> dict[tuple, int]:
     """Add T_i = (. ⧢ r_i) of ((head, r-word), int) pairs into `out`; return it.
 
-    r_i goes into each of the len + 1 places of every r-word; the m + 1 places
-    around a run of m letters r_i make one word, added once with weight m + 1.
-    The head is carried along.  Charged to the term budget.
+    T_i puts r_i into every place of each r-word (`_insert_letter` from
+    place 0, runs merged); the head is carried along.  Charged to the term
+    budget.
     """
     for (head, v), c in pairs:
-        run = 0
-        for p, x in enumerate((*v, 0)):  # 0 is no letter: it ends the last run
-            if x == i:
-                run += 1
-                continue
-            key = (head, v[:p] + (i,) + v[p:])
-            total = out.get(key, 0) + c * (run + 1)
+        for w, m in _insert_letter(v, i, 0):
+            key = (head, w)
+            total = out.get(key, 0) + c * m
             if total:
                 out[key] = total
             elif key in out:
                 del out[key]
-            run = 0
     _charge(len(out))
     return out
 
@@ -257,8 +253,9 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
 
     The basis is g_{j,t} = r_i (l^t / t!) r_j, j = 1..n, |t| = d - 2, t! =
     prod_k t_k!, ordered by each member's least word (`word_key`), greatest
-    first.  A member's size is charged to the term budget before it is
-    built; a member failing its re-check against the condition, or with a
+    first.  The member count n C(d + n - 3, n - 1) is charged to the term
+    budget before the members are listed, and each member's size before it
+    is built; a member failing its re-check against the condition, or with a
     leading coefficient outside span{r_i r_j}, raises AnomalyError.
 
     Proof.  ad_{l_i} kills L_n and ad_{l_i}(r_k) = -r_k r_i, so every
@@ -291,6 +288,7 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
         middle = [k for k in range(n, 0, -1) for _ in range(t[k - 1])]
         return word_key(BasisWord((0,) * n, (i, *middle, j)))
 
+    _charge(n * comb(d + n - 3, n - 1))
     members = [(j, t) for t in _lmonomials(d - 2, (1,) * n) for j in range(1, n + 1)]
     li, ri = gen_l(n, i), gen_r(n, i)
     out = []

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,13 @@ from lsea import (
     shift_lr,
     wdeg,
 )
-from lsea.algebra import MAX_EXPONENT, _r_past_monomial, _rword_past_monomial
+from lsea.algebra import (
+    MAX_EXPONENT,
+    TERM_BUDGET,
+    TermBudgetExceeded,
+    _insert_letter,
+    _rword_past_monomial,
+)
 from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights, rand_word
 
 
@@ -121,21 +128,34 @@ class TestMul:
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_r_past_monomial_closed_form_matches_oracle(self):
-        # every r_i l^s with n <= 3 and exponents <= 3 (2 when n = 3)
-        for n, top in ((1, 3), (2, 3), (3, 2)):
-            for lexp in itertools.product(range(top + 1), repeat=n):
-                for i in range(1, n + 1):
-                    letters = [("r", i)] + [
-                        ("l", j + 1) for j, e in enumerate(lexp) for _ in range(e)
-                    ]
-                    got = Element(
-                        n, [((s, v), c) for s, v, c in _r_past_monomial(i, lexp)]
-                    )
-                    assert got == normal_form_oracle(n, letters), (i, lexp)
+        # every r_i l^s with n <= 3 and exponents <= 3 (2 when n = 3), and
+        # words of two to four letters past l^s with exponents <= 5, 2 or 1;
+        # the layers hold distinct words with positive constants, so no two
+        # terms of an entry share a word
+        rng = random.Random(1802)
+        for n, top, low in ((1, 3, 5), (2, 3, 2), (3, 2, 1)):
+            cases = [
+                ((i,), lexp)
+                for lexp in itertools.product(range(top + 1), repeat=n)
+                for i in range(1, n + 1)
+            ]
+            for length in (2, 3, 4):
+                for _ in range(3):
+                    word = tuple(rng.randint(1, n) for _ in range(length))
+                    cases.append((word, tuple(rng.randint(0, low) for _ in range(n))))
+            for word, lexp in cases:
+                letters = [("r", i) for i in word] + [
+                    ("l", j + 1) for j, e in enumerate(lexp) for _ in range(e)
+                ]
+                out = _rword_past_monomial(word, lexp)
+                assert len({(s, v) for s, v, _ in out}) == len(out)
+                assert all(c > 0 for _, _, c in out)
+                got = Element(n, [((s, v), c) for s, v, c in out])
+                assert got == normal_form_oracle(n, letters), (word, lexp)
 
     def test_long_r_words_cold_or_warm_match_oracle(self):
-        # words long enough that a cold lookup warms suffixes first, straightened
-        # on cold caches and again longest first on warm ones
+        # long words straightened on cold caches, and again longest first on
+        # warm ones
         rng = random.Random(11)
         cases = []
         for length in (2, 3, 7, 8, 9, 16, 17, 23):
@@ -153,17 +173,63 @@ class TestMul:
                 assert mul(rword, Element.from_word(n, lexp, ())) == expected, word
 
     def test_long_words_share_their_straightening(self):
-        # each entry of (l1+r1)^64 is one letter moved past a cached suffix;
-        # folding every letter of every word anew took over 3 s on a 2-vCPU
-        # machine, and 0.44 s with the suffixes shared
+        # each of the 64 right multiplications straightens every word of the
+        # partial power past l1 as w l1 = l1 w + D_1(w), one cached entry per
+        # word with one D_1 layer; folding every letter of every word anew
+        # took over 3 s on a 2-vCPU machine
         _rword_past_monomial.cache_clear()
-        _r_past_monomial.cache_clear()
         start = time.perf_counter()
         g = (gen_l(1, 1) + gen_r(1, 1)) ** 64
         elapsed = time.perf_counter() - start
         assert len(g) == 65
         assert g.coefficient((64,), ()) == 1
         assert elapsed < 2.0
+
+    def test_insert_letter_matches_naive_insertion(self):
+        # r_j put into each place from `start` on, one word per place, summed;
+        # the words are drawn as runs of one letter, so places merge
+        rng = random.Random(1801)
+        merged = 0
+        for n in (1, 2, 3):
+            for _ in range(80):
+                word = []
+                for _ in range(rng.randint(0, 4)):
+                    word += [rng.randint(1, n)] * rng.randint(1, 3)
+                word, j = tuple(word), rng.randint(1, n)
+                for start in (0, 1):
+                    places = range(start, len(word) + 1)
+                    naive = Counter(word[:p] + (j,) + word[p:] for p in places)
+                    got = _insert_letter(word, j, start)
+                    assert dict(got) == naive and len(got) == len(naive), (word, j, start)
+                    merged += any(m > 1 for _, m in got)
+        assert merged > 50
+        assert _insert_letter((), 2, 0) == [((2,), 1)]
+        assert _insert_letter((), 2, 1) == []
+
+    def test_long_run_past_one_l_fills_one_entry(self):
+        # the 3000 places of D_1 in r1^3000 merge into one word, and the
+        # product fills one straightening-cache entry, not one per suffix
+        _rword_past_monomial.cache_clear()
+        a = gen_r(1, 1) ** 3000
+        before = _rword_past_monomial.cache_info().currsize
+        expected = Element.from_word(1, (1,), (1,) * 3000)
+        expected = expected + Element.from_word(1, (0,), (1,) * 3001, 3000)
+        assert mul(a, gen_l(1, 1)) == expected
+        assert _rword_past_monomial.cache_info().currsize == before + 1
+
+    def test_kernel_charges_each_layer(self):
+        # r1 l1^8 l2^8 has 48619 terms; under a budget of 1000 the running
+        # count trips while the layers are built, one layer past the bound
+        _rword_past_monomial.cache_clear()
+        token = TERM_BUDGET.set(1000)
+        try:
+            with pytest.raises(TermBudgetExceeded, match="over the --max-terms bound 1000") as exc:
+                _rword_past_monomial((1,), (8, 8))
+        finally:
+            TERM_BUDGET.reset(token)
+        count = int(str(exc.value).split()[3])
+        assert 1000 < count < 1500
+        assert len(_rword_past_monomial((1,), (8, 8))) == 48619
 
 
 def _square_and_multiply(x, k):
@@ -219,7 +285,6 @@ class TestPowers:
         # 128 right multiplications, each word past one l1; squaring straightened
         # whole words past l1^64 and took 9.8 s on a 2-vCPU machine
         _rword_past_monomial.cache_clear()
-        _r_past_monomial.cache_clear()
         start = time.perf_counter()
         g = (gen_l(1, 1) + gen_r(1, 1)) ** 128
         elapsed = time.perf_counter() - start

@@ -482,6 +482,36 @@ class TestCliBasics:
         assert code == 0
         assert f"at most {limit}" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-n", "2", "norm", "r1*l1^700*l2^700"],
+            ["-n", "4", "solve", "lemma27", "--i", "1", "--degree", "100"],
+        ],
+        ids=["straightening-layers", "lemma27-members"],
+    )
+    def test_max_terms_refuses_before_building(self, subprocess_env, argv):
+        # a child capped at 1 GB of address space: the straightening kernel
+        # charges its running term count layer by layer, and lemma27 its member
+        # count before listing the members; the first ended in a MemoryError
+        # after 10 s, the second took 10.7 s to refuse
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "--max-terms", "1000", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            preexec_fn=cap,
+            timeout=20,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "over the --max-terms bound 1000" in proc.stderr
+
 
 class TestCliMaps:
     def test_der_check_ok(self, capsys):

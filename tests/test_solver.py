@@ -318,12 +318,15 @@ class TestLemma27:
         assert solve(m, tcol).consistent
 
     def test_member_charged_before_it_is_built(self, monkeypatch):
-        # each member's size is charged before the first product that builds it
+        # the member count n C(d + n - 3, n - 1) = 2 * 4 is charged before the
+        # members are listed, then each member's size before the first
+        # product that builds it
         events = []
         real_mul = solver.mul
         monkeypatch.setattr(solver, "_charge", events.append)
         monkeypatch.setattr(solver, "mul", lambda a, b: events.append("mul") or real_mul(a, b))
         members = lemma27_solutions(2, 1, 5)
+        assert events.pop(0) == 8 == len(members)
         charges = [k for k, e in enumerate(events) if e != "mul"]
         assert charges[0] == 0 and all(events[k + 1] == "mul" for k in charges)
         assert [events[k] for k in charges] == [len(g) for g in members]
