@@ -19,14 +19,18 @@ never touch floating point; the one float is NEG_INF, the degree of zero.
 An `Element` stores its coefficients as integers over one denominator: a
 positive int `_den` and a map `_nums` from basis word to nonzero int
 numerator, with no factor common to `_den` and every numerator, so equal
-elements have identical storage.  Products (`mul`) combine the numerators
-with the integer structure constants of the straightening rule over the
-product of the two denominators; sums, differences and scalings are integer
-map merges over the lcm or product of the denominators, each followed by one
-gcd reduction.  `fractions.Fraction` appears only at the boundary: the
-validating constructor takes rationals, and `terms()` and `coefficient()`
-hand them out.  The text and JSON forms print from `canonical_walk`, which
-reads the ints directly.
+elements have identical storage.  A stored word is a plain `(lexp, rword)`
+tuple pair; it hashes and compares like a `BasisWord`, and `terms()` wraps
+it in one as it hands it out.  Products (`mul`) combine the
+numerators with the integer structure constants of the straightening rule
+over the product of the two denominators; sums, differences and scalings
+are integer map merges over the lcm or product of the denominators, each
+followed by one gcd reduction.  The validating constructor works in ints
+as well: each coefficient becomes one numerator over its denominator, and
+the terms are summed over the lcm of those denominators.
+`fractions.Fraction` appears only at the boundary: the constructor accepts
+rationals, and `terms()` and `coefficient()` hand them out.  The text and
+JSON forms print from `canonical_walk`, which reads the ints directly.
 """
 
 from __future__ import annotations
@@ -102,13 +106,17 @@ class BasisWord(NamedTuple):
         return sum(self.lexp) + len(self.rword)
 
     def wdegree(self, weights) -> int:
-        return sum(e * w for e, w in zip(self.lexp, weights)) + sum(
-            weights[j - 1] for j in self.rword
-        )
+        return _wdegree(self, weights)
 
 
 # BasisWord from a (lexp, rword) pair built here, without `_make`'s length check
 _basis_word = partial(tuple.__new__, BasisWord)
+
+
+def _wdegree(word, weights) -> int:
+    """Weighted degree of a `BasisWord` or a plain (lexp, rword) pair."""
+    lexp, rword = word
+    return sum(e * w for e, w in zip(lexp, weights)) + sum(weights[j - 1] for j in rword)
 
 
 def pdeg_key(lexp: tuple[int, ...]):
@@ -122,8 +130,10 @@ def rword_key(rword: tuple[int, ...]):
     return (len(rword), tuple(-j for j in rword))
 
 
-def word_key(word: BasisWord):
-    return (pdeg_key(word.lexp), rword_key(word.rword))
+def word_key(word):
+    """Sort key for basis words, a `BasisWord` or a plain (lexp, rword) pair."""
+    lexp, rword = word
+    return (pdeg_key(lexp), rword_key(rword))
 
 
 def pdeg_compare(
@@ -159,7 +169,8 @@ def _charge(count: int) -> None:
 class Element:
     """A canonical finite rational combination of basis words of U_n.
 
-    The coefficient of a word is `_nums[word] / _den`; no zero numerator is
+    The coefficient of a word is `_nums[word] / _den`; each word is stored
+    as a plain `(lexp, rword)` pair of int tuples, no zero numerator is
     stored and gcd(_den, *_nums.values()) == 1, so equal elements have
     identical storage.  Instances are immutable; every operation returns a
     new element.
@@ -171,49 +182,61 @@ class Element:
         """Validating constructor from (word, coefficient) pairs or a dict.
 
         Coefficients are Fractions, ints or strings; repeated words add up.
+        Each coefficient becomes one numerator p over its denominator q, and
+        the p * (den // q) are summed over den, the lcm of the q's.
         """
         if n < 1:
             raise DomainError("ambient n must be >= 1")
-        clean: dict[BasisWord, Fraction] = {}
+        parts = []
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
-            word = BasisWord(tuple(word[0]), tuple(word[1]))
-            if len(word.lexp) != n:
-                raise AmbientMismatch(f"exponent vector {word.lexp} not of length {n}")
-            if any(e < 0 for e in word.lexp):
-                raise DomainError(f"negative exponent in {word.lexp}")
-            if any(not 1 <= j <= n for j in word.rword):
-                raise DomainError(f"r-letter out of range 1..{n} in {word.rword}")
-            c = as_fraction(c)
-            acc = clean.get(word, _ZERO) + c
-            if acc:
-                clean[word] = acc
-            elif word in clean:
-                del clean[word]
+            lexp, rword = tuple(word[0]), tuple(word[1])
+            if len(lexp) != n:
+                raise AmbientMismatch(f"exponent vector {lexp} not of length {n}")
+            if min(lexp) < 0:
+                raise DomainError(f"negative exponent in {lexp}")
+            if rword and not (min(rword) >= 1 and max(rword) <= n):
+                raise DomainError(f"r-letter out of range 1..{n} in {rword}")
+            p, q = (c, 1) if type(c) is int else as_fraction(c).as_integer_ratio()
+            if p:
+                parts.append(((lexp, rword), p, q))
+        den = lcm(*[q for _, _, q in parts])
+        nums: dict[tuple, int] = {}
+        # every added value is nonzero, so a zero total means the key was there
+        for key, p, q in parts:
+            total = nums.get(key, 0) + p * (den // q)
+            if total:
+                nums[key] = total
+            else:
+                del nums[key]
         self.n = n
-        self._nums, self._den = _int_form(clean)
-        _charge(len(self._nums))
+        self._nums, self._den = _reduced(nums, den)
+        _charge(len(nums))
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def zero(cls, n: int) -> "Element":
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def zero(n: int) -> "Element":
+        """The zero element of U_n, cached like `generator`."""
         if n < 1:
             raise DomainError("ambient n must be >= 1")
         return _from_ints(n, {})
 
-    @classmethod
-    def one(cls, n: int) -> "Element":
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def one(n: int) -> "Element":
+        """The unit of U_n, cached like `generator`."""
         if n < 1:
             raise DomainError("ambient n must be >= 1")
-        return _from_ints(n, {BasisWord((0,) * n, ()): 1})
+        return _from_ints(n, {((0,) * n, ()): 1})
 
     @classmethod
     def from_word(cls, n, lexp, rword, coeff=1) -> "Element":
         c = as_fraction(coeff)
         if not c:
             return cls.zero(n)
-        return cls(n, [(BasisWord(tuple(lexp), tuple(rword)), c)])
+        return cls(n, [((lexp, rword), c)])
 
     # -- inspection --------------------------------------------------------
 
@@ -223,21 +246,22 @@ class Element:
 
     def terms(self) -> Iterator[tuple[BasisWord, Fraction]]:
         den = self._den
-        return ((w, _fraction(c, den)) for w, c in self._nums.items())
+        return ((_basis_word(w), _fraction(c, den)) for w, c in self._nums.items())
 
-    def int_terms(self) -> tuple[int, Iterable[tuple[BasisWord, int]]]:
-        """(den, (word, numerator) pairs) with self = sum(numerator / den * word)."""
+    def int_terms(self) -> tuple[int, Iterable[tuple[tuple, int]]]:
+        """(den, ((lexp, rword), numerator) pairs) with
+        self = sum(numerator / den * l^lexp r_rword)."""
         return self._den, self._nums.items()
 
     def coefficient(self, lexp, rword) -> Fraction:
-        c = self._nums.get(BasisWord(tuple(lexp), tuple(rword)))
+        c = self._nums.get((tuple(lexp), tuple(rword)))
         return _ZERO if c is None else _fraction(c, self._den)
 
     def degree(self):
         """Total degree, NEG_INF for the zero element."""
         if not self._nums:
             return NEG_INF
-        return max(w.degree for w in self._nums)
+        return max(sum(lexp) + len(rword) for lexp, rword in self._nums)
 
     def __len__(self) -> int:
         return len(self._nums)
@@ -343,21 +367,27 @@ def _require_exponent(k) -> None:
         raise DomainError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
 
 
-def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
-    """The element sum(nums[word] / den * word) of U_n, from trusted parts.
-
-    `nums` maps canonical basis words of U_n to nonzero ints and den > 0;
-    their common factor is divided out here.  Charged to the term budget.
-    """
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """(nums, den) with the factor common to den and every numerator
+    divided out."""
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             den //= g
             nums = {w: c // g for w, c in nums.items()}
+    return nums, den
+
+
+def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
+    """The element sum(nums[word] / den * word) of U_n, from trusted parts.
+
+    `nums` maps canonical (lexp, rword) pairs of U_n to nonzero ints and
+    den > 0; their common factor is divided out here.  Charged to the term
+    budget.
+    """
     out = object.__new__(Element)
     out.n = n
-    out._den = den
-    out._nums = nums
+    out._nums, out._den = _reduced(nums, den)
     _charge(len(nums))
     return out
 
@@ -477,7 +507,6 @@ def _signed_products(products) -> dict[tuple, int]:
     lookup, so that the r-only steps of a power fill no cache entries.  The
     --max-terms guard is charged after each term of each left factor.
     """
-    # plain (lexp, rword) keys hash and compare like the BasisWord they become
     acc: dict[tuple, int] = {}
     limit = TERM_BUDGET.get()
     for k, left, right in products:
@@ -517,12 +546,7 @@ def mul(a: Element, b: Element) -> Element:
     """
     a._require_same_ambient(b)
     acc = _signed_products(((1, a._nums.items(), b._nums.items()),))
-    return _from_products(a.n, acc, a._den * b._den)
-
-
-def _from_products(n: int, acc: dict, den: int = 1) -> Element:
-    """The element sum(acc[key] / den * key) of a `_signed_products` map."""
-    return _from_ints(n, {_basis_word(key): c for key, c in acc.items()}, den)
+    return _from_ints(a.n, acc, a._den * b._den)
 
 
 def commutator(a: Element, b: Element) -> Element:
@@ -603,10 +627,10 @@ def lm_lc(g: Element) -> tuple[tuple[int, ...] | None, Element]:
     """
     if g.is_zero:
         return None, Element.zero(g.n)
-    top = max((w.lexp for w in g._nums), key=pdeg_key)
+    top = max((lexp for lexp, _ in g._nums), key=pdeg_key)
     zero_exp = (0,) * g.n
     coeff = {
-        BasisWord(zero_exp, w.rword): c for w, c in g._nums.items() if w.lexp == top
+        (zero_exp, rword): c for (lexp, rword), c in g._nums.items() if lexp == top
     }
     return top, _from_ints(g.n, coeff, g._den)
 
@@ -618,7 +642,7 @@ def wdeg(g: Element, weights):
         raise DomainError("weight vector length must equal the ambient n")
     if g.is_zero:
         return NEG_INF
-    return max(w.wdegree(weights) for w in g._nums)
+    return max(_wdegree(w, weights) for w in g._nums)
 
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
@@ -626,9 +650,9 @@ def homogeneous_components(g: Element, weights) -> dict[int, Element]:
     weights = tuple(weights)
     if len(weights) != g.n:
         raise DomainError("weight vector length must equal the ambient n")
-    buckets: dict[int, dict[BasisWord, int]] = {}
+    buckets: dict[int, dict[tuple, int]] = {}
     for w, c in g._nums.items():
-        buckets.setdefault(w.wdegree(weights), {})[w] = c
+        buckets.setdefault(_wdegree(w, weights), {})[w] = c
     return {d: _from_ints(g.n, t, g._den) for d, t in sorted(buckets.items())}
 
 
@@ -652,15 +676,15 @@ def is_homogeneous(g: Element, weights=None) -> bool:
 
 
 def in_L(g: Element) -> bool:
-    return all(not w.rword for w in g._nums)
+    return all(not rword for _, rword in g._nums)
 
 
 def in_R(g: Element) -> bool:
-    return all(not any(w.lexp) for w in g._nums)
+    return all(not any(lexp) for lexp, _ in g._nums)
 
 
 def in_I(g: Element) -> bool:
-    return all(w.rword for w in g._nums)
+    return all(rword for _, rword in g._nums)
 
 
 class Membership(NamedTuple):
@@ -675,8 +699,8 @@ def membership(g: Element) -> Membership:
 
 def project_to_L(g: Element) -> tuple[Element, Element]:
     """Split g = (part in L_n) + (part in I_n); the splitting is unique."""
-    lpart = {w: c for w, c in g._nums.items() if not w.rword}
-    ipart = {w: c for w, c in g._nums.items() if w.rword}
+    lpart = {w: c for w, c in g._nums.items() if not w[1]}
+    ipart = {w: c for w, c in g._nums.items() if w[1]}
     return _from_ints(g.n, lpart, g._den), _from_ints(g.n, ipart, g._den)
 
 
@@ -687,11 +711,11 @@ def pderiv_l(j: int, f: Element) -> Element:
     if not in_L(f):
         raise DomainError("partial derivative only defined on L_n")
     # lowering l_j is injective on the words that hold it, so nothing collides
-    out: dict[BasisWord, int] = {}
-    for w, c in f._nums.items():
-        e = w.lexp[j - 1]
+    out: dict[tuple, int] = {}
+    for (lexp, _), c in f._nums.items():
+        e = lexp[j - 1]
         if e:
-            out[BasisWord(w.lexp[: j - 1] + (e - 1,) + w.lexp[j:], ())] = e * c
+            out[(lexp[: j - 1] + (e - 1,) + lexp[j:], ())] = e * c
     return _from_ints(f.n, out, f._den)
 
 
@@ -788,5 +812,5 @@ def element_from_json(data: dict) -> Element:
         lexp, rword = tuple(t["l"]), tuple(t["r"])
         for x in lexp + rword:
             _json_int(x, "an exponent or r-letter")
-        terms.append((BasisWord(lexp, rword), _json_coeff(t["c"])))
+        terms.append(((lexp, rword), _json_coeff(t["c"])))
     return Element(n, terms)

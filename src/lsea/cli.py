@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical failure (a check returned false or a
 verification suite had failures), 2 usage or parse errors (including the
---max-terms guard), 3 anomaly (a solve outcome contradicting a proved
-statement; the offending system is dumped as JSON for triage).
+--max-terms guard and running out of memory), 3 anomaly (a solve outcome
+contradicting a proved statement; the offending system is dumped as JSON
+for triage).
 
 Output on stdout uses the canonical text format for elements and JSON for
 structured data; diagnostics go to stderr.  Identical invocations produce
@@ -636,6 +637,10 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.run(args) or 0
+    except MemoryError:
+        # reported below, once this block has dropped the traceback and with
+        # it the frames that hold the partial result
+        pass
     except TermBudgetExceeded as exc:
         print(f"lsea: term budget exceeded: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -655,6 +660,11 @@ def main(argv=None) -> int:
     finally:
         TERM_BUDGET.reset(token)
         sys.set_int_max_str_digits(digits)
+    print(
+        "lsea: out of memory; --max-terms refuses large results before they are built",
+        file=sys.stderr,
+    )
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

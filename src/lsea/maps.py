@@ -28,19 +28,16 @@ from . import linalg
 from .algebra import (
     TERM_BUDGET,
     AmbientMismatch,
-    BasisWord,
     DomainError,
     Element,
     _charge,
     _from_ints,
-    _from_products,
     _insert_letter,
     _json_int,
     _require_exponent,
     _rword_past_monomial,
     _signed_products,
     as_fraction,
-    commutator,
     element_from_json,
     element_to_json,
     exact_str,
@@ -231,11 +228,6 @@ def _image(m, slot: int) -> Element:
     return m.l_images[slot] if slot < m.n else m.r_images[slot - m.n]
 
 
-@lru_cache(maxsize=None)
-def _zero(n: int) -> Element:
-    return Element.zero(n)
-
-
 def _signed_sum(n: int, products) -> Element:
     """sum(sign * a * b) over (sign, a, b), one `_signed_products` map over
     the lcm of the products' denominators."""
@@ -247,7 +239,7 @@ def _signed_sum(n: int, products) -> Element:
         terms.append((sign, den_a * den_b, items_a, items_b))
     den = lcm(*(d for _, d, _, _ in terms))
     acc = _signed_products((sign * (den // d), ia, ib) for sign, d, ia, ib in terms)
-    return _from_products(n, acc, den)
+    return _from_ints(n, acc, den)
 
 
 def _letter_sum(n: int, images) -> tuple[dict, int]:
@@ -306,7 +298,7 @@ def derivation_residual(data, kind: str, i: int, j: int) -> Element:
     n = data.n
     ops = _letter_operators(n, kind, i, j)
     acc, den = _letter_sum(n, [(_image(data, slot), o) for slot, o in ops.items()])
-    return _from_products(n, acc, den) if acc else _zero(n)
+    return _from_ints(n, acc, den) if acc else Element.zero(n)
 
 
 def endo_residual(e, kind: str, i: int, j: int) -> Element:
@@ -365,8 +357,9 @@ def require_verified(m, message: str, **context):
 # -- applying maps --------------------------------------------------------------
 
 
-def _word_factor_splits(word: BasisWord, n: int):
-    """Leibniz splits (prefix word, generator slot, suffix word) of a basis word.
+def _word_factor_splits(word, n: int):
+    """Leibniz splits (prefix word, generator slot, suffix word) of a basis
+    word, each word a plain (lexp, rword) pair.
 
     The factorization runs through the l-letters in nondecreasing index order
     and then the r-letters, so every prefix and suffix is itself a basis word.
@@ -378,12 +371,12 @@ def _word_factor_splits(word: BasisWord, n: int):
         before = lexp[:i]
         after = lexp[i + 1 :]
         for a in range(lexp[i]):
-            prefix = BasisWord(before + (a,) + (0,) * (n - i - 1), ())
-            suffix = BasisWord((0,) * i + (lexp[i] - 1 - a,) + after, rword)
+            prefix = (before + (a,) + (0,) * (n - i - 1), ())
+            suffix = ((0,) * i + (lexp[i] - 1 - a,) + after, rword)
             yield prefix, ("l", i + 1), suffix
     zero = (0,) * n
     for k, j in enumerate(rword):
-        yield BasisWord(lexp, rword[:k]), ("r", j), BasisWord(zero, rword[k + 1 :])
+        yield (lexp, rword[:k]), ("r", j), (zero, rword[k + 1 :])
 
 
 def _leibniz(g: Element, l_images, r_images) -> Element:
@@ -411,15 +404,15 @@ def _leibniz(g: Element, l_images, r_images) -> Element:
                     continue
                 k = c * (img_den // d)
                 if kind == "l":
-                    shift = prefix.lexp
+                    shift = prefix[0]
                     left = [((tuple(map(_add, shift, s)), v), x) for (s, v), x in img]
                     yield k, left, ((suffix, 1),)
                 else:
-                    tail = suffix.rword
+                    tail = suffix[1]
                     right = [((s, v + tail), x) for (s, v), x in img] if tail else img
                     yield k, ((prefix, 1),), right
 
-    return _from_products(n, _signed_products(products()), den * img_den)
+    return _from_ints(n, _signed_products(products()), den * img_den)
 
 
 def _substitute(g: Element, l_images, r_images) -> Element:
@@ -438,16 +431,16 @@ def _substitute(g: Element, l_images, r_images) -> Element:
     unit = (((0,) * n, ()), 1)
     ladders = [[Element.one(n), f] for f in l_images]
     words = []
-    for word, c in items:
+    for (lexp, rword), c in items:
         factors = []
-        for i, s in enumerate(word.lexp):
+        for i, s in enumerate(lexp):
             if s:
                 _require_exponent(s)
                 ladder = ladders[i]
                 while len(ladder) <= s:
                     ladder.append(mul(ladder[-1], l_images[i]))
                 factors.append(ladder[s].int_terms())
-        factors.extend(r_images[j - 1].int_terms() for j in word.rword)
+        factors.extend(r_images[j - 1].int_terms() for j in rword)
         last_den, last = factors.pop() if factors else (1, (unit,))
         word_den, left = 1, (unit,)
         for d, right in factors:
@@ -458,7 +451,7 @@ def _substitute(g: Element, l_images, r_images) -> Element:
     acc = _signed_products(
         (c * (words_den // d), left, last) for c, d, left, last in words
     )
-    return _from_products(n, acc, den * words_den)
+    return _from_ints(n, acc, den * words_den)
 
 
 def apply_derivation(d: Derivation, g: Element) -> Element:
@@ -483,12 +476,21 @@ def apply_endo(e: Endomorphism, g: Element) -> Element:
 
 
 def ad(a: Element) -> Derivation:
-    """Inner derivation x -> a*x - x*a; always satisfies the relations."""
+    """Inner derivation x -> a*x - x*a; always satisfies the relations.
+
+    Its images are the letter operators of the closed form above, each one
+    `_letter_sum` on a: [a, l_k] is the bracket, and [a, r_k] = a r_k - r_k a
+    an append minus a prepend, so no commutator product is built.
+    """
     n = a.n
+
+    def image(ops) -> Element:
+        return _from_ints(n, *_letter_sum(n, [(a, ops)]))
+
     return Derivation(
         n,
-        tuple(commutator(a, gen_l(n, i)) for i in range(1, n + 1)),
-        tuple(commutator(a, gen_r(n, i)) for i in range(1, n + 1)),
+        tuple(image(((1, _BRACKET, k),)) for k in range(1, n + 1)),
+        tuple(image(((1, _APPEND, k), (-1, _PREPEND, k))) for k in range(1, n + 1)),
         verified=True,
     )
 
@@ -524,8 +526,8 @@ def der_lm_lc(d) -> tuple[tuple[int, ...] | None, PureFormalExpression]:
     for img in d.l_images + d.r_images:
         den, items = img.int_terms()
         slot: dict[tuple[int, ...], dict] = {}
-        for w, c in items:
-            slot.setdefault(w.lexp, {})[BasisWord((0,) * n, w.rword)] = c
+        for (lexp, rword), c in items:
+            slot.setdefault(lexp, {})[((0,) * n, rword)] = c
         ladders.append((den, slot))
         tops.extend(slot.keys())
     if not tops:
@@ -656,7 +658,7 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
         raise AmbientMismatch("ambient mismatch")
     if not in_L(g):
         raise DomainError("coefficient must be a polynomial")
-    if any(any(w.lexp[: n - 1]) for w, _ in g.terms()):
+    if any(any(lexp[: n - 1]) for (lexp, _), _ in g.int_terms()[1]):
         raise DomainError("coefficient must be univariate in the last variable")
     zero = Element.zero(n)
     l_images = [zero] * n
@@ -803,7 +805,7 @@ def elementary_tuple(n: int, i: int, alpha, f: Element):
         raise DomainError("variable index out of range")
     if not in_L(f) or f.n != n:
         raise DomainError("added term must be a polynomial of the same ambient")
-    if any(w.lexp[i - 1] for w, _ in f.terms()):
+    if any(lexp[i - 1] for (lexp, _), _ in f.int_terms()[1]):
         raise DomainError("added term must not involve the moved variable")
     fwd = list(identity_tuple(n))
     inv = list(identity_tuple(n))
@@ -844,7 +846,7 @@ def triangular_tuple(n: int, alphas, fs: Sequence[Element]):
     for i, f in enumerate(fs):
         if not in_L(f) or f.n != n:
             raise DomainError("triangular terms must be polynomials")
-        if any(any(w.lexp[: i + 1]) for w, _ in f.terms()):
+        if any(any(lexp[: i + 1]) for (lexp, _), _ in f.int_terms()[1]):
             raise DomainError("triangular term depends on a non-later variable")
     fwd = tuple(alphas[i] * gen_l(n, i + 1) + fs[i] for i in range(n))
     inv = list(identity_tuple(n))

@@ -22,7 +22,6 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
-    _basis_word,
     _charge,
     _from_ints,
     _insert_letter,
@@ -39,7 +38,7 @@ from .algebra import (
     word_key,
 )
 from .linalg import RowReduction
-from .maps import AnomalyError, Derivation, require_verified
+from .maps import AnomalyError, Derivation, ad, require_verified
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def ad_preimage(us) -> Element:
     den, terms = us[i - 1].int_terms()
     # the nonzero d_i^(k+1) h, keyed by ((s, a), tail), from k = 0
     residuals = []
-    h = {((w.lexp, w.rword[0]), w.rword[1:]): -c for w, c in terms}
+    h = {((lexp, rword[0]), rword[1:]): -c for (lexp, rword), c in terms}
     while h := {(head, v[1:]): c for (head, v), c in h.items() if v[:1] == (i,)}:
         residuals.append(h)
     scale = factorial(len(residuals))
@@ -213,7 +212,7 @@ def ad_preimage(us) -> Element:
         f = (-1) ** k * (scale // factorial(k + 1))
         scaled = {w: f * c for w, c in residuals[k].items()}
         acc = _shuffle_letter(acc.items(), i, scaled)
-    nums = {BasisWord(s, (a,) + v): c for ((s, a), v), c in acc.items()}
+    nums = {(s, (a,) + v): c for ((s, a), v), c in acc.items()}
     g = _from_ints(n, nums, den * scale)
 
     for k in range(n):
@@ -286,7 +285,7 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     def least_word(member):
         j, t = member
         middle = [k for k in range(n, 0, -1) for _ in range(t[k - 1])]
-        return word_key(BasisWord((0,) * n, (i, *middle, j)))
+        return word_key(((0,) * n, (i, *middle, j)))
 
     _charge(n * comb(d + n - 3, n - 1))
     members = [(j, t) for t in _lmonomials(d - 2, (1,) * n) for j in range(1, n + 1)]
@@ -295,14 +294,14 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     for j, t in sorted(members, key=least_word, reverse=True):
         boxes = itertools.product(*(range(k + 1) for k in t))
         _charge(sum(factorial(sum(e)) // prod(map(factorial, e)) for e in boxes))
-        lt = _from_ints(n, {BasisWord(t, ()): 1}, prod(map(factorial, t)))
+        lt = _from_ints(n, {(t, ()): 1}, prod(map(factorial, t)))
         g = mul(mul(ri, lt), gen_r(n, j))
         payload = {"n": n, "i": i, "degree": d}
         residual = commutator(g, li) - mul(ri, g) - mul(g, ri)
         if not residual.is_zero:
             payload.update(solution=element_to_json(g), residual=element_to_json(residual))
             raise AnomalyError("Lemma 2.7 solution failed its re-check", payload)
-        if not all(len(w.rword) == 2 and w.rword[0] == i for w, _ in lm_lc(g)[1].int_terms()[1]):
+        if not all(len(v) == 2 and v[0] == i for (_, v), _ in lm_lc(g)[1].int_terms()[1]):
             payload["solution"] = element_to_json(g)
             raise AnomalyError("leading coefficient outside the predicted span", payload)
         out.append(g)
@@ -338,7 +337,7 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
         u = u - mul(mul(ri ** (kk - 2), rj), v) / (kk - 1)
         den, terms = v.int_terms()
         shuffled = _shuffle_letter(terms, i, {}).items()
-        v = _from_ints(n, {_basis_word(w): -c for w, c in shuffled}, den * (kk - 1))
+        v = _from_ints(n, {w: -c for w, c in shuffled}, den * (kk - 1))
     lhs = mul(mul(ri**k, rj), h)
     rhs = commutator(li, mul(ri, u)) + mul(mul(ri, rj), v)
     if lhs != rhs:
@@ -392,18 +391,17 @@ def derivation_space(
         raise DomainError("weight vector length must equal the ambient n")
     zero = Element.zero(n)
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
-    members = [
-        [commutator(_from_ints(n, {w: 1}), x) for x in gens]
-        for w in weighted_slice(n, m, weights, restrict_to_I=True).basis
-    ]
+    words_in_I = weighted_slice(n, m, weights, restrict_to_I=True).basis
+    inner = [ad(_from_ints(n, {tuple(w): 1})) for w in words_in_I]
+    members = [list(d.l_images + d.r_images) for d in inner]
     for j, wj in enumerate(weights, 1):
         for f in _lmonomials(m - wj, weights):
-            lf = _from_ints(n, {BasisWord(f, ()): 1})
+            lf = _from_ints(n, {(f, ()): 1})
             members.append([zero] * n + [mul(mul(r, lf), gens[n + j - 1]) for r in gens[n:]])
     if not into_I:
         for k, wk in enumerate(weights):
             for g in _lmonomials(m + wk, weights):
-                lg = _from_ints(n, {BasisWord(g, ()): 1})
+                lg = _from_ints(n, {(g, ()): 1})
                 images = [zero] * (2 * n)
                 # g(l) - g(l - r) = sum_j (dg/dl_j) r_j, by `shift_lr`
                 images[k], images[n + k] = lg, lg - shift_lr(lg)

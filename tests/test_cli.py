@@ -512,6 +512,28 @@ class TestCliBasics:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "over the --max-terms bound 1000" in proc.stderr
 
+    def test_out_of_memory_exits_2(self, subprocess_env):
+        # a child capped at 256 MB of address space and given no --max-terms:
+        # the answer has more terms than the cap holds, and the MemoryError it
+        # ends in is a usage error with one line on stderr, not a traceback
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", "-n", "2", "norm", "r1*l1^700*l2^700"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("lsea: out of memory")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestCliMaps:
     def test_der_check_ok(self, capsys):

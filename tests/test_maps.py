@@ -603,12 +603,12 @@ def _reference_substitute(g, l_images, r_images):
     l_images[i] ** s computed afresh for every word."""
     den, items = g.int_terms()
     out = Element.zero(g.n)
-    for w, c in items:
+    for (lexp, rword), c in items:
         acc = Element.one(g.n)
-        for i, s in enumerate(w.lexp):
+        for i, s in enumerate(lexp):
             if s:
                 acc = mul(acc, l_images[i] ** s)
-        for j in w.rword:
+        for j in rword:
             acc = mul(acc, r_images[j - 1])
         out = out + acc * c
     return out if den == 1 else out / den
