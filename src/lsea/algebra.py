@@ -719,6 +719,21 @@ def pderiv_l(j: int, f: Element) -> Element:
     return _from_ints(f.n, out, f._den)
 
 
+def _r_gradient(f: Element) -> Element:
+    """sum_j (df/dl_j) r_j for f in L_n, read off f's terms as one map.
+
+    The term c l^s gives s_j c l^(s - delta_j) r_j for each j with s_j > 0.
+    Each is a basis word, and distinct (s, j) give distinct words, so no
+    product is formed and nothing merges.  The caller checks f in L_n.
+    """
+    out: dict[tuple, int] = {}
+    for (lexp, _), c in f._nums.items():
+        for j, e in enumerate(lexp):
+            if e:
+                out[(lexp[:j] + (e - 1,) + lexp[j + 1 :], (j + 1,))] = e * c
+    return _from_ints(f.n, out, f._den)
+
+
 def shift_lr(f: Element) -> Element:
     """f(l_1 - r_1, ..., l_n - r_n) for f in L_n, via the closed formula
 
@@ -729,12 +744,7 @@ def shift_lr(f: Element) -> Element:
     """
     if not in_L(f):
         raise DomainError("shift_lr only defined on L_n")
-    out = f
-    for j in range(1, f.n + 1):
-        df = pderiv_l(j, f)
-        if not df.is_zero:
-            out = out - mul(df, gen_r(f.n, j))
-    return out
+    return f - _r_gradient(f)
 
 
 # -- serialization ------------------------------------------------------------

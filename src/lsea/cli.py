@@ -26,6 +26,7 @@ from .algebra import (
     DomainError,
     Element,
     TermBudgetExceeded,
+    _json_int,
     as_fraction,
     element_from_json,
     element_to_json,
@@ -353,13 +354,16 @@ def _need_n(args, fallback: int | None = None) -> int:
         raise _CliFailure(USAGE_ERROR, "this command needs -n")
     if n < 1:
         raise _CliFailure(USAGE_ERROR, "-n must be >= 1")
-    return _cap_n(n, "-n")
+    return _cap(n, MAX_N, "n", "-n")
 
 
-def _cap_n(n: int, source: str) -> int:
-    if n > MAX_N:
-        raise _CliFailure(USAGE_ERROR, f"{source}: n = {n} exceeds the limit {MAX_N}")
-    return n
+def _cap(value: int, limit: int, name: str, source: str) -> int:
+    """value, or a usage error naming source and name when it exceeds limit."""
+    if value > limit:
+        raise _CliFailure(
+            USAGE_ERROR, f"{source}: {name} = {value} exceeds the limit {limit}"
+        )
+    return value
 
 
 def _expr(args, text: str, fallback_n: int | None = None) -> Element:
@@ -448,7 +452,7 @@ def _project(args):
 def _load_map(path: str, want: str):
     data = _load_json(path)
     try:
-        _cap_n(int(data["n"]), path)
+        _cap(_json_int(data["n"], "n"), MAX_N, "n", path)
         m = map_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad map file {path}: {exc}") from exc
@@ -478,10 +482,7 @@ def _der_apply(args):
 
 
 def _der_probe(args):
-    if args.bound > MAX_BOUND:
-        raise _CliFailure(
-            USAGE_ERROR, f"--bound: bound = {args.bound} exceeds the limit {MAX_BOUND}"
-        )
+    _cap(args.bound, MAX_BOUND, "bound", "--bound")
     d = _load_map(args.file, "derivation")
     res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
     if isinstance(res, ZeroAt):
@@ -553,7 +554,7 @@ def _solve_ad_preimage(args):
     data = _load_json(args.file)
     try:
         for d in data["images"]:
-            _cap_n(int(d["n"]), args.file)
+            _cap(_json_int(d["n"], "n"), MAX_N, "n", args.file)
         us = [element_from_json(d) for d in data["images"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
@@ -563,18 +564,14 @@ def _solve_ad_preimage(args):
 
 def _solve_lemma27(args):
     n = _need_n(args)
-    if args.degree > MAX_DEGREE:
-        raise _CliFailure(
-            USAGE_ERROR, f"--degree: degree = {args.degree} exceeds the limit {MAX_DEGREE}"
-        )
+    _cap(args.degree, MAX_DEGREE, "degree", "--degree")
     sols = lemma27_solutions(n, args.i, args.degree)
     _emit_json({"dim": len(sols), "basis": [element_to_json(g) for g in sols]})
 
 
 def _solve_rfactor(args):
     n = _need_n(args)
-    if args.k > MAX_K:
-        raise _CliFailure(USAGE_ERROR, f"--k: k = {args.k} exceeds the limit {MAX_K}")
+    _cap(args.k, MAX_K, "k", "--k")
     h = parse_element(args.h, n)
     u, v = rfactor_decompose(args.k, args.i, args.j, h)
     _emit_json({"u": element_to_json(u), "v": element_to_json(v)})
@@ -582,10 +579,7 @@ def _solve_rfactor(args):
 
 def _solve_derspace(args):
     n = _need_n(args)
-    if args.wdeg > MAX_WDEG:
-        raise _CliFailure(
-            USAGE_ERROR, f"--wdeg: wdeg = {args.wdeg} exceeds the limit {MAX_WDEG}"
-        )
+    _cap(args.wdeg, MAX_WDEG, "wdeg", "--wdeg")
     w = _parse_weights(args.weights, n) if args.weights else None
     basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
     _emit_json({"dim": len(basis), "basis": [map_to_json(d) for d in basis]})

@@ -35,6 +35,7 @@ from .algebra import (
     _insert_letter,
     _json_int,
     _require_exponent,
+    _r_gradient,
     _rword_past_monomial,
     _signed_products,
     as_fraction,
@@ -46,9 +47,9 @@ from .algebra import (
     homogeneous_components,
     in_L,
     in_R,
+    lm_lc,
     mul,
     pdeg_key,
-    pderiv_l,
 )
 
 
@@ -135,7 +136,7 @@ def identity_endo(n: int) -> Endomorphism:
 # Each relation instance is written once, as signed two-letter words over the
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
 # letter by letter: one `algebra._signed_products` sum over the lcm of the
-# products' denominators (`_signed_sum`).  A derivation's residual is read
+# products' denominators (`endo_residual`).  A derivation's residual is read
 # off the images in closed form.  With A_k = D(l_k) and B_k = D(r_k),
 #
 #     s1(i, j) = [A_i, l_j] - [A_j, l_i],
@@ -228,20 +229,6 @@ def _image(m, slot: int) -> Element:
     return m.l_images[slot] if slot < m.n else m.r_images[slot - m.n]
 
 
-def _signed_sum(n: int, products) -> Element:
-    """sum(sign * a * b) over (sign, a, b), one `_signed_products` map over
-    the lcm of the products' denominators."""
-    terms = []
-    for sign, a, b in products:
-        if a.n != n or b.n != n:
-            raise AmbientMismatch("image ambient differs from map ambient")
-        (den_a, items_a), (den_b, items_b) = a.int_terms(), b.int_terms()
-        terms.append((sign, den_a * den_b, items_a, items_b))
-    den = lcm(*(d for _, d, _, _ in terms))
-    acc = _signed_products((sign * (den // d), ia, ib) for sign, d, ia, ib in terms)
-    return _from_ints(n, acc, den)
-
-
 def _letter_sum(n: int, images) -> tuple[dict, int]:
     """(acc, den) with sum(sign * op_k(g)) = sum(acc[key] / den * key) over
     (g, ((sign, op, k), ...)) in images; acc maps (lexp, rword) to nonzero
@@ -302,9 +289,20 @@ def derivation_residual(data, kind: str, i: int, j: int) -> Element:
 
 
 def endo_residual(e, kind: str, i: int, j: int) -> Element:
-    """phi applied letter by letter to relation instance (kind, i, j)."""
-    words = relation_words(e.n, kind, i, j)
-    return _signed_sum(e.n, [(sign, _image(e, a), _image(e, b)) for sign, a, b in words])
+    """phi applied letter by letter to relation instance (kind, i, j):
+    sum(sign * phi(a) * phi(b)) over its signed words, one
+    `_signed_products` map over the lcm of the products' denominators."""
+    n = e.n
+    terms = []
+    for sign, a, b in relation_words(n, kind, i, j):
+        x, y = _image(e, a), _image(e, b)
+        if x.n != n or y.n != n:
+            raise AmbientMismatch("image ambient differs from map ambient")
+        (den_x, items_x), (den_y, items_y) = x.int_terms(), y.int_terms()
+        terms.append((sign, den_x * den_y, items_x, items_y))
+    den = lcm(*(d for _, d, _, _ in terms))
+    acc = _signed_products((sign * (den // d), ix, iy) for sign, d, ix, iy in terms)
+    return _from_ints(n, acc, den)
 
 
 def _check(m, residual):
@@ -516,26 +514,16 @@ def der_bracket(d: Derivation, e: Derivation) -> Derivation:
 def der_lm_lc(d) -> tuple[tuple[int, ...] | None, PureFormalExpression]:
     """Leading monomial and coefficient of a derivation.
 
-    Writes every image as a sum of L-monomials with R_n coefficients; the
-    ladder of monomials is shared across all 2n slots, and the leading
-    coefficient collects each slot's R_n coefficient at the greatest monomial.
+    Takes `lm_lc` of every image: the leading monomial is the greatest of
+    their tops, and the leading coefficient keeps each slot's R_n coefficient
+    where its top is that monomial and 0 elsewhere.  For the zero derivation
+    both are None and 0.
     """
     n = d.n
-    ladders = []
-    tops = []
-    for img in d.l_images + d.r_images:
-        den, items = img.int_terms()
-        slot: dict[tuple[int, ...], dict] = {}
-        for (lexp, rword), c in items:
-            slot.setdefault(lexp, {})[((0,) * n, rword)] = c
-        ladders.append((den, slot))
-        tops.extend(slot.keys())
-    if not tops:
-        z = tuple(Element.zero(n) for _ in range(n))
-        return None, PureFormalExpression(n, z, z)
-    gmax = max(tops, key=pdeg_key)
-    coeffs = [_from_ints(n, slot.get(gmax, {}), den) for den, slot in ladders]
-    return gmax, PureFormalExpression(n, tuple(coeffs[:n]), tuple(coeffs[n:]))
+    leads = [lm_lc(img) for img in d.l_images + d.r_images]
+    gmax = max((top for top, _ in leads if top is not None), key=pdeg_key, default=None)
+    coeffs = tuple(lc if top == gmax else Element.zero(n) for top, lc in leads)
+    return gmax, PureFormalExpression(n, coeffs[:n], coeffs[n:])
 
 
 @dataclass(frozen=True)
@@ -664,7 +652,7 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
     l_images = [zero] * n
     r_images = [zero] * n
     l_images[0] = g
-    r_images[0] = mul(pderiv_l(n, g), gen_r(n, n))
+    r_images[0] = _r_gradient(g)  # g'(l_n) r_n, g being univariate in l_n
     return require_verified(
         Derivation(n, tuple(l_images), tuple(r_images)),
         "univariate extension fails the relations",
@@ -678,21 +666,17 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
 def lift_phi(n: int, fs: Sequence[Element]) -> Endomorphism:
     """Lift a polynomial tuple (f_1..f_n) of L_n to an endomorphism of U_n.
 
-    l_i goes to f_i and r_i to sum_s (df_i/dl_s) r_s, one `_signed_sum`
-    per r-image.  Preserving the straightening relation reduces to the
-    substitution rule for moving an r past a polynomial, so the lift of any
-    polynomial tuple is an endomorphism; it is marked verified on
+    l_i goes to f_i and r_i to sum_s (df_i/dl_s) r_s, read off f_i by
+    `algebra._r_gradient`.  Preserving the straightening relation reduces
+    to the substitution rule for moving an r past a polynomial, so the lift
+    of any polynomial tuple is an endomorphism; it is marked verified on
     construction and the suite re-checks it.
     """
     fs = _as_images(n, fs)
     for f in fs:
         if not in_L(f):
             raise DomainError("lift requires polynomial images")
-    r_images = tuple(
-        _signed_sum(n, [(1, pderiv_l(s, f), gen_r(n, s)) for s in range(1, n + 1)])
-        for f in fs
-    )
-    return Endomorphism(n, fs, r_images, verified=True)
+    return Endomorphism(n, fs, tuple(_r_gradient(f) for f in fs), verified=True)
 
 
 def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
@@ -821,20 +805,15 @@ def affine_tuple(n: int, matrix, shift=None):
     if len(a) != n or any(len(row) != n for row in a) or len(c) != n:
         raise DomainError("affine data has wrong shape")
     a_inv = linalg.invert_dense(a)  # raises ValueError when singular
-    fwd = []
-    inv = []
-    for i in range(n):
-        img = Element.from_word(n, (0,) * n, (), c[i])
-        for j in range(n):
-            if a[i][j]:
-                img = img + a[i][j] * gen_l(n, j + 1)
-        fwd.append(img)
-        img = Element.zero(n)
-        for j in range(n):
-            if a_inv[i][j]:
-                img = img + a_inv[i][j] * (gen_l(n, j + 1) - Element.from_word(n, (0,) * n, (), c[j]))
-        inv.append(img)
-    return tuple(fwd), tuple(inv)
+    # each image is one constructor call; the unit word's terms add up
+    unit = ((0,) * n, ())
+    l_words = [(tuple(int(k == j) for k in range(n)), ()) for j in range(n)]
+    fwd = tuple(Element(n, [(unit, ci), *zip(l_words, row)]) for row, ci in zip(a, c))
+    inv = tuple(
+        Element(n, [*zip(l_words, row), *((unit, -x * cj) for x, cj in zip(row, c))])
+        for row in a_inv
+    )
+    return fwd, inv
 
 
 def triangular_tuple(n: int, alphas, fs: Sequence[Element]):

@@ -25,6 +25,7 @@ from .algebra import (
     _charge,
     _from_ints,
     _insert_letter,
+    _r_gradient,
     commutator,
     element_to_json,
     gen_l,
@@ -34,7 +35,6 @@ from .algebra import (
     is_homogeneous,
     lm_lc,
     mul,
-    shift_lr,
     word_key,
 )
 from .linalg import RowReduction
@@ -67,10 +67,8 @@ def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> GradedSlice:
 
 
 def dim(n: int, m: int) -> int:
-    """Closed-form dimension of the degree-m component of U_n."""
-    if m < 0:
-        return 0
-    return sum(comb(a + n - 1, n - 1) * n ** (m - a) for a in range(m + 1))
+    """Dimension of the degree-m component of U_n, by `_slice_size`."""
+    return _slice_size(m, (1,) * n, False) if m >= 0 else 0
 
 
 def _slice_size(m: int, weights: tuple[int, ...], restrict_to_I: bool) -> int:
@@ -366,10 +364,10 @@ def derivation_space(
     - for n = 1 and m = 0 only: D(l_1) = r_1, D(r_1) = 0.
     The members are laid out over the (slot, basis word) columns they touch,
     in slice order, and one elimination over the columns in reverse order
-    gives the reduced echelon form read from the right: its rows over their
-    pivots, in pivot column order, are the kernel basis an elimination of
-    the relation residuals would give.  Each is re-checked with
-    check_derivation before being returned.
+    (`_column_key`) gives the reduced echelon form read from the right:
+    its rows over their pivots, in pivot column order, are the kernel basis
+    an elimination of the relation residuals would give.  Each is
+    re-checked with check_derivation before being returned.
 
     Proof.  The members are derivations: ad_w plainly, the lifts by Cor.
     2.3, D(l_1) = r_1 by relation s2(1,1), the second family by the steps
@@ -403,8 +401,7 @@ def derivation_space(
             for g in _lmonomials(m + wk, weights):
                 lg = _from_ints(n, {(g, ()): 1})
                 images = [zero] * (2 * n)
-                # g(l) - g(l - r) = sum_j (dg/dl_j) r_j, by `shift_lr`
-                images[k], images[n + k] = lg, lg - shift_lr(lg)
+                images[k], images[n + k] = lg, _r_gradient(lg)
                 members.append(images)
     if n == 1 and m == 0:
         members.append([gens[1], zero])
@@ -414,7 +411,7 @@ def derivation_space(
         {(slot, w): c for slot, g in enumerate(images) for w, c in g.int_terms()[1]}
         for images in members
     ]
-    columns = sorted({key for row in rows for key in row}, key=lambda k: (-k[0], word_key(k[1])))
+    columns = sorted({key for row in rows for key in row}, key=_column_key)
     col_of = {key: col for col, key in enumerate(columns)}
     sparse_rows = [{col_of[key]: c for key, c in row.items()} for row in rows]
     red = RowReduction(len(rows), len(columns), sparse_rows)
@@ -437,38 +434,43 @@ def derivation_space(
     return out
 
 
-def derivation_coords(d: Derivation, space: list[Derivation]):
-    """Coordinates of d in the span of a derivation-space basis, or None.
+def _column_key(column):
+    """Order of the (slot, basis word) columns `derivation_space` eliminates
+    in: the last slot first, and within a slot the words by `word_key`."""
+    slot, word = column
+    return (-slot, word_key(word))
 
-    Flattens every derivation over the union of basis words appearing in the
-    space and in d, then solves exactly.
+
+def derivation_coords(d: Derivation, space: list[Derivation]):
+    """Coordinates of d in the span of a `derivation_space` basis, or None.
+
+    Such a basis is in reduced echelon form: each member's pivot, its least
+    column in `_column_key` order, holds 1 in that member and 0 in every
+    other.  So each coordinate is d's coefficient at that member's pivot,
+    and d lies in the span iff it equals that combination, checked exactly.
+    A list that is not reduced at its pivots is a DomainError.
     """
     if not space:
         return None
     n = d.n
-    slots = 2 * n
-
-    def images(dd):
-        return list(dd.l_images) + list(dd.r_images)
-
-    keys = []
-    seen = set()
-    for dd in space + [d]:
-        for slot, img in enumerate(images(dd)):
-            for w, _ in img.terms():
-                if (slot, w) not in seen:
-                    seen.add((slot, w))
-                    keys.append((slot, w))
-    rows = len(keys)
-    sparse_rows = [dict() for _ in range(rows)]
-    for col, dd in enumerate(space):
-        imgs = images(dd)
-        for rix, (slot, w) in enumerate(keys):
-            c = imgs[slot].coefficient(w.lexp, w.rword)
-            if c:
-                sparse_rows[rix][col] = c
-    red = RowReduction(rows, len(space), sparse_rows)
-    target = images(d)
-    b = [target[slot].coefficient(w.lexp, w.rword) for slot, w in keys]
-    x, cert = red.solve(b)
-    return x if cert is None else None
+    members = [member.l_images + member.r_images for member in space]
+    pivots = []
+    for images in members:
+        columns = [(slot, w) for slot, g in enumerate(images) for w, _ in g.int_terms()[1]]
+        if not columns:
+            raise DomainError("a zero member has no pivot")
+        pivots.append(min(columns, key=_column_key))
+    for k, images in enumerate(members):
+        for kk, (slot, w) in enumerate(pivots):
+            if images[slot].coefficient(*w) != int(k == kk):
+                raise DomainError("derivation_coords needs a basis reduced at its pivots")
+    target = d.l_images + d.r_images
+    x = [target[slot].coefficient(*w) for slot, w in pivots]
+    # one constructor call per slot; the members' equal words add up
+    for slot, g in enumerate(target):
+        terms = [
+            (w, xk * c) for images, xk in zip(members, x) if xk for w, c in images[slot].terms()
+        ]
+        if Element(n, terms) != g:
+            return None
+    return x

@@ -38,6 +38,7 @@ from lsea.algebra import (
     TERM_BUDGET,
     TermBudgetExceeded,
     _insert_letter,
+    _r_gradient,
     _rword_past_monomial,
 )
 from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights, rand_word
@@ -446,6 +447,19 @@ class TestPolynomialOps:
                         acc = mul(acc, (gen_l(n, k + 1) - gen_r(n, k + 1)) ** e)
                 direct = direct + c * acc
             assert shift_lr(f) == direct
+
+    def test_r_gradient_matches_products(self):
+        # sum_j (df/dl_j) r_j read off f's terms equals the sum of products
+        rng = random.Random(31)
+        for n in (1, 2, 3, 4):
+            cases = [Element.zero(n), Element.one(n), Element.one(n) * Fraction(-5, 3)]
+            cases += [rand_lpoly(rng, n, 5, terms=rng.randint(1, 6)) for _ in range(25)]
+            for f in cases:
+                expected = Element.zero(n)
+                for j in range(1, n + 1):
+                    expected = expected + mul(pderiv_l(j, f), gen_r(n, j))
+                assert _r_gradient(f) == expected, f
+            assert any(c.denominator > 1 for f in cases[3:] for _, c in f.terms())
 
     def test_shift_commutation_identity(self):
         # f(l) r_i = r_i f(l - r)

@@ -1116,8 +1116,8 @@ class TestStrictJsonLoaders:
     )
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 2.7), ("l", [0.0, False]), ("r", [1.0, True])],
-        ids=["n", "exponents", "r-letters"],
+        [("n", 2.7), ("n", float("inf")), ("l", [0.0, False]), ("r", [1.0, True])],
+        ids=["n", "n-infinity", "exponents", "r-letters"],
     )
     def test_non_int_exits_2_without_traceback(
         self, subprocess_env, tmp_path, argv, build, field, value
@@ -1139,7 +1139,11 @@ class TestStrictJsonLoaders:
         assert "must be an integer" in proc.stderr
 
     @pytest.mark.parametrize("field", ["map n", "n", "l", "r"])
-    @pytest.mark.parametrize("bad", [float, bool, str], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "bad",
+        [float, bool, str, lambda _: float("inf")],
+        ids=["float", "bool", "str", "infinity"],
+    )
     def test_every_non_int_is_usage_error(self, capsys, tmp_path, field, bad):
         if field in ("map n", "n"):
             value = bad(2)

@@ -46,6 +46,7 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
+from lsea.linalg import invert_dense
 from lsea.algebra import MAX_EXPONENT
 from lsea.maps import (
     PureFormalExpression,
@@ -406,6 +407,33 @@ class TestAffine:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             affine_tuple(2, [[1, 1], [1, 1]])
+
+    def test_matches_merge_built_images(self):
+        # each image built by scalings and merges of generators, from the
+        # inverse matrix affine_tuple uses
+        rng = random.Random(41)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 4)
+            a = [[rng.choice([0, 0, *range(-3, 4)]) for _ in range(n)] for _ in range(n)]
+            c = [rng.choice([0, Fraction(rng.randint(-5, 5), 3)]) for _ in range(n)]
+            try:
+                a_inv = invert_dense(a)
+            except ValueError:
+                continue
+            consts = [Element.from_word(n, (0,) * n, (), x) for x in c]
+            fwd, inv = [], []
+            for i in range(n):
+                img = consts[i]
+                for j in range(n):
+                    img = img + a[i][j] * gen_l(n, j + 1)
+                fwd.append(img)
+                img = Element.zero(n)
+                for j in range(n):
+                    img = img + a_inv[i][j] * (gen_l(n, j + 1) - consts[j])
+                inv.append(img)
+            assert affine_tuple(n, a, c) == (tuple(fwd), tuple(inv)), (a, c)
+            checked += 1
 
 
 class TestTupleConstructors:

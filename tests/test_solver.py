@@ -448,6 +448,37 @@ class TestDerivationSpace:
         _, violations = check_derivation(summed)
         assert not violations
 
+    @pytest.mark.parametrize(
+        "n, m, into_I, weights",
+        [(2, m, into_I, w) for m in range(4) for into_I in (False, True) for w in (None, (1, 2))]
+        + [(1, 0, False, None)],
+    )
+    def test_coords_match_flattened_solve(self, n, m, into_I, weights):
+        # members, seeded rational combinations, and the combinations with one
+        # term added in one slot, which may leave the span
+        space = derivation_space(n, m, into_I=into_I, weights=weights)
+        rng = random.Random(f"{n} {m} {into_I} {weights}")
+        probes = list(space)
+        for _ in range(8):
+            x = [rng.choice([0, Fraction(rng.randint(-4, 4), rng.randint(1, 3))]) for _ in space]
+            lexp = tuple(rng.randint(0, 2) for _ in range(n))
+            extra = (rng.randrange(2 * n), Element.from_word(n, lexp, (1,)))
+            probes += [_combination(n, x, space), _combination(n, x, space, extra)]
+        outside = 0
+        for d in probes:
+            expected = _flattened_coords(d, space)
+            assert derivation_coords(d, space) == expected
+            outside += expected is None
+        assert outside
+        for k, member in enumerate(space):
+            assert derivation_coords(member, space) == [int(i == k) for i in range(len(space))]
+
+    def test_coords_reject_a_scaled_member(self):
+        space = derivation_space(2, 1)
+        d = space[0]
+        doubled = Derivation(2, tuple(2 * g for g in d.l_images), tuple(2 * g for g in d.r_images))
+        with pytest.raises(DomainError, match="reduced at its pivots"):
+            derivation_coords(d, [doubled] + space[1:])
 
     def test_residual_slots(self):
         # derivation_space evaluates a unit image only against the residuals
@@ -482,6 +513,39 @@ class TestDerivationSpace:
                     assert (left is None) != (right is None)
                     other = right if left is None else left
                     assert isinstance(other, int) and 0 <= other < 2 * n
+
+
+def _combination(n, x, space, extra=None):
+    """The unverified derivation sum(x_k space[k]), plus `extra` = (slot,
+    element) in that slot."""
+    images = [Element.zero(n)] * (2 * n)
+    for xk, d in zip(x, space):
+        images = [a + xk * b for a, b in zip(images, d.l_images + d.r_images)]
+    if extra is not None:
+        images[extra[0]] = images[extra[0]] + extra[1]
+    return Derivation(n, tuple(images[:n]), tuple(images[n:]))
+
+
+def _flattened_coords(d, space):
+    """Coordinates of d in span(space) by one exact solve over every
+    (slot, word) the space and d touch, or None."""
+    if not space:
+        return None
+    flat = [dd.l_images + dd.r_images for dd in space]
+    target = d.l_images + d.r_images
+    keys = list(
+        dict.fromkeys(
+            (slot, w) for imgs in flat + [target] for slot, g in enumerate(imgs) for w, _ in g.terms()
+        )
+    )
+    rows = [
+        {col: c for col, imgs in enumerate(flat) if (c := imgs[slot].coefficient(*w))}
+        for slot, w in keys
+    ]
+    x, cert = RowReduction(len(keys), len(space), rows).solve(
+        [target[slot].coefficient(*w) for slot, w in keys]
+    )
+    return x if cert is None else None
 
 
 def _reference_derivation_cases():
