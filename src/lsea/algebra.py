@@ -35,6 +35,7 @@ JSON forms print from `canonical_walk`, which reads the ints directly.
 
 from __future__ import annotations
 
+import re
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
@@ -70,12 +71,22 @@ NEG_INF = -inf
 MAX_EXPONENT = 10000
 
 
+# The one string form of a coefficient: ASCII digits, so its size is bounded
+# by the length of the text (no exponents, decimals, underscores or spaces).
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+
+
 def as_fraction(x) -> Fraction:
-    """x as an exact rational: a Fraction as is, an int or a str converted;
+    """x as an exact rational: a Fraction as is, an int converted, a str of
+    the form [+-]?p or [+-]?p/q parsed and any other str a ValueError;
     anything else, a float or a bool included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"not a rational p or p/q: {x!r}")
+        return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -390,13 +401,6 @@ def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
     out._nums, out._den = _reduced(nums, den)
     _charge(len(nums))
     return out
-
-
-def _int_form(coeffs: dict) -> tuple[dict, int]:
-    """(nums, den) for a map of Fractions: den is the lcm of their
-    denominators, which leaves no factor common to den and every numerator."""
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}, den
 
 
 def _fraction(num: int, den: int) -> Fraction:

@@ -7,10 +7,11 @@ by the lcm of its denominators, and every step replaces a row by an int
 combination of it and the pivot row, with its content divided out.  The
 reduced rows are read off those int rows as numerators over their pivots
 (`echelon_rows`, the row space a derivation space is read from), and
-kernel bases from the same rows.  Right-hand sides and certificates replay
-a rational operation log that is derived from the int log on first use, so
-an elimination whose rows alone are wanted builds no Fraction.  Dense row
-lists enter only through `reduction_of`.
+kernel bases from the same rows.  There is no operation log: solutions,
+certificates and inverses are read off the echelon forms of small augmented
+systems [M | B] with M square and invertible, whose reduced form is
+[I | M^-1 B].  Dense row lists enter only through `reduction_of` and
+`invert_dense`.
 """
 
 from __future__ import annotations
@@ -18,25 +19,26 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
-from .algebra import _charge, _int_form, as_fraction
+from .algebra import _charge, as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INT = {int}
 
 
-def _int_row(row: dict) -> tuple[dict, int]:
-    """(mu * row, mu) with mu the lcm of the denominators of the entries."""
+def _int_row(row: dict) -> dict:
+    """row times the lcm of the denominators of its entries, as ints."""
     if set(map(type, row.values())) <= _INT:
-        return dict(row), 1
-    return _int_form({j: as_fraction(v) for j, v in row.items()})
+        return dict(row)
+    row = {j: as_fraction(v) for j, v in row.items()}
+    den = lcm(*[c.denominator for c in row.values()])
+    return {j: c.numerator * (den // c.denominator) for j, c in row.items()}
 
 
 class RowReduction:
-    """Reduced row echelon form of a sparse matrix, as a replayable operation log.
+    """Reduced row echelon form of a sparse matrix, kept as int rows.
 
     Columns are eliminated left to right; a column's pivot is the unused row
     holding it with the fewest nonzeros, then the lowest index, so runs are
@@ -46,20 +48,17 @@ class RowReduction:
     Rows are kept as ints: row i of the rational elimination is the int row
     divided by a scale.  A step with pivot value pv turns a row w holding
     entry a into (pv/g) w - (a/g) prow, with g = gcd(pv, a) signed like pv,
-    and divides out its content c; it is logged as (pivot row, pv,
-    [(row, a, g * c), ...]).  Scaling keeps supports, so pivots are those of
-    the rational elimination.  The longest row a step updates is charged to
-    the term budget.
+    and divides out its content.  Scaling keeps supports, so pivots are
+    those of the rational elimination.  The longest row a step updates is
+    charged to the term budget.  The input rows are kept, not copied, for
+    `solve`.
     """
 
     def __init__(self, rows: int, cols: int, sparse_rows):
         self.rows = rows
         self.cols = cols
-        work, scales = [], []
-        for r in sparse_rows:
-            w, mu = _int_row(r)
-            work.append(w)
-            scales.append(mu)
+        self._input = list(sparse_rows)
+        work = [_int_row(r) for r in self._input]
         if len(work) != rows:
             raise ValueError("row count mismatch")
         holders = defaultdict(set)
@@ -67,23 +66,19 @@ class RowReduction:
             for j in row:
                 holders[j].add(i)
 
-        log = []
         pivot_of_col: dict[int, int] = {}
-        free_holders: dict[int, list[int]] = {}
+        free: list[int] = []
         unused = set(range(rows))
         for col in range(cols):
             holding = sorted(i for i in holders.pop(col, ()) if work[i][col])
             candidates = [i for i in holding if i in unused]
             if not candidates:
-                # rows holding a free column keep it to the end, and no
-                # later step moves it into another row
-                free_holders[col] = holding
+                free.append(col)
                 continue
             piv = min(candidates, key=lambda i: (len(work[i]), i))
             unused.discard(piv)
             prow = work[piv]
             pv = prow[col]
-            steps = []
             longest = 0
             for i in holding:
                 if i == piv:
@@ -108,75 +103,48 @@ class RowReduction:
                 if c > 1:
                     for j in wi:
                         wi[j] //= c
-                steps.append((i, a, g * c))
                 if len(wi) > longest:
                     longest = len(wi)
             _charge(longest)
-            log.append((piv, pv, steps))
             pivot_of_col[col] = piv
 
         self._work = work
-        self._scales = scales
-        self._int_log = log
-        self._free_holders = free_holders
         self.pivot_of_col = pivot_of_col
         self.pivot_cols = sorted(pivot_of_col)
-        self.free_cols = list(free_holders)
+        self.free_cols = free
         self.rank = len(self.pivot_cols)
         self._nonpivot_rows = sorted(unused)
-
-    @cached_property
-    def _log(self) -> list:
-        """The int log as rational row operations (pivot row, 1/pivot,
-        [(row, factor), ...]).  Row i of the rational elimination is the int
-        row times den/num, with mu[i] = (num, den) kept in lowest terms."""
-        mu = [(m, 1) for m in self._scales]
-        log = []
-        for piv, pv, steps in self._int_log:
-            num, den = mu[piv]
-            inv = Fraction(num, den * pv)
-            mu[piv] = (pv, 1)
-            factors = []
-            for i, a, s in steps:
-                num, den = mu[i]
-                factors.append((i, Fraction(a * den, num)))
-                num, den = num * pv, den * s
-                g = gcd(num, den)
-                mu[i] = (num // g, den // g)
-            log.append((piv, inv, factors))
-        return log
-
-    def _certificate(self, row: int) -> list[Fraction]:
-        """Row `row` of the product of the logged operations, y with y*A = 0
-        when `row` reduced to zero; rebuilt by applying the log in reverse."""
-        y = {row: _ONE}
-        for piv, inv, steps in reversed(self._log):
-            acc = y.get(piv, _ZERO) - sum((f * y[i] for i, f in steps if i in y), _ZERO)
-            y[piv] = acc * inv
-        return [y.get(j, _ZERO) for j in range(self.rows)]
 
     def solve(self, b):
         """(particular solution, None) or (None, left-null certificate).
 
+        With P the pivot rows and C the pivot columns, A[P, C] is invertible.
         The particular solution sets every free variable to zero, which keeps
-        its support inside the pivot columns, the leftmost deterministic
-        choice in the ambient column order.  The certificate y satisfies
-        y*A = 0 and y*b != 0.
+        its support inside C, the leftmost deterministic choice in the
+        ambient column order; it is the solution of A[P, C] x = b[P].  When
+        a non-pivot row i misses b_i, the first in ascending order, the
+        certificate is y = e_i - c with c A[P, C] = A[i, C]; then y*A = 0
+        and y*b = b_i - A_i x != 0.
         """
         if len(b) != self.rows:
             raise ValueError("dimension mismatch in solve")
         b = [as_fraction(x) for x in b]
-        for piv, inv, steps in self._log:
-            bp = b[piv] = b[piv] * inv
-            if bp:
-                for i, f in steps:
-                    b[i] -= f * bp
-        for i in self._nonpivot_rows:
-            if b[i]:
-                return None, self._certificate(i)
+        cols = self.pivot_cols
+        at = {col: t for t, col in enumerate(cols)}
+        prows = [self.pivot_of_col[col] for col in cols]
+        a_pc = [{at[j]: v for j, v in self._input[p].items() if j in at} for p in prows]
         x = [_ZERO] * self.cols
-        for col, row in self.pivot_of_col.items():
-            x[col] = b[row]
+        for col, (v,) in zip(cols, _solve_square(a_pc, [[b[p]] for p in prows])):
+            x[col] = v
+        for i in self._nonpivot_rows:
+            row = self._input[i]
+            if b[i] != sum((as_fraction(v) * x[j] for j, v in row.items()), _ZERO):
+                a_cp = [{s: r[t] for s, r in enumerate(a_pc) if t in r} for t in range(len(cols))]
+                c = _solve_square(a_cp, [[row.get(j, 0)] for j in cols])
+                y = [_ONE if j == i else _ZERO for j in range(self.rows)]
+                for p, (cp,) in zip(prows, c):
+                    y[p] = -cp
+                return None, y
         return x, None
 
     def echelon_rows(self) -> list[tuple[int, dict[int, int]]]:
@@ -194,27 +162,39 @@ class RowReduction:
         """One kernel vector per free column, in column order, as a dense
         Fraction list: 1 in its free column and, in a pivot column, the
         negated entry of that column's reduced row."""
-        work = self._work
-        col_of_row = {row: col for col, row in self.pivot_of_col.items()}
-        basis = []
-        for f in self.free_cols:
-            dense = [_ZERO] * self.cols
-            dense[f] = _ONE
-            for i in self._free_holders[f]:
-                col = col_of_row[i]
-                dense[col] = Fraction(-work[i][f], work[i][col])
-            basis.append(dense)
-        return basis
+        basis = {f: [_ZERO] * f + [_ONE] + [_ZERO] * (self.cols - f - 1) for f in self.free_cols}
+        for col, (den, row) in zip(self.pivot_cols, self.echelon_rows()):
+            for j, v in row.items():
+                if j in basis:
+                    basis[j][col] = Fraction(-v, den)
+        return list(basis.values())
 
 
-def reduction_of(rows_data) -> RowReduction:
-    """Reduction of a dense matrix given as a list of rows; zeros are dropped."""
+def _solve_square(square, rhs) -> list[list[Fraction]]:
+    """X with M X = B, read off the reduced echelon form [I | X] of [M | B],
+    for M k x k given as sparse rows and B as k dense rows of one length;
+    raises ValueError when M is singular."""
+    k, m = len(square), len(rhs[0]) if rhs else 0
+    augmented = [{**a, **{k + t: v for t, v in enumerate(r) if v}} for a, r in zip(square, rhs)]
+    red = RowReduction(k, k + m, augmented)
+    if red.pivot_cols != list(range(k)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(r.get(k + t, 0), den) for t in range(m)] for den, r in red.echelon_rows()]
+
+
+def _sparse_of(rows_data) -> tuple[list[dict], int]:
+    """Sparse rows and column count of a dense matrix; zeros are dropped."""
     rows = [[as_fraction(x) for x in row] for row in rows_data]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix rows")
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    return RowReduction(len(rows), ncols, sparse)
+    return [{j: v for j, v in enumerate(row) if v} for row in rows], ncols
+
+
+def reduction_of(rows_data) -> RowReduction:
+    """Reduction of a dense matrix given as a list of rows; zeros are dropped."""
+    sparse, ncols = _sparse_of(rows_data)
+    return RowReduction(len(sparse), ncols, sparse)
 
 
 @dataclass
@@ -240,15 +220,9 @@ def solve(rows_data, b) -> SolveResult:
 
 
 def invert_dense(rows_data) -> list[list[Fraction]]:
-    """Inverse of a small square matrix; raises ValueError if singular."""
-    red = reduction_of(rows_data)
-    k = red.rows
-    if red.cols != k:
+    """Inverse of a small square matrix, the right half of the reduced
+    echelon form [I | A^-1] of [A | I]; raises ValueError if singular."""
+    sparse, k = _sparse_of(rows_data)
+    if len(sparse) != k:
         raise ValueError("only square matrices can be inverted")
-    if red.rank != k:
-        raise ValueError("matrix is singular")
-    cols = []
-    for c in range(k):
-        x, _ = red.solve([_ONE if i == c else _ZERO for i in range(k)])
-        cols.append(x)
-    return [[col[i] for col in cols] for i in range(k)]
+    return _solve_square(sparse, [[int(i == j) for j in range(k)] for i in range(k)])

@@ -38,9 +38,11 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
+# ASCII only: a Unicode digit or space is an unexpected character
 _TOKEN = re.compile(
-    r"\s*(?:(?P<gen>[lr]\d+)|(?P<int>\d+)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<gen>[lr]\d+)|(?P<int>\d+)|(?P<op>[-+*^()/]))", re.ASCII
 )
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 
 
 def _tokenize(text: str):
@@ -49,7 +51,7 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(_SPACE)
             if not stripped:
                 break
             at = pos + len(text[pos:]) - len(stripped)

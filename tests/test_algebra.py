@@ -40,6 +40,7 @@ from lsea.algebra import (
     _insert_letter,
     _r_gradient,
     _rword_past_monomial,
+    as_fraction,
 )
 from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights, rand_word
 
@@ -534,6 +535,22 @@ class TestCanonicity:
         data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": "1/0"}]}
         with pytest.raises(DomainError):
             element_from_json(data)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "1_000", "\u0661/\u0662", " 1", "1 ", "1/", "/2", "+", "1/-2", ""]
+    )
+    def test_coefficient_string_outside_the_grammar_refused(self, text):
+        # Fraction would read decimals, exponents (1e10000000 is ten million
+        # digits), underscores, Unicode digits and surrounding spaces
+        with pytest.raises(ValueError, match="not a rational p or p/q"):
+            as_fraction(text)
+        with pytest.raises(ValueError, match="not a rational p or p/q"):
+            element_from_json({"n": 1, "terms": [{"l": [0], "r": [1], "c": text}]})
+
+    def test_coefficient_string_grammar(self):
+        assert as_fraction("-2/4") == Fraction(-1, 2)
+        assert as_fraction("+7") == 7 and as_fraction("0/5") == 0
+        assert as_fraction("-" + "9" * 50) == -(10**50 - 1)
 
     def test_json_float_coefficient_refused(self):
         data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": 0.1}]}

@@ -98,6 +98,17 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_element("r3", 2)
 
+    @pytest.mark.parametrize(
+        "text, char, pos",
+        [("l\u0661*\u0662", "l", 0), ("\u0662*l1", "\u0662", 0), ("l1 +\u00a0 l2", "\u00a0", 4)],
+    )
+    def test_ascii_only(self, text, char, pos):
+        # Unicode digits and spaces are not tokens: "l\u0661*\u0662" is not 2*l1
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse_element(text, 2)
+        assert str(err.value).startswith(f"unexpected character {char!r}")
+        assert err.value.pos == pos
+
     def test_no_implicit_multiplication(self):
         with pytest.raises(ExprSyntaxError):
             parse_element("2 l1", 1)
@@ -215,6 +226,11 @@ class TestCliBasics:
         assert code == 2
         assert "syntax error" in err
 
+    def test_unicode_digits_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "-n", "2", "norm", "l\u0661*\u0662")
+        assert (code, out) == (2, "")
+        assert err == "lsea: syntax error: unexpected character 'l' (at position 0)\n"
+
     def test_index_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "-n", "2", "norm", "r3")
         assert code == 2
@@ -301,6 +317,22 @@ class TestCliBasics:
         code, out, err = run_cli(capsys, "-n", "2", "norm", "l1")
         assert (code, out) == (2, "")
         assert err == "lsea: LSEA_MAX_TERMS must be at least 1, got 0\n"
+
+    def test_max_terms_env_not_an_int_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LSEA_MAX_TERMS", "abc")
+        code, out, err = run_cli(capsys, "-n", "2", "norm", "l1")
+        assert (code, out, err) == (2, "", "lsea: bad LSEA_MAX_TERMS 'abc'\n")
+
+    def test_max_terms_flag_overrides_env(self, capsys, monkeypatch):
+        power = ("-n", "2", "norm", "(l1+r1+l2+r2)^3")
+        for env in ("3", "abc", "0"):
+            monkeypatch.setenv("LSEA_MAX_TERMS", env)
+            code, out, _ = run_cli(capsys, "--max-terms", "100000", *power)
+            assert code == 0 and out, env
+        monkeypatch.setenv("LSEA_MAX_TERMS", "100000")
+        code, out, err = run_cli(capsys, "--max-terms", "3", *power)
+        assert (code, out) == (2, "")
+        assert "over the --max-terms bound 3" in err
 
     def test_max_terms_one_admits_generators(self, capsys):
         code, out, _ = run_cli(capsys, "-n", "2", "--max-terms", "1", "norm", "l1")
@@ -553,6 +585,32 @@ class TestCliMaps:
         code, out, err = run_cli(capsys, "der", "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"lsea: bad map file {path}: not an exact rational: 0.5\n"
+
+    @pytest.mark.parametrize("where", ["--alpha", "map file"])
+    def test_exponent_notation_coefficient_exits_2_promptly(
+        self, subprocess_env, tmp_path, where
+    ):
+        # read by Fraction, 1e10000000 is a ten-million-digit integer that
+        # took over ten seconds to build before the first product
+        if where == "--alpha":
+            argv = ["-n", "1", "--max-terms", "1000", "u1", "pair"]
+            argv += ["--alpha", "1e10000000", "--h", "r1"]
+        else:
+            data = json.loads((DATA / "example41.json").read_text())
+            data["l_images"][0]["terms"][0]["c"] = "1e10000000"
+            path = tmp_path / "der.json"
+            path.write_text(json.dumps(data))
+            argv = ["der", "check", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(": not a rational p or p/q: '1e10000000'\n")
 
     def test_der_check_fail_exit_1(self, capsys, tmp_path):
         bad = {

@@ -305,10 +305,6 @@ def test_integer_elimination_builds_no_fraction(
     assert [len(red.free_cols) for red in reds[:3]] == [38, 6, 0]
     assert len(reds[3].echelon_rows()) == 38
     assert fraction_count[0] == 0
-    # the rational log that solve replays is derived on first use
-    assert all("_log" not in vars(red) for red in reds)
-    reds[2].solve([0] * reds[2].rows)
-    assert "_log" in vars(reds[2])
 
 
 @pytest.mark.parametrize("n, t", [(n, t) for n in (2, 3) for t in range(2, 7)])

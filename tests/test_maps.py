@@ -954,6 +954,9 @@ class TestApplicationReference:
             z = Element.zero(n)
             m = Endomorphism(n, (l1**5 + l2, l2**5 + l1), (z, z), verified=True)
             apply, g, budget = apply_endo, mul(l1, l2), 3
+        # warm the straightening cache, whose per-layer charge would trip
+        # first when the test runs with it cold
+        apply(m, g)
         token = TERM_BUDGET.set(budget)
         try:
             with pytest.raises(TermBudgetExceeded) as exc:
