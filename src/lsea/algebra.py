@@ -74,6 +74,17 @@ MAX_EXPONENT = 10000
 # The one string form of a coefficient: ASCII digits, so its size is bounded
 # by the length of the text (no exponents, decimals, underscores or spaces).
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+# The one string form of an integer on the command line, by the same rule.
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def as_int(text: str) -> int:
+    """text of the form [+-]?[0-9]+ as an int; any other str (Unicode
+    digits, underscores, spaces) raises the ValueError int() raises for a
+    malformed literal."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def as_fraction(x) -> Fraction:

@@ -28,6 +28,7 @@ from .algebra import (
     TermBudgetExceeded,
     _json_int,
     as_fraction,
+    as_int,
     element_from_json,
     element_to_json,
     homogeneous_components,
@@ -105,12 +106,20 @@ class _CliFailure(Exception):
         self.code = code
 
 
+def _int_arg(text: str) -> int:
+    """The value of an int option, read by `as_int`'s ASCII grammar."""
+    try:
+        return as_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_weights(text: str, n: int):
     parts = text.split(",")
     if len(parts) != n:
         raise _CliFailure(USAGE_ERROR, f"expected {n} comma-separated weights")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(as_int(p) for p in parts)
     except ValueError as exc:
         raise _CliFailure(USAGE_ERROR, f"bad weight vector: {exc}") from exc
 
@@ -255,11 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(generators l1..ln, r1..rn; the l's commute and r_i*l_j = l_j*r_i + r_i*r_j).",
     )
     top.add_argument(
-        "-n", type=int, default=None, help=f"ambient number of generators, 1 to {MAX_N}"
+        "-n",
+        type=_int_arg,
+        default=None,
+        help=f"ambient number of generators, 1 to {MAX_N}",
     )
     top.add_argument(
         "--max-terms",
-        type=int,
+        type=_int_arg,
         default=None,
         help="abort when an intermediate result exceeds this many terms, "
         "at least 1 (default: LSEA_MAX_TERMS or unlimited)",
@@ -272,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "ad", _ad, "inner derivation of a; optionally applied to b", "a")
     p.add_argument("b", nargs="?")
     p = _leaf(sub, "pderiv", _pderiv, "partial derivative of a polynomial")
-    p.add_argument("j", type=int)
+    p.add_argument("j", type=_int_arg)
     p.add_argument("expr")
     _leaf(sub, "shift", _shift, "substitute l_k - r_k into a polynomial", "expr")
     _leaf(sub, "lm", _lm, "leading L-monomial", "expr")
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(der, "apply", _der_apply, "apply a verified derivation", "file", "expr")
     p = _leaf(der, "probe", _der_probe, "bounded nilpotency probe", "file", "expr")
     p.add_argument(
-        "--bound", type=int, default=5, help=f"iterations, at most {MAX_BOUND}"
+        "--bound", type=_int_arg, default=5, help=f"iterations, at most {MAX_BOUND}"
     )
     p = _leaf(der, "grade", _der_grade, "weighted homogeneous pieces", "file")
     p.add_argument("--weights", required=True)
@@ -328,22 +340,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(
         solve, "lemma27", _solve_lemma27, "solutions of -ad_{l_i}(g) = r_i g + g r_i"
     )
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True, help=f"at most {MAX_DEGREE}")
+    p.add_argument("--i", type=_int_arg, required=True)
+    p.add_argument(
+        "--degree", type=_int_arg, required=True, help=f"at most {MAX_DEGREE}"
+    )
     p = _leaf(solve, "rfactor", _solve_rfactor, "decompose r_i^k r_j h")
-    p.add_argument("--k", type=int, required=True, help=f"the power k, at most {MAX_K}")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument(
+        "--k", type=_int_arg, required=True, help=f"the power k, at most {MAX_K}"
+    )
+    p.add_argument("--i", type=_int_arg, required=True)
+    p.add_argument("--j", type=_int_arg, required=True)
     p.add_argument("--h", required=True)
     p = _leaf(solve, "derspace", _solve_derspace, "basis of homogeneous derivations")
-    p.add_argument("--wdeg", type=int, required=True, help=f"at most {MAX_WDEG}")
+    p.add_argument("--wdeg", type=_int_arg, required=True, help=f"at most {MAX_WDEG}")
     p.add_argument("--weights", default=None)
     p.add_argument("--into-i", action="store_true")
 
     p = _leaf(sub, "verify", _verify, "run a seeded verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--cases", type=_int_arg, default=100)
 
     return top
 
@@ -616,7 +632,7 @@ def main(argv=None) -> int:
         env = os.environ.get("LSEA_MAX_TERMS")
         if env:
             try:
-                budget, source = int(env), "LSEA_MAX_TERMS"
+                budget, source = as_int(env), "LSEA_MAX_TERMS"
             except ValueError:
                 print(f"lsea: bad LSEA_MAX_TERMS {env!r}", file=sys.stderr)
                 return USAGE_ERROR

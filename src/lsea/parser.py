@@ -54,8 +54,11 @@ def _tokenize(text: str):
             stripped = text[pos:].lstrip(_SPACE)
             if not stripped:
                 break
-            at = pos + len(text[pos:]) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
+            at = len(text) - len(stripped)
+            if stripped[0] in "lr" and len(stripped) > 1:
+                # the generator letter is fine; what follows it broke the token
+                at += 1
+            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group("gen"):
             g = m.group("gen")
             tokens.append(("gen", (g[0], int(g[1:])), m.start("gen")))

@@ -6,8 +6,12 @@ elimination would solve instead are assembled here, from the straightening
 constants, so that tests can check the closed forms against them.
 """
 
+import functools
 import itertools
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +30,34 @@ def subprocess_env():
     src = str(Path(lsea.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+@pytest.fixture
+def run_lsea(subprocess_env, tmp_path):
+    """run(argv, files, env, cap, timeout): `python -m lsea.cli *argv` in a
+    child, the one way tests start the command.  `files` (name -> text) are
+    written to tmp_path first, `{data}` and `{tmp}` in argv stand for
+    tests/data and tmp_path, `env` is added to the environment and `cap`
+    bounds the address space in bytes.  Every run must end in exit code 0-3,
+    with no traceback and, on a usage error (2), with nothing on stdout."""
+    data = str(Path(__file__).parent / "data")
+
+    def run(argv, files=None, env=None, cap=None, timeout=60):
+        for name, text in (files or {}).items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [a.replace("{data}", data).replace("{tmp}", str(tmp_path)) for a in argv]
+        env = {**subprocess_env, "PYTHONIOENCODING": "utf-8", **(env or {})}
+        limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (cap, cap))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsea.cli", *argv], capture_output=True,
+            encoding="utf-8", env=env, preexec_fn=limit if cap else None, timeout=timeout,
+        )
+        assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode != 2 or proc.stdout == "", (argv, proc.stdout)
+        return proc
+
+    return run
 
 
 # -- reference assembly of residual systems ---------------------------------------

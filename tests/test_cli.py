@@ -1,13 +1,18 @@
 """Expression grammar, canonical formatting, and the CLI contract."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import random
-import subprocess
+import re
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +105,11 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "text, char, pos",
-        [("l\u0661*\u0662", "l", 0), ("\u0662*l1", "\u0662", 0), ("l1 +\u00a0 l2", "\u00a0", 4)],
+        [
+            ("l\u0661*\u0662", "\u0661", 1),
+            ("\u0662*l1", "\u0662", 0),
+            ("l1 +\u00a0 l2", "\u00a0", 4),
+        ],
     )
     def test_ascii_only(self, text, char, pos):
         # Unicode digits and spaces are not tokens: "l\u0661*\u0662" is not 2*l1
@@ -156,6 +165,177 @@ class TestFormat:
         assert data["terms"][-1] == {"l": [0], "r": [1] * 1701, "c": big}
         assert h_text == f"-{ratio}*r1"
         assert h_data["terms"] == [{"l": [0], "r": [1], "c": f"-{ratio}"}]
+
+
+# -- the command in a child process -----------------------------------------------
+#
+# What "never a traceback" means: one table of inputs, each run in a child by
+# conftest's `run_lsea`, which checks the contract of every run.  A row is
+# (id, argv as a shell splits it, exit code, text[, run_lsea keywords]); the
+# text is stdout on exit 0 (stderr must then be empty) and stderr otherwise,
+# exact or a re.Pattern to search for.  Each test named here is `run_case`:
+# rows of earlier per-input tests keep their names and ids, and a new input is
+# a row of test_case.  Left out: `-n 1 --max-terms 1000 norm "(l1+r1)^1024"`
+# takes 11 s to refuse, until a letter budget (ROADMAP item 1).
+
+CAP, CAP_20 = {"cap": 1 << 30}, {"cap": 1 << 30, "timeout": 20}  # a 1 GB address space
+BUDGET = re.compile("over the --max-terms bound 1000")
+NOT_RATIONAL = re.compile(r": not a rational p or p/q: '1e10000000'\n\Z")
+DERSPACE = "--max-terms 1000 solve derspace --wdeg"
+LEMMA27 = "--max-terms 1000 solve lemma27 --i 1 --degree"
+PROBE = "-n 2 --max-terms 1000 der probe {data}/example41.json r2 --bound"
+PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, indent=2)
+INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
+
+
+def dim(k):
+    return re.compile(rf'\A{{\n  "dim": {k},\n')
+
+
+def over(option, value, limit=100):
+    return f"lsea: {option}: {option.lstrip('-')} = {value} exceeds the limit {limit}\n"
+
+
+def syntax(message, pos):
+    return f"lsea: syntax error: {message} (at position {pos})\n"
+
+
+def not_int(option, value, prog="lsea"):
+    return re.compile(f"\n{prog}: error: argument {option}: invalid int value: '{value}'\n\\Z")
+
+
+def _example41_with(field, value):
+    """example41.json with one value of its first l-image replaced."""
+    data = json.loads((DATA / "example41.json").read_text())
+    target = data if field == "map n" else data["l_images"][0]
+    if field in ("map n", "n"):
+        target["n"] = value
+    else:
+        target["terms"][0][field] = value
+    return data
+
+
+def _images_with(field, value):
+    """ad_images.json with one int of its first image replaced."""
+    data = json.loads((DATA / "ad_images.json").read_text())
+    target = data["images"][0]
+    if field == "n":
+        target["n"] = value
+    else:
+        target["terms"][0][field] = value
+    return data
+
+
+CLI_CASES = {
+    "test_huge_n_exits_2_promptly": [(None, "-n 100000000 norm l1", 2, over("-n", 10**8, 64))],
+    "test_exponent_cap": [
+        ("9" * 20 + "-2", "-n 1 norm r1^" + "9" * 20, 2,
+         f"lsea: exponent {'9' * 20} exceeds the limit 10000\n", CAP),
+        ("10001-2", "-n 1 norm r1^10001", 2,
+         "lsea: exponent 10001 exceeds the limit 10000\n", CAP),
+        ("10000-0", "-n 1 norm r1^10000", 0, "*".join(["r1"] * 10000) + "\n", CAP),
+    ],
+    "test_probe_bound_cap": [  # an iterate has k + 1 terms; --max-terms cannot stop it
+        ("100", f"{PROBE} 100", 0, PROBED + "\n"),
+        ("101", f"{PROBE} 101", 2, over("--bound", 101)),
+        ("1000000000", f"{PROBE} 1000000000", 2, over("--bound", 10**9)),
+    ],
+    "test_degree_caps": [  # refused before a slice is counted or a member listed
+        ("2-argv0-2", f"-n 2 {DERSPACE} 100000000", 2, over("--wdeg", 10**8), CAP),
+        ("2-argv1-2", f"-n 2 {DERSPACE} 101", 2, over("--wdeg", 101), CAP),
+        ("1-argv2-0", f"-n 1 {DERSPACE} 100", 0, dim(102), CAP),
+        ("3-argv3-2", f"-n 3 {LEMMA27} 100000", 2, over("--degree", 10**5), CAP),
+        ("3-argv4-2", f"-n 3 {LEMMA27} 101", 2, over("--degree", 101), CAP),
+        ("1-argv5-0", f"-n 1 {LEMMA27} 100", 0, dim(1), CAP),
+    ],
+    "test_max_terms_refuses_before_building": [  # charged layer by layer, members at once
+        ("straightening-layers", "--max-terms 1000 -n 2 norm r1*l1^700*l2^700", 2, BUDGET,
+         CAP_20),
+        ("lemma27-members", "--max-terms 1000 -n 4 solve lemma27 --i 1 --degree 100", 2,
+         BUDGET, CAP_20),
+    ],
+    "test_out_of_memory_exits_2": [  # a small cap: 3 s to exit here, 10 s under 1 GB
+        (None, "-n 2 norm r1*l1^700*l2^700", 2,
+         re.compile(r"\Alsea: out of memory[^\n]*\n\Z"), {"cap": 1 << 28}),
+    ],
+    "test_exponent_notation_coefficient_exits_2_promptly": [  # Fraction would take > 10 s
+        ("--alpha", "-n 1 --max-terms 1000 u1 pair --alpha 1e10000000 --h r1", 2,
+         NOT_RATIONAL, {"timeout": 10}),
+        ("map file", "der check {tmp}/der.json", 2, NOT_RATIONAL, {"timeout": 10, "files":
+         {"der.json": json.dumps(_example41_with("c", "1e10000000"))}}),
+    ],
+    "test_large_degree_under_max_terms": [
+        ("2-argv0-2", f"-n 2 {DERSPACE} 60", 2, BUDGET, {"timeout": 20}),
+        ("2-argv1-2", f"-n 2 {LEMMA27} 40", 2, BUDGET, {"timeout": 20}),
+        ("1-argv2-0", f"-n 1 {LEMMA27} 40", 0, dim(1), {"timeout": 20}),
+        ("1-argv3-0", f"-n 1 {DERSPACE} 60", 0, dim(62), {"timeout": 20}),
+    ],
+    "test_cases_below_one_is_usage_error": [
+        ("0", "verify cor23 --cases 0", 2, "lsea: --cases must be at least 1, got 0\n"),
+        ("-1", "verify cor23 --cases -1", 2, "lsea: --cases must be at least 1, got -1\n"),
+    ],
+    "test_case": [
+        ("cube", "-n 1 norm '(l1+r1)^3'", 0, "l1^3 + 3*l1^2*r1 + 6*l1*r1*r1 + 6*r1*r1*r1\n"),
+        ("shift", "-n 2 shift 'l1^2*l2 + 1/2*l2^3'", 0,
+         "l1^2*l2 + 1/2*l2^3 - l1^2*r2 - 2*l1*l2*r1 - 3/2*l2^2*r2\n"),
+        ("bound-cap", "-n 2 der probe {data}/example41.json r2 --bound 101", 2,
+         over("--bound", 101)),
+        ("wdeg-cap", "-n 2 solve derspace --wdeg 100000000", 2, over("--wdeg", 10**8)),
+        ("degree-cap", "-n 3 solve lemma27 --i 1 --degree 100000", 2, over("--degree", 10**5)),
+        ("n-infinity", "der check {tmp}/inf.json", 2, re.compile(
+            r"\Alsea: bad map file \S+: n must be an integer, got inf\n\Z"), {"files": {
+            "inf.json": INFINITE_N}}),
+        ("ad-long-words", "-n 2 --max-terms 1000 ad l1^5000*r1 l2^5000*r2", 2, BUDGET),
+        ("zero-denominator", "-n 1 norm 1/0", 2, syntax("zero denominator", 2)),
+        ("dangling-power", "-n 2 norm l1^", 2,
+         syntax("exponent must be a non-negative integer", 3)),
+        ("expr-unicode-digit", "-n 2 norm '٢*l1'", 2, syntax("unexpected character '٢'", 0)),
+        # integers are ASCII [+-]?[0-9]+, like coefficients
+        ("n-unicode-digit", "-n ٢ norm l1", 2, not_int("-n", "٢")),
+        ("max-terms-underscore", "--max-terms 1_0 -n 1 norm l1", 2,
+         not_int("--max-terms", "1_0")),
+        ("wdeg-spaces", "-n 1 solve derspace --wdeg ' 1 '", 2,
+         not_int("--wdeg", " 1 ", "lsea solve derspace")),
+        ("env-unicode-digit", "-n 1 norm l1", 2, "lsea: bad LSEA_MAX_TERMS ' ٣ '\n",
+         {"env": {"LSEA_MAX_TERMS": " ٣ "}}),
+        ("weights-unicode-digit", "-n 2 wdeg --weights ١,2 l1", 2,
+         "lsea: bad weight vector: invalid literal for int() with base 10: '١'\n"),
+    ],
+}
+
+
+def pytest_generate_tests(metafunc):
+    """A test taking `case` runs the rows CLI_CASES files under its name."""
+    rows = CLI_CASES.get(metafunc.definition.name)
+    if rows and rows[0][0] is not None:
+        metafunc.parametrize("case", rows, ids=[row[0] for row in rows])
+
+
+@pytest.fixture
+def case(request):
+    """The one row of a test that is not parametrized."""
+    (row,) = CLI_CASES[request.node.name]
+    return row
+
+
+def run_case(self, run_lsea, case):
+    """One row of CLI_CASES; a method of each test class under the names there."""
+    _, argv, code, text, *keywords = case
+    proc = run_lsea(shlex.split(argv), **(keywords[0] if keywords else {}))
+    assert proc.returncode == code, proc.stderr
+    got = proc.stderr if code else proc.stdout
+    assert text.search(got) if isinstance(text, re.Pattern) else got == text, got
+    assert code or proc.stderr == ""
+
+
+class TestCliChildren:
+    test_case = run_case
+
+    def test_lift_then_check(self, run_lsea):
+        lifted = run_lsea(["-n", "2", "endo", "lift", "l1+l2^2;l2"])
+        assert lifted.returncode == 0
+        checked = run_lsea(["endo", "check", "{tmp}/phi.json"], {"phi.json": lifted.stdout})
+        assert (checked.returncode, checked.stdout) == (0, "endomorphism: OK\n")
 
 
 class TestCliBasics:
@@ -229,7 +409,7 @@ class TestCliBasics:
     def test_unicode_digits_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "-n", "2", "norm", "l\u0661*\u0662")
         assert (code, out) == (2, "")
-        assert err == "lsea: syntax error: unexpected character 'l' (at position 0)\n"
+        assert err == "lsea: syntax error: unexpected character '\u0661' (at position 1)\n"
 
     def test_index_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "-n", "2", "norm", "r3")
@@ -388,123 +568,16 @@ class TestCliBasics:
         assert terms[0] == "l1^1200*r1"
         assert terms[1] == "1200*l1^1199*r1*r1"
 
-    def test_huge_n_exits_2_promptly(self, subprocess_env):
-        # without the limit, building l1 in U_n at this n runs out of time or memory
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "-n", "100000000", "norm", "l1"],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"lsea: -n: n = 100000000 exceeds the limit {MAX_N}\n"
-
-    @pytest.mark.parametrize(
-        "exponent, code",
-        [("9" * 20, 2), (str(MAX_EXPONENT + 1), 2), (str(MAX_EXPONENT), 0)],
-    )
-    def test_exponent_cap(self, subprocess_env, exponent, code):
-        # a child capped at 1 GB of address space: above the cap the power is
-        # refused before its first product (10^20 used to end in a MemoryError)
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "-n", "1", "norm", f"r1^{exponent}"],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            preexec_fn=cap,
-            timeout=60,
-        )
-        assert proc.returncode == code
-        if code == 2:
-            assert proc.stdout == ""
-            assert proc.stderr == (
-                f"lsea: exponent {exponent} exceeds the limit {MAX_EXPONENT}\n"
-            )
-        else:
-            assert proc.stderr == ""
-            assert proc.stdout == "*".join(["r1"] * MAX_EXPONENT) + "\n"
-
-    @pytest.mark.parametrize("bound", [MAX_BOUND, MAX_BOUND + 1, 10**9])
-    def test_probe_bound_cap(self, subprocess_env, bound):
-        # the k-th iterate of example 4.1 on r2 has k + 1 terms, so a 1000-term
-        # budget trips only near k = 1000; without the cap a bound of 10^9
-        # runs past any timeout, and the cap refuses it before the map is read
-        argv = ["-n", "2", "--max-terms", "1000", "der", "probe"]
-        argv += [str(DATA / "example41.json"), "r2", "--bound", str(bound)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=60,
-        )
-        assert "Traceback" not in proc.stderr
-        if bound > MAX_BOUND:
-            assert (proc.returncode, proc.stdout) == (2, "")
-            assert proc.stderr == (
-                f"lsea: --bound: bound = {bound} exceeds the limit {MAX_BOUND}\n"
-            )
-        else:
-            assert (proc.returncode, proc.stderr) == (0, "")
-            data = json.loads(proc.stdout)
-            assert data == {
-                "nonzero_through": MAX_BOUND,
-                "degrees": list(range(2, MAX_BOUND + 2)),
-            }
+    test_huge_n_exits_2_promptly = run_case
+    test_exponent_cap = run_case
+    test_probe_bound_cap = run_case
 
     def test_probe_bound_in_help(self, capsys):
         code, out, _ = run_cli(capsys, "der", "probe", "--help")
         assert code == 0
         assert f"at most {MAX_BOUND}" in out
 
-    @pytest.mark.parametrize(
-        "n, argv, code",
-        [
-            (2, ["derspace", "--wdeg", str(10**8)], 2),
-            (2, ["derspace", "--wdeg", str(MAX_WDEG + 1)], 2),
-            (1, ["derspace", "--wdeg", str(MAX_WDEG)], 0),
-            (3, ["lemma27", "--i", "1", "--degree", str(10**5)], 2),
-            (3, ["lemma27", "--i", "1", "--degree", str(MAX_DEGREE + 1)], 2),
-            (1, ["lemma27", "--i", "1", "--degree", str(MAX_DEGREE)], 0),
-        ],
-    )
-    def test_degree_caps(self, subprocess_env, n, argv, code):
-        # a child capped at 1 GB of address space: above the caps the degree
-        # is refused before a slice is counted or a member listed (10^8 and
-        # 10^5 used to end in a MemoryError, even under --max-terms)
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "-n", str(n), "--max-terms", "1000"]
-            + ["solve", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            preexec_fn=cap,
-            timeout=60,
-        )
-        assert "Traceback" not in proc.stderr
-        if code:
-            option, value = argv[-2], int(argv[-1])
-            limit = {"--wdeg": MAX_WDEG, "--degree": MAX_DEGREE}[option]
-            name = option[2:]
-            assert (proc.returncode, proc.stdout) == (2, "")
-            assert proc.stderr == (
-                f"lsea: {option}: {name} = {value} exceeds the limit {limit}\n"
-            )
-        else:
-            assert (proc.returncode, proc.stderr) == (0, "")
-            dim = {"derspace": MAX_WDEG + 2, "lemma27": 1}[argv[0]]
-            assert json.loads(proc.stdout)["dim"] == dim
+    test_degree_caps = run_case
 
     @pytest.mark.parametrize(
         "command, limit", [("derspace", MAX_WDEG), ("lemma27", MAX_DEGREE)]
@@ -514,57 +587,8 @@ class TestCliBasics:
         assert code == 0
         assert f"at most {limit}" in out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["-n", "2", "norm", "r1*l1^700*l2^700"],
-            ["-n", "4", "solve", "lemma27", "--i", "1", "--degree", "100"],
-        ],
-        ids=["straightening-layers", "lemma27-members"],
-    )
-    def test_max_terms_refuses_before_building(self, subprocess_env, argv):
-        # a child capped at 1 GB of address space: the straightening kernel
-        # charges its running term count layer by layer, and lemma27 its member
-        # count before listing the members; the first ended in a MemoryError
-        # after 10 s, the second took 10.7 s to refuse
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "--max-terms", "1000", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            preexec_fn=cap,
-            timeout=20,
-        )
-        assert "Traceback" not in proc.stderr
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "over the --max-terms bound 1000" in proc.stderr
-
-    def test_out_of_memory_exits_2(self, subprocess_env):
-        # a child capped at 256 MB of address space and given no --max-terms:
-        # the answer has more terms than the cap holds, and the MemoryError it
-        # ends in is a usage error with one line on stderr, not a traceback
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "-n", "2", "norm", "r1*l1^700*l2^700"],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            preexec_fn=cap,
-            timeout=60,
-        )
-        assert "Traceback" not in proc.stderr
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("lsea: out of memory")
-        assert proc.stderr.count("\n") == 1
+    test_max_terms_refuses_before_building = run_case
+    test_out_of_memory_exits_2 = run_case
 
 
 class TestCliMaps:
@@ -586,31 +610,7 @@ class TestCliMaps:
         assert (code, out) == (2, "")
         assert err == f"lsea: bad map file {path}: not an exact rational: 0.5\n"
 
-    @pytest.mark.parametrize("where", ["--alpha", "map file"])
-    def test_exponent_notation_coefficient_exits_2_promptly(
-        self, subprocess_env, tmp_path, where
-    ):
-        # read by Fraction, 1e10000000 is a ten-million-digit integer that
-        # took over ten seconds to build before the first product
-        if where == "--alpha":
-            argv = ["-n", "1", "--max-terms", "1000", "u1", "pair"]
-            argv += ["--alpha", "1e10000000", "--h", "r1"]
-        else:
-            data = json.loads((DATA / "example41.json").read_text())
-            data["l_images"][0]["terms"][0]["c"] = "1e10000000"
-            path = tmp_path / "der.json"
-            path.write_text(json.dumps(data))
-            argv = ["der", "check", str(path)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=10,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.endswith(": not a rational p or p/q: '1e10000000'\n")
+    test_exponent_notation_coefficient_exits_2_promptly = run_case
 
     def test_der_check_fail_exit_1(self, capsys, tmp_path):
         bad = {
@@ -795,43 +795,27 @@ class TestCliSolver:
     @pytest.mark.parametrize(
         "g, code",
         [
-            # degree 42: an elimination over its slice would have about 10^13 unknowns
+            # degree 42: an elimination over its slice would have 10^13 unknowns
             (Element.from_word(2, (0, 40), (1,)), 0),
-            # 256 terms: the re-check's products have at most 767, and the
-            # compatibility commutators (1022 terms) run only after a failure
+            # 256 terms; the re-check's products have at most 767, and the
+            # compatibility commutators (1022) run only after a failure
             (mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8), 0),
-            # 384 terms and images of 766 and 894: the re-check's g * l1 has 1150
-            (
-                mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8)
-                + mul(gen_r(2, 2) * gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 7),
-                2,
-            ),
+            # 384 terms and images of 766 and 894; the re-check's g * l1 has 1150
+            (mul(gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 8)
+             + mul(gen_r(2, 2) * gen_r(2, 1), (gen_r(2, 1) + gen_r(2, 2)) ** 7), 2),
         ],
     )
-    def test_ad_preimage_bounded(self, tmp_path, subprocess_env, g, code):
+    def test_ad_preimage_bounded(self, run_lsea, g, code):
         # a child capped at 1 GB of address space answers at once or exits 2
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         us = [apply_derivation(ad(gen_l(2, i)), g) for i in (1, 2)]
-        path = tmp_path / "images.json"
-        path.write_text(json.dumps({"images": [element_to_json(u) for u in us]}))
-        argv = ["--max-terms", "1000", "solve", "ad-preimage", str(path)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            preexec_fn=cap,
-            timeout=60,
-        )
-        assert proc.returncode == code and "Traceback" not in proc.stderr
+        images = {"images.json": json.dumps({"images": [element_to_json(u) for u in us]})}
+        argv = ["--max-terms", "1000", "solve", "ad-preimage", "{tmp}/images.json"]
+        proc = run_lsea(argv, images, **CAP)
+        assert proc.returncode == code
         if code == 0:
             assert element_from_json(json.loads(proc.stdout)["g"]) == g
         else:
-            assert proc.stdout == "" and "over the --max-terms bound 1000" in proc.stderr
+            assert "over the --max-terms bound 1000" in proc.stderr
 
     def test_lemma27(self, capsys):
         code, out, _ = run_cli(
@@ -882,34 +866,7 @@ class TestCliSolver:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "fdeba9d9867a7c5d63df20b26dde879accfeb08e4584e896f8839ce462c6326e"
 
-    @pytest.mark.parametrize(
-        "n, argv, code",
-        [
-            (2, ["derspace", "--wdeg", "60"], 2),
-            (2, ["lemma27", "--i", "1", "--degree", "40"], 2),
-            (1, ["lemma27", "--i", "1", "--degree", "40"], 0),
-            (1, ["derspace", "--wdeg", "60"], 0),
-        ],
-    )
-    def test_large_degree_under_max_terms(self, subprocess_env, n, argv, code):
-        # slice sizes and Lemma 2.7 member sizes are charged before anything
-        # is enumerated, so these refuse at once instead of running out of
-        # memory; at n = 1 the answers stay small
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "-n", str(n), "--max-terms", "1000"]
-            + ["solve", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=20,
-        )
-        assert proc.returncode == code
-        assert "Traceback" not in proc.stderr
-        if code:
-            assert proc.stdout == ""
-            assert "over the --max-terms bound 1000" in proc.stderr
-        else:
-            assert json.loads(proc.stdout)["dim"] == {"lemma27": 1, "derspace": 62}[argv[0]]
+    test_large_degree_under_max_terms = run_case
 
 
 class TestCliVerify:
@@ -927,18 +884,7 @@ class TestCliVerify:
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("cases", ["0", "-1"])
-    def test_cases_below_one_is_usage_error(self, subprocess_env, cases):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", "verify", "cor23", "--cases", cases],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == f"lsea: --cases must be at least 1, got {cases}\n"
+    test_cases_below_one_is_usage_error = run_case
 
     def test_verify_failures_exit_1(self, capsys, monkeypatch):
         import lsea.cli
@@ -1140,35 +1086,13 @@ class TestIndentedJson:
 # -- strict JSON loaders ----------------------------------------------------------
 
 
-def _example41_with(field, value):
-    """example41.json with one int of its first l-image replaced."""
-    data = json.loads((DATA / "example41.json").read_text())
-    target = data if field == "map n" else data["l_images"][0]
-    if field in ("map n", "n"):
-        target["n"] = value
-    else:
-        target["terms"][0][field] = value
-    return data
-
-
-def _images_with(field, value):
-    """ad_images.json with one int of its first image replaced."""
-    data = json.loads((DATA / "ad_images.json").read_text())
-    target = data["images"][0]
-    if field == "n":
-        target["n"] = value
-    else:
-        target["terms"][0][field] = value
-    return data
-
-
 class TestStrictJsonLoaders:
     @pytest.mark.parametrize(
         "argv, build",
         [
-            (("-n", "2", "der", "apply", "{file}", "l1"), _example41_with),
-            (("der", "grade", "{file}", "--weights", "1,1"), _example41_with),
-            (("solve", "ad-preimage", "{file}"), _images_with),
+            (("-n", "2", "der", "apply", "{tmp}/input.json", "l1"), _example41_with),
+            (("der", "grade", "{tmp}/input.json", "--weights", "1,1"), _example41_with),
+            (("solve", "ad-preimage", "{tmp}/input.json"), _images_with),
         ],
         ids=["der-apply", "der-grade", "ad-preimage"],
     )
@@ -1177,24 +1101,10 @@ class TestStrictJsonLoaders:
         [("n", 2.7), ("n", float("inf")), ("l", [0.0, False]), ("r", [1.0, True])],
         ids=["n", "n-infinity", "exponents", "r-letters"],
     )
-    def test_non_int_exits_2_without_traceback(
-        self, subprocess_env, tmp_path, argv, build, field, value
-    ):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(build(field, value)))
-        argv = [a.replace("{file}", str(path)) for a in argv]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lsea.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=subprocess_env,
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("lsea: bad ")
-        assert "must be an integer" in proc.stderr
+    def test_non_int_exits_2_without_traceback(self, run_lsea, argv, build, field, value):
+        proc = run_lsea(argv, {"input.json": json.dumps(build(field, value))})
+        assert proc.returncode == 2
+        assert re.fullmatch(r"lsea: bad [^\n]*must be an integer[^\n]*\n", proc.stderr)
 
     @pytest.mark.parametrize("field", ["map n", "n", "l", "r"])
     @pytest.mark.parametrize(
@@ -1214,3 +1124,104 @@ class TestStrictJsonLoaders:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert "must be an integer" in err, argv
+
+
+# -- the same contract in process, on drawn argv ----------------------------------
+
+FILE_INPUTS = {
+    p.name: json.loads(p.read_text())
+    for p in sorted(DATA.glob("*.json"))
+    if not p.name.startswith("golden")
+}
+JSON_VALUES = st.sampled_from(
+    [-1, 0, 1, 2, MAX_N + 1, 10**30, 2.5, float("inf"), True, None, "x", "1/0",
+     "٢", "1e9", [], [0, 1], {}, {"n": 2, "terms": []}]
+)
+GENERATORS = st.builds("{}{}".format, st.sampled_from("lr"), st.integers(1, 3))
+EXPRESSIONS = st.recursive(
+    st.one_of(
+        GENERATORS,
+        GENERATORS,
+        st.sampled_from(["0", "1", "2", "7", "1/2", "3/4"]),
+        st.sampled_from(["1/0", "x", "", "l", "^", "(", "١", "l1_0", "r0", "l4"]),
+    ),
+    lambda inner: st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("(-{})".format, inner),
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 12).map(str)),
+    ),
+    max_leaves=5,
+)
+INTS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "1_0", " 1", "٢"]))
+
+
+@st.composite
+def mutated_file(draw):
+    """(name, text) of a copy of a tests/data input with one value replaced
+    or one key dropped."""
+    name = draw(st.sampled_from(sorted(FILE_INPUTS)))
+    data = copy.deepcopy(FILE_INPUTS[name])
+    holders, todo = [], [data]
+    while todo:
+        node = todo.pop()
+        keys = range(len(node)) if isinstance(node, list) else list(node)
+        holders += [(node, k) for k in keys]
+        todo += [node[k] for k in keys if isinstance(node[k], (list, dict))]
+    node, key = draw(st.sampled_from(holders))
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return name, json.dumps(data)
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, input file text or None) over the element commands, --weights
+    and mutated input files, with --max-terms 2000."""
+    n = draw(st.sampled_from(["1", "2", "3", None, "0"]))
+    argv = ["--max-terms", "2000"] + (["-n", n] if n else [])
+    size = int(n) if n and draw(st.booleans()) else draw(st.integers(1, 3))
+    weights = ",".join(draw(st.lists(INTS, min_size=size, max_size=size)))
+    expr = draw(EXPRESSIONS)
+    if draw(st.integers(0, 2)):  # a third of the draws read a mutated input file
+        one = ["norm", "shift", "lm", "lc", "member", "project", "ad"]
+        command = draw(st.sampled_from([*one, "mul", "comm", "pderiv", "wdeg", "parts"]))
+        if command in one:
+            return argv + [command, expr], None
+        if command in ("mul", "comm"):
+            return argv + [command, expr, draw(EXPRESSIONS)], None
+        if command == "pderiv":
+            return argv + [command, draw(INTS), expr], None
+        return argv + [command, "--weights", weights, expr], None
+    name, text = draw(mutated_file())
+    kind = FILE_INPUTS[name].get("kind")
+    if kind == "derivation":
+        tail = draw(st.sampled_from([["check"], ["apply", expr], ["probe", expr, "--bound",
+                                     draw(INTS)], ["grade", "--weights", weights]]))
+        return argv + ["der", tail[0], "FILE", *tail[1:]], text
+    if kind == "endomorphism":
+        tail = draw(st.sampled_from([["check"], ["apply", expr], ["affine"],
+                                     ["compose", "FILE"]]))
+        return argv + ["endo", tail[0], "FILE", *tail[1:]], text
+    return argv + ["solve", "ad-preimage", "FILE"], text
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(cli_inputs())
+def test_drawn_argv_keeps_the_contract(fuzz_file, drawn):
+    argv, text = drawn
+    if text is not None:
+        fuzz_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(fuzz_file) if a == "FILE" else a for a in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""

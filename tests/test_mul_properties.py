@@ -226,6 +226,15 @@ def test_every_result_stores_plain_words(ops, q):
         assert_canonical(g)
 
 
+@KERNEL
+@given(operands(), COEFFS)
+def test_text_and_json_round_trips(ops, q):
+    n, xa, xb = ops
+    for g in (realize(n, xa), q * mul(realize(n, xa), realize(n, xb))):
+        assert parse_element(format_element(g), n) == g
+        assert element_from_json(element_to_json(g)) == g
+
+
 # -- the validating constructor against a Fraction sum ----------------------------
 
 

@@ -3,8 +3,6 @@
 import hashlib
 import json
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -57,28 +55,12 @@ def test_unknown_suite():
         run_suite("cor25", cases=0)
 
 
-def test_cross_process_determinism(subprocess_env):
+def test_cross_process_determinism(run_lsea):
     """Stdout bytes must not depend on hash seeds or process state."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "lsea.cli",
-        "-n",
-        "2",
-        "solve",
-        "derspace",
-        "--wdeg",
-        "1",
-        "--into-i",
-    ]
+    argv = ["-n", "2", "solve", "derspace", "--wdeg", "1", "--into-i"]
     outs = set()
     for hashseed in ("1", "7"):
-        proc = subprocess.run(
-            cmd,
-            capture_output=True,
-            text=True,
-            env={**subprocess_env, "PYTHONHASHSEED": hashseed},
-        )
+        proc = run_lsea(argv, env={"PYTHONHASHSEED": hashseed})
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
