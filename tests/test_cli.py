@@ -12,7 +12,6 @@ import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +37,6 @@ from lsea import (
     rfactor_decompose,
     u1_closed_form,
 )
-from lsea.algebra import MAX_EXPONENT
 from lsea.cli import (
     MAX_BOUND,
     MAX_DEGREE,
