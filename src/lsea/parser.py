@@ -55,8 +55,8 @@ def _tokenize(text: str):
             if not stripped:
                 break
             at = len(text) - len(stripped)
-            if stripped[0] in "lr" and len(stripped) > 1:
-                # the generator letter is fine; what follows it broke the token
+            if stripped[0] in "lr" and stripped[1:2].isdigit():
+                # a non-ASCII digit after the generator letter broke the token
                 at += 1
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group("gen"):

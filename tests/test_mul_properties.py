@@ -190,7 +190,8 @@ def test_two_construction_paths_store_identically(ops, q):
 def test_every_result_stores_plain_words(ops, q):
     """Every operation that builds an element stores plain (lexp, rword)
     keys: products, sums, scalings, powers, both constructors, both
-    parsers, the leading data, projections, gradings and applied maps."""
+    parsers, the leading data, projections, gradings and applied maps; and
+    text and JSON give back an operand and a scaled product unchanged."""
     n, xa, xb = ops
     a, b = realize(n, xa), realize(n, xb)
     f = project_to_L(a)[0] + gen_l(n, 1)
@@ -224,13 +225,7 @@ def test_every_result_stores_plain_words(ops, q):
     ]
     for g in results:
         assert_canonical(g)
-
-
-@KERNEL
-@given(operands(), COEFFS)
-def test_text_and_json_round_trips(ops, q):
-    n, xa, xb = ops
-    for g in (realize(n, xa), q * mul(realize(n, xa), realize(n, xb))):
+    for g in (a, q * mul(a, b)):
         assert parse_element(format_element(g), n) == g
         assert element_from_json(element_to_json(g)) == g
 
