@@ -87,6 +87,22 @@ def as_int(text: str) -> int:
     return int(text)
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """(p, q), q > 0 and not reduced, for text of the form [+-]?p or
+    [+-]?p/q; any other str is a ValueError and q = 0 the ZeroDivisionError
+    that Fraction(text) raises."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational p or p/q: {text!r}")
+    num, _, den = text.partition("/")
+    p = int(num)
+    if not den:
+        return p, 1
+    q = int(den)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return p, q
+
+
 def as_fraction(x) -> Fraction:
     """x as an exact rational: a Fraction as is, an int converted, a str of
     the form [+-]?p or [+-]?p/q parsed and any other str a ValueError;
@@ -94,9 +110,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise ValueError(f"not a rational p or p/q: {x!r}")
-        return Fraction(x)
+        return Fraction(*_ratio(x))
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -204,8 +218,9 @@ class Element:
         """Validating constructor from (word, coefficient) pairs or a dict.
 
         Coefficients are Fractions, ints or strings; repeated words add up.
-        Each coefficient becomes one numerator p over its denominator q, and
-        the p * (den // q) are summed over den, the lcm of the q's.
+        Each coefficient becomes one numerator p over a denominator q (a
+        string is read by `_ratio`, with no Fraction), and the p * (den // q)
+        are summed over den, the lcm of the q's.
         """
         if n < 1:
             raise DomainError("ambient n must be >= 1")
@@ -219,7 +234,12 @@ class Element:
                 raise DomainError(f"negative exponent in {lexp}")
             if rword and not (min(rword) >= 1 and max(rword) <= n):
                 raise DomainError(f"r-letter out of range 1..{n} in {rword}")
-            p, q = (c, 1) if type(c) is int else as_fraction(c).as_integer_ratio()
+            if type(c) is int:
+                p, q = c, 1
+            elif type(c) is str:
+                p, q = _ratio(c)
+            else:
+                p, q = as_fraction(c).as_integer_ratio()
             if p:
                 parts.append(((lexp, rword), p, q))
         den = lcm(*[q for _, _, q in parts])
@@ -816,13 +836,21 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def _json_coeff(text) -> Fraction:
-    if isinstance(text, bool):
-        raise DomainError(f"coefficient must be an integer or a string, got {text!r}")
-    try:
-        return as_fraction(text)
-    except ZeroDivisionError as exc:
-        raise DomainError(f"zero denominator in coefficient {text!r}") from exc
+_ONLY_INTS = frozenset((int,)).issuperset
+
+
+def _json_coeff(c):
+    """c as an int, or a Fraction when its denominator is not 1; a str is
+    read by `_ratio` once."""
+    if type(c) is str:
+        try:
+            p, q = _ratio(c)
+        except ZeroDivisionError as exc:
+            raise DomainError(f"zero denominator in coefficient {c!r}") from exc
+        return p if q == 1 else Fraction(p, q)
+    if isinstance(c, bool):
+        raise DomainError(f"coefficient must be an integer or a string, got {c!r}")
+    return c if type(c) is int else as_fraction(c)
 
 
 def element_from_json(data: dict) -> Element:
@@ -835,7 +863,8 @@ def element_from_json(data: dict) -> Element:
     terms = []
     for t in data["terms"]:
         lexp, rword = tuple(t["l"]), tuple(t["r"])
-        for x in lexp + rword:
-            _json_int(x, "an exponent or r-letter")
+        if not _ONLY_INTS(map(type, lexp + rword)):
+            for x in lexp + rword:
+                _json_int(x, "an exponent or r-letter")
         terms.append(((lexp, rword), _json_coeff(t["c"])))
     return Element(n, terms)

@@ -29,8 +29,8 @@ from .algebra import (
     _json_int,
     as_fraction,
     as_int,
+    canonical_walk,
     element_from_json,
-    element_to_json,
     homogeneous_components,
     lm_lc,
     membership,
@@ -42,6 +42,8 @@ from .algebra import (
 )
 from .maps import (
     AnomalyError,
+    Derivation,
+    Endomorphism,
     UnverifiedMapError,
     ZeroAt,
     ad,
@@ -53,8 +55,8 @@ from .maps import (
     graded_parts,
     is_affine_U,
     lift_phi,
+    map_fields,
     map_from_json,
-    map_to_json,
     probe_nilpotent,
     u1_closed_form,
     violations_to_json,
@@ -132,22 +134,20 @@ def _load_json(path: str) -> dict:
         raise _CliFailure(USAGE_ERROR, f"cannot read {path}: {exc}") from exc
 
 
-_TERM_KEYS = ("l", "r", "c")
-_ONLY_INTS = frozenset((int,)).issuperset
-
-
 def _indented_json(data) -> str:
     """The text of json.dumps(data, indent=2), byte for byte, by a loop.
 
     The stack holds text still to write (a str) and values still to write
-    ((value, newline and indent) pairs), popped in output order.  A term
-    {"l": [ints], "r": [ints], "c": str} of the JSON form of an element is
-    written from one template; every other value takes the encoder's
-    rules: ASCII-escaped strings, `int.__repr__`, true/false/null, keys in
-    insertion order, "[]" and "{}" when empty, and `json.dumps` for a float
-    or for a value it refuses.
+    ((value, newline and indent) pairs), popped in output order.  An
+    `Element` is written as its `element_to_json` form straight from
+    `canonical_walk`, a `Derivation` or `Endomorphism` as its `map_to_json`
+    form with the fields of `map_fields`; every other value takes the
+    encoder's rules: ASCII-escaped strings, `int.__repr__`, true/false/null,
+    keys in insertion order, "[]" and "{}" when empty, and `json.dumps` for
+    a float or for a value it refuses.
     """
     out: list[str] = []
+    heads: dict[tuple, str] = {}
     stack: list = [(data, "\n")]
     while stack:
         item = stack.pop()
@@ -155,19 +155,13 @@ def _indented_json(data) -> str:
             out.append(item)
             continue
         obj, nl = item
+        if isinstance(obj, Element):
+            out.append(_element_text(obj, nl, heads))
+            continue
+        if isinstance(obj, (Derivation, Endomorphism)):
+            obj = map_fields(obj)
         if isinstance(obj, dict):
-            if (
-                type(obj) is dict
-                and tuple(obj) == _TERM_KEYS
-                and type(lexp := obj["l"]) is list
-                and type(rword := obj["r"]) is list
-                and type(c := obj["c"]) is str
-                and _ONLY_INTS(map(type, lexp + rword))
-            ):
-                head, mid_r, mid_c, tail, sep, close = _term_template(nl)
-                lexp, rword = _int_list(lexp, sep, close), _int_list(rword, sep, close)
-                out.append(f"{head}{lexp}{mid_r}{rword}{mid_c}{_quote(c)}{tail}")
-            elif not obj:
+            if not obj:
                 out.append("{}")
             else:
                 inner = nl + "  "
@@ -203,26 +197,34 @@ def _indented_json(data) -> str:
     return "".join(out)
 
 
-@functools.cache
-def _term_template(nl: str) -> tuple[str, ...]:
-    """The fixed text of a term written at indent `nl`: what goes before the
-    "l" list, before the "r" list, before the coefficient and after it, and
-    the separator and closing line of a nonempty int list."""
+def _element_text(g: Element, nl: str, heads: dict) -> str:
+    """The indented text of element_to_json(g) at indent `nl`.
+
+    A term's text up to its coefficient's digits is kept in `heads` under
+    (nl, lexp, rword); the digits of `canonical_walk` need no escaping.
+    """
     inner = nl + "  "
-    return (
-        "{" + inner + '"l": ',
-        "," + inner + '"r": ',
-        "," + inner + '"c": ',
-        nl + "}",
-        "," + inner + "  ",
-        inner + "]",
-    )
+    close = '"' + inner + "  }"
+    terms = []
+    for lexp, rword, neg, text in canonical_walk(g):
+        head = heads.get((nl, lexp, rword))
+        if head is None:
+            at = inner + "    "
+            head = heads[nl, lexp, rword] = (
+                f'{inner}  {{{at}"l": {_ints_text(lexp, at)},'
+                f'{at}"r": {_ints_text(rword, at)},{at}"c": "'
+            )
+        terms.append(f"{head}-{text}{close}" if neg else f"{head}{text}{close}")
+    body = f"[{','.join(terms)}{inner}]" if terms else "[]"
+    return f'{{{inner}"n": {g.n},{inner}"terms": {body}{nl}}}'
 
 
-def _int_list(values: list, sep: str, close: str) -> str:
+def _ints_text(values: tuple, nl: str) -> str:
+    """The indented text of a list of ints at indent `nl`."""
     if not values:
         return "[]"
-    return f"[{sep[1:]}{sep.join(map(int.__repr__, values))}{close}"
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(map(str, values))}{nl}]"
 
 
 def _json_key(key) -> str:
@@ -409,7 +411,7 @@ def _comm(args):
 def _ad(args):
     d = ad(_expr(args, args.a))
     if args.b is None:
-        _emit_json(map_to_json(d))
+        _emit_json(d)
     else:
         print(format_element(apply_derivation(d, _expr(args, args.b))))
 
@@ -443,14 +445,7 @@ def _parts(args):
     n = _need_n(args)
     w = _parse_weights(args.weights, n)
     comps = homogeneous_components(parse_element(args.expr, n), w)
-    _emit_json(
-        {
-            "parts": [
-                {"wdeg": d, "element": element_to_json(g)}
-                for d, g in comps.items()
-            ]
-        }
-    )
+    _emit_json({"parts": [{"wdeg": d, "element": g} for d, g in comps.items()]})
 
 
 def _member(args):
@@ -460,9 +455,7 @@ def _member(args):
 
 def _project(args):
     lpart, ipart = project_to_L(_expr(args, args.expr))
-    _emit_json(
-        {"l_part": element_to_json(lpart), "ideal_part": element_to_json(ipart)}
-    )
+    _emit_json({"l_part": lpart, "ideal_part": ipart})
 
 
 def _load_map(path: str, want: str):
@@ -513,13 +506,7 @@ def _der_grade(args):
     d = _load_map(args.file, "derivation")
     w = _parse_weights(args.weights, d.n)
     parts = graded_parts(d, w)
-    _emit_json(
-        {
-            "parts": [
-                {"wdeg": m, "map": map_to_json(dm)} for m, dm in parts.items()
-            ]
-        }
-    )
+    _emit_json({"parts": [{"wdeg": m, "map": dm} for m, dm in parts.items()]})
 
 
 def _endo_check(args):
@@ -534,7 +521,7 @@ def _endo_apply(args):
 def _endo_compose(args):
     outer = _load_map(args.outer, "endomorphism")
     inner = _load_map(args.inner, "endomorphism")
-    _emit_json(map_to_json(compose(outer, inner)))
+    _emit_json(compose(outer, inner))
 
 
 def _endo_lift(args):
@@ -543,7 +530,7 @@ def _endo_lift(args):
     if len(pieces) != n:
         raise _CliFailure(USAGE_ERROR, f"expected {n} ';'-separated polynomials")
     fs = [parse_element(p, n) for p in pieces]
-    _emit_json(map_to_json(lift_phi(n, fs)))
+    _emit_json(lift_phi(n, fs))
 
 
 def _endo_affine(args):
@@ -563,7 +550,7 @@ def _u1_pair(args):
     h = parse_element(args.h, 1)
     # u1_closed_form checks that the two maps invert each other
     phi, psi = u1_closed_form(alpha, h)
-    _emit_json({"phi": map_to_json(phi), "psi": map_to_json(psi)})
+    _emit_json({"phi": phi, "psi": psi})
 
 
 def _solve_ad_preimage(args):
@@ -575,14 +562,14 @@ def _solve_ad_preimage(args):
     except (KeyError, ValueError, TypeError) as exc:
         raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
     # the preimage is unique: ad_preimage's docstring proves the kernel is 0
-    _emit_json({"g": element_to_json(ad_preimage(us)), "kernel_dim": 0})
+    _emit_json({"g": ad_preimage(us), "kernel_dim": 0})
 
 
 def _solve_lemma27(args):
     n = _need_n(args)
     _cap(args.degree, MAX_DEGREE, "degree", "--degree")
     sols = lemma27_solutions(n, args.i, args.degree)
-    _emit_json({"dim": len(sols), "basis": [element_to_json(g) for g in sols]})
+    _emit_json({"dim": len(sols), "basis": sols})
 
 
 def _solve_rfactor(args):
@@ -590,7 +577,7 @@ def _solve_rfactor(args):
     _cap(args.k, MAX_K, "k", "--k")
     h = parse_element(args.h, n)
     u, v = rfactor_decompose(args.k, args.i, args.j, h)
-    _emit_json({"u": element_to_json(u), "v": element_to_json(v)})
+    _emit_json({"u": u, "v": v})
 
 
 def _solve_derspace(args):
@@ -598,7 +585,7 @@ def _solve_derspace(args):
     _cap(args.wdeg, MAX_WDEG, "wdeg", "--wdeg")
     w = _parse_weights(args.weights, n) if args.weights else None
     basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
-    _emit_json({"dim": len(basis), "basis": [map_to_json(d) for d in basis]})
+    _emit_json({"dim": len(basis), "basis": basis})
 
 
 def _verify(args):

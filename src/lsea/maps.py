@@ -837,15 +837,23 @@ def triangular_tuple(n: int, alphas, fs: Sequence[Element]):
 # -- serialization ---------------------------------------------------------------
 
 
-def map_to_json(m) -> dict:
-    kind = "derivation" if isinstance(m, Derivation) else "endomorphism"
+def map_fields(m, image=None) -> dict:
+    """The fields of m's JSON form in their order, each image as
+    image(g), or the `Element` itself when image is None."""
+    l_images, r_images = m.l_images, m.r_images
+    if image is not None:
+        l_images, r_images = list(map(image, l_images)), list(map(image, r_images))
     return {
         "n": m.n,
-        "kind": kind,
-        "l_images": [element_to_json(g) for g in m.l_images],
-        "r_images": [element_to_json(g) for g in m.r_images],
+        "kind": "derivation" if isinstance(m, Derivation) else "endomorphism",
+        "l_images": l_images,
+        "r_images": r_images,
         "verified": m.verified,
     }
+
+
+def map_to_json(m) -> dict:
+    return map_fields(m, element_to_json)
 
 
 def map_from_json(data: dict):

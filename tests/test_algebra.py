@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -577,3 +578,79 @@ class TestCanonicity:
         data = {"n": n, "terms": [{"l": lexp, "r": rword, "c": c}]}
         with pytest.raises(DomainError, match="must be an"):
             element_from_json(data)
+
+
+# JSON coefficient spellings, each term's on the word r1 (or r1*r1, ...)
+READ_SPELLINGS = {
+    "zero": ["0"],
+    "minus-zero": ["-0"],
+    "plus": ["+3"],
+    "unreduced": ["2/4"],
+    "negative-unreduced": ["-7/21"],
+    "5000-digits": ["7" * 5000],
+    "5000-digit-rational": ["-" + "3" * 5000 + "/" + "9" * 4999],
+    "mixed-denominators": ["1/6", "-5/4", "7", "2/9", "-0/3", "10/15"],
+    "cancelling": ["1/2", "-2/4"],
+}
+
+# a refused coefficient -> (exception type, message) of the JSON loader, of
+# as_fraction and of the constructor, as they were when the string went
+# through Fraction
+REFUSED = [
+    (True, DomainError("coefficient must be an integer or a string, got True"),
+     TypeError("not an exact rational: True")),
+    (False, DomainError("coefficient must be an integer or a string, got False"),
+     TypeError("not an exact rational: False")),
+    (0.5, TypeError("not an exact rational: 0.5"), TypeError("not an exact rational: 0.5")),
+    (None, TypeError("not an exact rational: None"), TypeError("not an exact rational: None")),
+    ("0.5", ValueError("not a rational p or p/q: '0.5'"), None),
+    ("1e3", ValueError("not a rational p or p/q: '1e3'"), None),
+    (" 3", ValueError("not a rational p or p/q: ' 3'"), None),
+    ("\u0661\u0662", ValueError("not a rational p or p/q: '\u0661\u0662'"), None),
+    ("1/0", DomainError("zero denominator in coefficient '1/0'"),
+     ZeroDivisionError("Fraction(1, 0)")),
+    ("-3/0", DomainError("zero denominator in coefficient '-3/0'"),
+     ZeroDivisionError("Fraction(-3, 0)")),
+    ("+0/00", DomainError("zero denominator in coefficient '+0/00'"),
+     ZeroDivisionError("Fraction(0, 0)")),
+]
+
+
+@pytest.fixture
+def any_digits():
+    """Lift the int/str digit limit, as the CLI does, for 5000-digit literals."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestCoefficientReader:
+    @pytest.mark.parametrize("spellings", READ_SPELLINGS.values(), ids=READ_SPELLINGS)
+    def test_reads_like_fraction(self, any_digits, spellings):
+        words = [((0, 1), (1,) * k) for k in range(1, len(spellings) + 1)]
+        data = {"n": 2, "terms": [{"l": list(l), "r": list(r), "c": c}
+                                  for (l, r), c in zip(words, spellings)]}
+        by_fraction = Element(2, [(w, Fraction(c)) for w, c in zip(words, spellings)])
+        assert element_from_json(data) == by_fraction
+        assert Element(2, list(zip(words, spellings))) == by_fraction
+        for c in spellings:
+            assert as_fraction(c) == Fraction(c)
+        # canonical storage: one reduced denominator, no stored zero
+        den, pairs = element_from_json(data).int_terms()
+        assert math.gcd(den, *(k for _, k in pairs)) == 1 and all(k for _, k in pairs)
+
+    @pytest.mark.parametrize(
+        "c, from_json, from_library", REFUSED, ids=[repr(row[0]) for row in REFUSED]
+    )
+    def test_refusals_keep_type_and_message(self, c, from_json, from_library):
+        from_library = from_library or from_json
+        data = {"n": 1, "terms": [{"l": [0], "r": [1], "c": c}]}
+        for build, want in (
+            (lambda: element_from_json(data), from_json),
+            (lambda: as_fraction(c), from_library),
+            (lambda: Element(1, [(((0,), (1,)), c)]), from_library),
+        ):
+            with pytest.raises(type(want)) as exc:
+                build()
+            assert type(exc.value) is type(want) and str(exc.value) == str(want)

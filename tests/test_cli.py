@@ -206,11 +206,14 @@ def not_int(option, value, prog="lsea"):
 
 
 def _example41_with(field, value):
-    """example41.json with one value of its first l-image replaced."""
+    """example41.json with one value of its first l-image, or that image's
+    one term ("term"), replaced."""
     data = json.loads((DATA / "example41.json").read_text())
     target = data if field == "map n" else data["l_images"][0]
     if field in ("map n", "n"):
         target["n"] = value
+    elif field == "term":
+        target["terms"] = [value]
     else:
         target["terms"][0][field] = value
     return data
@@ -254,6 +257,11 @@ CLI_CASES = {
          CAP_20),
         ("lemma27-members", "--max-terms 1000 -n 4 solve lemma27 --i 1 --degree 100", 2,
          BUDGET, CAP_20),
+        # JSON exponents have no cap (ROADMAP item 1): without --max-terms this
+        # file runs 7 s to `lsea: out of memory` under the same 1 GB cap
+        ("json-exponent", "--max-terms 1000 der check {tmp}/der.json", 2, BUDGET,
+         {**CAP_20, "files": {"der.json": json.dumps(
+             _example41_with("term", {"l": [10**8, 0], "r": [1], "c": "1"}))}}),
     ],
     "test_out_of_memory_exits_2": [  # a small cap: 3 s to exit here, 10 s under 1 GB
         (None, "-n 2 norm r1*l1^700*l2^700", 2,
@@ -971,8 +979,8 @@ WRITER = settings(max_examples=150, deadline=None, derandomize=True, database=No
 # any character, with quotes, backslashes, control and non-ASCII ones boosted
 TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\r\t\x00\x1f\x7f é€😀'))
 SCALARS = st.none() | st.booleans() | st.integers() | TEXT
-# the term shape {"l", "r", "c"} of element JSON, which the writer prints from
-# a template, and near misses of it, which it must not
+# plain dicts of the term shape {"l", "r", "c"} of element JSON and near
+# misses of it: the writer sniffs no template, so both take the generic path
 TERM = st.fixed_dictionaries(
     {
         "l": st.lists(st.integers(0, 3), max_size=3),
@@ -987,8 +995,35 @@ NEAR_TERM = st.fixed_dictionaries(
         "c": TEXT | st.integers(),
     }
 )
+# elements the writer prints from `canonical_walk`: zero, n up to 12, rational
+# coefficients and coefficients of thousands of digits
+COEFF = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6) | st.sampled_from([-1, 7**6000, -(3**9100), 10**4400 - 1]),
+    st.sampled_from([1, 1, 2, 3, 35, 10**9 + 7, 11**4200]),
+)
+
+
+@st.composite
+def elements(draw, n=None):
+    n = n or draw(st.integers(1, 12))
+    word = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.lists(st.integers(1, n), max_size=4).map(tuple),
+    )
+    return Element(n, draw(st.lists(st.tuples(word, COEFF), max_size=5)))
+
+
+@st.composite
+def maps(draw):
+    n = draw(st.integers(1, 3))
+    images = st.lists(elements(n), min_size=n, max_size=n).map(tuple)
+    kind = draw(st.sampled_from([Derivation, Endomorphism]))
+    return kind(n, draw(images), draw(images), draw(st.booleans()))
+
+
 JSON_DATA = st.recursive(
-    SCALARS | TERM | NEAR_TERM,
+    SCALARS | TERM | NEAR_TERM | elements() | maps(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(TEXT, inner, max_size=4),
@@ -997,7 +1032,8 @@ JSON_DATA = st.recursive(
 
 
 def _call_site_payloads(seed):
-    """One payload of each shape `_emit_json` prints, built from seeded data."""
+    """One payload of each shape `_emit_json` prints, built from seeded data:
+    name -> (the objects `cli` passes, their JSON twin)."""
     rng = random.Random(seed)
     z = Element.zero(2)
     phi = lift_phi(2, [gen_l(2, 1) + rand_lpoly(rng, 2, 2), gen_l(2, 2)])
@@ -1010,27 +1046,41 @@ def _call_site_payloads(seed):
     bad = check_derivation(Derivation(2, (gen_r(2, 1), z), (z, z)))[1]
     space = derivation_space(2, 1, into_I=True)
     sols = lemma27_solutions(2, 1, 2)
-    return {
-        "element": element_to_json(rand_element(rng, 2, 4)),
-        "zero element": element_to_json(Element.zero(3)),
-        "derivation": map_to_json(rand_verified_derivation(rng, 2)),
-        "endomorphism": map_to_json(phi),
-        "derspace": {"dim": len(space), "basis": [map_to_json(d) for d in space]},
-        "ad-preimage": {"g": element_to_json(g_pre), "kernel_dim": 0},
-        "lemma27": {"dim": len(sols), "basis": [element_to_json(h) for h in sols]},
-        "rfactor": {"u": element_to_json(u), "v": element_to_json(v)},
-        "u1 pair": {"phi": map_to_json(phi1), "psi": map_to_json(psi1)},
+    g = rand_element(rng, 2, 4)
+    d = rand_verified_derivation(rng, 2)
+    trees = {
+        "element": g,
+        "zero element": Element.zero(3),
+        "derivation": d,
+        "endomorphism": phi,
+        "parts": {"parts": [{"wdeg": 1, "element": g}, {"wdeg": 2, "element": z}]},
+        "grade": {"parts": [{"wdeg": 0, "map": d}]},
+        "derspace": {"dim": len(space), "basis": space},
+        "ad-preimage": {"g": g_pre, "kernel_dim": 0},
+        "lemma27": {"dim": len(sols), "basis": sols},
+        "rfactor": {"u": u, "v": v},
+        "u1 pair": {"phi": phi1, "psi": psi1},
         "violations": {"violations": violations_to_json(bad)},
         "member": {"in_L": False, "in_R": True, "in_I": True},
         "probe": {"nonzero_through": 3, "degrees": [2, 3, 4]},
     }
+    return {name: (tree, _json_twin(tree)) for name, tree in trees.items()}
+
+
+def _json_twin(data):
+    """data with each `Element` and map replaced by its JSON form."""
+    return json.loads(json.dumps(data, default=_to_json))
+
+
+def _to_json(obj):
+    return element_to_json(obj) if isinstance(obj, Element) else map_to_json(obj)
 
 
 class TestIndentedJson:
     @WRITER
     @given(JSON_DATA)
     def test_matches_json_dumps(self, data):
-        assert _indented_json(data) == json.dumps(data, indent=2)
+        assert _indented_json(data) == json.dumps(data, indent=2, default=_to_json)
 
     @pytest.mark.parametrize(
         "data",
@@ -1064,8 +1114,9 @@ class TestIndentedJson:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_call_site_shape(self, seed):
-        for name, data in _call_site_payloads(seed).items():
-            assert _indented_json(data) == json.dumps(data, indent=2), name
+        for name, (objects, twin) in _call_site_payloads(seed).items():
+            assert _indented_json(objects) == json.dumps(twin, indent=2), name
+            assert _indented_json(twin) == json.dumps(twin, indent=2), name
 
     def test_anomaly_payload_with_system(self, monkeypatch, residual_system, system_json):
         # a leading-span anomaly payload with the dense view of the Lemma 2.7

@@ -92,8 +92,11 @@ def _check(g):
     assert text == reference_format(g)
     data = element_to_json(g)
     assert data == reference_json(g)
-    # the CLI's writer takes its term template only for plain dicts of plain ints
-    assert _indented_json(data) == json.dumps(reference_json(g), indent=2)
+    # the CLI's writer prints g itself from canonical_walk, and a plain dict
+    # tree by the encoder's rules: the same bytes
+    reference = json.dumps(reference_json(g), indent=2)
+    assert _indented_json(g) == reference
+    assert _indented_json(data) == reference
     return text
 
 
