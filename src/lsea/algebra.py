@@ -94,10 +94,10 @@ def _ratio(text: str) -> tuple[int, int]:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational p or p/q: {text!r}")
     num, _, den = text.partition("/")
-    p = int(num)
+    p = _str_int(num)
     if not den:
         return p, 1
-    q = int(den)
+    q = _str_int(den)
     if not q:
         raise ZeroDivisionError(f"Fraction({p}, 0)")
     return p, q
@@ -119,6 +119,13 @@ def as_fraction(x) -> Fraction:
 def _int_str(k: int) -> str:
     # the int/str digit limit is never set below 640 digits (2126 bits)
     return str(k) if k.bit_length() <= 2000 else str(Decimal(k))
+
+
+def _str_int(text: str) -> int:
+    """int(text) for an ASCII [+-]?[0-9]+ run of any length, as `_int_str`
+    writes one: a run past 600 characters is read through Decimal, which
+    the int/str digit limit (never below 640 digits) does not cover."""
+    return int(text) if len(text) <= 600 else int(Decimal(text))
 
 
 def exact_str(c) -> str:

@@ -8,7 +8,10 @@ for triage).
 
 Output on stdout uses the canonical text format for elements and JSON for
 structured data; diagnostics go to stderr.  Identical invocations produce
-byte-identical stdout.
+byte-identical stdout.  Each handler returns its answer and `main` writes
+stdout once, after the whole answer is rendered, so an error leaves stdout
+empty; a reader closing the pipe early ends the run quietly, with the
+answer's exit code.
 """
 
 from __future__ import annotations
@@ -102,10 +105,8 @@ MAX_WDEG = 100
 MAX_DEGREE = 100
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class _UsageError(Exception):
+    """Bad input found by the CLI itself: exit 2, with the message on stderr."""
 
 
 def _int_arg(text: str) -> int:
@@ -119,11 +120,11 @@ def _int_arg(text: str) -> int:
 def _parse_weights(text: str, n: int):
     parts = text.split(",")
     if len(parts) != n:
-        raise _CliFailure(USAGE_ERROR, f"expected {n} comma-separated weights")
+        raise _UsageError(f"expected {n} comma-separated weights")
     try:
         return tuple(as_int(p) for p in parts)
     except ValueError as exc:
-        raise _CliFailure(USAGE_ERROR, f"bad weight vector: {exc}") from exc
+        raise _UsageError(f"bad weight vector: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -131,7 +132,7 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _CliFailure(USAGE_ERROR, f"cannot read {path}: {exc}") from exc
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _indented_json(data) -> str:
@@ -236,10 +237,6 @@ def _json_key(key) -> str:
         return _quote(json.dumps(key))
     kind = type(key).__name__
     raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
-
-
-def _emit_json(data) -> None:
-    print(_indented_json(data))
 
 
 def _leaf(sub, name: str, run, help: str, *positionals: str):
@@ -369,18 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _need_n(args, fallback: int | None = None) -> int:
     n = args.n if args.n is not None else fallback
     if n is None:
-        raise _CliFailure(USAGE_ERROR, "this command needs -n")
+        raise _UsageError("this command needs -n")
     if n < 1:
-        raise _CliFailure(USAGE_ERROR, "-n must be >= 1")
+        raise _UsageError("-n must be >= 1")
     return _cap(n, MAX_N, "n", "-n")
 
 
 def _cap(value: int, limit: int, name: str, source: str) -> int:
     """value, or a usage error naming source and name when it exceeds limit."""
     if value > limit:
-        raise _CliFailure(
-            USAGE_ERROR, f"{source}: {name} = {value} exceeds the limit {limit}"
-        )
+        raise _UsageError(f"{source}: {name} = {value} exceeds the limit {limit}")
     return value
 
 
@@ -390,95 +385,93 @@ def _expr(args, text: str, fallback_n: int | None = None) -> Element:
 
 # -- subcommand handlers ---------------------------------------------------------
 #
-# Each returns the exit code, None meaning 0.  Library functions are looked up
-# as module globals when a handler runs, so rebinding them on this module
-# (tests, tracing) takes effect even though the parser is built only once.
+# Each returns its answer: one piece, or (exit code, piece, ...) where the code
+# may be other than 0.  `main` renders the pieces and writes them to stdout.
+# Library functions are looked up as module globals when a handler runs, so
+# rebinding them on this module (tests, tracing) takes effect even though the
+# parser is built only once.
 
 
 def _norm(args):
-    print(format_element(_expr(args, args.expr)))
+    return _expr(args, args.expr)
 
 
 def _mul(args):
-    print(format_element(mul(_expr(args, args.a), _expr(args, args.b))))
+    return mul(_expr(args, args.a), _expr(args, args.b))
 
 
 def _comm(args):
     a, b = _expr(args, args.a), _expr(args, args.b)
-    print(format_element(mul(a, b) - mul(b, a)))
+    return mul(a, b) - mul(b, a)
 
 
 def _ad(args):
     d = ad(_expr(args, args.a))
-    if args.b is None:
-        _emit_json(d)
-    else:
-        print(format_element(apply_derivation(d, _expr(args, args.b))))
+    return d if args.b is None else apply_derivation(d, _expr(args, args.b))
 
 
 def _pderiv(args):
-    print(format_element(pderiv_l(args.j, _expr(args, args.expr))))
+    return pderiv_l(args.j, _expr(args, args.expr))
 
 
 def _shift(args):
-    print(format_element(shift_lr(_expr(args, args.expr))))
+    return shift_lr(_expr(args, args.expr))
 
 
 def _lm(args):
     g = _expr(args, args.expr)
     top, _ = lm_lc(g)
-    lm = Element.zero(g.n) if top is None else Element.from_word(g.n, top, ())
-    print(format_element(lm))
+    return Element.zero(g.n) if top is None else Element.from_word(g.n, top, ())
 
 
 def _lc(args):
-    print(format_element(lm_lc(_expr(args, args.expr))[1]))
+    return lm_lc(_expr(args, args.expr))[1]
 
 
 def _wdeg(args):
     n = _need_n(args)
     w = _parse_weights(args.weights, n)
-    print(wdeg(parse_element(args.expr, n), w))
+    return str(wdeg(parse_element(args.expr, n), w))
 
 
 def _parts(args):
     n = _need_n(args)
     w = _parse_weights(args.weights, n)
     comps = homogeneous_components(parse_element(args.expr, n), w)
-    _emit_json({"parts": [{"wdeg": d, "element": g} for d, g in comps.items()]})
+    return {"parts": [{"wdeg": d, "element": g} for d, g in comps.items()]}
 
 
 def _member(args):
     flags = membership(_expr(args, args.expr))
-    _emit_json({"in_L": flags.in_L, "in_R": flags.in_R, "in_I": flags.in_I})
+    return {"in_L": flags.in_L, "in_R": flags.in_R, "in_I": flags.in_I}
 
 
 def _project(args):
     lpart, ipart = project_to_L(_expr(args, args.expr))
-    _emit_json({"l_part": lpart, "ideal_part": ipart})
+    return {"l_part": lpart, "ideal_part": ipart}
 
 
 def _load_map(path: str, want: str):
     data = _load_json(path)
     try:
+        kind = data["kind"]  # checked before the map is built
+        if kind != want:
+            raise _UsageError(f"{path} holds {_a(kind)}, expected {_a(want)}")
         _cap(_json_int(data["n"], "n"), MAX_N, "n", path)
-        m = map_from_json(data)
+        return map_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise _CliFailure(USAGE_ERROR, f"bad map file {path}: {exc}") from exc
-    kind = data.get("kind")
-    if kind != want:
-        raise _CliFailure(USAGE_ERROR, f"{path} holds a {kind}, expected a {want}")
-    return m
+        raise _UsageError(f"bad map file {path}: {exc}") from exc
 
 
-def _check_file(args, kind: str, check) -> int:
-    _, violations = check(_load_map(args.file, kind))
-    if violations:
-        print(f"{kind}: FAIL")
-        _emit_json({"violations": violations_to_json(violations)})
-        return MATH_FAILURE
-    print(f"{kind}: OK")
-    return 0
+def _a(kind) -> str:
+    return f"an {kind}" if str(kind).startswith(tuple("aeiou")) else f"a {kind}"
+
+
+def _check_file(args, kind: str, check):
+    _, bad = check(_load_map(args.file, kind))
+    if bad:
+        return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(bad)}
+    return f"{kind}: OK"
 
 
 def _der_check(args):
@@ -487,7 +480,7 @@ def _der_check(args):
 
 def _der_apply(args):
     d = _load_map(args.file, "derivation")
-    print(format_element(apply_derivation(d, _expr(args, args.expr, d.n))))
+    return apply_derivation(d, _expr(args, args.expr, d.n))
 
 
 def _der_probe(args):
@@ -495,18 +488,14 @@ def _der_probe(args):
     d = _load_map(args.file, "derivation")
     res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
     if isinstance(res, ZeroAt):
-        _emit_json({"zero_at": res.k})
-    else:
-        _emit_json(
-            {"nonzero_through": res.bound, "degrees": list(res.degrees)}
-        )
+        return {"zero_at": res.k}
+    return {"nonzero_through": res.bound, "degrees": list(res.degrees)}
 
 
 def _der_grade(args):
     d = _load_map(args.file, "derivation")
     w = _parse_weights(args.weights, d.n)
-    parts = graded_parts(d, w)
-    _emit_json({"parts": [{"wdeg": m, "map": dm} for m, dm in parts.items()]})
+    return {"parts": [{"wdeg": m, "map": dm} for m, dm in graded_parts(d, w).items()]}
 
 
 def _endo_check(args):
@@ -515,42 +504,37 @@ def _endo_check(args):
 
 def _endo_apply(args):
     e = _load_map(args.file, "endomorphism")
-    print(format_element(apply_endo(e, _expr(args, args.expr, e.n))))
+    return apply_endo(e, _expr(args, args.expr, e.n))
 
 
 def _endo_compose(args):
     outer = _load_map(args.outer, "endomorphism")
     inner = _load_map(args.inner, "endomorphism")
-    _emit_json(compose(outer, inner))
+    return compose(outer, inner)
 
 
 def _endo_lift(args):
     n = _need_n(args)
     pieces = args.tuple.split(";")
     if len(pieces) != n:
-        raise _CliFailure(USAGE_ERROR, f"expected {n} ';'-separated polynomials")
-    fs = [parse_element(p, n) for p in pieces]
-    _emit_json(lift_phi(n, fs))
+        raise _UsageError(f"expected {n} ';'-separated polynomials")
+    return lift_phi(n, [parse_element(p, n) for p in pieces])
 
 
 def _endo_affine(args):
     e = _load_map(args.file, "endomorphism")
-    if is_affine_U(e):
-        print("affine: yes")
-        return 0
-    print("affine: no")
-    return MATH_FAILURE
+    return "affine: yes" if is_affine_U(e) else (MATH_FAILURE, "affine: no")
 
 
 def _u1_pair(args):
     try:
         alpha = as_fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliFailure(USAGE_ERROR, f"bad --alpha: {exc}") from exc
+        raise _UsageError(f"bad --alpha: {exc}") from exc
     h = parse_element(args.h, 1)
     # u1_closed_form checks that the two maps invert each other
     phi, psi = u1_closed_form(alpha, h)
-    _emit_json({"phi": phi, "psi": psi})
+    return {"phi": phi, "psi": psi}
 
 
 def _solve_ad_preimage(args):
@@ -560,16 +544,16 @@ def _solve_ad_preimage(args):
             _cap(_json_int(d["n"], "n"), MAX_N, "n", args.file)
         us = [element_from_json(d) for d in data["images"]]
     except (KeyError, ValueError, TypeError) as exc:
-        raise _CliFailure(USAGE_ERROR, f"bad image file: {exc}") from exc
+        raise _UsageError(f"bad image file: {exc}") from exc
     # the preimage is unique: ad_preimage's docstring proves the kernel is 0
-    _emit_json({"g": ad_preimage(us), "kernel_dim": 0})
+    return {"g": ad_preimage(us), "kernel_dim": 0}
 
 
 def _solve_lemma27(args):
     n = _need_n(args)
     _cap(args.degree, MAX_DEGREE, "degree", "--degree")
     sols = lemma27_solutions(n, args.i, args.degree)
-    _emit_json({"dim": len(sols), "basis": sols})
+    return {"dim": len(sols), "basis": sols}
 
 
 def _solve_rfactor(args):
@@ -577,7 +561,7 @@ def _solve_rfactor(args):
     _cap(args.k, MAX_K, "k", "--k")
     h = parse_element(args.h, n)
     u, v = rfactor_decompose(args.k, args.i, args.j, h)
-    _emit_json({"u": u, "v": v})
+    return {"u": u, "v": v}
 
 
 def _solve_derspace(args):
@@ -585,26 +569,34 @@ def _solve_derspace(args):
     _cap(args.wdeg, MAX_WDEG, "wdeg", "--wdeg")
     w = _parse_weights(args.weights, n) if args.weights else None
     basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
-    _emit_json({"dim": len(basis), "basis": basis})
+    return {"dim": len(basis), "basis": basis}
 
 
 def _verify(args):
     if args.cases < 1:
-        raise _CliFailure(USAGE_ERROR, f"--cases must be at least 1, got {args.cases}")
+        raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     try:
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     except AnomalyError as exc:
         print(f"suite {args.suite}: anomaly", file=sys.stderr)
-        _emit_json({"anomaly": str(exc), "payload": exc.payload})
-        return ANOMALY
-    print(report.line())
-    for failure in report.failures:
-        print(json.dumps({"failure": failure}))
-    for anomaly in report.anomalies:
-        print(json.dumps({"anomaly": anomaly}))
-    if report.anomalies:
-        return ANOMALY
-    return 0 if report.ok else MATH_FAILURE
+        return ANOMALY, {"anomaly": str(exc), "payload": exc.payload}
+    records = [{"failure": f} for f in report.failures]
+    records += [{"anomaly": a} for a in report.anomalies]
+    code = ANOMALY if report.anomalies else 0 if report.ok else MATH_FAILURE
+    return code, report.line(), *map(json.dumps, records)
+
+
+def _rendered(answer) -> tuple[int, list[str]]:
+    """(exit code, the text of each piece) of a handler's answer."""
+    code, *pieces = answer if type(answer) is tuple else (0, answer)
+    return code, [_render(piece) for piece in pieces]
+
+
+def _render(piece) -> str:
+    """An element as canonical text, a str as is, anything else as JSON."""
+    if isinstance(piece, Element):
+        return format_element(piece)
+    return piece if isinstance(piece, str) else _indented_json(piece)
 
 
 def main(argv=None) -> int:
@@ -632,36 +624,39 @@ def main(argv=None) -> int:
     # exact coefficients and integer literals may run to any number of digits
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    error, texts = None, []
     try:
-        return args.run(args) or 0
+        code, texts = _rendered(args.run(args))
     except MemoryError:
-        # reported below, once this block has dropped the traceback and with
-        # it the frames that hold the partial result
-        pass
+        # written below, once this block has dropped the traceback and with it
+        # the frames that hold the partial result
+        code, error = USAGE_ERROR, (
+            "out of memory; --max-terms refuses large results before they are built"
+        )
     except TermBudgetExceeded as exc:
-        print(f"lsea: term budget exceeded: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        code, error = USAGE_ERROR, f"term budget exceeded: {exc}"
     except ExprSyntaxError as exc:
-        print(f"lsea: syntax error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DomainError, AmbientMismatch, UnverifiedMapError) as exc:
-        print(f"lsea: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except _CliFailure as exc:
-        print(f"lsea: {exc}", file=sys.stderr)
-        return exc.code
+        code, error = USAGE_ERROR, f"syntax error: {exc}"
+    except (DomainError, AmbientMismatch, UnverifiedMapError, _UsageError) as exc:
+        code, error = USAGE_ERROR, str(exc)
     except AnomalyError as exc:
-        print(f"lsea: anomaly: {exc}", file=sys.stderr)
-        _emit_json({"anomaly": str(exc), "payload": exc.payload})
-        return ANOMALY
+        code, error = ANOMALY, f"anomaly: {exc}"
+        texts = [_render({"anomaly": str(exc), "payload": exc.payload})]
     finally:
         TERM_BUDGET.reset(token)
         sys.set_int_max_str_digits(digits)
-    print(
-        "lsea: out of memory; --max-terms refuses large results before they are built",
-        file=sys.stderr,
-    )
-    return USAGE_ERROR
+    if error is not None:
+        print(f"lsea: {error}", file=sys.stderr)
+    # the one write to stdout, after the whole answer is rendered
+    try:
+        for text in texts:
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; with fd 1 on devnull the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import DomainError, Element, canonical_walk, gen_l, gen_r
+from .algebra import DomainError, Element, _str_int, canonical_walk, gen_l, gen_r
 
 
 class ExprSyntaxError(ValueError):
@@ -61,9 +61,9 @@ def _tokenize(text: str):
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group("gen"):
             g = m.group("gen")
-            tokens.append(("gen", (g[0], int(g[1:])), m.start("gen")))
+            tokens.append(("gen", (g[0], _str_int(g[1:])), m.start("gen")))
         elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            tokens.append(("int", _str_int(m.group("int")), m.start("int")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()

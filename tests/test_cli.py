@@ -9,6 +9,7 @@ import math
 import random
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -167,6 +168,18 @@ class TestFormat:
         assert h_text == f"-{ratio}*r1"
         assert h_data["terms"] == [{"l": [0], "r": [1], "c": f"-{ratio}"}]
 
+    def test_coefficients_past_int_str_limit_round_trip(self):
+        # the readers take back what the writers give, with the limit untouched
+        p, q = 10**4999 + 7, 2 * 10**4999 + 1  # 5000 digits each, coprime
+        h = Element.from_word(2, (1, 0), (2, 1), Fraction(-p, q))
+        limit = sys.get_int_max_str_digits()
+        parsed = parse_element(format_element(h), 2)
+        loaded = element_from_json(element_to_json(h))
+        assert sys.get_int_max_str_digits() == limit
+        assert parsed == loaded == h
+        (c,) = [c for _, c in parsed.terms()]
+        assert (c.numerator, c.denominator) == (-p, q)
+
 
 # -- the command in a child process -----------------------------------------------
 #
@@ -305,6 +318,11 @@ CLI_CASES = {
          {"env": {"LSEA_MAX_TERMS": " ٣ "}}),
         ("weights-unicode-digit", "-n 2 wdeg --weights ١,2 l1", 2,
          "lsea: bad weight vector: invalid literal for int() with base 10: '١'\n"),
+        # a map of the wrong kind is refused before it is built and checked
+        ("wrong-kind-der", "der apply {data}/endo_phi.json l1", 2,
+         f"lsea: {DATA / 'endo_phi.json'} holds an endomorphism, expected a derivation\n"),
+        ("wrong-kind-endo", "-n 2 endo apply {data}/example41.json l1", 2,
+         f"lsea: {DATA / 'example41.json'} holds a derivation, expected an endomorphism\n"),
     ],
 }
 
@@ -344,6 +362,20 @@ class TestCliChildren:
         assert lifted.returncode == 0
         checked = run_lsea(["endo", "check", "{tmp}/phi.json"], {"phi.json": lifted.stdout})
         assert (checked.returncode, checked.stdout) == (0, "endomorphism: OK\n")
+
+    def test_reader_closing_early(self, subprocess_env):
+        # the answer, about 260 KB, outgrows the pipe buffer, so the child is
+        # still writing when the reader leaves after one line; `run_lsea`
+        # reads all of a child's output, so this child is started here
+        argv = ["-n", "2", "solve", "derspace", "--wdeg", "4"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "lsea.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, encoding="utf-8", env=subprocess_env,
+        ) as proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
 
 
 class TestCliBasics:
@@ -636,6 +668,20 @@ class TestCliMaps:
         code, out, _ = run_cli(capsys, "der", "check", str(path))
         assert code == 1
         assert out.startswith("derivation: FAIL")
+
+    def test_render_failure_leaves_stdout_empty(self, capsys, monkeypatch):
+        # "derivation: FAIL" is rendered before the violations, and nothing is
+        # written until both are
+        def exhausted(data):
+            raise MemoryError
+
+        monkeypatch.setattr("lsea.cli._indented_json", exhausted)
+        path = str(DATA / "der_fails_relations.json")
+        code, out, err = run_cli(capsys, "der", "check", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "lsea: out of memory; --max-terms refuses large results before they are built\n"
+        )
 
     def test_der_apply_probe_grade(self, capsys):
         path = str(DATA / "example41.json")

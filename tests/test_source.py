@@ -46,3 +46,34 @@ def test_no_self_recursion_in_src():
                 found.append(f"{path.name} {name}")
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_cli_writes_stdout_only_in_main():
+    # handlers return their answer and `main` writes it once it is rendered
+    # whole, so an error can leave nothing behind on stdout: every print is
+    # a diagnostic on stderr, and no function but `main` touches sys.stdout
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    prints = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+    to_stdout = [
+        node.lineno
+        for node in prints
+        if not any(
+            kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+            for kw in node.keywords
+        )
+    ]
+    (main,) = [fn for fn in tree.body if getattr(fn, "name", None) == "main"]
+    in_main = set(map(id, ast.walk(main)))
+    stdout = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+    ]
+    assert prints and to_stdout == []
+    assert stdout and [node.lineno for node in stdout if id(node) not in in_main] == []
