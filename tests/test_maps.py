@@ -583,6 +583,61 @@ def test_map_from_json_non_int_n_refused(n):
         map_from_json(data)
 
 
+def _unverified_ad():
+    d = ad(gen_l(2, 1))
+    return Derivation(d.n, d.l_images, d.r_images)
+
+
+def _foreign_image_endo():
+    # l_1 goes to a generator of U_3 in an endomorphism of U_2
+    return Endomorphism(2, (gen_l(3, 1), gen_l(2, 2)), (gen_r(2, 1), gen_r(2, 2)))
+
+
+# (call, exception type, message) of each refusal of the maps built from
+# generator images; the exception type is matched exactly
+MAP_REFUSALS = {
+    "der_bracket-unverified": (
+        lambda: der_bracket(_unverified_ad(), ad(gen_l(2, 2))),
+        UnverifiedMapError, "bracket requires verified derivations"),
+    "der_bracket-ambients": (
+        lambda: der_bracket(ad(gen_l(2, 1)), ad(gen_l(3, 1))),
+        AmbientMismatch, "derivation ambients differ"),
+    "compose-ambients": (
+        lambda: compose(identity_endo(2), identity_endo(3)),
+        AmbientMismatch, "ambient mismatch"),
+    "check_endomorphism-foreign-image": (
+        lambda: check_endomorphism(_foreign_image_endo()),
+        AmbientMismatch, "image ambient differs from map ambient"),
+    "graded_parts-unverified": (
+        lambda: graded_parts(_unverified_ad(), (1, 1)),
+        UnverifiedMapError, "graded_parts requires a verified derivation"),
+    "graded_parts-weight-length": (
+        lambda: graded_parts(ad(gen_l(2, 1)), (1, 1, 1)),
+        DomainError, "weight vector length must equal the ambient n"),
+    "PureFormalExpression-outside-R": (
+        lambda: PureFormalExpression(2, (gen_r(2, 1), gen_l(2, 1)), (gen_r(2, 2),) * 2),
+        DomainError, "purely associative data requires images in R_n"),
+    "RDerivation-ambients": (
+        lambda: RDerivation(2, (gen_r(2, 1), gen_r(2, 2)))(gen_r(3, 1)),
+        AmbientMismatch, "ambient mismatch"),
+    "extend_lnd_prop55-ambients": (
+        lambda: extend_lnd_prop55(2, gen_l(3, 3)),
+        AmbientMismatch, "ambient mismatch"),
+    "extend_lnd_prop55-not-polynomial": (
+        lambda: extend_lnd_prop55(2, gen_r(2, 2)),
+        DomainError, "coefficient must be a polynomial"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_REFUSALS))
+def test_map_refusals(name):
+    call, exc_type, message = MAP_REFUSALS[name]
+    with pytest.raises(exc_type) as exc:
+        call()
+    assert type(exc.value) is exc_type
+    assert str(exc.value) == message
+
+
 def _signed_mul_sum(n, products):
     """Reference: sum(sign * mul(a, b)), one Element per product."""
     out = Element.zero(n)
