@@ -33,6 +33,7 @@ from .algebra import (
     as_fraction,
     as_int,
     canonical_walk,
+    commutator,
     element_from_json,
     homogeneous_components,
     lm_lc,
@@ -128,10 +129,12 @@ def _parse_weights(text: str, n: int):
 
 
 def _load_json(path: str) -> dict:
+    # ValueError covers JSONDecodeError and bytes that are not UTF-8, and the
+    # decoder recurses once per nesting level of arrays and objects
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -401,8 +404,7 @@ def _mul(args):
 
 
 def _comm(args):
-    a, b = _expr(args, args.a), _expr(args, args.b)
-    return mul(a, b) - mul(b, a)
+    return commutator(_expr(args, args.a), _expr(args, args.b))
 
 
 def _ad(args):

@@ -75,6 +75,17 @@ def _as_images(n: int, images) -> tuple[Element, ...]:
     return images
 
 
+def _slots(m) -> tuple[Element, ...]:
+    """m's images in generator-slot order: l_1..l_n, then r_1..r_n."""
+    return m.l_images + m.r_images
+
+
+def _from_slots(cls, n: int, images, **flags):
+    """The map of class cls with these images in generator-slot order."""
+    images = tuple(images)
+    return cls(n, images[:n], images[n:], **flags)
+
+
 @dataclass(frozen=True)
 class Derivation:
     """Images D(l_i), D(r_i); `verified` means the relation checks vanish."""
@@ -101,12 +112,12 @@ class PureFormalExpression:
     r_images: tuple[Element, ...]
 
     def __post_init__(self):
-        for g in self.l_images + self.r_images:
+        for g in _slots(self):
             if not in_R(g):
                 raise DomainError("purely associative data requires images in R_n")
 
     def is_zero(self) -> bool:
-        return all(h.is_zero for h in self.l_images + self.r_images)
+        return all(h.is_zero for h in _slots(self))
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,7 @@ class Endomorphism:
 
 
 def identity_endo(n: int) -> Endomorphism:
-    return Endomorphism(
-        n,
-        tuple(gen_l(n, i) for i in range(1, n + 1)),
-        tuple(gen_r(n, i) for i in range(1, n + 1)),
-        verified=True,
-    )
+    return lift_phi(n, identity_tuple(n))
 
 
 # -- relation residuals -------------------------------------------------------
@@ -225,10 +231,6 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
     return tuple((v, m) for v, m in acc.items() if m)
 
 
-def _image(m, slot: int) -> Element:
-    return m.l_images[slot] if slot < m.n else m.r_images[slot - m.n]
-
-
 def _letter_sum(n: int, images) -> tuple[dict, int]:
     """(acc, den) with sum(sign * op_k(g)) = sum(acc[key] / den * key) over
     (g, ((sign, op, k), ...)) in images; acc maps (lexp, rword) to nonzero
@@ -282,9 +284,9 @@ def derivation_residual(data, kind: str, i: int, j: int) -> Element:
     Summed by the letter operators of the comment above in one
     `_letter_sum`; a zero residual builds no Element.
     """
-    n = data.n
+    n, images = data.n, _slots(data)
     ops = _letter_operators(n, kind, i, j)
-    acc, den = _letter_sum(n, [(_image(data, slot), o) for slot, o in ops.items()])
+    acc, den = _letter_sum(n, [(images[slot], o) for slot, o in ops.items()])
     return _from_ints(n, acc, den) if acc else Element.zero(n)
 
 
@@ -292,10 +294,10 @@ def endo_residual(e, kind: str, i: int, j: int) -> Element:
     """phi applied letter by letter to relation instance (kind, i, j):
     sum(sign * phi(a) * phi(b)) over its signed words, one
     `_signed_products` map over the lcm of the products' denominators."""
-    n = e.n
+    n, images = e.n, _slots(e)
     terms = []
     for sign, a, b in relation_words(n, kind, i, j):
-        x, y = _image(e, a), _image(e, b)
+        x, y = images[a], images[b]
         if x.n != n or y.n != n:
             raise AmbientMismatch("image ambient differs from map ambient")
         (den_x, items_x), (den_y, items_y) = x.int_terms(), y.int_terms()
@@ -481,16 +483,10 @@ def ad(a: Element) -> Derivation:
     an append minus a prepend, so no commutator product is built.
     """
     n = a.n
-
-    def image(ops) -> Element:
-        return _from_ints(n, *_letter_sum(n, [(a, ops)]))
-
-    return Derivation(
-        n,
-        tuple(image(((1, _BRACKET, k),)) for k in range(1, n + 1)),
-        tuple(image(((1, _APPEND, k), (-1, _PREPEND, k))) for k in range(1, n + 1)),
-        verified=True,
-    )
+    ops = [((1, _BRACKET, k),) for k in range(1, n + 1)]
+    ops += [((1, _APPEND, k), (-1, _PREPEND, k)) for k in range(1, n + 1)]
+    images = (_from_ints(n, *_letter_sum(n, [(a, o)])) for o in ops)
+    return _from_slots(Derivation, n, images, verified=True)
 
 
 def der_bracket(d: Derivation, e: Derivation) -> Derivation:
@@ -499,13 +495,8 @@ def der_bracket(d: Derivation, e: Derivation) -> Derivation:
         raise UnverifiedMapError("bracket requires verified derivations")
     if d.n != e.n:
         raise AmbientMismatch("derivation ambients differ")
-    n = d.n
-    return Derivation(
-        n,
-        tuple(d(e.l_images[i]) - e(d.l_images[i]) for i in range(n)),
-        tuple(d(e.r_images[i]) - e(d.r_images[i]) for i in range(n)),
-        verified=True,
-    )
+    images = (d(x) - e(y) for x, y in zip(_slots(e), _slots(d)))
+    return _from_slots(Derivation, d.n, images, verified=True)
 
 
 # -- leading data of derivations -------------------------------------------------
@@ -520,10 +511,10 @@ def der_lm_lc(d) -> tuple[tuple[int, ...] | None, PureFormalExpression]:
     both are None and 0.
     """
     n = d.n
-    leads = [lm_lc(img) for img in d.l_images + d.r_images]
+    leads = [lm_lc(img) for img in _slots(d)]
     gmax = max((top for top, _ in leads if top is not None), key=pdeg_key, default=None)
     coeffs = tuple(lc if top == gmax else Element.zero(n) for top, lc in leads)
-    return gmax, PureFormalExpression(n, coeffs[:n], coeffs[n:])
+    return gmax, _from_slots(PureFormalExpression, n, coeffs)
 
 
 @dataclass(frozen=True)
@@ -565,23 +556,14 @@ def graded_parts(d: Derivation, weights) -> dict[int, Derivation]:
     weights = tuple(weights)
     if len(weights) != d.n:
         raise DomainError("weight vector length must equal the ambient n")
-    degrees: set[int] = set()
-    split_l = []
-    split_r = []
-    for i in range(d.n):
-        parts = homogeneous_components(d.l_images[i], weights)
-        split_l.append({deg - weights[i]: g for deg, g in parts.items()})
-        degrees.update(split_l[-1])
-        parts = homogeneous_components(d.r_images[i], weights)
-        split_r.append({deg - weights[i]: g for deg, g in parts.items()})
-        degrees.update(split_r[-1])
+    # slot k holds the image of a generator of weight (weights * 2)[k]
+    split = [
+        {deg - w: g for deg, g in homogeneous_components(img, weights).items()}
+        for img, w in zip(_slots(d), weights * 2)
+    ]
     out: dict[int, Derivation] = {}
-    for m in sorted(degrees):
-        part = Derivation(
-            d.n,
-            tuple(split_l[i].get(m, Element.zero(d.n)) for i in range(d.n)),
-            tuple(split_r[i].get(m, Element.zero(d.n)) for i in range(d.n)),
-        )
+    for m in sorted({deg for parts in split for deg in parts}):
+        part = _from_slots(Derivation, d.n, (p.get(m, Element.zero(d.n)) for p in split))
         out[m] = require_verified(
             part,
             "homogeneous piece of a derivation fails the relations",
@@ -648,13 +630,10 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
         raise DomainError("coefficient must be a polynomial")
     if any(any(lexp[: n - 1]) for (lexp, _), _ in g.int_terms()[1]):
         raise DomainError("coefficient must be univariate in the last variable")
-    zero = Element.zero(n)
-    l_images = [zero] * n
-    r_images = [zero] * n
-    l_images[0] = g
-    r_images[0] = _r_gradient(g)  # g'(l_n) r_n, g being univariate in l_n
+    images = [Element.zero(n)] * (2 * n)
+    images[0], images[n] = g, _r_gradient(g)  # g'(l_n) r_n, g being univariate in l_n
     return require_verified(
-        Derivation(n, tuple(l_images), tuple(r_images)),
+        _from_slots(Derivation, n, images),
         "univariate extension fails the relations",
         g=element_to_json(g),
     )
@@ -685,19 +664,13 @@ def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
         raise UnverifiedMapError("compose requires verified endomorphisms")
     if phi.n != psi.n:
         raise AmbientMismatch("ambient mismatch")
-    return Endomorphism(
-        phi.n,
-        tuple(apply_endo(phi, g) for g in psi.l_images),
-        tuple(apply_endo(phi, g) for g in psi.r_images),
-        verified=True,
-    )
+    images = (apply_endo(phi, g) for g in _slots(psi))
+    return _from_slots(Endomorphism, phi.n, images, verified=True)
 
 
 def is_identity(e: Endomorphism) -> bool:
-    return all(
-        e.l_images[i - 1] == gen_l(e.n, i) and e.r_images[i - 1] == gen_r(e.n, i)
-        for i in range(1, e.n + 1)
-    )
+    n = e.n
+    return _slots(e) == tuple(gen(n, i) for gen in (gen_l, gen_r) for i in range(1, n + 1))
 
 
 def check_inverse_pair(phi: Endomorphism, psi: Endomorphism) -> bool:
@@ -709,7 +682,7 @@ def is_affine_U(e: Endomorphism) -> bool:
     """True iff every generator image has total degree exactly 1."""
     if not e.verified:
         raise UnverifiedMapError("affinity test requires a verified endomorphism")
-    return all(g.degree() == 1 for g in e.l_images + e.r_images)
+    return all(g.degree() == 1 for g in _slots(e))
 
 
 # -- the rank-one case ------------------------------------------------------------

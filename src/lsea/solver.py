@@ -38,7 +38,7 @@ from .algebra import (
     word_key,
 )
 from .linalg import RowReduction
-from .maps import AnomalyError, Derivation, ad, require_verified
+from .maps import AnomalyError, Derivation, _from_slots, _slots, ad, require_verified
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ def derivation_space(
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
     words_in_I = weighted_slice(n, m, weights, restrict_to_I=True).basis
     inner = [ad(_from_ints(n, {tuple(w): 1})) for w in words_in_I]
-    members = [list(d.l_images + d.r_images) for d in inner]
+    members = [list(_slots(d)) for d in inner]
     for j, wj in enumerate(weights, 1):
         for f in _lmonomials(m - wj, weights):
             lf = _from_ints(n, {(f, ()): 1})
@@ -421,10 +421,10 @@ def derivation_space(
         for col, c in row.items():
             slot, w = columns[col]
             chunks[slot][w] = c
-        imgs = [_from_ints(n, chunk, den) for chunk in chunks]
+        imgs = (_from_ints(n, chunk, den) for chunk in chunks)
         out.append(
             require_verified(
-                Derivation(n, tuple(imgs[:n]), tuple(imgs[n:])),
+                _from_slots(Derivation, n, imgs),
                 "basis member failed the relation re-check",
                 wdeg=m,
                 weights=list(weights),
@@ -453,7 +453,7 @@ def derivation_coords(d: Derivation, space: list[Derivation]):
     if not space:
         return None
     n = d.n
-    members = [member.l_images + member.r_images for member in space]
+    members = [_slots(member) for member in space]
     pivots = []
     for images in members:
         columns = [(slot, w) for slot, g in enumerate(images) for w, _ in g.int_terms()[1]]
@@ -464,7 +464,7 @@ def derivation_coords(d: Derivation, space: list[Derivation]):
         for kk, (slot, w) in enumerate(pivots):
             if images[slot].coefficient(*w) != int(k == kk):
                 raise DomainError("derivation_coords needs a basis reduced at its pivots")
-    target = d.l_images + d.r_images
+    target = _slots(d)
     x = [target[slot].coefficient(*w) for slot, w in pivots]
     # one constructor call per slot; the members' equal words add up
     for slot, g in enumerate(target):

@@ -40,6 +40,8 @@ from .maps import (
     Derivation,
     NonzeroThrough,
     ZeroAt,
+    _from_slots,
+    _slots,
     ad,
     affine_tuple,
     apply_derivation,
@@ -239,12 +241,8 @@ def rand_verified_derivation(rng: random.Random, n: int) -> Derivation:
     d = ad(rand_element(rng, n, 2, terms=3))
     if n >= 2 and rng.random() < 0.6:
         e = extend_lnd_prop55(n, rand_univariate_last(rng, n, 2))
-        d = Derivation(
-            n,
-            tuple(a + b for a, b in zip(d.l_images, e.l_images)),
-            tuple(a + b for a, b in zip(d.r_images, e.r_images)),
-            verified=True,
-        )
+        images = (a + b for a, b in zip(_slots(d), _slots(e)))
+        d = _from_slots(Derivation, n, images, verified=True)
     if rng.random() < 0.3:
         d = der_bracket(d, ad(rand_element(rng, n, 1, terms=2)))
     return d
@@ -454,8 +452,7 @@ def _suite_prop32(seed: int, cases: int) -> RunReport:
         ok = not bad
         lifted = lift_phi(n, compose_tuples(f_fwd, g_fwd))
         composed = compose(phi, psi)
-        ok = ok and lifted.l_images == composed.l_images
-        ok = ok and lifted.r_images == composed.r_images
+        ok = ok and _slots(lifted) == _slots(composed)
         # injectivity on this sample: equal lifts force equal tuples
         if phi.l_images == psi.l_images and f_fwd != g_fwd:
             ok = False

@@ -35,8 +35,8 @@ def subprocess_env():
 @pytest.fixture
 def run_lsea(subprocess_env, tmp_path):
     """run(argv, files, env, cap, timeout): `python -m lsea.cli *argv` in a
-    child, the one way tests start the command.  `files` (name -> text) are
-    written to tmp_path first, `{data}` and `{tmp}` in argv stand for
+    child, the one way tests start the command.  `files` (name -> text, or
+    bytes written as they are) are written to tmp_path first, `{data}` and `{tmp}` in argv stand for
     tests/data and tmp_path, `env` is added to the environment and `cap`
     bounds the address space in bytes.  Every run must end in exit code 0-3,
     with no traceback and, on a usage error (2), with nothing on stdout."""
@@ -44,7 +44,10 @@ def run_lsea(subprocess_env, tmp_path):
 
     def run(argv, files=None, env=None, cap=None, timeout=60):
         for name, text in (files or {}).items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                (tmp_path / name).write_text(text, encoding="utf-8")
         argv = [a.replace("{data}", data).replace("{tmp}", str(tmp_path)) for a in argv]
         env = {**subprocess_env, "PYTHONIOENCODING": "utf-8", **(env or {})}
         limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (cap, cap))

@@ -200,6 +200,8 @@ LEMMA27 = "--max-terms 1000 solve lemma27 --i 1 --degree"
 PROBE = "-n 2 --max-terms 1000 der probe {data}/example41.json r2 --bound"
 PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, indent=2)
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 
 def dim(k):
@@ -212,6 +214,10 @@ def over(option, value, limit=100):
 
 def syntax(message, pos):
     return f"lsea: syntax error: {message} (at position {pos})\n"
+
+
+def unreadable(name, reason):
+    return re.compile(f"\\Alsea: cannot read [^\\n]*/{re.escape(name)}: {re.escape(reason)}\n\\Z")
 
 
 def not_int(option, value, prog="lsea"):
@@ -323,6 +329,15 @@ CLI_CASES = {
          f"lsea: {DATA / 'endo_phi.json'} holds an endomorphism, expected a derivation\n"),
         ("wrong-kind-endo", "-n 2 endo apply {data}/example41.json l1", 2,
          f"lsea: {DATA / 'example41.json'} holds a derivation, expected an endomorphism\n"),
+        # a file that is not UTF-8, or nested deeper than the JSON decoder recurses
+        ("json-not-utf8", "der check {tmp}/bom.json", 2, unreadable("bom.json", NOT_UTF8),
+         {"files": {"bom.json": b"\xff\xfe{}"}}),
+        ("json-not-utf8-ad-preimage", "solve ad-preimage {tmp}/bom.json", 2,
+         unreadable("bom.json", NOT_UTF8), {"files": {"bom.json": b"\xff\xfe{}"}}),
+        ("json-nested-200000", "der check {tmp}/deep.json", 2,
+         unreadable("deep.json", TOO_DEEP), {"files": {"deep.json": "[" * 200000 + "]" * 200000}}),
+        ("json-nested-5000-ad-preimage", "solve ad-preimage {tmp}/deep.json", 2,
+         unreadable("deep.json", TOO_DEEP), {"files": {"deep.json": "[" * 5000 + "]" * 5000}}),
     ],
 }
 

@@ -77,3 +77,28 @@ def test_cli_writes_stdout_only_in_main():
     ]
     assert prints and to_stdout == []
     assert stdout and [node.lineno for node in stdout if id(node) not in in_main] == []
+
+
+def test_slots_joined_only_in_maps_slots():
+    # a map's images are its 2n generator slots, l_1..l_n then r_1..r_n;
+    # `maps._slots` is the one place that spells out that order
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "maps.py" and getattr(fn, "name", None) == "_slots"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and getattr(node.left, "attr", None) == "l_images"
+            and getattr(node.right, "attr", None) == "r_images"
+            and id(node) not in allowed
+        ]
+    assert list(SRC.glob("*.py"))
+    assert found == []

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from lsea import Element, verify
+from lsea import Element, gen_r, verify
 from lsea.cli import main
-from lsea.maps import AnomalyError
+from lsea.maps import AnomalyError, NonzeroThrough, ZeroAt
 from lsea.parser import format_element
 from lsea.verify import SUITES, run_suite
 
@@ -177,3 +177,62 @@ def test_uncaught_anomaly_exits_3(monkeypatch, capsys):
     assert code == 3
     assert captured.err == "suite lemma44: anomaly\n"
     assert json.loads(captured.out) == {"anomaly": "forced", "payload": {"why": "test"}}
+
+
+# suite -> (verify global, stand-in that makes the suite's identity fail,
+# keys of each recorded failure); a second row of a suite has a "-" suffix
+FAILURE_PATHS = {
+    "lemma22": ("shift_lr", lambda f: f + Element.one(f.n), {"n", "f", "i"}),
+    "cor23": ("pderiv_l", lambda j, f: Element.one(f.n), {"n", "f", "i"}),
+    "cor25": ("wdeg", lambda g, w: 1, {"n", "g", "h"}),
+    "lemma26": ("ad_preimage", lambda us: Element.zero(us[0].n), {"n", "g", "recovered"}),
+    "lemma27": ("lemma27_solutions", lambda n, i, d: [Element.one(n)], {"i", "degree", "g"}),
+    "lemma28": (
+        "rfactor_decompose",
+        lambda k, i, j, h: (Element.zero(h.n), Element.zero(h.n)),
+        {"n", "k", "i", "j", "h"},
+    ),
+    "lemma31": ("in_I", lambda g: False, {"n", "g"}),
+    "prop32": (
+        "check_endomorphism",
+        lambda e: (e, [("s1", 1, 2, gen_r(e.n, 1))]),
+        {"n", "f"},
+    ),
+    "prop32-identity": ("is_identity", lambda e: False, {"case"}),
+    "lemma33": ("check_inverse_pair", lambda phi, psi: False, {"n", "f"}),
+    "lemma41": ("in_I", lambda g: False, {"n", "g"}),
+    "example41": ("probe_nilpotent", lambda d, x, bound: ZeroAt(1), {"case"}),
+    "example41-relations": (
+        "check_derivation",
+        lambda d: (d, [("s2", 1, 1, gen_r(2, 1))]),
+        {"relation", "i", "j"},
+    ),
+    "lemma44": ("graded_parts", lambda d, w: {0: d, 1: d}, {"n", "g", "w"}),
+    "prop55": (
+        "probe_nilpotent",
+        lambda d, x, bound: NonzeroThrough(bound, ()),
+        {"n", "g"},
+    ),
+    "equ5": ("apply_derivation", lambda d, w: Element.zero(w.n), {"w"}),
+    "thm72pair": ("check_inverse_pair", lambda phi, psi: False, {"alpha", "h"}),
+}
+
+
+def test_failure_paths_cover_every_suite():
+    assert {row.partition("-")[0] for row in FAILURE_PATHS} == EXPECTED_SUITES
+
+
+@pytest.mark.parametrize("row", sorted(FAILURE_PATHS))
+def test_failures_recorded_and_reported(monkeypatch, capsys, row):
+    suite = row.partition("-")[0]
+    name, stand_in, keys = FAILURE_PATHS[row]
+    monkeypatch.setattr(verify, name, stand_in)
+    report = run_suite(suite, seed=0, cases=3)
+    assert report.failures and not report.anomalies and not report.ok
+    assert all(set(failure) == keys for failure in report.failures)
+    json.dumps(report.failures)
+    code = main(["verify", suite, "--seed", "0", "--cases", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == report.line()
+    assert out[1:] == [json.dumps({"failure": f}) for f in report.failures]
