@@ -556,7 +556,7 @@ def graded_parts(d: Derivation, weights) -> dict[int, Derivation]:
     weights = tuple(weights)
     if len(weights) != d.n:
         raise DomainError("weight vector length must equal the ambient n")
-    # slot k holds the image of a generator of weight (weights * 2)[k]
+    # r_i has the weight of l_i, so the slots weigh weights * 2
     split = [
         {deg - w: g for deg, g in homogeneous_components(img, weights).items()}
         for img, w in zip(_slots(d), weights * 2)

@@ -391,7 +391,7 @@ def derivation_space(
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
     words_in_I = weighted_slice(n, m, weights, restrict_to_I=True).basis
     inner = [ad(_from_ints(n, {tuple(w): 1})) for w in words_in_I]
-    members = [list(_slots(d)) for d in inner]
+    members = [_slots(d) for d in inner]
     for j, wj in enumerate(weights, 1):
         for f in _lmonomials(m - wj, weights):
             lf = _from_ints(n, {(f, ()): 1})

@@ -230,7 +230,6 @@ def test_failures_recorded_and_reported(monkeypatch, capsys, row):
     report = run_suite(suite, seed=0, cases=3)
     assert report.failures and not report.anomalies and not report.ok
     assert all(set(failure) == keys for failure in report.failures)
-    json.dumps(report.failures)
     code = main(["verify", suite, "--seed", "0", "--cases", "3"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
