@@ -59,14 +59,13 @@ def _tokenize(text: str):
                 # a non-ASCII digit after the generator letter broke the token
                 at += 1
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        if m.group("gen"):
-            g = m.group("gen")
-            tokens.append(("gen", (g[0], _str_int(g[1:])), m.start("gen")))
-        elif m.group("int"):
-            tokens.append(("int", _str_int(m.group("int")), m.start("int")))
+        kind = m.lastgroup
+        tok, pos = m[kind], m.end()
+        if kind == "gen":
+            val = (tok[0], _str_int(tok[1:]))
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+            val = _str_int(tok) if kind == "int" else tok
+        tokens.append((kind, val, pos - len(tok)))  # the matched group ends the match
     tokens.append(("end", None, len(text)))
     return tokens
 

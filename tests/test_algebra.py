@@ -176,13 +176,17 @@ class TestMul:
                 assert mul(rword, Element.from_word(n, lexp, ())) == expected, word
 
     def test_long_words_share_their_straightening(self):
-        # each of the 64 right multiplications straightens every word of the
-        # partial power past l1 as w l1 = l1 w + D_1(w), one cached entry per
-        # word with one D_1 layer; folding every letter of every word anew
-        # took over 3 s on a 2-vCPU machine
+        # under a budget, each of the 64 right multiplications straightens
+        # every word of the partial power past l1 as w l1 = l1 w + D_1(w), one
+        # cached entry per word with one D_1 layer; folding every letter of
+        # every word anew took over 3 s on a 2-vCPU machine
         _rword_past_monomial.cache_clear()
+        token = TERM_BUDGET.set(10**9)
         start = time.perf_counter()
-        g = (gen_l(1, 1) + gen_r(1, 1)) ** 64
+        try:
+            g = (gen_l(1, 1) + gen_r(1, 1)) ** 64
+        finally:
+            TERM_BUDGET.reset(token)
         elapsed = time.perf_counter() - start
         assert len(g) == 65
         assert g.coefficient((64,), ()) == 1
@@ -285,8 +289,8 @@ class TestPowers:
         assert u3**5 == _square_and_multiply(u3, 5)
 
     def test_power_of_two_terms_is_fast(self):
-        # 128 right multiplications, each word past one l1; squaring straightened
-        # whole words past l1^64 and took 9.8 s on a 2-vCPU machine
+        # in closed form, T^j(1) = j! r1^j is one word per level; squaring
+        # straightened whole words past l1^64 and took 9.8 s on a 2-vCPU machine
         _rword_past_monomial.cache_clear()
         start = time.perf_counter()
         g = (gen_l(1, 1) + gen_r(1, 1)) ** 128
@@ -295,6 +299,68 @@ class TestPowers:
         assert g.coefficient((128,), ()) == 1
         assert g.coefficient((0,), (1,) * 128) == math.factorial(128)
         assert elapsed < 2.0
+
+    def test_linear_power_matches_the_ladder(self):
+        # a base of degree <= 1 is powered in closed form without a budget;
+        # repeated `mul` from one is the reference, drawn bases plus the
+        # corner cases: constants, zero, pure L, pure R, single generators
+        # and l1 - r1, whose T^2(1) is zero
+        rng = random.Random(2801)
+        for n in (1, 2, 3, 4):
+            one = Element.one(n)
+            ls = [gen_l(n, i) for i in range(1, n + 1)]
+            rs = [gen_r(n, i) for i in range(1, n + 1)]
+            bases = [Element.zero(n), 3 * one, Fraction(-2, 3) * one, ls[-1], rs[0],
+                     ls[0] - rs[0], rs[-1] - ls[-1], sum(ls, Element.zero(n)),
+                     sum(rs, Element.zero(n)) * Fraction(1, 2), one + ls[0] - rs[-1]]
+            for _ in range(6):
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * one
+                for g in rng.sample(ls + rs, min(3, 2 * n)):
+                    x = x + Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) * g
+                bases.append(x)
+            for x in bases:
+                ladder = Element.one(n)
+                for k in range(9):
+                    assert x**k == ladder, (x, k)
+                    ladder = mul(ladder, x)
+
+    def test_budgeted_or_higher_degree_power_takes_the_ladder(self, monkeypatch):
+        # the closed form makes no product; under a budget, or for a base of
+        # degree 2, the power is k right multiplications, and a budgeted
+        # power trips at the count the ladder's products reach
+        from lsea import algebra
+
+        calls = []
+        monkeypatch.setattr(algebra, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        x = gen_l(2, 1) + 2 * gen_l(2, 2) + 3 * gen_r(2, 1) + 4 * gen_r(2, 2)
+        free = x**9
+        assert calls == []
+        token = TERM_BUDGET.set(10**9)
+        try:
+            assert x**9 == free and len(calls) == 9
+        finally:
+            TERM_BUDGET.reset(token)
+        calls.clear()
+        quadratic = mul(gen_l(2, 1), gen_r(2, 2)) + gen_r(2, 1)
+        assert quadratic**3 == _square_and_multiply(quadratic, 3)
+        assert len(calls) == 3
+        token = TERM_BUDGET.set(1500)
+        try:
+            with pytest.raises(TermBudgetExceeded, match="1501 terms"):
+                x**9
+        finally:
+            TERM_BUDGET.reset(token)
+
+    def test_u1_closed_forms(self):
+        # (l1 + r1)^k = sum_m k!/m! l1^m r1^(k-m) and
+        # (l1 - r1)^k = l1^k - k l1^(k-1) r1, read off term by term
+        x, y = gen_l(1, 1) + gen_r(1, 1), gen_l(1, 1) - gen_r(1, 1)
+        for k in range(201):
+            plus = [(((m,), (1,) * (k - m)), math.factorial(k) // math.factorial(m))
+                    for m in range(k + 1)]
+            assert x**k == Element(1, plus), k
+            minus = [(((k,), ()), 1)] + [(((k - 1,), (1,)), -k)] * (k > 0)
+            assert y**k == Element(1, minus), k
 
     def test_exponent_cap(self):
         assert gen_l(1, 1) ** MAX_EXPONENT == Element.from_word(1, (MAX_EXPONENT,), ())

@@ -190,7 +190,7 @@ class TestFormat:
 # exact, a re.Pattern to search for, or a predicate that must hold of it.  Each test named here is `run_case`:
 # rows of earlier per-input tests keep their names and ids, and a new input is
 # a row of test_case.  Left out: `-n 1 --max-terms 1000 norm "(l1+r1)^1024"`
-# takes 11 s to refuse, until a letter budget (ROADMAP item 1).
+# takes 11 s to refuse, until a letter budget (ROADMAP item 4).
 
 CAP, CAP_20 = {"cap": 1 << 30}, {"cap": 1 << 30, "timeout": 20}  # a 1 GB address space
 BUDGET = re.compile("over the --max-terms bound 1000")
@@ -276,7 +276,7 @@ CLI_CASES = {
          CAP_20),
         ("lemma27-members", "--max-terms 1000 -n 4 solve lemma27 --i 1 --degree 100", 2,
          BUDGET, CAP_20),
-        # JSON exponents have no cap (ROADMAP item 1): without --max-terms this
+        # JSON exponents have no cap (ROADMAP item 4): without --max-terms this
         # file runs 7 s to `lsea: out of memory` under the same 1 GB cap
         ("json-exponent", "--max-terms 1000 der check {tmp}/der.json", 2, BUDGET,
          {**CAP_20, "files": {"der.json": json.dumps(
@@ -304,6 +304,10 @@ CLI_CASES = {
     ],
     "test_case": [
         ("cube", "-n 1 norm '(l1+r1)^3'", 0, "l1^3 + 3*l1^2*r1 + 6*l1*r1*r1 + 6*r1*r1*r1\n"),
+        # without a budget a linear base's power is read off in closed form;
+        # its 1025 terms sum_m 1024!/m! l1^m r1^(1024-m) are all positive
+        ("power-1024", "-n 1 norm '(l1+r1)^1024'", 0,
+         lambda out: len(out.split(" + ")) == 1025, CAP),
         ("shift", "-n 2 shift 'l1^2*l2 + 1/2*l2^3'", 0,
          "l1^2*l2 + 1/2*l2^3 - l1^2*r2 - 2*l1*l2*r1 - 3/2*l2^2*r2\n"),
         ("n-infinity", "der check {tmp}/inf.json", 2, re.compile(
