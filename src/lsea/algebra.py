@@ -65,10 +65,10 @@ class TermBudgetExceeded(RuntimeError):
 # Degree of the zero element; compares strictly below every integer.
 NEG_INF = -inf
 
-# Largest exponent `Element.__pow__` accepts.  On the ladder a power costs one
-# product per unit of the exponent, and even in closed form r1^k builds k words
-# of up to k letters (k = 10000 takes about 0.4 s on a 2-vCPU machine); a
-# larger exponent is a DomainError.
+# Largest exponent `Element.__pow__` accepts.  A base of degree 2 or more costs
+# one product per unit of the exponent, and even in closed form r1^k builds k
+# words of up to k letters (k = 10000 takes about 0.4 s on a 2-vCPU machine),
+# with or without --max-terms; a larger exponent is a DomainError.
 MAX_EXPONENT = 10000
 
 
@@ -393,14 +393,14 @@ class Element:
     def __pow__(self, k: int):
         """self^k; an exponent above MAX_EXPONENT is a DomainError.
 
-        A base of degree <= 1 is powered in closed form by `_linear_power`.
-        Of higher degree, or whenever a --max-terms budget is set, x^k is k
-        right multiplications, out <- mul(out, x) from one: each step
-        straightens words past the terms of x only, and a budget trips at
-        the term count those products reach, whatever the base.
+        The base alone picks the path.  Of degree <= 1, x^k is read off in
+        closed form by `_linear_power`, which refuses under --max-terms
+        exactly when x^k itself has more terms than the bound.  Of higher
+        degree, x^k is k right multiplications, out <- mul(out, x) from one:
+        each step straightens words past the terms of x only.
         """
         _require_exponent(k)
-        if TERM_BUDGET.get() is None and self.degree() <= 1:
+        if self.degree() <= 1:
             return _linear_power(self, k)
         out = Element.one(self.n)
         for _ in range(k):
@@ -608,29 +608,40 @@ def _linear_power(x: Element, k: int) -> Element:
     T^j(1) holds r-words of length j, so no two products share a word, and
     each monomial of A^m has one multinomial coefficient, never zero: the
     products go into one map over den^k with no merge.
+
+    So |x^k| = sum_m |A^m| |T^(k-m)(1)| with 1 <= |A^m| <= |A^k| if A != 0
+    (x^k = T^k(1) if A = 0).  --max-terms is charged the running size of the
+    kept T-levels, each A^m and the output after each monomial of A^m; none
+    exceeds |x^k|, so no answer that fits is refused and none over is kept.
     """
     zero, items = (0,) * x.n, x._nums.items()
     a = {lexp: c for (lexp, rword), c in items if not rword}  # A, numerators
     d = [(lexp.index(1) + 1, c) for lexp, c in a.items() if any(lexp)]  # (j, a_j)
     b = [(rword[0], c) for (_, rword), c in items if rword]  # (j, b_j)
     levels = [{(): 1}]  # T^j(1) for j = 0..k; only T^k(1) when A = 0
+    size = 1  # terms in the kept levels
+    limit = TERM_BUDGET.get()
     for _ in range(k):
         level = levels[-1].items()
         if not a:
-            levels.clear()
+            levels, size = [], 0
         if not d:  # T only appends letters, so distinct (w, j) give distinct words
-            levels.append({w + (j,): c * bj for w, c in level for j, bj in b})
-            continue
-        t: dict[tuple, int] = {}
-        get = t.get
-        for w, c in level:
-            for j, aj in d:
-                for u, m in _insert_letter(w, j, 1):
-                    t[u] = get(u, 0) + c * aj * m
-            for j, bj in b:
-                u = w + (j,)
-                t[u] = get(u, 0) + c * bj
-        levels.append({w: c for w, c in t.items() if c})
+            t = {w + (j,): c * bj for w, c in level for j, bj in b}
+        else:
+            t = {}
+            get = t.get
+            for w, c in level:
+                for j, aj in d:
+                    for u, m in _insert_letter(w, j, 1):
+                        t[u] = get(u, 0) + c * aj * m
+                for j, bj in b:
+                    u = w + (j,)
+                    t[u] = get(u, 0) + c * bj
+            t = {w: c for w, c in t.items() if c}
+        levels.append(t)
+        size += len(t)
+        if limit is not None and size > limit:
+            _charge(size)
     out: dict[tuple, int] = {}
     am, binom = {zero: 1}, 1  # A^m and C(k, m)
     for m, level in enumerate(reversed(levels)):
@@ -638,6 +649,8 @@ def _linear_power(x: Element, k: int) -> Element:
             c *= binom
             for w, t in level.items():
                 out[(s, w)] = c * t
+            if limit is not None and len(out) > limit:
+                _charge(len(out))
         if m == k:
             break
         binom = binom * (k - m) // (m + 1)
@@ -647,6 +660,8 @@ def _linear_power(x: Element, k: int) -> Element:
                 u = tuple(map(_add, s, e))
                 power[u] = power.get(u, 0) + c * ae
         am = power
+        if limit is not None and len(am) > limit:
+            _charge(len(am))
     return _from_ints(x.n, out, x._den**k)
 
 

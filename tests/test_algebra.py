@@ -176,17 +176,16 @@ class TestMul:
                 assert mul(rword, Element.from_word(n, lexp, ())) == expected, word
 
     def test_long_words_share_their_straightening(self):
-        # under a budget, each of the 64 right multiplications straightens
-        # every word of the partial power past l1 as w l1 = l1 w + D_1(w), one
-        # cached entry per word with one D_1 layer; folding every letter of
-        # every word anew took over 3 s on a 2-vCPU machine
+        # each of 64 right multiplications by l1 + r1 straightens every word
+        # of the partial power past l1 as w l1 = l1 w + D_1(w), one cached
+        # entry per word with one D_1 layer; folding every letter of every
+        # word anew took over 3 s on a 2-vCPU machine
         _rword_past_monomial.cache_clear()
-        token = TERM_BUDGET.set(10**9)
+        x = gen_l(1, 1) + gen_r(1, 1)
         start = time.perf_counter()
-        try:
-            g = (gen_l(1, 1) + gen_r(1, 1)) ** 64
-        finally:
-            TERM_BUDGET.reset(token)
+        g = Element.one(1)
+        for _ in range(64):
+            g = mul(g, x)
         elapsed = time.perf_counter() - start
         assert len(g) == 65
         assert g.coefficient((64,), ()) == 1
@@ -324,32 +323,69 @@ class TestPowers:
                     assert x**k == ladder, (x, k)
                     ladder = mul(ladder, x)
 
-    def test_budgeted_or_higher_degree_power_takes_the_ladder(self, monkeypatch):
-        # the closed form makes no product; under a budget, or for a base of
-        # degree 2, the power is k right multiplications, and a budgeted
-        # power trips at the count the ladder's products reach
+    def test_budget_does_not_choose_the_power_path(self, monkeypatch):
+        # a base of degree <= 1 is powered in closed form, with no product,
+        # with or without a budget; a base of degree 2 takes k right
+        # multiplications.  A budgeted closed form trips at the running size
+        # of its T-levels and output, here 1536 of x^9's 2036 terms
         from lsea import algebra
 
         calls = []
         monkeypatch.setattr(algebra, "mul", lambda a, b: calls.append(1) or mul(a, b))
         x = gen_l(2, 1) + 2 * gen_l(2, 2) + 3 * gen_r(2, 1) + 4 * gen_r(2, 2)
         free = x**9
-        assert calls == []
         token = TERM_BUDGET.set(10**9)
         try:
-            assert x**9 == free and len(calls) == 9
+            assert x**9 == free
         finally:
             TERM_BUDGET.reset(token)
-        calls.clear()
+        assert calls == [] and len(free) == 2036
         quadratic = mul(gen_l(2, 1), gen_r(2, 2)) + gen_r(2, 1)
         assert quadratic**3 == _square_and_multiply(quadratic, 3)
         assert len(calls) == 3
         token = TERM_BUDGET.set(1500)
         try:
-            with pytest.raises(TermBudgetExceeded, match="1501 terms"):
+            with pytest.raises(TermBudgetExceeded, match="1536 terms"):
                 x**9
         finally:
             TERM_BUDGET.reset(token)
+
+    def test_budgeted_power_refuses_iff_over(self):
+        # every charge of the closed form is at most |x^k|, so x^k is
+        # refused under a bound exactly when it has more terms than that
+        # bound: drawn bases plus constants, zero, pure L (its T-levels are
+        # empty), pure R (A = 0), l1 - r1 and a U_3 base whose 372-term fifth
+        # power `mul` builds through a 374-term accumulator
+        rng = random.Random(2901)
+        for n in (1, 2, 3):
+            one = Element.one(n)
+            ls = [gen_l(n, i) for i in range(1, n + 1)]
+            rs = [gen_r(n, i) for i in range(1, n + 1)]
+            bases = [Element.zero(n), 3 * one, sum(ls, Element.zero(n)),
+                     sum(rs, Element.zero(n)), ls[0] - rs[0], one + ls[-1] - 2 * rs[0]]
+            if n == 3:
+                bases.append(-ls[0] + ls[1] - ls[2] + 3 * rs[0] - 2 * rs[1] + 3 * rs[2])
+            for _ in range(6):
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * one
+                for g in rng.sample(ls + rs, rng.randint(1, 2 * n)):
+                    x = x + Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) * g
+                bases.append(x)
+            for x in bases:
+                for k in range(8):
+                    power = x**k
+                    token = TERM_BUDGET.set(len(power))
+                    try:
+                        assert x**k == power, (x, k)
+                    finally:
+                        TERM_BUDGET.reset(token)
+                    if not len(power):
+                        continue
+                    token = TERM_BUDGET.set(len(power) - 1)
+                    try:
+                        with pytest.raises(TermBudgetExceeded):
+                            x**k
+                    finally:
+                        TERM_BUDGET.reset(token)
 
     def test_u1_closed_forms(self):
         # (l1 + r1)^k = sum_m k!/m! l1^m r1^(k-m) and

@@ -189,8 +189,7 @@ class TestFormat:
 # text is stdout on exit 0 (stderr must then be empty) and stderr otherwise:
 # exact, a re.Pattern to search for, or a predicate that must hold of it.  Each test named here is `run_case`:
 # rows of earlier per-input tests keep their names and ids, and a new input is
-# a row of test_case.  Left out: `-n 1 --max-terms 1000 norm "(l1+r1)^1024"`
-# takes 11 s to refuse, until a letter budget (ROADMAP item 4).
+# a row of test_case.
 
 CAP, CAP_20 = {"cap": 1 << 30}, {"cap": 1 << 30, "timeout": 20}  # a 1 GB address space
 BUDGET = re.compile("over the --max-terms bound 1000")
@@ -308,6 +307,15 @@ CLI_CASES = {
         # its 1025 terms sum_m 1024!/m! l1^m r1^(1024-m) are all positive
         ("power-1024", "-n 1 norm '(l1+r1)^1024'", 0,
          lambda out: len(out.split(" + ")) == 1025, CAP),
+        # a linear base's power refuses only when it is itself over the bound
+        # (372 terms fit, though `mul` builds them through 374), fast, and a
+        # pure-L power is refused while A^m is built, long before m = 10000
+        ("power-1024-budget", "-n 1 --max-terms 1000 norm '(l1+r1)^1024'", 2, BUDGET,
+         {"timeout": 5}),
+        ("power-within-budget", "-n 3 --max-terms 372 norm '(-l1+l2-l3+3*r1-2*r2+3*r3)^5'",
+         0, lambda out: len(re.split(" [+-] ", out)) == 372),
+        ("pure-l-power-budget", "-n 3 --max-terms 1000 norm '(l1+l2+l3)^10000'", 2, BUDGET,
+         {"timeout": 5}),
         ("shift", "-n 2 shift 'l1^2*l2 + 1/2*l2^3'", 0,
          "l1^2*l2 + 1/2*l2^3 - l1^2*r2 - 2*l1*l2*r1 - 3/2*l2^2*r2\n"),
         ("n-infinity", "der check {tmp}/inf.json", 2, re.compile(
@@ -522,9 +530,9 @@ class TestCliBasics:
         assert "term budget exceeded" in err
 
     def test_max_terms_trips_at_fixed_count(self, capsys):
-        # the guard is charged after each term of a product's left factor and
-        # at construction; this pins where the first overrun is seen, in
-        # x^8 * x of the power's right multiplications
+        # the closed form of a linear base's power is charged the running
+        # size of its T-levels and of its output; this pins where the first
+        # overrun is seen, 1536 of x^9's 2036 terms
         code, _, err = run_cli(
             capsys,
             "-n",
@@ -535,7 +543,7 @@ class TestCliBasics:
             "(1*l1+2*l2+3*r1+4*r2)^9",
         )
         assert code == 2
-        assert "1501 terms" in err
+        assert "1536 terms" in err
 
     def test_max_terms_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LSEA_MAX_TERMS", "3")

@@ -102,3 +102,32 @@ def test_slots_joined_only_in_maps_slots():
         ]
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_term_budget_read_only_to_refuse():
+    # a budget decides whether a result is refused, never which algorithm
+    # computes it: the bound is read inside `_charge` or as
+    # `limit = TERM_BUDGET.get()` for a site that charges a running size
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_charge"
+            for node in ast.walk(fn)
+        } | {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and list(map(ast.unparse, node.targets)) == ["limit"]
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "TERM_BUDGET.get"
+            and id(node) not in allowed
+        ]
+    assert list(SRC.glob("*.py"))
+    assert found == []
