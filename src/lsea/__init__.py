@@ -20,7 +20,6 @@ from .algebra import (
     gen_l,
     gen_r,
     generator,
-    highest_part,
     homogeneous_components,
     in_I,
     in_L,
@@ -30,10 +29,8 @@ from .algebra import (
     membership,
     mul,
     normal_form_oracle,
-    pdeg_compare,
     pderiv_l,
     project_to_L,
-    rword_compare,
     shift_lr,
     wdeg,
 )

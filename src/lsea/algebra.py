@@ -149,9 +149,6 @@ class BasisWord(NamedTuple):
     def degree(self) -> int:
         return sum(self.lexp) + len(self.rword)
 
-    def wdegree(self, weights) -> int:
-        return _wdegree(self, weights)
-
 
 # BasisWord from a (lexp, rword) pair built here, without `_make`'s length check
 _basis_word = partial(tuple.__new__, BasisWord)
@@ -178,28 +175,6 @@ def word_key(word):
     """Sort key for basis words, a `BasisWord` or a plain (lexp, rword) pair."""
     lexp, rword = word
     return (pdeg_key(lexp), rword_key(rword))
-
-
-def pdeg_compare(
-    u: tuple[int, ...], v: tuple[int, ...], *, index1_most_significant: bool = True
-) -> int:
-    """-1, 0, or 1 as the L-monomial with exponents u sorts below, equal, above v.
-
-    With index1_most_significant=False, ties of total degree break with index
-    n most significant instead; the theory does not depend on the choice.
-    """
-    if len(u) != len(v):
-        raise DomainError("exponent vectors of different length")
-    if not index1_most_significant:
-        u, v = tuple(reversed(u)), tuple(reversed(v))
-    ku, kv = pdeg_key(u), pdeg_key(v)
-    return -1 if ku < kv else (0 if ku == kv else 1)
-
-
-def rword_compare(v1: tuple[int, ...], v2: tuple[int, ...]) -> int:
-    """-1, 0, or 1 in the deg-lex order (shorter smaller, letter 1 largest)."""
-    k1, k2 = rword_key(tuple(v1)), rword_key(tuple(v2))
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
 def _charge(count: int) -> None:
@@ -772,20 +747,8 @@ def homogeneous_components(g: Element, weights) -> dict[int, Element]:
     return {d: _from_ints(g.n, t, g._den) for d, t in sorted(buckets.items())}
 
 
-def highest_part(g: Element, weights=None) -> Element:
-    """Homogeneous component of maximal weighted degree (zero for g = 0)."""
-    if weights is None:
-        weights = (1,) * g.n
-    parts = homogeneous_components(g, weights)
-    if not parts:
-        return Element.zero(g.n)
-    return parts[max(parts)]
-
-
-def is_homogeneous(g: Element, weights=None) -> bool:
-    if weights is None:
-        weights = (1,) * g.n
-    return len(homogeneous_components(g, weights)) <= 1
+def is_homogeneous(g: Element) -> bool:
+    return len(homogeneous_components(g, (1,) * g.n)) <= 1
 
 
 # -- the polynomial subalgebra ------------------------------------------------

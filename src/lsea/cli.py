@@ -408,8 +408,9 @@ def _comm(args):
 
 
 def _ad(args):
-    d = ad(_expr(args, args.a))
-    return d if args.b is None else apply_derivation(d, _expr(args, args.b))
+    # ad_a(b) = a*b - b*a, read off the two products as `comm` reads it
+    a = _expr(args, args.a)
+    return ad(a) if args.b is None else commutator(a, _expr(args, args.b))
 
 
 def _pderiv(args):

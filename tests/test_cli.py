@@ -197,6 +197,7 @@ NOT_RATIONAL = re.compile(r": not a rational p or p/q: '1e10000000'\n\Z")
 DERSPACE = "--max-terms 1000 solve derspace --wdeg"
 LEMMA27 = "--max-terms 1000 solve lemma27 --i 1 --degree"
 PROBE = "-n 2 --max-terms 1000 der probe {data}/example41.json r2 --bound"
+AD_800_SHA256 = "9854afac916819955f2cc5eb048ed5af56ba75a5221457de0167372b08d2e3ee"
 PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, indent=2)
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -322,6 +323,12 @@ CLI_CASES = {
             r"\Alsea: bad map file \S+: n must be an integer, got inf\n\Z"), {"files": {
             "inf.json": INFINITE_N}}),
         ("ad-long-words", "-n 2 --max-terms 1000 ad l1^5000*r1 l2^5000*r2", 2, BUDGET),
+        # ad_a(b) is read off a*b - b*a, as `comm` does, not by Leibniz
+        # application of ad(a), which took 9 s and 865 MB for the first and
+        # ran out of memory after 46 s under a 3 GB cap for the second
+        ("ad-800", "-n 2 ad l1^800*r1 l2^800*r2", 0, lambda out: hashlib.sha256(
+            out.encode()).hexdigest() == AD_800_SHA256, {**CAP, "timeout": 5}),
+        ("ad-u1-200", "-n 1 ad l1^200 r1^200", 0, lambda out: len(out) == 239355, CAP),
         ("zero-denominator", "-n 1 norm 1/0", 2, syntax("zero denominator", 2)),
         ("dangling-power", "-n 2 norm l1^", 2,
          syntax("exponent must be a non-negative integer", 3)),
@@ -440,6 +447,20 @@ class TestCliBasics:
         assert code == 0 and out == "l1*r1 + r1*r1\n"
         code, out, _ = run_cli(capsys, "-n", "2", "comm", "l1", "r2")
         assert code == 0 and out == "-r2*r1\n"
+
+    def test_ad_applied_is_the_commutator(self, capsys):
+        # `ad a b` prints a*b - b*a read off the products, as `comm` does;
+        # applying the derivation ad(a) to b letter by letter (Leibniz) must
+        # give the same bytes
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            a, b = rand_element(rng, n, 3), rand_element(rng, n, 3)
+            texts = ["--", format_element(a), format_element(b)]  # "-l1" is no option
+            code, out, err = run_cli(capsys, "-n", str(n), "ad", *texts)
+            assert (code, err) == (0, "")
+            assert run_cli(capsys, "-n", str(n), "comm", *texts) == (0, out, "")
+            assert out == format_element(apply_derivation(ad(a), b)) + "\n"
 
     def test_lm_lc_wdeg(self, capsys):
         code, out, _ = run_cli(capsys, "-n", "2", "lm", "l1^2*r1 + l1*r2*r2")

@@ -42,6 +42,7 @@ from lsea import (
     weighted_slice,
 )
 from lsea import solver
+from lsea.algebra import _wdegree
 from lsea.cli import main as cli_main
 from lsea.linalg import RowReduction
 from lsea.maps import derivation_residual, relation_words, relations
@@ -637,7 +638,7 @@ class TestWeightedSpaces:
         s = weighted_slice(2, 3, (1, 2))
         assert s.dim > 0
         for w in s.basis:
-            assert w.wdegree((1, 2)) == 3
+            assert _wdegree(w, (1, 2)) == 3
         # r-words of weight 2 under (1,2): (1,1) and (2,)
         r_only = [w for w in weighted_slice(2, 2, (1, 2)).basis if not any(w.lexp)]
         assert {w.rword for w in r_only} == {(1, 1), (2,)}
