@@ -522,10 +522,12 @@ def _signed_products(products) -> dict[tuple, int]:
     them out (any re-iterable pairs will do).  Every term pair is
     multiplied and added with the int straightening constants of
     `_rword_past_monomial` into one map, so a sum of products builds no
-    Element per product; the caller puts the map over its denominator.  A
-    right term without l-letters only concatenates the r-words, with no
-    lookup, so that the r-only steps of a power fill no cache entries.  The
-    --max-terms guard is charged after each term of each left factor.
+    Element per product; the caller puts the map over its denominator.
+    Two term pairs need no straightening and make no lookup: a right term
+    without l-letters only concatenates the r-words, so that the r-only
+    steps of a power fill no cache entries, and a left term without
+    r-letters only adds the l-exponents.  The --max-terms guard is charged
+    after each term of each left factor.
     """
     acc: dict[tuple, int] = {}
     limit = TERM_BUDGET.get()
@@ -537,21 +539,23 @@ def _signed_products(products) -> dict[tuple, int]:
             for (lexp2, rword2), c2 in right:
                 c = c1 * c2
                 if not any(lexp2):
-                    # without l-letters on the right, there is nothing to straighten
                     key = (lexp1, rword1 + rword2)
-                    total = acc.get(key, 0) + c
-                    if total:
-                        acc[key] = total
-                    elif key in acc:
-                        del acc[key]
+                elif not rword1:
+                    key = (tuple(map(_add, lexp1, lexp2)) if shift else lexp2, rword2)
+                else:
+                    for s, v, kk in _rword_past_monomial(rword1, lexp2):
+                        key = (tuple(map(_add, lexp1, s)) if shift else s, v + rword2)
+                        total = acc.get(key, 0) + c * kk
+                        if total:
+                            acc[key] = total
+                        elif key in acc:
+                            del acc[key]
                     continue
-                for s, v, kk in _rword_past_monomial(rword1, lexp2):
-                    key = (tuple(map(_add, lexp1, s)) if shift else s, v + rword2)
-                    total = acc.get(key, 0) + c * kk
-                    if total:
-                        acc[key] = total
-                    elif key in acc:
-                        del acc[key]
+                total = acc.get(key, 0) + c
+                if total:
+                    acc[key] = total
+                elif key in acc:
+                    del acc[key]
             if limit is not None and len(acc) > limit:
                 _charge(len(acc))
     return acc

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .algebra import (
     Element,
+    _from_ints,
     element_to_json,
     exact_str,
     gen_l,
@@ -91,10 +92,15 @@ class RunReport:
 # -- random sampling helpers ----------------------------------------------------
 
 
+# A coefficient num/den draws num from _NUMS, then den from _DENS; the
+# samplers keep it as the int numerator num * (_SCALE // den) over _SCALE.
+_NUMS = (-3, -2, -1, 1, 2, 3)
+_DENS = (1, 1, 1, 2, 3)
+_SCALE = 6  # lcm(*_DENS)
+
+
 def rand_coeff(rng: random.Random) -> Fraction:
-    num = rng.choice([-3, -2, -1, 1, 2, 3])
-    den = rng.choice([1, 1, 1, 2, 3])
-    return Fraction(num, den)
+    return Fraction(rng.choice(_NUMS), rng.choice(_DENS))
 
 
 def rand_word(rng: random.Random, n: int, length: int):
@@ -108,18 +114,23 @@ def rand_words(rng: random.Random, n: int, terms: int, degree, l_part) -> Elemen
 
     For each word `degree(rng)` draws its total degree and `l_part(rng, deg)`
     how many of its letters are l's; those fall on random indices and the
-    remaining letters form a random r-word.  Repeated words add up.
+    remaining letters form a random r-word.  Repeated words add up; each
+    coefficient is drawn as an int numerator over one common denominator.
     """
-    pairs = []
+    nums: dict[tuple, int] = {}
     for _ in range(terms):
         deg = degree(rng)
         a = l_part(rng, deg)
         lexp = [0] * n
         for _ in range(a):
             lexp[rng.randrange(n)] += 1
-        rword = tuple(rng.randint(1, n) for _ in range(deg - a))
-        pairs.append(((tuple(lexp), rword), rand_coeff(rng)))
-    return Element(n, pairs)
+        key = (tuple(lexp), tuple(rng.randint(1, n) for _ in range(deg - a)))
+        total = nums.get(key, 0) + rng.choice(_NUMS) * (_SCALE // rng.choice(_DENS))
+        if total:
+            nums[key] = total
+        else:
+            del nums[key]
+    return _from_ints(n, nums, _SCALE)
 
 
 def _until_nonzero(draw) -> Element:
@@ -171,13 +182,13 @@ def rand_homogeneous(rng: random.Random, n: int, deg: int, terms: int = 3) -> El
 def rand_univariate_last(rng: random.Random, n: int, max_deg: int) -> Element:
     """Random nonzero polynomial in the last variable l_n."""
     while True:
-        pairs = [
-            (((0,) * (n - 1) + (k,), ()), rand_coeff(rng))
-            for k in range(max_deg + 1)
-            if rng.random() < 0.5
-        ]
-        if pairs:
-            return Element(n, pairs)
+        nums: dict[tuple, int] = {}
+        for k in range(max_deg + 1):
+            if rng.random() < 0.5:
+                word = ((0,) * (n - 1) + (k,), ())
+                nums[word] = rng.choice(_NUMS) * (_SCALE // rng.choice(_DENS))
+        if nums:
+            return _from_ints(n, nums, _SCALE)
 
 
 def rand_weights(rng: random.Random, n: int, lo: int = -2, hi: int = 3):
@@ -189,7 +200,8 @@ def rand_tame_tuple(rng: random.Random, n: int, factors: int, deg_cap: int):
 
     Composes up to `factors` elementary/affine building blocks, resampling
     whenever an intermediate composition exceeds deg_cap so all downstream
-    products stay desk-scale.
+    products stay desk-scale.  The inverse is composed only for a kept
+    step; composing draws nothing, so the draws do not depend on it.
     """
     fwd = identity_tuple(n)
     inv = identity_tuple(n)
@@ -202,10 +214,9 @@ def rand_tame_tuple(rng: random.Random, n: int, factors: int, deg_cap: int):
         else:
             step_f, step_i = _rand_elementary(rng, n)
         cand_f = compose_tuples(fwd, step_f)
-        cand_i = compose_tuples(step_i, inv)
         if max(g.degree() for g in cand_f) > deg_cap:
             continue
-        fwd, inv = cand_f, cand_i
+        fwd, inv = cand_f, compose_tuples(step_i, inv)
         made += 1
     return fwd, inv
 
@@ -222,8 +233,8 @@ def _rand_affine(rng: random.Random, n: int):
 
 def _rand_elementary(rng: random.Random, n: int):
     i = rng.randint(1, n)
-    alpha = Fraction(rng.choice([-2, -1, 1, 2]))
-    pairs = []
+    alpha = rng.choice((-2, -1, 1, 2))
+    nums: dict[tuple, int] = {}
     for _ in range(rng.randint(1, 2)):
         deg = rng.randint(0, 2)
         lexp = [0] * n
@@ -232,8 +243,13 @@ def _rand_elementary(rng: random.Random, n: int):
             while j == i - 1:
                 j = rng.randrange(n)
             lexp[j] += 1
-        pairs.append(((tuple(lexp), ()), rand_coeff(rng)))
-    return elementary_tuple(n, i, alpha, Element(n, pairs if n > 1 else ()))
+        key = (tuple(lexp), ())
+        total = nums.get(key, 0) + rng.choice(_NUMS) * (_SCALE // rng.choice(_DENS))
+        if total:
+            nums[key] = total
+        else:
+            del nums[key]
+    return elementary_tuple(n, i, alpha, _from_ints(n, nums if n > 1 else {}, _SCALE))
 
 
 def rand_verified_derivation(rng: random.Random, n: int) -> Derivation:
@@ -444,13 +460,15 @@ def _suite_prop32(seed: int, cases: int) -> RunReport:
         cap = 5 if n == 2 else 3
         f_fwd, _ = rand_tame_tuple(rng, n, 2, cap)
         g_fwd, _ = rand_tame_tuple(rng, n, 2, cap)
-        while max(h.degree() for h in compose_tuples(f_fwd, g_fwd)) > cap:
+        fg = compose_tuples(f_fwd, g_fwd)
+        while max(h.degree() for h in fg) > cap:
             g_fwd, _ = rand_tame_tuple(rng, n, 2, cap)
+            fg = compose_tuples(f_fwd, g_fwd)
         phi = lift_phi(n, f_fwd)
         psi = lift_phi(n, g_fwd)
         _, bad = check_endomorphism(phi)
         ok = not bad
-        lifted = lift_phi(n, compose_tuples(f_fwd, g_fwd))
+        lifted = lift_phi(n, fg)
         composed = compose(phi, psi)
         ok = ok and _slots(lifted) == _slots(composed)
         # injectivity on this sample: equal lifts force equal tuples

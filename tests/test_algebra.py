@@ -223,6 +223,58 @@ class TestMul:
         assert mul(a, gen_l(1, 1)) == expected
         assert _rword_past_monomial.cache_info().currsize == before + 1
 
+    @staticmethod
+    def _oracle_product(a, b):
+        # every term pair spelled as letters and put in normal form alone
+        out = Element.zero(a.n)
+        for wa, ca in a.terms():
+            for wb, cb in b.terms():
+                letters = [("l", i + 1) for i, e in enumerate(wa.lexp) for _ in range(e)]
+                letters += [("r", j) for j in wa.rword]
+                letters += [("l", i + 1) for i, e in enumerate(wb.lexp) for _ in range(e)]
+                letters += [("r", j) for j in wb.rword]
+                out = out + (ca * cb) * normal_form_oracle(a.n, letters)
+        return out
+
+    def test_pure_l_left_terms_match_oracle(self):
+        # left factors with terms without r-letters, alone or among others,
+        # times general right factors
+        rng = random.Random(3201)
+        pure = 0
+        for n in (1, 2, 3):
+            for _ in range(25):
+                a = rand_lpoly(rng, n, 3, terms=3)
+                if rng.random() < 0.5:
+                    a = a + rand_element(rng, n, 2, terms=3)
+                b = rand_element(rng, n, 3, terms=3)
+                assert mul(a, b) == self._oracle_product(a, b), (a, b)
+                pure += any(not w.rword for w, _ in a.terms())
+        assert pure > 60
+
+    def test_pure_l_left_terms_make_no_lookup(self):
+        # every left term is an L-monomial (the unit among them) and every
+        # right term but one carries l-letters
+        a = Element.one(3) + 2 * gen_l(3, 1) ** 2 * gen_l(3, 3) - gen_l(3, 2)
+        b = elem(3, ((1, 0, 2), (2, 1), 3), ((0, 4, 0), (3,), -1), ((0, 0, 0), (1, 1), 5))
+        info = _rword_past_monomial.cache_info()
+        product = mul(a, b)
+        after = _rword_past_monomial.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses
+        assert product == self._oracle_product(a, b)
+
+    def test_pure_l_left_terms_charge_the_accumulator(self):
+        # l1^a (l2^j r1) are 100 distinct words; under a bound of 50 the
+        # accumulator trips after the sixth left term, at 60 terms
+        a = sum((gen_l(2, 1) ** e for e in range(10)), Element.zero(2))
+        b = sum((gen_l(2, 2) ** e * gen_r(2, 1) for e in range(10)), Element.zero(2))
+        assert len(mul(a, b)) == 100
+        token = TERM_BUDGET.set(50)
+        try:
+            with pytest.raises(TermBudgetExceeded, match="has 60 terms, over the --max-terms bound 50"):
+                mul(a, b)
+        finally:
+            TERM_BUDGET.reset(token)
+
     def test_kernel_charges_each_layer(self):
         # r1 l1^8 l2^8 has 48619 terms; under a budget of 1000 the running
         # count trips while the layers are built, one layer past the bound

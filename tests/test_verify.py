@@ -3,12 +3,13 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from lsea import Element, gen_r, verify
 from lsea.cli import main
-from lsea.maps import AnomalyError, NonzeroThrough, ZeroAt
+from lsea.maps import AnomalyError, NonzeroThrough, ZeroAt, compose_tuples, identity_tuple
 from lsea.parser import format_element
 from lsea.verify import SUITES, run_suite
 
@@ -128,6 +129,120 @@ def test_sampler_draws_pinned(name):
             lines.append(_formatted(draw(rng, 1 + k % 3)))
         lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _reference_rand_words(rng, n, terms, degree, l_part):
+    # the sampler as it was, with one Fraction per term and the validating
+    # constructor
+    pairs = []
+    for _ in range(terms):
+        deg = degree(rng)
+        a = l_part(rng, deg)
+        lexp = [0] * n
+        for _ in range(a):
+            lexp[rng.randrange(n)] += 1
+        rword = tuple(rng.randint(1, n) for _ in range(deg - a))
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+        den = rng.choice([1, 1, 1, 2, 3])
+        pairs.append(((tuple(lexp), rword), Fraction(num, den)))
+    return Element(n, pairs)
+
+
+def test_rand_words_matches_fraction_reference():
+    # same element, same stored term order and same RNG state after every
+    # draw; many terms of low degree make repeated words add up and cancel
+    shapes = [
+        (lambda rng: rng.randint(0, 3), lambda rng, d: rng.randint(0, d)),
+        (lambda rng: rng.randint(0, 1), lambda rng, d: d),
+        (lambda rng: 2, lambda rng, d: 0),
+    ]
+    cancelled = 0
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3):
+            for terms in (1, 4, 12):
+                for degree, l_part in shapes:
+                    got = verify.rand_words(ours, n, terms, degree, l_part)
+                    want = _reference_rand_words(theirs, n, terms, degree, l_part)
+                    assert got == want
+                    assert list(got.int_terms()[1]) == list(want.int_terms()[1])
+                    assert ours.getstate() == theirs.getstate()
+                    cancelled += len(got) < terms
+    assert cancelled > 100
+    rng = random.Random(5)
+    coeffs = {verify.rand_coeff(rng) for _ in range(300)}
+    assert coeffs == {Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)}
+
+
+def _recording(monkeypatch, name, calls):
+    # replace verify.<name> by a wrapper that appends (args, result) to calls
+    inner = getattr(verify, name)
+
+    def wrapper(*args):
+        out = inner(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(verify, name, wrapper)
+
+
+def test_tame_tuple_composes_inverse_only_for_kept_steps(monkeypatch):
+    steps, compositions = [], []
+    _recording(monkeypatch, "_rand_affine", steps)
+    _recording(monkeypatch, "_rand_elementary", steps)
+    _recording(monkeypatch, "compose_tuples", compositions)
+    rejected = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for n in (2, 3):
+            del steps[:], compositions[:]
+            fwd, inv = verify.rand_tame_tuple(rng, n, 3, 1)
+            # one forward candidate per attempt; a kept one also composes
+            # the inverse
+            drawn = [step_f for _, (step_f, _) in steps]
+            forward = [
+                out for (_, step), out in compositions if any(step is f for f in drawn)
+            ]
+            kept = sum(max(g.degree() for g in out) <= 1 for out in forward)
+            assert len(forward) == len(steps)
+            assert len(compositions) == len(steps) + kept
+            rejected += len(steps) - kept
+            assert compose_tuples(fwd, inv) == identity_tuple(n)
+            assert compose_tuples(inv, fwd) == identity_tuple(n)
+    assert rejected > 20
+
+
+def test_prop32_composes_f_and_g_once_per_draw_of_g(monkeypatch):
+    # compositions made by rand_tame_tuple itself are not counted
+    tame = verify.rand_tame_tuple
+    draws, compositions, depth = [], [], [0]
+
+    def counted_tame(*args):
+        depth[0] += 1
+        try:
+            out = tame(*args)
+        finally:
+            depth[0] -= 1
+        draws.append(out)
+        return out
+
+    def counted_compose(outer, inner):
+        if not depth[0]:
+            compositions.append((outer, inner))
+        return compose_tuples(outer, inner)
+
+    monkeypatch.setattr(verify, "rand_tame_tuple", counted_tame)
+    monkeypatch.setattr(verify, "compose_tuples", counted_compose)
+    redrawn = 0
+    for seed in range(4):
+        del draws[:], compositions[:]
+        assert run_suite("prop32", seed=seed, cases=6).ok
+        # each case draws f once and g until f∘g is within the cap
+        assert len(compositions) == len(draws) - 6
+        g_draws = [fwd for fwd, _ in draws]
+        assert all(any(g is h for h in g_draws) for _, g in compositions)
+        redrawn += len(draws) - 2 * 6
+    assert redrawn
 
 
 def _forced_anomaly(*args, **kwargs):
