@@ -58,7 +58,6 @@ from .maps import (
     elementary_tuple,
     extend_lnd_prop55,
     graded_parts,
-    identity_endo,
     is_affine_U,
     lift_phi,
     map_from_json,

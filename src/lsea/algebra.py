@@ -145,10 +145,6 @@ class BasisWord(NamedTuple):
     lexp: tuple[int, ...]
     rword: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(self.lexp) + len(self.rword)
-
 
 # BasisWord from a (lexp, rword) pair built here, without `_make`'s length check
 _basis_word = partial(tuple.__new__, BasisWord)
@@ -201,9 +197,9 @@ class Element:
         """Validating constructor from (word, coefficient) pairs or a dict.
 
         Coefficients are Fractions, ints or strings; repeated words add up.
-        Each coefficient becomes one numerator p over a denominator q (a
-        string is read by `_ratio`, with no Fraction), and the p * (den // q)
-        are summed over den, the lcm of the q's.
+        Each coefficient becomes one numerator p over a denominator q (an
+        int as p over 1, anything else through `as_fraction`), and the
+        p * (den // q) are summed over den, the lcm of the q's.
         """
         if n < 1:
             raise DomainError("ambient n must be >= 1")
@@ -219,8 +215,6 @@ class Element:
                 raise DomainError(f"r-letter out of range 1..{n} in {rword}")
             if type(c) is int:
                 p, q = c, 1
-            elif type(c) is str:
-                p, q = _ratio(c)
             else:
                 p, q = as_fraction(c).as_integer_ratio()
             if p:

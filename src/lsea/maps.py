@@ -133,10 +133,6 @@ class Endomorphism:
         return apply_endo(self, g)
 
 
-def identity_endo(n: int) -> Endomorphism:
-    return lift_phi(n, identity_tuple(n))
-
-
 # -- relation residuals -------------------------------------------------------
 #
 # Each relation instance is written once, as signed two-letter words over the

@@ -103,12 +103,6 @@ def rand_coeff(rng: random.Random) -> Fraction:
     return Fraction(rng.choice(_NUMS), rng.choice(_DENS))
 
 
-def rand_word(rng: random.Random, n: int, length: int):
-    return [
-        (rng.choice("lr"), rng.randint(1, n)) for _ in range(length)
-    ]
-
-
 def rand_words(rng: random.Random, n: int, terms: int, degree, l_part) -> Element:
     """Sum of `terms` random basis words with random coefficients.
 
@@ -238,7 +232,7 @@ def _rand_elementary(rng: random.Random, n: int):
     for _ in range(rng.randint(1, 2)):
         deg = rng.randint(0, 2)
         lexp = [0] * n
-        for _ in range(deg):
+        for _ in range(deg if n > 1 else 0):
             j = rng.randrange(n)
             while j == i - 1:
                 j = rng.randrange(n)
@@ -249,7 +243,7 @@ def _rand_elementary(rng: random.Random, n: int):
             nums[key] = total
         else:
             del nums[key]
-    return elementary_tuple(n, i, alpha, _from_ints(n, nums if n > 1 else {}, _SCALE))
+    return elementary_tuple(n, i, alpha, _from_ints(n, nums, _SCALE))
 
 
 def rand_verified_derivation(rng: random.Random, n: int) -> Derivation:

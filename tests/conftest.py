@@ -63,6 +63,11 @@ def run_lsea(subprocess_env, tmp_path):
     return run
 
 
+def rand_word(rng, n: int, length: int) -> list:
+    """A random letter sequence [(kind, index), ...] for `normal_form_oracle`."""
+    return [(rng.choice("lr"), rng.randint(1, n)) for _ in range(length)]
+
+
 # -- reference assembly of residual systems ---------------------------------------
 
 

@@ -63,8 +63,9 @@ from lsea.verify import (
     rand_rpoly,
     rand_tame_tuple,
     rand_univariate_last,
-    rand_word,
 )
+
+from conftest import rand_word
 
 DATA = Path(__file__).parent / "data"
 

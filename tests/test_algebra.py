@@ -43,7 +43,9 @@ from lsea.algebra import (
     pdeg_key,
     rword_key,
 )
-from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights, rand_word
+from lsea.verify import rand_element, rand_lpoly, rand_nonzero, rand_weights
+
+from conftest import rand_word
 
 
 def elem(n, *terms):

@@ -3,6 +3,7 @@
 import random
 import traceback
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -33,7 +34,6 @@ from lsea import (
     gen_r,
     graded_parts,
     homogeneous_components,
-    identity_endo,
     in_I,
     is_affine_U,
     lift_phi,
@@ -53,7 +53,6 @@ from lsea.maps import (
     RDerivation,
     _leibniz,
     _substitute,
-    _word_factor_splits,
     derivation_residual,
     identity_tuple,
     is_identity,
@@ -72,6 +71,10 @@ from lsea.verify import (
 
 def word(n, lexp, rword, c=1):
     return Element.from_word(n, lexp, rword, c)
+
+
+def identity_endo(n):
+    return lift_phi(n, identity_tuple(n))
 
 
 class TestCheckDerivation:
@@ -669,18 +672,23 @@ def _reference_derivation_residual(d, kind, i, j):
 
 
 def _reference_leibniz(g, l_images, r_images):
-    """Reference: the Leibniz extension with one Element per split product,
-    summed word by word and divided by g's denominator at the end."""
+    """Reference: the Leibniz extension over each word's letters, l-letters
+    in nondecreasing index order and then the r-letters, with prefix and
+    suffix built as products of generators and one Element per split
+    product, summed word by word and divided by g's denominator at the end."""
+    n = g.n
     den, items = g.int_terms()
-    out = Element.zero(g.n)
-    for w, c in items:
-        acc = Element.zero(g.n)
-        for prefix, (kind, idx), suffix in _word_factor_splits(w, g.n):
-            img = (l_images if kind == "l" else r_images)[idx - 1]
+    out = Element.zero(n)
+    for (lexp, rword), c in items:
+        letters = [(l_images[i], gen_l(n, i + 1)) for i in range(n) for _ in range(lexp[i])]
+        letters += [(r_images[j - 1], gen_r(n, j)) for j in rword]
+        acc = Element.zero(n)
+        for k, (img, _) in enumerate(letters):
             if img.is_zero:
                 continue
-            piece = mul(Element(g.n, {prefix: 1}), img)
-            acc = acc + mul(piece, Element(g.n, {suffix: 1}))
+            prefix = reduce(mul, (x for _, x in letters[:k]), Element.one(n))
+            suffix = reduce(mul, (x for _, x in letters[k + 1 :]), Element.one(n))
+            acc = acc + mul(mul(prefix, img), suffix)
         out = out + acc * c
     return out if den == 1 else out / den
 

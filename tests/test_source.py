@@ -133,42 +133,99 @@ def test_term_budget_read_only_to_refuse():
     assert found == []
 
 
-# Exported names that no other source module reaches, each with its reason
-UNREACHED_EXPORTS = {
+def _bound_names(top) -> set:
+    """Names a top-level statement binds by definition or assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _definitions(module: str, tree, exports):
+    """(key, name, node, uses) for each top-level function and class, each
+    exported assignment, and each method or property that is not a dunder;
+    `uses` are the kinds of mention that reach it (see `_mentions`)."""
+    for top in tree.body:
+        for name in _bound_names(top):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) or exports.get(name) == module:
+                yield name, name, top, {"name", "call", "read"}
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    decorators = {ast.unparse(d) for d in node.decorator_list}
+                    prop = decorators & {"property", "cached_property"}
+                    uses = {"read"} if prop else {"call", "read"}
+                    yield f"{top.name}.{node.name}", node.name, node, uses
+
+
+def _mentions(tree):
+    """(name, kind, node id) of each mention: kind "name" for a bare name,
+    "call" for an attribute that is called and "read" for any other
+    attribute.  `args.<option>` reads a parsed command-line option and is
+    skipped."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, "name", id(node)
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) != "args":
+            yield node.attr, "call" if id(node) in called else "read", id(node)
+
+
+# Definitions and exported names that nothing else in the package reaches,
+# each with its reason
+UNREACHED = {
     "normal_form_oracle": "the independent oracle, kept apart from the kernel it checks",
     "graded_slice": "bench/spans.py wraps it by name; an acceptance criterion calls it",
     "dim": "an acceptance criterion calls it",
     "derivation_coords": "an acceptance criterion calls it",
     "der_lm_lc": "deferred: removing it moves an import-time garbage collection",
     "restrict_r": "deferred: removing it moves an import-time garbage collection",
-    "identity_endo": "deferred: removing it moves an import-time garbage collection",
     "triangular_tuple": "deferred: removing it moves an import-time garbage collection",
+    "GradedSlice.dim": "deferred: removing it moves an import-time garbage collection",
+    "GradedSlice.index": "deferred: removing it moves an import-time garbage collection",
+    "SolveResult.consistent": "deferred: removing it moves an import-time garbage collection",
 }
 
 
 def test_exports_are_reached():
-    # every name `lsea/__init__.py` imports is used somewhere in the package
-    # besides its own definition, or is listed above with its reason; a
-    # listed name that becomes reached or stops being exported fails too
+    # every name `lsea/__init__.py` imports, every top-level function and
+    # class and every method or property that is not a dunder is reached
+    # from somewhere in the package besides its own definition and
+    # `__init__.py`, is registered as a suite, or is listed above with its
+    # reason; a listed name that becomes reached or goes away fails too.
+    # A method counts as reached by an attribute of its name, a property
+    # only by one that is not called.
     exports = {
         alias.name: node.module
         for node in ast.parse((SRC / "__init__.py").read_text()).body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    reached = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            targets = top.targets if isinstance(top, ast.Assign) else [top]
-            own = {getattr(t, "name", getattr(t, "id", None)) for t in targets}
-            reached |= {
-                name
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute))
-                for name in [getattr(node, "id", getattr(node, "attr", None))]
-                if not (name in own and exports.get(name) == path.stem)
-            }
-    assert exports
-    assert sorted(set(exports) - reached) == sorted(UNREACHED_EXPORTS)
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    mentions: dict[str, list[tuple[str, int]]] = {}
+    for tree in trees.values():
+        for name, kind, node_id in _mentions(tree):
+            mentions.setdefault(name, []).append((kind, node_id))
+    defined, unreached = set(), set()
+    for module, tree in trees.items():
+        for key, name, node, uses in _definitions(module, tree, exports):
+            defined.add(name)
+            inside = {id(x) for x in ast.walk(node)}
+            registered = any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) in ("_per_case", "_suite")
+                for d in getattr(node, "decorator_list", ())
+            )
+            reached = any(
+                kind in uses and node_id not in inside
+                for kind, node_id in mentions.get(name, ())
+            )
+            if not (registered or reached):
+                unreached.add(key)
+    assert exports and set(exports) <= defined
+    assert sorted(unreached) == sorted(UNREACHED)

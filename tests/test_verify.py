@@ -212,6 +212,18 @@ def test_tame_tuple_composes_inverse_only_for_kept_steps(monkeypatch):
     assert rejected > 20
 
 
+def test_tame_tuple_in_one_variable():
+    # with n = 1 an elementary step adds a constant, as no other l_j exists
+    for seed in range(100):
+        fwd, inv = verify.rand_tame_tuple(random.Random(seed), 1, 3, 3)
+        assert compose_tuples(fwd, inv) == identity_tuple(1)
+        assert compose_tuples(inv, fwd) == identity_tuple(1)
+    rng = random.Random(0)
+    for _ in range(50):
+        (image,), _ = verify._rand_elementary(rng, 1)
+        assert image.degree() == 1
+
+
 def test_prop32_composes_f_and_g_once_per_draw_of_g(monkeypatch):
     # compositions made by rand_tame_tuple itself are not counted
     tame = verify.rand_tame_tuple
