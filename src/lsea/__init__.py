@@ -69,7 +69,6 @@ from .maps import (
 )
 from .parser import ExprSyntaxError, format_element, parse_element
 from .solver import (
-    GradedSlice,
     ad_preimage,
     derivation_coords,
     derivation_space,

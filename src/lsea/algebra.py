@@ -309,11 +309,8 @@ class Element:
         """self + sign * other, one int map merge over the common denominator."""
         self._require_same_ambient(other)
         den_a, den_b = self._den, other._den
-        if den_a == den_b:
-            den, fa, fb = den_a, 1, sign
-        else:
-            den = lcm(den_a, den_b)
-            fa, fb = den // den_a, sign * (den // den_b)
+        den = lcm(den_a, den_b)
+        fa, fb = den // den_a, sign * (den // den_b)
         out = dict(self._nums) if fa == 1 else {w: c * fa for w, c in self._nums.items()}
         for word, c in other._nums.items():
             acc = out.get(word, 0) + c * fb
@@ -483,8 +480,6 @@ def _rword_past_monomial(rword: tuple[int, ...], lexp: tuple[int, ...]):
     integers.  The --max-terms guard is charged on the running term count
     as each layer is added.
     """
-    if not rword or not any(lexp):
-        return ((lexp, rword, 1),)
     layers = [(lexp, 1, ((rword, 1),))]
     size = 1
     limit = TERM_BUDGET.get()
@@ -598,19 +593,16 @@ def _linear_power(x: Element, k: int) -> Element:
         level = levels[-1].items()
         if not a:
             levels, size = [], 0
-        if not d:  # T only appends letters, so distinct (w, j) give distinct words
-            t = {w + (j,): c * bj for w, c in level for j, bj in b}
-        else:
-            t = {}
-            get = t.get
-            for w, c in level:
-                for j, aj in d:
-                    for u, m in _insert_letter(w, j, 1):
-                        t[u] = get(u, 0) + c * aj * m
-                for j, bj in b:
-                    u = w + (j,)
-                    t[u] = get(u, 0) + c * bj
-            t = {w: c for w, c in t.items() if c}
+        t = {}
+        get = t.get
+        for w, c in level:
+            for j, aj in d:
+                for u, m in _insert_letter(w, j, 1):
+                    t[u] = get(u, 0) + c * aj * m
+            for j, bj in b:
+                u = w + (j,)
+                t[u] = get(u, 0) + c * bj
+        t = {w: c for w, c in t.items() if c}
         levels.append(t)
         size += len(t)
         if limit is not None and size > limit:

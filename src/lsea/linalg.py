@@ -205,10 +205,6 @@ class SolveResult:
     kernel: list[list[Fraction]]
     certificate: list[Fraction] | None
 
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
 
 def solve(rows_data, b) -> SolveResult:
     """Particular solution plus kernel basis, or an inconsistency certificate."""

@@ -305,7 +305,10 @@ def endo_residual(e, kind: str, i: int, j: int) -> Element:
 
 def _check(m, residual):
     """(flagged copy of m, violations): a violation is (kind, i, j, residual)
-    for each relation instance whose residual is nonzero."""
+    for each relation instance whose residual is nonzero.  Each half of m
+    must hold n images of U_n, checked before any relation is evaluated."""
+    _as_images(m.n, m.l_images)
+    _as_images(m.n, m.r_images)
     violations = []
     for kind, i, j in relations(m.n):
         res = residual(m, kind, i, j)

@@ -14,8 +14,6 @@ cases are bug evidence and must never be swallowed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 
 from .algebra import (
@@ -41,28 +39,8 @@ from .linalg import RowReduction
 from .maps import AnomalyError, Derivation, _from_slots, _slots, ad, require_verified
 
 
-@dataclass(frozen=True)
-class GradedSlice:
-    """Ordered basis of the homogeneous component of one (weighted) degree."""
-
-    n: int
-    degree: int
-    weights: tuple[int, ...]
-    basis: tuple[BasisWord, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def index(self) -> dict[BasisWord, int]:
-        """Word -> basis position, built on first use; not a dataclass field,
-        so equality and hashing still look at the basis only."""
-        return {w: i for i, w in enumerate(self.basis)}
-
-
-def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> GradedSlice:
-    """Basis of all degree-m basis words (standard weights), canonical order."""
+def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> tuple[BasisWord, ...]:
+    """The degree-m basis words (standard weights), in canonical order."""
     return weighted_slice(n, m, (1,) * n, restrict_to_I)
 
 
@@ -98,22 +76,18 @@ def _lmonomials(m: int, weights: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def weighted_slice(
     n: int, m: int, weights: tuple[int, ...], restrict_to_I: bool = False
-) -> GradedSlice:
-    """Basis of the w-degree-m component for strictly positive weights; its
-    size is charged to the term budget on every call, cached or not."""
+) -> tuple[BasisWord, ...]:
+    """The basis words of w-degree m for strictly positive weights, sorted
+    by `word_key`, greatest first; their number is charged to the term
+    budget before they are listed."""
+    if n < 1:
+        raise DomainError("ambient n must be >= 1")
     if len(weights) != n:
         raise DomainError("weight vector length must equal the ambient n")
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
     if m >= 0:
         _charge(_slice_size(m, weights, restrict_to_I))
-    return _weighted_slice(n, m, tuple(weights), restrict_to_I)
-
-
-@lru_cache(maxsize=None)
-def _weighted_slice(
-    n: int, m: int, weights: tuple[int, ...], restrict_to_I: bool
-) -> GradedSlice:
     rwords = [[()]]  # rwords[k]: the r-words of w-degree k
     for k in range(1, m + 1):
         rwords.append([v + (j,) for j, w in enumerate(weights, 1) if w <= k for v in rwords[k - w]])
@@ -125,7 +99,7 @@ def _weighted_slice(
         if v or not restrict_to_I
     ]
     words.sort(key=word_key, reverse=True)
-    return GradedSlice(n, m, weights, tuple(words))
+    return tuple(words)
 
 
 # -- preimages under the inner derivations ad_{l_i} ------------------------------
@@ -389,7 +363,7 @@ def derivation_space(
         raise DomainError("weight vector length must equal the ambient n")
     zero = Element.zero(n)
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
-    words_in_I = weighted_slice(n, m, weights, restrict_to_I=True).basis
+    words_in_I = weighted_slice(n, m, weights, restrict_to_I=True)
     inner = [ad(_from_ints(n, {tuple(w): 1})) for w in words_in_I]
     members = [_slots(d) for d in inner]
     for j, wj in enumerate(weights, 1):
@@ -448,11 +422,14 @@ def derivation_coords(d: Derivation, space: list[Derivation]):
     column in `_column_key` order, holds 1 in that member and 0 in every
     other.  So each coordinate is d's coefficient at that member's pivot,
     and d lies in the span iff it equals that combination, checked exactly.
-    A list that is not reduced at its pivots is a DomainError.
+    A list that is not reduced at its pivots, or of another ambient than
+    d, is a DomainError.
     """
     if not space:
         return None
     n = d.n
+    if any(member.n != n for member in space):
+        raise DomainError("derivation_coords needs a basis of d's ambient")
     members = [_slots(member) for member in space]
     pivots = []
     for images in members:

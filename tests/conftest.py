@@ -86,12 +86,15 @@ def derivation_residual_terms(n: int, kind: str, i: int, j: int) -> dict:
     return table
 
 
-def _position(w, s) -> int:
-    pos = s.index.get(w)
+def _positions(words) -> dict:
+    """Word -> position in a slice, the tuple `graded_slice` returns."""
+    return {w: k for k, w in enumerate(words)}
+
+
+def _position(w, positions) -> int:
+    pos = positions.get(w)
     if pos is None:
-        raise DomainError(
-            f"term {w} is not in the degree-{s.degree} slice (inhomogeneous input?)"
-        )
+        raise DomainError(f"term {w} is not in the target slice (inhomogeneous input?)")
     return pos
 
 
@@ -102,22 +105,22 @@ def _generator_word(n: int, slot: int) -> BasisWord:
     return BasisWord((0,) * n, (slot - n + 1,))
 
 
-def _assemble(rows, row_base, target, col_base, source, products) -> None:
+def _assemble(n, rows, row_base, target, col_base, source, products) -> None:
     """Write into `rows` the integer matrix of w -> sum(sign * left * right).
 
     `products` holds (sign, left, right) in the form of the residual table in
     `lsea.maps`: one factor is None, standing for the unit basis word w of
-    `source`, and the other a generator slot, read here as its basis word.
-    The image of the k-th word fills column col_base + k of rows row_base +
-    position in `target`.  The generators left of w add up to one int
-    combination a, those right of it to one combination b, and each image
-    a w + w b is one `_signed_products` map, charged to the term budget as
-    `mul` would charge it.
+    the slice `source` of U_n, and the other a generator slot, read here as
+    its basis word.  The image of the k-th word fills column col_base + k of
+    rows row_base + position in `target`, a `_positions` map.  The
+    generators left of w add up to one int combination a, those right of
+    it to one combination b, and each image a w + w b is one
+    `_signed_products` map, charged to the term budget as `mul` would
+    charge it.
     """
-    n = source.n
     a = [(_generator_word(n, x), sign) for sign, x, _ in products if x is not None]
     b = [(_generator_word(n, x), sign) for sign, _, x in products if x is not None]
-    for col, w in enumerate(source.basis, col_base):
+    for col, w in enumerate(source, col_base):
         unit = ((w, 1),)
         image = _signed_products(((1, a, unit), (1, unit, b)))
         for key, c in image.items():
@@ -131,10 +134,10 @@ def _ad_stack(n, t):
     form."""
     unknown = solver.graded_slice(n, t - 1, restrict_to_I=True)
     image = solver.graded_slice(n, t, restrict_to_I=True)
-    rows = [{} for _ in range(n * image.dim)]
+    rows = [{} for _ in range(n * len(image))]
     for i in range(n):
         commutator_li = ((1, i, None), (-1, None, i))
-        _assemble(rows, i * image.dim, image, 0, unknown, commutator_li)
+        _assemble(n, rows, i * len(image), _positions(image), 0, unknown, commutator_li)
     return unknown, image, rows
 
 
@@ -145,8 +148,8 @@ def _lemma27_system(n, i, d):
     target = solver.graded_slice(n, d + 1, restrict_to_I=True)
     li, ri = i - 1, n + i - 1
     condition = ((-1, li, None), (1, None, li), (-1, ri, None), (-1, None, ri))
-    rows = [{} for _ in range(target.dim)]
-    _assemble(rows, 0, target, 0, unknown, condition)
+    rows = [{} for _ in range(len(target))]
+    _assemble(n, rows, 0, _positions(target), 0, unknown, condition)
     return unknown, rows
 
 
@@ -159,18 +162,19 @@ def _derivation_system(n, m, into_I=False, weights=None):
     each slot's products from `derivation_residual_terms`."""
     weights = tuple(weights) if weights is not None else (1,) * n
     slot_slices = [solver.weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
-    offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
+    offsets = [0, *itertools.accumulate(map(len, slot_slices))]
     rels = list(relations(n))
     targets = [
         solver.weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights)
         for _, i, j in rels
     ]
-    row_offsets = [0, *itertools.accumulate(s.dim for s in targets)]
+    row_offsets = [0, *itertools.accumulate(map(len, targets))]
     rows = [{} for _ in range(row_offsets[-1])]
     for rel, base, target in zip(rels, row_offsets, targets):
+        positions = _positions(target)
         for slot, products in derivation_residual_terms(n, *rel).items():
-            _assemble(rows, base, target, offsets[slot], slot_slices[slot], products)
-    columns = [(slot, w) for slot, s in enumerate(slot_slices) for w in s.basis]
+            _assemble(n, rows, base, positions, offsets[slot], slot_slices[slot], products)
+    columns = [(slot, w) for slot, s in enumerate(slot_slices) for w in s]
     return columns, rows
 
 

@@ -297,7 +297,7 @@ def test_criterion_11_structure_constants():
     for n in (1, 2, 3):
         for m in range(6):
             total += 1
-            passed += graded_slice(n, m).dim == dim(n, m)
+            passed += len(graded_slice(n, m)) == dim(n, m)
     report(11, "structure constants", passed, total, total - passed)
 
 

@@ -1222,7 +1222,7 @@ class TestIndentedJson:
         with pytest.raises(AnomalyError) as exc:
             lemma27_solutions(2, 1, 3)
         unknown, rows = residual_system.lemma27(2, 1, 3)
-        payload = {**exc.value.payload, "system": system_json(rows, unknown.dim)}
+        payload = {**exc.value.payload, "system": system_json(rows, len(unknown))}
         data = {"anomaly": str(exc.value), "payload": payload}
         assert (payload["system"]["rows"], payload["system"]["cols"]) == (52, 22)
         assert _indented_json(data) == json.dumps(data, indent=2)

@@ -13,6 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from conftest import _positions
 
 from lsea import Element, commutator, gen_l, solver
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded, as_fraction
@@ -296,8 +297,8 @@ def test_integer_elimination_builds_no_fraction(
     solver.derivation_space(2, 3)
     systems = [
         (len(derivation_rows), len(columns), derivation_rows),
-        (len(lemma27_rows), unknown27.dim, lemma27_rows),
-        (len(stacked), unknown.dim, stacked),
+        (len(lemma27_rows), len(unknown27), lemma27_rows),
+        (len(stacked), len(unknown), stacked),
         families[0],
     ]
     fraction_count[0] = 0
@@ -312,8 +313,9 @@ def test_stacked_elimination_gives_the_closed_form(ad_stack, n, t):
     # the stacked ad_{l_i} system, eliminated, has kernel 0 and the same g
     # as ad_preimage's closed form, on seeded images of every shape
     unknown, image, rows = ad_stack(n, t)
-    red = RowReduction(len(rows), unknown.dim, rows)
+    red = RowReduction(len(rows), len(unknown), rows)
     assert red.free_cols == []
+    positions = _positions(image)
     rng = random.Random(f"closed-form/{n}/{t}")
     for _ in range(4):
         g = rand_homogeneous_I(rng, n, t - 1) / rng.choice([1, 2, 3, 7])
@@ -321,9 +323,9 @@ def test_stacked_elimination_gives_the_closed_form(ad_stack, n, t):
         b = [Fraction(0)] * len(rows)
         for i, u in enumerate(us):
             for w, c in u.terms():
-                b[i * image.dim + image.index[w]] = c
+                b[i * len(image) + positions[w]] = c
         x, cert = red.solve(b)
-        eliminated = Element(n, [(w, c) for w, c in zip(unknown.basis, x) if c])
+        eliminated = Element(n, [(w, c) for w, c in zip(unknown, x) if c])
         assert cert is None and eliminated == solver.ad_preimage(us) == g
 
 

@@ -46,6 +46,7 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
+from lsea import maps
 from lsea.linalg import invert_dense
 from lsea.algebra import MAX_EXPONENT
 from lsea.maps import (
@@ -98,6 +99,28 @@ class TestCheckDerivation:
         kinds = {(k, i, j) for k, i, j, _ in violations}
         assert ("s1", 1, 2) in kinds
         assert ("s2", 2, 1) in kinds
+
+
+@pytest.mark.parametrize(
+    "check, cls, l_images, r_images",
+    [
+        (check_derivation, Derivation, 1, 2),
+        (check_derivation, Derivation, 2, 1),
+        (check_endomorphism, Endomorphism, 1, 2),
+        (check_endomorphism, Endomorphism, 2, 3),
+    ],
+)
+def test_check_refuses_a_wrong_image_count(monkeypatch, check, cls, l_images, r_images):
+    # a usage error raised before any relation is evaluated, not an IndexError
+    z = Element.zero(2)
+
+    def unreachable(n):
+        raise AssertionError("relation evaluated before the image count check")
+
+    monkeypatch.setattr(maps, "relations", unreachable)
+    bad = l_images if l_images != 2 else r_images
+    with pytest.raises(DomainError, match=f"expected 2 generator images, got {bad}"):
+        check(cls(2, (z,) * l_images, (z,) * r_images))
 
 
 class TestApply:

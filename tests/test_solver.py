@@ -9,10 +9,9 @@ import sys
 from fractions import Fraction
 from functools import partial
 from math import comb
-from operator import attrgetter
 
 import pytest
-from conftest import derivation_residual_terms
+from conftest import _position, _positions, derivation_residual_terms
 
 from lsea import (
     AnomalyError,
@@ -49,26 +48,24 @@ from lsea.maps import derivation_residual, relation_words, relations
 from lsea.parser import format_element
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
-_slice_index = attrgetter("index")  # word -> position map of a GradedSlice
-
 
 def column(g, s):
     """Coordinate column of a homogeneous element in a slice basis; a term
     outside the slice raises DomainError."""
-    col = [Fraction(0)] * s.dim
+    positions = _positions(s)
+    col = [Fraction(0)] * len(s)
     for w, c in g.terms():
-        if w not in s.index:
-            raise DomainError(f"term {w} is not in the degree-{s.degree} slice")
-        col[s.index[w]] = c
+        col[_position(w, positions)] = c
     return col
 
 
 def operator_matrix(op, source, target):
     """Reference: sparse rows of a linear operator, one per target basis word,
-    from the Element image of each source basis word."""
-    rows = [{} for _ in range(target.dim)]
-    for col, w in enumerate(source.basis):
-        for pos, c in enumerate(column(op(Element(source.n, {w: 1})), target)):
+    from the Element image of each source basis word (a word's l-exponent
+    vector has one entry per variable of its U_n)."""
+    rows = [{} for _ in range(len(target))]
+    for col, w in enumerate(source):
+        for pos, c in enumerate(column(op(Element(len(w.lexp), {w: 1})), target)):
             if c:
                 rows[pos][col] = c
     return rows
@@ -81,12 +78,12 @@ def matvec(a, x):
 class TestSlices:
     def test_dim_2_2_is_11(self):
         assert dim(2, 2) == 11
-        assert graded_slice(2, 2).dim == 11
+        assert len(graded_slice(2, 2)) == 11
 
     def test_small_dims(self):
         assert dim(1, 0) == 1
         assert dim(1, 1) == 2
-        assert graded_slice(1, 1).basis == (
+        assert graded_slice(1, 1) == (
             ((1,), ()),
             ((0,), (1,)),
         )
@@ -95,16 +92,16 @@ class TestSlices:
         for n in (1, 2, 3):
             for m in range(6):
                 s = graded_slice(n, m)
-                assert s.dim == dim(n, m)
-                assert s.dim == sum(
+                assert len(s) == dim(n, m)
+                assert len(s) == sum(
                     comb(a + n - 1, n - 1) * n ** (m - a) for a in range(m + 1)
                 )
-                assert len(set(s.basis)) == s.dim
+                assert len(set(s)) == len(s)
 
     def test_weighted_slice_standard_agrees(self):
         for n in (1, 2):
             for m in range(4):
-                assert weighted_slice(n, m, (1,) * n).basis == graded_slice(n, m).basis
+                assert weighted_slice(n, m, (1,) * n) == graded_slice(n, m)
 
     def test_slice_bases_pinned(self):
         # SHA-256 of every basis for n <= 3, m <= 6, with and without I,
@@ -113,8 +110,7 @@ class TestSlices:
         for n in (1, 2, 3):
             for m in range(-1, 7):
                 for restrict in (False, True):
-                    s = graded_slice(n, m, restrict)
-                    basis = [tuple(map(tuple, w)) for w in s.basis]
+                    basis = [tuple(map(tuple, w)) for w in graded_slice(n, m, restrict)]
                     lines.append(repr((n, m, restrict, basis)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "cd08e60c43e7347878ac74aea5ed78ed8b45a0450b5cb67deb93cc8b0652fc74"
@@ -124,7 +120,7 @@ class TestSlices:
             for m in range(9):
                 for restrict in (False, True):
                     size = solver._slice_size(m, weights, restrict)
-                    assert size == weighted_slice(n, m, weights, restrict).dim
+                    assert size == len(weighted_slice(n, m, weights, restrict))
                     if weights == (1,) * n and not restrict:
                         assert size == dim(n, m)
 
@@ -134,11 +130,10 @@ class TestSlices:
         def unreachable(*args):
             raise AssertionError("slice enumerated before its charge")
 
-        graded_slice(2, 3)  # cached: the charge is made on every call
-        monkeypatch.setattr(solver, "_lmonomials", unreachable)
         token = TERM_BUDGET.set(26)
         try:
-            assert graded_slice(2, 3).dim == 26
+            assert len(graded_slice(2, 3)) == 26  # an exact fit is not refused
+            monkeypatch.setattr(solver, "_lmonomials", unreachable)
             for m, restrict in ((4, False), (4, True), (60, False)):
                 words = dim(2, m) - (m + 1 if restrict else 0)
                 with pytest.raises(TermBudgetExceeded, match=f"has {words} terms"):
@@ -153,14 +148,12 @@ class TestSlices:
         with pytest.raises(DomainError):
             weighted_slice(2, 3, (1, 0))
 
-    def test_index_kept_on_the_slice(self):
-        s = graded_slice(2, 3, restrict_to_I=True)
-        assert s.index is s.index
-        assert [s.index[w] for w in s.basis] == list(range(s.dim))
-        # the map is not a field: equality and hashing still see the basis only
-        copy = solver.GradedSlice(s.n, s.degree, s.weights, s.basis)
-        assert copy == s and hash(copy) == hash(s)
-        assert copy.index == s.index
+    def test_empty_ambient_refused(self):
+        for m in (-1, 0, 2):
+            with pytest.raises(DomainError, match="ambient n must be >= 1"):
+                graded_slice(0, m)
+            with pytest.raises(DomainError, match="ambient n must be >= 1"):
+                weighted_slice(0, m, ())
 
 
 class TestOperatorMatrix:
@@ -169,10 +162,10 @@ class TestOperatorMatrix:
         dst = graded_slice(1, 2)
         m = operator_matrix(ad(gen_l(1, 1)), src, dst)
         # basis of src is (l1, r1); ad_l1 kills l1 and sends r1 to -r1*r1
-        assert len(m) == dst.dim
+        assert len(m) == len(dst)
         col_l1 = [row.get(0, 0) for row in m]
         assert all(x == 0 for x in col_l1)
-        r1r1_pos = _slice_index(dst)[((0,), (1, 1))]
+        r1r1_pos = dst.index(((0,), (1, 1)))
         col_r1 = [row.get(1, 0) for row in m]
         assert col_r1[r1r1_pos] == -1
         assert sum(1 for x in col_r1 if x) == 1
@@ -180,14 +173,14 @@ class TestOperatorMatrix:
     def test_identity_matrix(self):
         s = graded_slice(2, 2)
         m = operator_matrix(lambda g: g, s, s)
-        assert m == [{i: 1} for i in range(s.dim)]
+        assert m == [{i: 1} for i in range(len(s))]
 
     def test_left_mul_injective(self):
         src = graded_slice(2, 1)
         dst = graded_slice(2, 2)
         m = operator_matrix(lambda g: mul(gen_l(2, 1), g), src, dst)
-        red = RowReduction(dst.dim, src.dim, m)
-        assert red.rank == src.dim
+        red = RowReduction(len(dst), len(src), m)
+        assert red.rank == len(src)
 
     def test_degree_mismatch_rejected(self):
         src = graded_slice(1, 1)
@@ -205,7 +198,7 @@ class TestSolve:
     def test_zero_matrix_inconsistent(self):
         a = [[0, 0], [0, 0]]
         res = solve(a, [1, 0])
-        assert not res.consistent
+        assert res.solution is None
         cert = res.certificate
         assert any(cert)
         # certificate pairs to nonzero against b and kills A
@@ -316,7 +309,7 @@ class TestLemma27:
         stack = [column(s, graded_slice(2, 2, restrict_to_I=True)) for s in sols]
         tcol = column(target, graded_slice(2, 2, restrict_to_I=True))
         m = list(map(list, zip(*stack)))
-        assert solve(m, tcol).consistent
+        assert solve(m, tcol).solution is not None
 
     def test_member_charged_before_it_is_built(self, monkeypatch):
         # the member count n C(d + n - 3, n - 1) = 2 * 4 is charged before the
@@ -380,7 +373,7 @@ import sys
 sys.setrecursionlimit(120)
 from lsea import Element, rfactor_decompose, weighted_slice
 u, v = rfactor_decompose(150, 1, 2, Element.one(2))
-print(len(u), len(v), weighted_slice(1, 150, (1,)).dim)
+print(len(u), len(v), len(weighted_slice(1, 150, (1,))))
 """
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -480,6 +473,18 @@ class TestDerivationSpace:
         doubled = Derivation(2, tuple(2 * g for g in d.l_images), tuple(2 * g for g in d.r_images))
         with pytest.raises(DomainError, match="reduced at its pivots"):
             derivation_coords(d, [doubled] + space[1:])
+
+    @pytest.mark.parametrize("n, m, into_I", [(3, 1, True), (1, 1, False)])
+    def test_coords_reject_a_basis_of_another_ambient(self, monkeypatch, n, m, into_I):
+        # example 4.1 lives in U_2; no coefficient is read before the refusal
+        d, space = example41_derivation(), derivation_space(n, m, into_I=into_I)
+
+        def unreachable(*args):
+            raise AssertionError("coefficient read before the ambient check")
+
+        monkeypatch.setattr(Element, "coefficient", unreachable)
+        with pytest.raises(DomainError, match="ambient"):
+            derivation_coords(d, space)
 
     def test_residual_slots(self):
         # derivation_space evaluates a unit image only against the residuals
@@ -596,9 +601,9 @@ class TestResidualReference:
     @pytest.mark.parametrize("n, i, d", _reference_lemma27_cases())
     def test_lemma27_is_the_eliminated_system(self, residual_system, n, i, d):
         unknown, rows = residual_system.lemma27(n, i, d)
-        red = RowReduction(len(rows), unknown.dim, rows)
+        red = RowReduction(len(rows), len(unknown), rows)
         expected = [
-            Element(n, {w: c for w, c in zip(unknown.basis, vec) if c})
+            Element(n, {w: c for w, c in zip(unknown, vec) if c})
             for vec in red.kernel_basis()
         ]
         assert lemma27_solutions(n, i, d) == expected
@@ -636,11 +641,11 @@ def test_u1_degree_zero_members(into_I, members):
 class TestWeightedSpaces:
     def test_weighted_slice_respects_weights(self):
         s = weighted_slice(2, 3, (1, 2))
-        assert s.dim > 0
-        for w in s.basis:
+        assert s
+        for w in s:
             assert _wdegree(w, (1, 2)) == 3
         # r-words of weight 2 under (1,2): (1,1) and (2,)
-        r_only = [w for w in weighted_slice(2, 2, (1, 2)).basis if not any(w.lexp)]
+        r_only = [w for w in weighted_slice(2, 2, (1, 2)) if not any(w.lexp)]
         assert {w.rword for w in r_only} == {(1, 1), (2,)}
 
     def test_weighted_derivation_space_contains_extension(self):
@@ -712,7 +717,7 @@ class TestProp55UniquenessAtDeskScale:
             ]
             b = [-base_res[ridx].coefficient(w.lexp, w.rword) for ridx, w in keys]
             res = solve(rows, b)
-            assert res.consistent
+            assert res.solution is not None
             assert res.kernel == []  # exactly one solution in this shape
             found = candidate(res.solution)
             assert found.l_images == dstar.l_images
@@ -724,21 +729,22 @@ def _derivation_rows_via_elements(n, m, into_I, weights):
     residual of a unit-image Derivation probe, by derivation_residual."""
     weights = weights or (1,) * n
     slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
-    offsets = [0, *itertools.accumulate(s.dim for s in slot_slices)]
+    offsets = [0, *itertools.accumulate(map(len, slot_slices))]
     rels = list(relations(n))
     targets = [weighted_slice(n, m + weights[i - 1] + weights[j - 1], weights) for _, i, j in rels]
-    row_offsets = [0, *itertools.accumulate(t.dim for t in targets)]
+    positions = [_positions(t) for t in targets]
+    row_offsets = [0, *itertools.accumulate(map(len, targets))]
     rows = [{} for _ in range(row_offsets[-1])]
     zero = Element.zero(n)
     for slot, s in enumerate(slot_slices):
-        for local, w in enumerate(s.basis):
+        for local, w in enumerate(s):
             imgs = [zero] * (2 * n)
             imgs[slot] = Element(n, {w: 1})
             probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
-            for (kind, i, j), base, target in zip(rels, row_offsets, targets):
+            for (kind, i, j), base, target in zip(rels, row_offsets, positions):
                 res = derivation_residual(probe, kind, i, j)
                 for word, c in res.terms():
-                    rows[base + _slice_index(target)[word]][offsets[slot] + local] = c
+                    rows[base + target[word]][offsets[slot] + local] = c
     return rows
 
 
@@ -769,7 +775,7 @@ class TestAssembly:
         slot_slices = [
             weighted_slice(n, m + w, weights or (1,) * n, into_I) for w in weights or (1,) * n
         ] * 2
-        assert columns == [(slot, w) for slot, s in enumerate(slot_slices) for w in s.basis]
+        assert columns == [(slot, w) for slot, s in enumerate(slot_slices) for w in s]
         assert rows == _derivation_rows_via_elements(n, m, into_I, weights)
 
     @pytest.mark.parametrize(
@@ -880,7 +886,7 @@ class TestAnomalyPaths:
         # the stacked reference system has no free column either
         for n, t in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 4)):
             unknown, _, rows = ad_stack(n, t)
-            assert RowReduction(len(rows), unknown.dim, rows).free_cols == []
+            assert RowReduction(len(rows), len(unknown), rows).free_cols == []
         g = Element.from_word(2, (0, 1), (1, 1, 2))
         path = tmp_path / "images.json"
         images = [element_to_json(commutator(gen_l(2, i), g)) for i in (1, 2)]

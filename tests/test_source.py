@@ -183,9 +183,6 @@ UNREACHED = {
     "der_lm_lc": "deferred: removing it moves an import-time garbage collection",
     "restrict_r": "deferred: removing it moves an import-time garbage collection",
     "triangular_tuple": "deferred: removing it moves an import-time garbage collection",
-    "GradedSlice.dim": "deferred: removing it moves an import-time garbage collection",
-    "GradedSlice.index": "deferred: removing it moves an import-time garbage collection",
-    "SolveResult.consistent": "deferred: removing it moves an import-time garbage collection",
 }
 
 
@@ -229,3 +226,41 @@ def test_exports_are_reached():
                 unreached.add(key)
     assert exports and set(exports) <= defined
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+# Every memo in the package (`lru_cache`, `functools.cache`, `cached_property`)
+# with the workloads that pay for it: hits/misses over the four seed-0 op
+# lists of each `bench/run.py` workload, each list in its own interpreter
+MEMOS = {
+    "_rword_past_monomial": "expand 6,858/1,378, derspace 37,968/1,316, verify 50,388/2,506",
+    "_r_word_part": "derspace 47,004/3,560, verify 34,454/3,389",
+    "generator": "expand 5,072/40, derspace 2,048/40, verify 24,919/48",
+    "Element.zero": "derspace 7,560/8, verify 12,501/12",
+    "Element.one": "expand 1,904/8, derspace 68/8, verify 25,465/12",
+    "build_parser": "expand 412/4, derspace 412/4, verify 596/4; one parser build per process",
+}
+
+_MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def test_every_memo_is_listed():
+    # a memo keeps what it computes for the life of the process, so it must
+    # have traffic on some workload to pay for itself: a new one needs an
+    # entry above, and a deleted one takes its entry with it
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {
+            id(node): f"{top.name}."
+            for top in tree.body
+            if isinstance(top, ast.ClassDef)
+            for node in top.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(getattr(d, "func", d)).rpartition(".")[2] in _MEMO_DECORATORS
+                for d in node.decorator_list
+            ):
+                found.add(owners.get(id(node), "") + node.name)
+    assert list(SRC.glob("*.py"))
+    assert sorted(found) == sorted(MEMOS)
