@@ -135,7 +135,7 @@ def exact_str(c) -> str:
     Long ints are written through Decimal, which the interpreter's int/str
     digit limit does not cover, so the limit is neither read nor changed.
     """
-    num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
+    num, den = c.numerator, c.denominator
     return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
@@ -196,17 +196,22 @@ class Element:
     def __init__(self, n: int, terms=()):
         """Validating constructor from (word, coefficient) pairs or a dict.
 
+        n, exponents and r-letters must be plain ints (`_json_int`).
         Coefficients are Fractions, ints or strings; repeated words add up.
         Each coefficient becomes one numerator p over a denominator q (an
         int as p over 1, anything else through `as_fraction`), and the
         p * (den // q) are summed over den, the lcm of the q's.
         """
+        n = _json_int(n, "ambient n")
         if n < 1:
             raise DomainError("ambient n must be >= 1")
         parts = []
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
             lexp, rword = tuple(word[0]), tuple(word[1])
+            if not _ONLY_INTS(map(type, lexp + rword)):
+                for x in lexp + rword:
+                    _json_int(x, "an exponent or r-letter")
             if len(lexp) != n:
                 raise AmbientMismatch(f"exponent vector {lexp} not of length {n}")
             if min(lexp) < 0:
@@ -252,10 +257,7 @@ class Element:
 
     @classmethod
     def from_word(cls, n, lexp, rword, coeff=1) -> "Element":
-        c = as_fraction(coeff)
-        if not c:
-            return cls.zero(n)
-        return cls(n, [((lexp, rword), c)])
+        return cls(n, [((lexp, rword), coeff)])
 
     # -- inspection --------------------------------------------------------
 
@@ -265,7 +267,7 @@ class Element:
 
     def terms(self) -> Iterator[tuple[BasisWord, Fraction]]:
         den = self._den
-        return ((_basis_word(w), _fraction(c, den)) for w, c in self._nums.items())
+        return ((_basis_word(w), Fraction(c, den)) for w, c in self._nums.items())
 
     def int_terms(self) -> tuple[int, Iterable[tuple[tuple, int]]]:
         """(den, ((lexp, rword), numerator) pairs) with
@@ -274,7 +276,7 @@ class Element:
 
     def coefficient(self, lexp, rword) -> Fraction:
         c = self._nums.get((tuple(lexp), tuple(rword)))
-        return _ZERO if c is None else _fraction(c, self._den)
+        return _ZERO if c is None else Fraction(c, self._den)
 
     def degree(self):
         """Total degree, NEG_INF for the zero element."""
@@ -410,19 +412,17 @@ def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
     return out
 
 
-def _fraction(num: int, den: int) -> Fraction:
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 # -- generators and straightening -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator(n: int, kind: str, index: int) -> Element:
     """The canonical one-term element l_index or r_index of U_n.
 
     Cached: elements are immutable, so every caller may share one instance.
+    The index must be a plain int; the typed cache keeps True off 1's entry.
     """
+    index = _json_int(index, "generator index")
     if not 1 <= index <= n:
         raise DomainError(f"generator index {index} out of range 1..{n}")
     kind = kind.lower()
@@ -718,12 +718,7 @@ def lm_lc(g: Element) -> tuple[tuple[int, ...] | None, Element]:
 
 def wdeg(g: Element, weights):
     """Maximal weighted degree of the terms of g; NEG_INF for g = 0."""
-    weights = tuple(weights)
-    if len(weights) != g.n:
-        raise DomainError("weight vector length must equal the ambient n")
-    if g.is_zero:
-        return NEG_INF
-    return max(_wdegree(w, weights) for w in g._nums)
+    return max(homogeneous_components(g, weights), default=NEG_INF)
 
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
@@ -863,8 +858,8 @@ def element_to_json(g: Element) -> dict:
 
 
 def _json_int(x, what: str) -> int:
-    """x if it is a plain int; a bool, float, str or anything else is a
-    DomainError, so JSON input never reaches a word uncanonical."""
+    """x if it is a plain int, the one test of every int input field (n, an
+    exponent, an r-letter, a generator index); anything else is a DomainError."""
     if type(x) is not int:
         raise DomainError(f"{what} must be an integer, got {x!r}")
     return x
@@ -890,15 +885,11 @@ def _json_coeff(c):
 def element_from_json(data: dict) -> Element:
     """The element stored in `data` by `element_to_json`.
 
-    n, every exponent and every r-letter must be a plain int and each
-    coefficient an int or a string; anything else is a DomainError.
+    n must be a plain int and each coefficient an int or a string, and the
+    constructor checks each word; anything else is a DomainError.
     """
     n = _json_int(data["n"], "n")
     terms = []
     for t in data["terms"]:
-        lexp, rword = tuple(t["l"]), tuple(t["r"])
-        if not _ONLY_INTS(map(type, lexp + rword)):
-            for x in lexp + rword:
-                _json_int(x, "an exponent or r-letter")
-        terms.append(((lexp, rword), _json_coeff(t["c"])))
+        terms.append(((t["l"], t["r"]), _json_coeff(t["c"])))
     return Element(n, terms)

@@ -148,7 +148,7 @@ def _indented_json(data) -> str:
     form with the fields of `map_fields`; every other value takes the
     encoder's rules: ASCII-escaped strings, `int.__repr__`, true/false/null,
     keys in insertion order, "[]" and "{}" when empty, and `json.dumps` for
-    a float or for a value it refuses.
+    a float or for a value it refuses.  Keys must be str (`_json_key`).
     """
     out: list[str] = []
     heads: dict[tuple, str] = {}
@@ -232,14 +232,11 @@ def _ints_text(values: tuple, nl: str) -> str:
 
 
 def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: str as is; float, int, bool and
-    None as their JSON text in quotes; anything else refused."""
+    """A dict key as json.dumps writes a str key; every key `lsea` writes
+    is a str, so any other key is refused."""
     if isinstance(key, str):
         return _quote(key)
-    if key is None or isinstance(key, (bool, int, float)):
-        return _quote(json.dumps(key))
-    kind = type(key).__name__
-    raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+    raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
 def _leaf(sub, name: str, run, help: str, *positionals: str):

@@ -227,15 +227,13 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
     return tuple((v, m) for v, m in acc.items() if m)
 
 
-def _letter_sum(n: int, images) -> tuple[dict, int]:
+def _letter_sum(images) -> tuple[dict, int]:
     """(acc, den) with sum(sign * op_k(g)) = sum(acc[key] / den * key) over
-    (g, ((sign, op, k), ...)) in images; acc maps (lexp, rword) to nonzero
-    int, den is the lcm of the images' denominators.  The --max-terms guard
-    is charged after each image term."""
+    (g, ((sign, op, k), ...)) in images, all of one U_n; acc maps (lexp,
+    rword) to nonzero int, den is the lcm of the images' denominators.  The
+    --max-terms guard is charged after each image term."""
     parts = []
     for g, ops in images:
-        if g.n != n:
-            raise AmbientMismatch("image ambient differs from map ambient")
         den, items = g.int_terms()
         if items:
             prepends = [(sign, k) for sign, op, k in ops if op == _PREPEND]
@@ -278,24 +276,24 @@ def derivation_residual(data, kind: str, i: int, j: int) -> Element:
     Proof: D(ab) = D(a) b + a D(b) on the words l_i l_j - l_j l_i and
     r_i l_j - l_j r_i - r_i r_j, with D(x) l_j - l_j D(x) = [D(x), l_j].
     Summed by the letter operators of the comment above in one
-    `_letter_sum`; a zero residual builds no Element.
+    `_letter_sum`; a zero residual builds no Element.  data is a map that
+    `_check` has validated: n images of U_n in each half.
     """
     n, images = data.n, _slots(data)
     ops = _letter_operators(n, kind, i, j)
-    acc, den = _letter_sum(n, [(images[slot], o) for slot, o in ops.items()])
+    acc, den = _letter_sum([(images[slot], o) for slot, o in ops.items()])
     return _from_ints(n, acc, den) if acc else Element.zero(n)
 
 
 def endo_residual(e, kind: str, i: int, j: int) -> Element:
     """phi applied letter by letter to relation instance (kind, i, j):
     sum(sign * phi(a) * phi(b)) over its signed words, one
-    `_signed_products` map over the lcm of the products' denominators."""
+    `_signed_products` map over the lcm of the products' denominators.  e is
+    a map that `_check` has validated: n images of U_n in each half."""
     n, images = e.n, _slots(e)
     terms = []
     for sign, a, b in relation_words(n, kind, i, j):
         x, y = images[a], images[b]
-        if x.n != n or y.n != n:
-            raise AmbientMismatch("image ambient differs from map ambient")
         (den_x, items_x), (den_y, items_y) = x.int_terms(), y.int_terms()
         terms.append((sign, den_x * den_y, items_x, items_y))
     den = lcm(*(d for _, d, _, _ in terms))
@@ -484,7 +482,7 @@ def ad(a: Element) -> Derivation:
     n = a.n
     ops = [((1, _BRACKET, k),) for k in range(1, n + 1)]
     ops += [((1, _APPEND, k), (-1, _PREPEND, k)) for k in range(1, n + 1)]
-    images = (_from_ints(n, *_letter_sum(n, [(a, o)])) for o in ops)
+    images = (_from_ints(n, *_letter_sum([(a, o)])) for o in ops)
     return _from_slots(Derivation, n, images, verified=True)
 
 
@@ -553,8 +551,6 @@ def graded_parts(d: Derivation, weights) -> dict[int, Derivation]:
     if not d.verified:
         raise UnverifiedMapError("graded_parts requires a verified derivation")
     weights = tuple(weights)
-    if len(weights) != d.n:
-        raise DomainError("weight vector length must equal the ambient n")
     # r_i has the weight of l_i, so the slots weigh weights * 2
     split = [
         {deg - w: g for deg, g in homogeneous_components(img, weights).items()}
@@ -840,4 +836,4 @@ def map_from_json(data: dict):
         "derivation": (Derivation, check_derivation),
         "endomorphism": (Endomorphism, check_endomorphism),
     }[data["kind"]]
-    return check(cls(n, _as_images(n, l_images), _as_images(n, r_images)))[0]
+    return check(cls(n, l_images, r_images))[0]

@@ -359,8 +359,6 @@ def derivation_space(
     relation s2(1,1) give a s = 0; for s = 0 it is a times the last member.
     """
     weights = tuple(weights) if weights is not None else (1,) * n
-    if len(weights) != n:
-        raise DomainError("weight vector length must equal the ambient n")
     zero = Element.zero(n)
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
     words_in_I = weighted_slice(n, m, weights, restrict_to_I=True)

@@ -71,6 +71,38 @@ class TestConstructors:
             generator(2, "R", 3)
         with pytest.raises(DomainError):
             gen_l(2, 0)
+        # with l_1 already cached, an equal bool or float must not read its entry
+        assert gen_l(2, 1) == Element(2, [(((1, 0), ()), 1)])
+        for kind, index in (("l", 1.5), ("r", 1.5), ("l", True), ("r", 1.0)):
+            message = f"generator index must be an integer, got {index!r}"
+            with pytest.raises(DomainError) as exc:
+                generator(2, kind, index)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n, lexp", [(2.0, (1, 0)), (True, (1,)), ("2", (1, 0))])
+    def test_ambient_of_plain_int_only(self, n, lexp):
+        with pytest.raises(DomainError) as exc:
+            Element(n, [((lexp, ()), 1)])
+        assert str(exc.value) == f"ambient n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_words_of_plain_ints_only(self, bad):
+        # the constructor, from_word and the JSON loader give one text
+        term = {"l": [0, bad], "r": [], "c": "1"}
+        for build in (
+            lambda: Element(2, [(((bad, 0), ()), 1)]),
+            lambda: Element(2, {((0, 0), (1, bad)): 1}),
+            lambda: Element.from_word(2, (0, bad), ()),
+            lambda: Element.from_word(2, (0, 0), (bad,), 0),
+            lambda: element_from_json({"n": 2, "terms": [term]}),
+        ):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert str(exc.value) == f"an exponent or r-letter must be an integer, got {bad!r}"
+
+    def test_from_word_zero_coefficient(self):
+        for c in (0, "0", "-0/5", Fraction(0)):
+            assert Element.from_word(2, (1, 0), (2, 1), c) == Element.zero(2)
 
     def test_linear_laws(self):
         l1, l2, r1 = gen_l(2, 1), gen_l(2, 2), gen_r(2, 1)
@@ -533,6 +565,14 @@ class TestGrading:
     def test_wdeg_zero(self):
         assert wdeg(Element.zero(2), (1, 1)) is NEG_INF
         assert NEG_INF < -10**9 and not NEG_INF > 0
+
+    def test_weight_length_refused(self):
+        for g in (gen_l(2, 1), Element.zero(2)):
+            for weights in ((1,), (1, 1, 1)):
+                for call in (wdeg, homogeneous_components):
+                    with pytest.raises(DomainError) as exc:
+                        call(g, weights)
+                    assert str(exc.value) == "weight vector length must equal the ambient n"
 
     def test_components(self):
         g = gen_l(1, 1) + gen_l(1, 1) ** 2

@@ -1192,7 +1192,7 @@ class TestIndentedJson:
             {"l": [0], "r": [], "c": 1},
             {"l": (0,), "r": [], "c": "1"},
             {"l": [0], "r": [], "c": "1", "x": None},
-            {1: "a", None: "b", True: "c", 2.5: "d"},
+            {"\u00e9": "a", "": "b", '"\\': "c", "\n": "d"},
             [1.5, float("inf"), -0.0],
         ],
     )
@@ -1205,6 +1205,10 @@ class TestIndentedJson:
                 json.dumps(data, indent=2)
             with pytest.raises(TypeError):
                 _indented_json(data)
+        # every key lsea writes is a str; json.dumps would quote these
+        for key in (1, None, True, 2.5):
+            with pytest.raises(TypeError, match="keys must be str"):
+                _indented_json({"a": 1, key: "b"})
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_call_site_shape(self, seed):

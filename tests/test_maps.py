@@ -638,6 +638,18 @@ MAP_REFUSALS = {
     "check_endomorphism-foreign-image": (
         lambda: check_endomorphism(_foreign_image_endo()),
         AmbientMismatch, "image ambient differs from map ambient"),
+    "check_derivation-foreign-image": (
+        lambda: check_derivation(Derivation(2, (Element.zero(2),) * 2, (gen_r(3, 1),) * 2)),
+        AmbientMismatch, "image ambient differs from map ambient"),
+    "map_from_json-foreign-image": (
+        lambda: map_from_json(map_to_json(_foreign_image_endo())),
+        AmbientMismatch, "image ambient differs from map ambient"),
+    "map_from_json-short-images": (
+        lambda: map_from_json({**map_to_json(example41_derivation()), "r_images": []}),
+        DomainError, "expected 2 generator images, got 0"),
+    "map_from_json-short-endo-images": (
+        lambda: map_from_json({**map_to_json(_foreign_image_endo()), "l_images": []}),
+        DomainError, "expected 2 generator images, got 0"),
     "graded_parts-unverified": (
         lambda: graded_parts(_unverified_ad(), (1, 1)),
         UnverifiedMapError, "graded_parts requires a verified derivation"),

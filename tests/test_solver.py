@@ -148,6 +148,16 @@ class TestSlices:
         with pytest.raises(DomainError):
             weighted_slice(2, 3, (1, 0))
 
+    def test_weight_length_refused(self):
+        for call in (
+            lambda: weighted_slice(2, 1, (1,)),
+            lambda: derivation_space(2, 1, weights=(1, 1, 1)),
+            lambda: derivation_space(1, 0, True, (1, 1)),
+        ):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == "weight vector length must equal the ambient n"
+
     def test_empty_ambient_refused(self):
         for m in (-1, 0, 2):
             with pytest.raises(DomainError, match="ambient n must be >= 1"):
