@@ -85,6 +85,24 @@ class TestConstructors:
             Element(n, [((lexp, ()), 1)])
         assert str(exc.value) == f"ambient n must be an integer, got {n!r}"
 
+    @pytest.mark.parametrize("n", [True, 1.0, 1.5, 2.0, "2"])
+    def test_cached_constructors_of_plain_int_n_only(self, n):
+        # with a cold cache and with U_1's and U_2's entries warm, an equal
+        # bool or float must neither build an element nor read an entry
+        builds = (Element.zero, Element.one, lambda n: generator(n, "l", 1),
+                  lambda n: generator(n, "r", 1))
+        for warm in (False, True):
+            for cached in (Element.zero, Element.one, generator):
+                cached.cache_clear()
+            for build in builds:
+                for m in (1, 2) if warm else ():
+                    build(m)
+            for build in builds:
+                with pytest.raises(DomainError) as exc:
+                    build(n)
+                assert str(exc.value) == f"ambient n must be an integer, got {n!r}"
+        assert Element.zero(1) == Element(1) and Element.one(2) == elem(2, ((0, 0), (), 1))
+
     @pytest.mark.parametrize("bad", [1.5, True, "1"])
     def test_words_of_plain_ints_only(self, bad):
         # the constructor, from_word and the JSON loader give one text
@@ -408,6 +426,51 @@ class TestPowers:
                 for k in range(9):
                     assert x**k == ladder, (x, k)
                     ladder = mul(ladder, x)
+
+    def test_linear_power_is_a_product_of_linear_forms(self):
+        # T^j(1) = b ((j-1)ℓ + b) ... (1ℓ + b) against T applied one letter at
+        # a time, T(w) = sum_i a_i D_i(w) + w b with D_i `_insert_letter` from
+        # place 1, through x^k = sum_m C(k, m) A^m T^(k-m)(1); l1 - 2 r1 has
+        # ℓ + b != 0 but 2ℓ + b = 0, so its T^j(1) is zero from j = 3 on
+        rng = random.Random(3701)
+        for n in (1, 2, 3):
+            zero, one = (0,) * n, Element.one(n)
+            units = [tuple(int(q == i) for q in range(n)) for i in range(n)]
+            ls = [gen_l(n, i) for i in range(1, n + 1)]
+            rs = [gen_r(n, i) for i in range(1, n + 1)]
+            bases = [ls[0] - rs[0], ls[0] - 2 * rs[0], sum(ls, -sum(rs, Element.zero(n)))]
+            for _ in range(8):
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * one
+                for g in rng.sample(ls + rs, rng.randint(1, 2 * n)):
+                    x = x + Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) * g
+                bases.append(x)
+            for x in bases:
+                a = [x.coefficient(lexp, ()) for lexp in units]
+                b = [x.coefficient(zero, (i,)) for i in range(1, n + 1)]
+                big_a = sum((c * l for c, l in zip(a, ls)), x.coefficient(zero, ()) * one)
+                levels = [{(): Fraction(1)}]  # T^j(1), one letter at a time
+                for _ in range(7):
+                    t = Counter()
+                    for w, c in levels[-1].items():
+                        for i in range(1, n + 1):
+                            for u, m in _insert_letter(w, i, 1):
+                                t[u] += c * a[i - 1] * m
+                            t[w + (i,)] += c * b[i - 1]
+                    levels.append({w: c for w, c in t.items() if c})
+                for j, level in enumerate(levels[1:], 1):
+                    size = sum(map(bool, b))
+                    for i in range(1, j):
+                        size *= sum(1 for ai, bi in zip(a, b) if i * ai + bi)
+                    assert len(level) == size, (x, j)
+                for k in range(8):
+                    expected, am = Element.zero(n), one
+                    for m in range(k + 1):
+                        tk = Element(n, [((zero, w), c) for w, c in levels[k - m].items()])
+                        expected = expected + math.comb(k, m) * mul(am, tk)
+                        am = mul(am, big_a)
+                    assert x**k == expected, (x, k)
+        x = gen_l(1, 1) - 2 * gen_r(1, 1)
+        assert [len(x**k) for k in range(6)] == [1, 2, 3, 3, 3, 3]
 
     def test_budget_does_not_choose_the_power_path(self, monkeypatch):
         # a base of degree <= 1 is powered in closed form, with no product,

@@ -198,6 +198,7 @@ DERSPACE = "--max-terms 1000 solve derspace --wdeg"
 LEMMA27 = "--max-terms 1000 solve lemma27 --i 1 --degree"
 PROBE = "-n 2 --max-terms 1000 der probe {data}/example41.json r2 --bound"
 AD_800_SHA256 = "9854afac916819955f2cc5eb048ed5af56ba75a5221457de0167372b08d2e3ee"
+POWER_12_SHA256 = "f27d762d41439f29c30bc4bb9bb461b236a9fdb2a84e373c2ea2c4cded7315e4"
 PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, indent=2)
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -317,6 +318,13 @@ CLI_CASES = {
          0, lambda out: len(re.split(" [+-] ", out)) == 372),
         ("pure-l-power-budget", "-n 3 --max-terms 1000 norm '(l1+l2+l3)^10000'", 2, BUDGET,
          {"timeout": 5}),
+        # a pure-L base has b = 0, so T^j(1) = 0 for j >= 1 and none is built;
+        # the product ((j-1)ℓ + b) ... (1ℓ + b) alone has 3^(j-1) words here
+        ("pure-l-power-40", "-n 3 norm '(2+l1-l2+l3)^40'", 0,
+         lambda out: len(out.encode()) == 463796, {**CAP, "timeout": 5}),
+        # T^j(1) as a product of linear forms: 16369 terms, each made once
+        ("power-u2-12", "-n 2 norm '(l1+l2+r1+r2)^12'", 0, lambda out: hashlib.sha256(
+            out.encode()).hexdigest() == POWER_12_SHA256, {**CAP, "timeout": 5}),
         ("shift", "-n 2 shift 'l1^2*l2 + 1/2*l2^3'", 0,
          "l1^2*l2 + 1/2*l2^3 - l1^2*r2 - 2*l1*l2*r1 - 3/2*l2^2*r2\n"),
         ("n-infinity", "der check {tmp}/inf.json", 2, re.compile(
