@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    DomainError,
     Element,
     _from_ints,
     element_to_json,
@@ -578,5 +579,5 @@ def run_suite(name: str, seed: int = 0, cases: int = 100) -> RunReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     if cases < 1:
-        raise ValueError("cases must be >= 1")
+        raise DomainError(f"cases must be at least 1, got {cases}")
     return SUITES[name](seed, cases)

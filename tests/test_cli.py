@@ -203,6 +203,7 @@ PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, in
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+WEIGHT_LENGTH = "lsea: expected 2 comma-separated weights\n"
 
 
 def dim(k):
@@ -300,8 +301,20 @@ CLI_CASES = {
         ("1-argv3-0", f"-n 1 {DERSPACE} 60", 0, dim(62), {"timeout": 20}),
     ],
     "test_cases_below_one_is_usage_error": [
-        ("0", "verify cor23 --cases 0", 2, "lsea: --cases must be at least 1, got 0\n"),
-        ("-1", "verify cor23 --cases -1", 2, "lsea: --cases must be at least 1, got -1\n"),
+        # refused by `run_suite`, which owns the count
+        ("0", "verify cor23 --cases 0", 2, "lsea: cases must be at least 1, got 0\n"),
+        ("-1", "verify cor23 --cases -1", 2, "lsea: cases must be at least 1, got -1\n"),
+    ],
+    # `lift_phi` owns the image count; the weight length is still the CLI's
+    # own check, which `homogeneous_components` and `weighted_slice` repeat
+    "test_count_refused_once": [
+        ("endo-lift-pieces", "-n 2 endo lift 'l1;l2;l1'", 2,
+         "lsea: expected 2 generator images, got 3\n"),
+        ("wdeg-weights", "-n 2 wdeg --weights 1,2,3 l1", 2, WEIGHT_LENGTH),
+        ("parts-weights", "-n 2 parts --weights 1 l1", 2, WEIGHT_LENGTH),
+        ("der-grade-weights", "der grade {data}/example41.json --weights 1,1,1", 2,
+         WEIGHT_LENGTH),
+        ("derspace-weights", "-n 2 solve derspace --wdeg 1 --weights 1", 2, WEIGHT_LENGTH),
     ],
     "test_case": [
         ("cube", "-n 1 norm '(l1+r1)^3'", 0, "l1^3 + 3*l1^2*r1 + 6*l1*r1*r1 + 6*r1*r1*r1\n"),
@@ -398,6 +411,12 @@ def run_case(self, run_lsea, case):
 
 class TestCliChildren:
     test_case = run_case
+
+    def test_count_refused_once(self, run_lsea, case):
+        # one refusal, with the message of the check's one owner, and no answer
+        _, argv, code, text = case
+        proc = run_lsea(shlex.split(argv))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", text)
 
     def test_lift_then_check(self, run_lsea):
         lifted = run_lsea(["-n", "2", "endo", "lift", "l1+l2^2;l2"])

@@ -1,0 +1,129 @@
+"""The exception type and message of library refusals of bad input.
+
+The rows are the refusals no other in-process test reaches.  `lsea.cli`
+prints the message of a `DomainError`, `AmbientMismatch` or
+`UnverifiedMapError` on stderr and exits 2, so the text is the user's too.
+"""
+
+import pytest
+
+from lsea import (
+    AmbientMismatch,
+    Derivation,
+    DomainError,
+    Element,
+    UnverifiedMapError,
+    ad,
+    ad_preimage,
+    affine_tuple,
+    apply_derivation,
+    apply_endo,
+    derivation_coords,
+    elementary_tuple,
+    gen_l,
+    gen_r,
+    generator,
+    lemma27_solutions,
+    lift_phi,
+    mul,
+    probe_nilpotent,
+    rfactor_decompose,
+    run_suite,
+    u1_closed_form,
+)
+from lsea.maps import poly_subst
+
+
+def _unverified_ad():
+    d = ad(gen_l(2, 1))
+    return Derivation(d.n, d.l_images, d.r_images)
+
+
+def _zero_derivation():
+    return Derivation(2, (Element.zero(2),) * 2, (Element.zero(2),) * 2)
+
+
+def _identity_lift():
+    return lift_phi(2, [gen_l(2, 1), gen_l(2, 2)])
+
+
+# name -> (call, exception type, message); the type is matched exactly
+REFUSALS = {
+    "ad_preimage-empty": (lambda: ad_preimage([]), DomainError, "empty image tuple"),
+    "ad_preimage-count": (
+        lambda: ad_preimage([gen_r(2, 1)]), DomainError, "expected 2 images for ambient n=2"),
+    "ad_preimage-u1": (
+        lambda: ad_preimage([gen_r(1, 1)]), DomainError, "preimages need ambient n >= 2"),
+    "ad_preimage-ambients": (
+        lambda: ad_preimage([gen_r(2, 1), gen_r(3, 1)]), DomainError,
+        "ambient mismatch among images"),
+    "ad_preimage-outside-I": (
+        lambda: ad_preimage([gen_l(2, 1), gen_r(2, 1)]), DomainError,
+        "images must lie in the ideal generated by the r's"),
+    "ad_preimage-inhomogeneous": (
+        lambda: ad_preimage([gen_r(2, 1) + mul(gen_r(2, 1), gen_r(2, 2)), gen_r(2, 2)]),
+        DomainError, "images must be homogeneous"),
+    "ad_preimage-degrees": (
+        lambda: ad_preimage([gen_r(2, 1), mul(gen_r(2, 1), gen_r(2, 2))]), DomainError,
+        "images must share one degree"),
+    "rfactor_decompose-index": (
+        lambda: rfactor_decompose(1, 1, 3, gen_r(2, 1)), DomainError, "index out of range"),
+    "rfactor_decompose-power": (
+        lambda: rfactor_decompose(0, 1, 2, gen_r(2, 1)), DomainError, "power must be >= 1"),
+    "rfactor_decompose-outside-R": (
+        lambda: rfactor_decompose(1, 1, 2, gen_l(2, 1)), DomainError,
+        "cofactor must lie in R_n"),
+    "lemma27_solutions-index": (
+        lambda: lemma27_solutions(2, 3, 4), DomainError, "index out of range"),
+    "probe_nilpotent-unverified": (
+        lambda: probe_nilpotent(_unverified_ad(), gen_r(2, 1), 3), UnverifiedMapError,
+        "probe requires a verified derivation"),
+    "probe_nilpotent-bound": (
+        lambda: probe_nilpotent(ad(gen_l(2, 1)), gen_r(2, 1), 0), DomainError,
+        "bound must be >= 1"),
+    "u1_closed_form-ambient": (
+        lambda: u1_closed_form(1, gen_r(2, 1)), AmbientMismatch, "closed form lives in U_1"),
+    "u1_closed_form-outside-R": (
+        lambda: u1_closed_form(1, gen_l(1, 1)), DomainError,
+        "shift term must be a polynomial in r_1"),
+    "elementary_tuple-scale": (
+        lambda: elementary_tuple(2, 1, 0, gen_l(2, 2)), DomainError,
+        "elementary scale must be nonzero"),
+    "elementary_tuple-index": (
+        lambda: elementary_tuple(2, 3, 1, gen_l(2, 2)), DomainError,
+        "variable index out of range"),
+    "elementary_tuple-term": (
+        lambda: elementary_tuple(2, 1, 1, gen_r(2, 2)), DomainError,
+        "added term must be a polynomial of the same ambient"),
+    "affine_tuple-shape": (
+        lambda: affine_tuple(2, [[1, 0]]), DomainError, "affine data has wrong shape"),
+    "poly_subst-outside-L": (
+        lambda: poly_subst(gen_r(2, 1), [gen_l(2, 1), gen_l(2, 2)]), DomainError,
+        "substitution source must be a polynomial"),
+    "lift_phi-outside-L": (
+        lambda: lift_phi(2, [gen_r(2, 1), gen_l(2, 2)]), DomainError,
+        "lift requires polynomial images"),
+    "apply_derivation-ambients": (
+        lambda: apply_derivation(ad(gen_l(2, 1)), gen_l(3, 1)), AmbientMismatch,
+        "derivation and element ambients differ"),
+    "apply_endo-ambients": (
+        lambda: apply_endo(_identity_lift(), gen_l(3, 1)), AmbientMismatch,
+        "endomorphism and element ambients differ"),
+    "derivation_coords-zero-member": (
+        lambda: derivation_coords(ad(gen_l(2, 1)), [_zero_derivation()]), DomainError,
+        "a zero member has no pivot"),
+    "generator-kind": (
+        lambda: generator(2, "x", 1), DomainError, "unknown generator kind 'x'"),
+    "Element-divided-by-zero": (
+        lambda: gen_l(1, 1) / 0, ZeroDivisionError, "division of an element by zero"),
+    "run_suite-cases": (
+        lambda: run_suite("cor23", cases=0), DomainError, "cases must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_type_and_message(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
