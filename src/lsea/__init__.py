@@ -4,6 +4,8 @@ The algebra has generators l_1..l_n, r_1..r_n with the l's commuting and
 r_i l_j = l_j r_i + r_i r_j; see `lsea.algebra` for the normal form,
 `lsea.maps` for derivations and endomorphisms, `lsea.solver` for exact
 linear algebra on graded slices, and `lsea.cli` for the command line.
+The seeded verification suites live in `lsea.verify`, which is not
+imported here.
 """
 
 from .algebra import (
@@ -40,7 +42,6 @@ from .maps import (
     Derivation,
     Endomorphism,
     NonzeroThrough,
-    PureFormalExpression,
     RDerivation,
     UnverifiedMapError,
     ZeroAt,
@@ -54,7 +55,6 @@ from .maps import (
     compose,
     compose_tuples,
     der_bracket,
-    der_lm_lc,
     elementary_tuple,
     extend_lnd_prop55,
     graded_parts,
@@ -63,8 +63,6 @@ from .maps import (
     map_from_json,
     map_to_json,
     probe_nilpotent,
-    restrict_r,
-    triangular_tuple,
     u1_closed_form,
 )
 from .parser import ExprSyntaxError, format_element, parse_element
@@ -78,6 +76,5 @@ from .solver import (
     rfactor_decompose,
     weighted_slice,
 )
-from .verify import RunReport, SUITES, example41_derivation, run_suite
 
 __version__ = "0.1.0"

@@ -72,7 +72,6 @@ from .solver import (
     lemma27_solutions,
     rfactor_decompose,
 )
-from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -118,12 +117,9 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _parse_weights(text: str, n: int):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise _UsageError(f"expected {n} comma-separated weights")
+def _parse_weights(text: str):
     try:
-        return tuple(as_int(p) for p in parts)
+        return tuple(as_int(p) for p in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"bad weight vector: {exc}") from exc
 
@@ -145,7 +141,8 @@ def _indented_json(data) -> str:
     ((value, newline and indent) pairs), popped in output order.  An
     `Element` is written as its `element_to_json` form straight from
     `canonical_walk`, a `Derivation` or `Endomorphism` as its `map_to_json`
-    form with the fields of `map_fields`; every other value takes the
+    form with the fields of `map_fields` (a map is a NamedTuple, so this is
+    tested before lists and tuples); every other value takes the
     encoder's rules: ASCII-escaped strings, `int.__repr__`, true/false/null,
     keys in insertion order, "[]" and "{}" when empty, and `json.dumps` for
     a float or for a value it refuses.  Keys must be str (`_json_key`).
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--into-i", action="store_true")
 
     p = _leaf(sub, "verify", _verify, "run a seeded verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--cases", type=_int_arg, default=100)
 
@@ -389,7 +386,8 @@ def _expr(args, text: str, fallback_n: int | None = None) -> Element:
 # may be other than 0.  `main` renders the pieces and writes them to stdout.
 # Library functions are looked up as module globals when a handler runs, so
 # rebinding them on this module (tests, tracing) takes effect even though the
-# parser is built only once.
+# parser is built only once.  `lsea.verify` is imported by `_verify` alone,
+# so its entry point `run_suite` is rebound on `lsea.verify` instead.
 
 
 def _norm(args):
@@ -430,13 +428,13 @@ def _lc(args):
 
 def _wdeg(args):
     n = _need_n(args)
-    w = _parse_weights(args.weights, n)
+    w = _parse_weights(args.weights)
     return str(wdeg(parse_element(args.expr, n), w))
 
 
 def _parts(args):
     n = _need_n(args)
-    w = _parse_weights(args.weights, n)
+    w = _parse_weights(args.weights)
     comps = homogeneous_components(parse_element(args.expr, n), w)
     return {"parts": [{"wdeg": d, "element": g} for d, g in comps.items()]}
 
@@ -494,7 +492,7 @@ def _der_probe(args):
 
 def _der_grade(args):
     d = _load_map(args.file, "derivation")
-    w = _parse_weights(args.weights, d.n)
+    w = _parse_weights(args.weights)
     return {"parts": [{"wdeg": m, "map": dm} for m, dm in graded_parts(d, w).items()]}
 
 
@@ -565,12 +563,14 @@ def _solve_rfactor(args):
 def _solve_derspace(args):
     n = _need_n(args)
     _cap(args.wdeg, MAX_WDEG, "wdeg", "--wdeg")
-    w = _parse_weights(args.weights, n) if args.weights else None
+    w = _parse_weights(args.weights) if args.weights else None
     basis = derivation_space(n, args.wdeg, into_I=args.into_i, weights=w)
     return {"dim": len(basis), "basis": basis}
 
 
 def _verify(args):
+    from .verify import run_suite
+
     try:
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     except AnomalyError as exc:
@@ -583,7 +583,8 @@ def _verify(args):
 
 
 def _rendered(answer) -> tuple[int, list[str]]:
-    """(exit code, the text of each piece) of a handler's answer."""
+    """(exit code, the text of each piece) of a handler's answer; only an
+    exact tuple holds a code, since a map is a tuple too."""
     code, *pieces = answer if type(answer) is tuple else (0, answer)
     return code, [_render(piece) for piece in pieces]
 

@@ -17,9 +17,9 @@ systems [M | B] with M square and invertible, whose reduced form is
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import _charge, as_fraction
 
@@ -197,8 +197,7 @@ def reduction_of(rows_data) -> RowReduction:
     return RowReduction(len(sparse), ncols, sparse)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of solving A x = b exactly."""
 
     solution: list[Fraction] | None

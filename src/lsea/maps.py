@@ -9,20 +9,19 @@ silent best effort, because the Leibniz/substitution extension is ill-defined
 off the relation variety.  Maps loaded from JSON are re-checked the same
 way; a stored `verified` field is ignored.
 
-Also here: inner derivations ad_a, the Lie bracket on derivations, leading
-data of derivations with respect to the L-monomial ladder, graded pieces,
-bounded nilpotency probes, the lift of polynomial endomorphisms of L_n to
-U_n, and constructors for elementary / affine / triangular polynomial
-automorphisms with closed-form inverses.
+Also here: inner derivations ad_a, the Lie bracket on derivations,
+derivations of the free algebra R_n, graded pieces, bounded nilpotency
+probes, the lift of polynomial endomorphisms of L_n to U_n, and
+constructors for elementary and affine polynomial automorphisms with
+closed-form inverses.  Every map and probe outcome is a `NamedTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import lcm
 from operator import add as _add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .algebra import (
@@ -47,9 +46,7 @@ from .algebra import (
     homogeneous_components,
     in_L,
     in_R,
-    lm_lc,
     mul,
-    pdeg_key,
 )
 
 
@@ -86,8 +83,7 @@ def _from_slots(cls, n: int, images, **flags):
     return cls(n, images[:n], images[n:], **flags)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """Images D(l_i), D(r_i); `verified` means the relation checks vanish."""
 
     n: int
@@ -99,29 +95,7 @@ class Derivation:
         return apply_derivation(self, g)
 
 
-@dataclass(frozen=True)
-class PureFormalExpression:
-    """Generator-image data with every image inside R_n.
-
-    Need not be a derivation; these are the coefficients of the L-monomial
-    decomposition of a derivation.
-    """
-
-    n: int
-    l_images: tuple[Element, ...]
-    r_images: tuple[Element, ...]
-
-    def __post_init__(self):
-        for g in _slots(self):
-            if not in_R(g):
-                raise DomainError("purely associative data requires images in R_n")
-
-    def is_zero(self) -> bool:
-        return all(h.is_zero for h in _slots(self))
-
-
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(NamedTuple):
     """Images phi(l_i), phi(r_i); `verified` means the relations are preserved."""
 
     n: int
@@ -312,7 +286,7 @@ def _check(m, residual):
         res = residual(m, kind, i, j)
         if not res.is_zero:
             violations.append((kind, i, j, res))
-    return replace(m, verified=not violations), violations
+    return m._replace(verified=not violations), violations
 
 
 def check_derivation(d: Derivation) -> tuple[Derivation, list]:
@@ -496,26 +470,10 @@ def der_bracket(d: Derivation, e: Derivation) -> Derivation:
     return _from_slots(Derivation, d.n, images, verified=True)
 
 
-# -- leading data of derivations -------------------------------------------------
+# -- derivations of the free algebra R_n ------------------------------------------
 
 
-def der_lm_lc(d) -> tuple[tuple[int, ...] | None, PureFormalExpression]:
-    """Leading monomial and coefficient of a derivation.
-
-    Takes `lm_lc` of every image: the leading monomial is the greatest of
-    their tops, and the leading coefficient keeps each slot's R_n coefficient
-    where its top is that monomial and 0 elsewhere.  For the zero derivation
-    both are None and 0.
-    """
-    n = d.n
-    leads = [lm_lc(img) for img in _slots(d)]
-    gmax = max((top for top, _ in leads if top is not None), key=pdeg_key, default=None)
-    coeffs = tuple(lc if top == gmax else Element.zero(n) for top, lc in leads)
-    return gmax, _from_slots(PureFormalExpression, n, coeffs)
-
-
-@dataclass(frozen=True)
-class RDerivation:
+class RDerivation(NamedTuple):
     """A derivation of the free algebra R_n given by images of the r_i.
 
     Always well defined (R_n is free), so no verified flag.
@@ -531,11 +489,6 @@ class RDerivation:
             raise DomainError("R_n derivation applied outside R_n")
         # an R_n word has no l-letters, so only r-splits reach the images
         return _leibniz(g, (), self.images)
-
-
-def restrict_r(p: PureFormalExpression) -> RDerivation:
-    """Forget the l-slots; the r-slots define a derivation of R_n."""
-    return RDerivation(p.n, p.r_images)
 
 
 # -- grading ----------------------------------------------------------------------
@@ -571,15 +524,13 @@ def graded_parts(d: Derivation, weights) -> dict[int, Derivation]:
 # -- nilpotency probes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroAt:
+class ZeroAt(NamedTuple):
     """D^k(x) = 0 with k minimal."""
 
     k: int
 
 
-@dataclass(frozen=True)
-class NonzeroThrough:
+class NonzeroThrough(NamedTuple):
     """All iterates D(x), ..., D^bound(x) nonzero; their total degrees.
 
     Evidence only: monotone degree growth suggests, but never proves, that D
@@ -722,8 +673,8 @@ def u1_closed_form(alpha, h: Element) -> tuple[Endomorphism, Endomorphism]:
 #
 # Aut(L_n) elements are handled as plain n-tuples of polynomials.  Inverses
 # of general polynomial automorphisms are deliberately not computed; instead
-# the elementary / affine / triangular constructors below return closed-form
-# inverse tuples.
+# the elementary and affine constructors below return closed-form inverse
+# tuples.
 
 
 def poly_subst(f: Element, images: Sequence[Element]) -> Element:
@@ -782,24 +733,6 @@ def affine_tuple(n: int, matrix, shift=None):
         for row in a_inv
     )
     return fwd, inv
-
-
-def triangular_tuple(n: int, alphas, fs: Sequence[Element]):
-    """l_i -> alpha_i l_i + f_i(l_{i+1}..l_n); returns (tuple, inverse tuple)."""
-    alphas = [as_fraction(x) for x in alphas]
-    fs = list(fs)
-    if len(alphas) != n or len(fs) != n or any(not a for a in alphas):
-        raise DomainError("triangular data has wrong shape")
-    for i, f in enumerate(fs):
-        if not in_L(f) or f.n != n:
-            raise DomainError("triangular terms must be polynomials")
-        if any(any(lexp[: i + 1]) for (lexp, _), _ in f.int_terms()[1]):
-            raise DomainError("triangular term depends on a non-later variable")
-    fwd = tuple(alphas[i] * gen_l(n, i + 1) + fs[i] for i in range(n))
-    inv = list(identity_tuple(n))
-    for i in range(n - 1, -1, -1):
-        inv[i] = (gen_l(n, i + 1) - poly_subst(fs[i], inv)) / alphas[i]
-    return fwd, tuple(inv)
 
 
 # -- serialization ---------------------------------------------------------------

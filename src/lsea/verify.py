@@ -18,7 +18,6 @@ identity lift before its loop, and `equ5` builds and checks d/dl_1 once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -69,15 +68,13 @@ from .maps import (
 from .solver import ad_preimage, lemma27_solutions, rfactor_decompose
 
 
-@dataclass
 class RunReport:
     """Outcome of one suite run; deterministic given (suite, seed, cases)."""
 
-    suite: str
-    seed: int
-    cases: int
-    failures: list[dict] = field(default_factory=list)
-    anomalies: list[dict] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int, cases: int, failures=(), anomalies=()):
+        self.suite, self.seed, self.cases = suite, seed, cases
+        self.failures: list[dict] = list(failures)
+        self.anomalies: list[dict] = list(anomalies)
 
     @property
     def ok(self) -> bool:
@@ -577,7 +574,7 @@ def _case_thm72pair(rng: random.Random, rep: RunReport) -> None:
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> RunReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     if cases < 1:
         raise DomainError(f"cases must be at least 1, got {cases}")
     return SUITES[name](seed, cases)

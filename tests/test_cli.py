@@ -203,7 +203,7 @@ PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, in
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
-WEIGHT_LENGTH = "lsea: expected 2 comma-separated weights\n"
+WEIGHT_LENGTH = "lsea: weight vector length must equal the ambient n\n"
 
 
 def dim(k):
@@ -305,8 +305,8 @@ CLI_CASES = {
         ("0", "verify cor23 --cases 0", 2, "lsea: cases must be at least 1, got 0\n"),
         ("-1", "verify cor23 --cases -1", 2, "lsea: cases must be at least 1, got -1\n"),
     ],
-    # `lift_phi` owns the image count; the weight length is still the CLI's
-    # own check, which `homogeneous_components` and `weighted_slice` repeat
+    # `lift_phi` owns the image count, `homogeneous_components` and
+    # `weighted_slice` the weight length
     "test_count_refused_once": [
         ("endo-lift-pieces", "-n 2 endo lift 'l1;l2;l1'", 2,
          "lsea: expected 2 generator images, got 3\n"),
@@ -364,6 +364,11 @@ CLI_CASES = {
          {"env": {"LSEA_MAX_TERMS": " ٣ "}}),
         ("weights-unicode-digit", "-n 2 wdeg --weights ١,2 l1", 2,
          "lsea: bad weight vector: invalid literal for int() with base 10: '١'\n"),
+        # `run_suite` owns the suite name
+        ("verify-unknown-suite", "verify nonsense", 2,
+         "lsea: unknown suite 'nonsense'; known: cor23, cor25, equ5, example41, lemma22, "
+         "lemma26, lemma27, lemma28, lemma31, lemma33, lemma41, lemma44, prop32, prop55, "
+         "thm72pair\n"),
         # a map of the wrong kind is refused before it is built and checked
         ("wrong-kind-der", "der apply {data}/endo_phi.json l1", 2,
          f"lsea: {DATA / 'endo_phi.json'} holds an endomorphism, expected a derivation\n"),
@@ -1016,13 +1021,13 @@ class TestCliVerify:
     test_cases_below_one_is_usage_error = run_case
 
     def test_verify_failures_exit_1(self, capsys, monkeypatch):
-        import lsea.cli
+        import lsea.verify
         from lsea.verify import RunReport
 
         def fake(name, seed=0, cases=100):
             return RunReport(name, seed, cases, failures=[{"case": "stub"}])
 
-        monkeypatch.setattr(lsea.cli, "run_suite", fake)
+        monkeypatch.setattr(lsea.verify, "run_suite", fake)
         code, out, _ = run_cli(capsys, "verify", "cor25", "--seed", "1", "--cases", "5")
         assert code == 1
         assert "failures=1" in out
@@ -1189,19 +1194,25 @@ def _call_site_payloads(seed):
 
 
 def _json_twin(data):
-    """data with each `Element` and map replaced by its JSON form."""
-    return json.loads(json.dumps(data, default=_to_json))
-
-
-def _to_json(obj):
-    return element_to_json(obj) if isinstance(obj, Element) else map_to_json(obj)
+    """data with each `Element` and map replaced by its JSON form.  A map is
+    a NamedTuple, which `json.dumps` writes as an array without asking its
+    `default`, so the maps are replaced here, ahead of the lists and tuples."""
+    if isinstance(data, Element):
+        return element_to_json(data)
+    if isinstance(data, (Derivation, Endomorphism)):
+        return map_to_json(data)
+    if isinstance(data, dict):
+        return {key: _json_twin(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_json_twin(value) for value in data]
+    return data
 
 
 class TestIndentedJson:
     @WRITER
     @given(JSON_DATA)
     def test_matches_json_dumps(self, data):
-        assert _indented_json(data) == json.dumps(data, indent=2, default=_to_json)
+        assert _indented_json(data) == json.dumps(_json_twin(data), indent=2)
 
     @pytest.mark.parametrize(
         "data",

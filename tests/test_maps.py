@@ -27,7 +27,6 @@ from lsea import (
     compose,
     compose_tuples,
     der_bracket,
-    der_lm_lc,
     elementary_tuple,
     extend_lnd_prop55,
     gen_l,
@@ -41,8 +40,6 @@ from lsea import (
     map_to_json,
     mul,
     probe_nilpotent,
-    restrict_r,
-    triangular_tuple,
     u1_closed_form,
 )
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
@@ -50,7 +47,6 @@ from lsea import maps
 from lsea.linalg import invert_dense
 from lsea.algebra import MAX_EXPONENT
 from lsea.maps import (
-    PureFormalExpression,
     RDerivation,
     _leibniz,
     _substitute,
@@ -202,56 +198,28 @@ class TestInnerDerivations:
         assert not violations
 
 
-class TestDerivationLeadingData:
-    def test_grouping(self):
-        z = Element.zero(2)
-        img = mul(gen_l(2, 1), word(2, (0, 0), (1, 1))) + gen_r(2, 1)
-        d = Derivation(2, (img, z), (z, z))
-        top, lc = der_lm_lc(d)
-        assert top == (1, 0)
-        assert lc.l_images[0] == word(2, (0, 0), (1, 1))
-        assert lc.l_images[1].is_zero
-
-    def test_zero(self):
-        z = Element.zero(2)
-        top, lc = der_lm_lc(Derivation(2, (z, z), (z, z)))
-        assert top is None and lc.is_zero()
-
-    def test_example41_already_pure(self):
-        d = example41_derivation()
-        top, lc = der_lm_lc(d)
-        assert top == (0, 0)
-        assert lc.l_images == d.l_images
-        assert lc.r_images == d.r_images
-
-
 class TestRestrictedRDerivation:
     def test_example41_restriction(self):
-        _, lc = der_lm_lc(example41_derivation())
-        dr = restrict_r(lc)
+        dr = RDerivation(2, example41_derivation().r_images)
         got = dr(gen_r(2, 2))
         assert got == word(2, (0, 0), (1, 2)) - word(2, (0, 0), (2, 1))
 
     def test_zero(self):
         z = Element.zero(2)
-        dr = restrict_r(PureFormalExpression(2, (z, z), (z, z)))
+        dr = RDerivation(2, (z, z))
         assert dr(gen_r(2, 1)).is_zero
 
     def test_slot_substitution(self):
         n = 2
         c = gen_r(n, 1) + gen_r(n, 2)
-        p = PureFormalExpression(
-            n,
-            (Element.zero(n),) * n,
-            tuple(mul(gen_r(n, i), c) for i in (1, 2)),
-        )
-        got = restrict_r(p)(gen_r(n, 1))
+        dr = RDerivation(n, tuple(mul(gen_r(n, i), c) for i in (1, 2)))
+        got = dr(gen_r(n, 1))
         assert got == word(n, (0, 0), (1, 1)) + word(n, (0, 0), (1, 2))
 
     def test_domain(self):
-        _, lc = der_lm_lc(example41_derivation())
+        dr = RDerivation(2, example41_derivation().r_images)
         with pytest.raises(DomainError):
-            restrict_r(lc)(gen_l(2, 1))
+            dr(gen_l(2, 1))
 
 
 class TestGradedParts:
@@ -476,12 +444,6 @@ class TestTupleConstructors:
         with pytest.raises(DomainError):
             elementary_tuple(2, 1, 1, gen_l(2, 1))
 
-    def test_triangular_inverse(self):
-        fs = (gen_l(3, 2) * gen_l(3, 3), gen_l(3, 3) ** 2, Element.zero(3))
-        fwd, inv = triangular_tuple(3, (1, 2, 1), fs)
-        assert compose_tuples(fwd, inv) == identity_tuple(3)
-        assert compose_tuples(inv, fwd) == identity_tuple(3)
-
     def test_poly_subst_is_evaluation(self):
         f = gen_l(2, 1) ** 2 + gen_l(2, 2)
         images = (gen_l(2, 2), gen_l(2, 1))
@@ -496,9 +458,6 @@ _CONSTRUCTORS = {
     "elementary_tuple": lambda x: elementary_tuple(2, 1, x, Element.zero(2)),
     "affine_tuple_matrix": lambda x: affine_tuple(2, [[x, 1], [0, 1]]),
     "affine_tuple_shift": lambda x: affine_tuple(2, [[1, 0], [0, 1]], [x, 0]),
-    "triangular_tuple": lambda x: triangular_tuple(
-        2, (x, 1), (gen_l(2, 2), Element.zero(2))
-    ),
 }
 
 
@@ -656,9 +615,6 @@ MAP_REFUSALS = {
     "graded_parts-weight-length": (
         lambda: graded_parts(ad(gen_l(2, 1)), (1, 1, 1)),
         DomainError, "weight vector length must equal the ambient n"),
-    "PureFormalExpression-outside-R": (
-        lambda: PureFormalExpression(2, (gen_r(2, 1), gen_l(2, 1)), (gen_r(2, 2),) * 2),
-        DomainError, "purely associative data requires images in R_n"),
     "RDerivation-ambients": (
         lambda: RDerivation(2, (gen_r(2, 1), gen_r(2, 2)))(gen_r(3, 1)),
         AmbientMismatch, "ambient mismatch"),

@@ -28,10 +28,10 @@ from lsea import (
     mul,
     probe_nilpotent,
     rfactor_decompose,
-    run_suite,
     u1_closed_form,
 )
 from lsea.maps import poly_subst
+from lsea.verify import run_suite
 
 
 def _unverified_ad():
@@ -118,6 +118,10 @@ REFUSALS = {
         lambda: gen_l(1, 1) / 0, ZeroDivisionError, "division of an element by zero"),
     "run_suite-cases": (
         lambda: run_suite("cor23", cases=0), DomainError, "cases must be at least 1, got 0"),
+    "run_suite-unknown": (
+        lambda: run_suite("nope"), DomainError,
+        "unknown suite 'nope'; known: cor23, cor25, equ5, example41, lemma22, lemma26, "
+        "lemma27, lemma28, lemma31, lemma33, lemma41, lemma44, prop32, prop55, thm72pair"),
 }
 
 

@@ -1,6 +1,8 @@
 """Rules the package sources keep."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import lsea
@@ -180,9 +182,7 @@ UNREACHED = {
     "graded_slice": "bench/spans.py wraps it by name; an acceptance criterion calls it",
     "dim": "an acceptance criterion calls it",
     "derivation_coords": "an acceptance criterion calls it",
-    "der_lm_lc": "deferred: removing it moves an import-time garbage collection",
-    "restrict_r": "deferred: removing it moves an import-time garbage collection",
-    "triangular_tuple": "deferred: removing it moves an import-time garbage collection",
+    "RDerivation": "bench/spans.py wraps `RDerivation.__call__` by name",
 }
 
 
@@ -264,3 +264,17 @@ def test_every_memo_is_listed():
                 found.add(owners.get(id(node), "") + node.name)
     assert list(SRC.glob("*.py"))
     assert sorted(found) == sorted(MEMOS)
+
+
+def test_cli_import_diet(subprocess_env):
+    # every `lsea` command starts by importing `lsea.cli`: its records are
+    # NamedTuples, so `dataclasses` and the `inspect` it pulls in stay out,
+    # and the suites load only when `lsea verify` runs
+    probe = "import sys, lsea.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, encoding="utf-8",
+        env=subprocess_env, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "lsea.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "lsea.verify"})

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsea import Element, gen_r, verify
+from lsea import DomainError, Element, gen_r, verify
 from lsea.cli import main
 from lsea.maps import AnomalyError, NonzeroThrough, ZeroAt, compose_tuples, identity_tuple
 from lsea.parser import format_element
@@ -50,9 +50,9 @@ def test_reports_are_deterministic():
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(DomainError):
         run_suite("nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_suite("cor25", cases=0)
 
 
