@@ -14,7 +14,6 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
-    Membership,
     TermBudgetExceeded,
     commutator,
     element_from_json,

@@ -723,7 +723,7 @@ def wdeg(g: Element, weights):
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
     """Partition of the terms of g by weighted degree; empty for g = 0."""
-    weights = tuple(weights)
+    weights = tuple(_json_int(w, "a weight") for w in weights)
     if len(weights) != g.n:
         raise DomainError("weight vector length must equal the ambient n")
     buckets: dict[int, dict[tuple, int]] = {}
@@ -751,14 +751,8 @@ def in_I(g: Element) -> bool:
     return all(rword for _, rword in g._nums)
 
 
-class Membership(NamedTuple):
-    in_L: bool
-    in_R: bool
-    in_I: bool
-
-
-def membership(g: Element) -> Membership:
-    return Membership(in_L(g), in_R(g), in_I(g))
+def membership(g: Element) -> tuple[bool, bool, bool]:
+    return in_L(g), in_R(g), in_I(g)
 
 
 def project_to_L(g: Element) -> tuple[Element, Element]:
@@ -859,7 +853,8 @@ def element_to_json(g: Element) -> dict:
 
 def _json_int(x, what: str) -> int:
     """x if it is a plain int, the one test of every int input field (n, an
-    exponent, an r-letter, a generator index); anything else is a DomainError."""
+    exponent, an r-letter, a generator index, a weight); anything else is a
+    DomainError."""
     if type(x) is not int:
         raise DomainError(f"{what} must be an integer, got {x!r}")
     return x

@@ -440,8 +440,8 @@ def _parts(args):
 
 
 def _member(args):
-    flags = membership(_expr(args, args.expr))
-    return {"in_L": flags.in_L, "in_R": flags.in_R, "in_I": flags.in_I}
+    in_l, in_r, in_i = membership(_expr(args, args.expr))
+    return {"in_L": in_l, "in_R": in_r, "in_I": in_i}
 
 
 def _project(args):

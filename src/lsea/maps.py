@@ -328,38 +328,19 @@ def require_verified(m, message: str, **context):
 # -- applying maps --------------------------------------------------------------
 
 
-def _word_factor_splits(word, n: int):
-    """Leibniz splits (prefix word, generator slot, suffix word) of a basis
-    word, each word a plain (lexp, rword) pair.
-
-    The factorization runs through the l-letters in nondecreasing index order
-    and then the r-letters, so every prefix and suffix is itself a basis word.
-    """
-    lexp, rword = word
-    for i in range(n):
-        if not lexp[i]:
-            continue
-        before = lexp[:i]
-        after = lexp[i + 1 :]
-        for a in range(lexp[i]):
-            prefix = (before + (a,) + (0,) * (n - i - 1), ())
-            suffix = ((0,) * i + (lexp[i] - 1 - a,) + after, rword)
-            yield prefix, ("l", i + 1), suffix
-    zero = (0,) * n
-    for k, j in enumerate(rword):
-        yield (lexp, rword[:k]), ("r", j), (zero, rword[k + 1 :])
-
-
 def _leibniz(g: Element, l_images, r_images) -> Element:
     """The derivation with these generator images, extended to g by linearity
-    and the Leibniz law over `_word_factor_splits`.
+    and the Leibniz law.
 
-    Every split of every word of g is one product prefix * image * suffix,
-    and all of them go into one `_signed_products` map over g's denominator
-    times the lcm of the images' denominators.  For an l-split the prefix is
-    a pure l-monomial, so prefix * image only adds exponents; for an r-split
-    the suffix is a pure r-word, so image * suffix only concatenates.  Either
-    way the three factors are two, and no Element is built per product.
+    Each basis word l^s w is split at each of its letters: the l-letters in
+    nondecreasing index order, then the r-letters, so every prefix and suffix
+    is itself a basis word.  Every split is one product prefix * image *
+    suffix, and all of them go into one `_signed_products` map over g's
+    denominator times the lcm of the images' denominators.  For an l-split
+    the prefix is a pure l-monomial, so prefix * image only adds exponents;
+    for an r-split the suffix is a pure r-word, so image * suffix only
+    concatenates.  Either way the three factors are two, and no Element is
+    built per product.
     """
     n = g.n
     den, items = g.int_terms()
@@ -368,20 +349,22 @@ def _leibniz(g: Element, l_images, r_images) -> Element:
     img_den = lcm(*(d for d, _ in l_terms + r_terms))
 
     def products():
-        for word, c in items:
-            for prefix, (kind, idx), suffix in _word_factor_splits(word, n):
-                d, img = (l_terms if kind == "l" else r_terms)[idx - 1]
-                if not img:
+        for (lexp, rword), c in items:
+            for i, (s, (d, img)) in enumerate(zip(lexp, l_terms)):
+                if not (s and img):
                     continue
                 k = c * (img_den // d)
-                if kind == "l":
-                    shift = prefix[0]
-                    left = [((tuple(map(_add, shift, s)), v), x) for (s, v), x in img]
-                    yield k, left, ((suffix, 1),)
-                else:
-                    tail = suffix[1]
-                    right = [((s, v + tail), x) for (s, v), x in img] if tail else img
-                    yield k, ((prefix, 1),), right
+                before, after = lexp[:i], lexp[i + 1 :]
+                for a in range(s):
+                    shift = before + (a,) + (0,) * (n - i - 1)
+                    left = [((tuple(map(_add, shift, u)), v), x) for (u, v), x in img]
+                    yield k, left, ((((0,) * i + (s - 1 - a,) + after, rword), 1),)
+            for p, j in enumerate(rword):
+                d, img = r_terms[j - 1]
+                if img:
+                    tail = rword[p + 1 :]
+                    right = [((u, v + tail), x) for (u, v), x in img] if tail else img
+                    yield c * (img_den // d), (((lexp, rword[:p]), 1),), right
 
     return _from_ints(n, _signed_products(products()), den * img_den)
 
@@ -488,7 +471,7 @@ class RDerivation(NamedTuple):
         if not in_R(g):
             raise DomainError("R_n derivation applied outside R_n")
         # an R_n word has no l-letters, so only r-splits reach the images
-        return _leibniz(g, (), self.images)
+        return _leibniz(g, (), _as_images(self.n, self.images))
 
 
 # -- grading ----------------------------------------------------------------------

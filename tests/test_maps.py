@@ -615,9 +615,18 @@ MAP_REFUSALS = {
     "graded_parts-weight-length": (
         lambda: graded_parts(ad(gen_l(2, 1)), (1, 1, 1)),
         DomainError, "weight vector length must equal the ambient n"),
+    "graded_parts-weight-type": (
+        lambda: graded_parts(ad(gen_l(2, 1)), (0.5, 1)),
+        DomainError, "a weight must be an integer, got 0.5"),
     "RDerivation-ambients": (
         lambda: RDerivation(2, (gen_r(2, 1), gen_r(2, 2)))(gen_r(3, 1)),
         AmbientMismatch, "ambient mismatch"),
+    "RDerivation-image-count": (
+        lambda: RDerivation(2, (gen_r(2, 1),))(gen_r(2, 2)),
+        DomainError, "expected 2 generator images, got 1"),
+    "RDerivation-image-ambient": (
+        lambda: RDerivation(2, (gen_l(3, 3), gen_r(3, 1)))(gen_r(2, 1)),
+        AmbientMismatch, "image ambient differs from map ambient"),
     "extend_lnd_prop55-ambients": (
         lambda: extend_lnd_prop55(2, gen_l(3, 3)),
         AmbientMismatch, "ambient mismatch"),

@@ -157,6 +157,9 @@ class TestSlices:
             with pytest.raises(DomainError) as exc:
                 call()
             assert str(exc.value) == "weight vector length must equal the ambient n"
+        with pytest.raises(DomainError) as exc:
+            weighted_slice(2, 2, (1.5, 1))
+        assert str(exc.value) == "a weight must be an integer, got 1.5"
 
     def test_empty_ambient_refused(self):
         for m in (-1, 0, 2):
