@@ -723,9 +723,7 @@ def wdeg(g: Element, weights):
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
     """Partition of the terms of g by weighted degree; empty for g = 0."""
-    weights = tuple(_json_int(w, "a weight") for w in weights)
-    if len(weights) != g.n:
-        raise DomainError("weight vector length must equal the ambient n")
+    weights = _weight_vector(weights, g.n)
     buckets: dict[int, dict[tuple, int]] = {}
     for w, c in g._nums.items():
         buckets.setdefault(_wdegree(w, weights), {})[w] = c
@@ -858,6 +856,14 @@ def _json_int(x, what: str) -> int:
     if type(x) is not int:
         raise DomainError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _weight_vector(weights, n: int) -> tuple[int, ...]:
+    """weights as a tuple of n plain ints (`_json_int`), else a DomainError."""
+    weights = tuple(_json_int(w, "a weight") for w in weights)
+    if len(weights) != n:
+        raise DomainError("weight vector length must equal the ambient n")
+    return weights
 
 
 _ONLY_INTS = frozenset((int,)).issuperset

@@ -466,10 +466,11 @@ def _a(kind) -> str:
 
 
 def _check_file(args, kind: str, check):
-    _, bad = check(_load_map(args.file, kind))
-    if bad:
-        return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(bad)}
-    return f"{kind}: OK"
+    # loading re-checks the map, so its violations are listed only on a FAIL
+    m = _load_map(args.file, kind)
+    if m.verified:
+        return f"{kind}: OK"
+    return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(check(m)[1])}
 
 
 def _der_check(args):

@@ -127,14 +127,14 @@ class Endomorphism(NamedTuple):
 # - . r_j appends r_j to w;
 # - r_i . prepends the cached normal form of r_i l^s, the one-letter word
 #   r_i straightened past l^s (`_rword_past_monomial((i,), s)`).
-# So `derivation_residual` is one int map over the lcm of the images'
-# denominators (`_letter_sum`), and no word is straightened past an l:
-# `check_derivation`, which re-checks every member of a solver's derivation
-# space, reads only the map's images and shares no product with how the
-# solver built them.  Applying a map is one accumulation as well: `_leibniz`
-# sums every Leibniz split of a call in one map, and `_substitute` the last
-# product of every word, so no Element is built per product anywhere in
-# checking or applying a map.
+# So `check_derivation` reads each image's terms once, over one lcm of the
+# images' denominators, and each relation's residual is one int map over it
+# (`_letter_sum`).  No word is straightened past an l: the re-check of every
+# member of a solver's derivation space reads only the map's images and
+# shares no product with how the solver built them.  Applying a map is one
+# accumulation as well: `_leibniz` sums every Leibniz split of a call in one
+# map, and `_substitute` the last product of every word, so no Element is
+# built per product anywhere in checking or applying a map.
 
 
 def relations(n: int):
@@ -201,26 +201,20 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
     return tuple((v, m) for v, m in acc.items() if m)
 
 
-def _letter_sum(images) -> tuple[dict, int]:
-    """(acc, den) with sum(sign * op_k(g)) = sum(acc[key] / den * key) over
-    (g, ((sign, op, k), ...)) in images, all of one U_n; acc maps (lexp,
-    rword) to nonzero int, den is the lcm of the images' denominators.  The
-    --max-terms guard is charged after each image term."""
-    parts = []
-    for g, ops in images:
-        den, items = g.int_terms()
-        if items:
-            prepends = [(sign, k) for sign, op, k in ops if op == _PREPEND]
-            parts.append((den, items, ops, prepends))
-    den = lcm(*(d for d, _, _, _ in parts))
+def _letter_sum(parts) -> dict:
+    """sum(sign * op_k(g)) over (items, ((sign, op, k), ...)) in parts, as
+    an int map (lexp, rword) -> nonzero int: items are g's terms, ints over
+    one denominator that the caller keeps for every part.  The --max-terms
+    guard is charged after each image term."""
     acc: dict[tuple, int] = {}
     get = acc.get
     limit = TERM_BUDGET.get()
     # every added value is nonzero, so a zero total means the key was there
-    for d, items, ops, prepends in parts:
-        scale = den // d
+    for items, ops in parts:
+        if not items:
+            continue
+        prepends = [(sign, k) for sign, op, k in ops if op == _PREPEND]
         for (lexp, rword), c in items:
-            c *= scale
             for v, m in _r_word_part(ops, rword):
                 key = (lexp, v)
                 total = get(key, 0) + c * m
@@ -239,32 +233,14 @@ def _letter_sum(images) -> tuple[dict, int]:
                         del acc[key]
             if limit is not None and len(acc) > limit:
                 _charge(len(acc))
-    return acc, den
+    return acc
 
 
-def derivation_residual(data, kind: str, i: int, j: int) -> Element:
-    """D applied to relation instance (kind, i, j), D given by data's images.
-
-    With A_k = D(l_k) and B_k = D(r_k): s1(i, j) = [A_i, l_j] - [A_j, l_i]
-    and s2(i, j) = [B_i, l_j] + r_i A_j - A_j r_i - B_i r_j - r_i B_j.
-    Proof: D(ab) = D(a) b + a D(b) on the words l_i l_j - l_j l_i and
-    r_i l_j - l_j r_i - r_i r_j, with D(x) l_j - l_j D(x) = [D(x), l_j].
-    Summed by the letter operators of the comment above in one
-    `_letter_sum`; a zero residual builds no Element.  data is a map that
-    `_check` has validated: n images of U_n in each half.
-    """
-    n, images = data.n, _slots(data)
-    ops = _letter_operators(n, kind, i, j)
-    acc, den = _letter_sum([(images[slot], o) for slot, o in ops.items()])
-    return _from_ints(n, acc, den) if acc else Element.zero(n)
-
-
-def endo_residual(e, kind: str, i: int, j: int) -> Element:
-    """phi applied letter by letter to relation instance (kind, i, j):
-    sum(sign * phi(a) * phi(b)) over its signed words, one
-    `_signed_products` map over the lcm of the products' denominators.  e is
-    a map that `_check` has validated: n images of U_n in each half."""
-    n, images = e.n, _slots(e)
+def endo_residual(n: int, images, kind: str, i: int, j: int) -> Element:
+    """phi applied letter by letter to relation instance (kind, i, j), phi
+    given by its images in slot order: sum(sign * phi(a) * phi(b)) over its
+    signed words, one `_signed_products` map over the lcm of the products'
+    denominators."""
     terms = []
     for sign, a, b in relation_words(n, kind, i, j):
         x, y = images[a], images[b]
@@ -275,27 +251,40 @@ def endo_residual(e, kind: str, i: int, j: int) -> Element:
     return _from_ints(n, acc, den)
 
 
-def _check(m, residual):
-    """(flagged copy of m, violations): a violation is (kind, i, j, residual)
-    for each relation instance whose residual is nonzero.  Each half of m
-    must hold n images of U_n, checked before any relation is evaluated."""
-    _as_images(m.n, m.l_images)
-    _as_images(m.n, m.r_images)
-    violations = []
-    for kind, i, j in relations(m.n):
-        res = residual(m, kind, i, j)
-        if not res.is_zero:
-            violations.append((kind, i, j, res))
-    return m._replace(verified=not violations), violations
-
-
 def check_derivation(d: Derivation) -> tuple[Derivation, list]:
-    """Re-check the relation families; returns (flagged copy, violations)."""
-    return _check(d, derivation_residual)
+    """Re-check the relation families; returns (flagged copy, violations).
+
+    A violation is (kind, i, j, residual) for each relation instance whose
+    residual is nonzero; each half of d must hold n images of U_n, checked
+    before any relation is evaluated.  Each image's terms are read once and
+    scaled to the lcm den of the images' denominators; a residual is then
+    one `_letter_sum` over the scaled terms of its slots, put over den.
+    """
+    n, images = d.n, _as_images(d.n, d.l_images) + _as_images(d.n, d.r_images)
+    terms = [g.int_terms() for g in images]
+    den = lcm(*(dg for dg, _ in terms))
+    slots = [
+        items if dg == den else [(w, c * (den // dg)) for w, c in items]
+        for dg, items in terms
+    ]
+    violations = []
+    for kind, i, j in relations(n):
+        ops = _letter_operators(n, kind, i, j)
+        acc = _letter_sum((slots[slot], o) for slot, o in ops.items())
+        if acc:
+            violations.append((kind, i, j, _from_ints(n, acc, den)))
+    return d._replace(verified=not violations), violations
 
 
 def check_endomorphism(e: Endomorphism) -> tuple[Endomorphism, list]:
-    return _check(e, endo_residual)
+    """As `check_derivation`, each residual by `endo_residual`."""
+    n, images = e.n, _as_images(e.n, e.l_images) + _as_images(e.n, e.r_images)
+    violations = []
+    for kind, i, j in relations(n):
+        res = endo_residual(n, images, kind, i, j)
+        if not res.is_zero:
+            violations.append((kind, i, j, res))
+    return e._replace(verified=not violations), violations
 
 
 def violations_to_json(violations) -> list[dict]:
@@ -439,7 +428,8 @@ def ad(a: Element) -> Derivation:
     n = a.n
     ops = [((1, _BRACKET, k),) for k in range(1, n + 1)]
     ops += [((1, _APPEND, k), (-1, _PREPEND, k)) for k in range(1, n + 1)]
-    images = (_from_ints(n, *_letter_sum([(a, o)])) for o in ops)
+    den, items = a.int_terms()
+    images = (_from_ints(n, _letter_sum([(items, o)]), den) for o in ops)
     return _from_slots(Derivation, n, images, verified=True)
 
 

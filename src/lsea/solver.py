@@ -23,8 +23,8 @@ from .algebra import (
     _charge,
     _from_ints,
     _insert_letter,
-    _json_int,
     _r_gradient,
+    _weight_vector,
     commutator,
     element_to_json,
     gen_l,
@@ -83,9 +83,7 @@ def weighted_slice(
     budget before they are listed."""
     if n < 1:
         raise DomainError("ambient n must be >= 1")
-    weights = tuple(_json_int(w, "a weight") for w in weights)
-    if len(weights) != n:
-        raise DomainError("weight vector length must equal the ambient n")
+    weights = _weight_vector(weights, n)
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
     if m >= 0:

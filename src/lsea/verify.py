@@ -442,7 +442,7 @@ def _case_lemma31(rng: random.Random, rep: RunReport) -> None:
 
 @_suite("prop32")
 def _suite_prop32(seed: int, cases: int) -> RunReport:
-    """Lifting is a group embedding: lifts verify, compose, and separate points."""
+    """Lifts verify, and the lift of a composed tuple is the composition of the lifts."""
     rng = random.Random(seed)
     rep = RunReport("prop32", seed, cases)
     if not is_identity(lift_phi(2, identity_tuple(2))):
@@ -463,9 +463,6 @@ def _suite_prop32(seed: int, cases: int) -> RunReport:
         lifted = lift_phi(n, fg)
         composed = compose(phi, psi)
         ok = ok and _slots(lifted) == _slots(composed)
-        # injectivity on this sample: equal lifts force equal tuples
-        if phi.l_images == psi.l_images and f_fwd != g_fwd:
-            ok = False
         if not ok:
             rep.failures.append({"n": n, "f": [element_to_json(x) for x in f_fwd]})
     return rep

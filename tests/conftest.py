@@ -20,7 +20,7 @@ import pytest
 import lsea
 from lsea import solver
 from lsea.algebra import BasisWord, DomainError, _signed_products, exact_str
-from lsea.maps import relation_words, relations
+from lsea.maps import check_derivation, relation_words, relations
 
 
 @pytest.fixture
@@ -69,6 +69,12 @@ def rand_word(rng, n: int, length: int) -> list:
 
 
 # -- reference assembly of residual systems ---------------------------------------
+
+
+def violated_residuals(d) -> dict:
+    """(kind, i, j) -> residual for each relation instance that the map d
+    violates, read off the violations of `check_derivation`."""
+    return {(kind, i, j): res for kind, i, j, res in check_derivation(d)[1]}
 
 
 def derivation_residual_terms(n: int, kind: str, i: int, j: int) -> dict:

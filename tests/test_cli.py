@@ -48,7 +48,7 @@ from lsea.cli import (
     build_parser,
     main,
 )
-from lsea.maps import violations_to_json
+from lsea.maps import _letter_sum, relations, violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import (
     rand_element,
@@ -716,6 +716,20 @@ class TestCliMaps:
         code, out, _ = run_cli(capsys, "der", "check", str(DATA / "example41.json"))
         assert code == 0
         assert out == "derivation: OK\n"
+
+    def test_der_check_evaluates_each_relation_once(self, capsys, monkeypatch):
+        # loading the file re-checks the map, and an OK answer reads the
+        # flag that the re-check set: one residual per relation instance
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return _letter_sum(parts)
+
+        monkeypatch.setattr("lsea.maps._letter_sum", counted)
+        code, out, _ = run_cli(capsys, "der", "check", str(DATA / "example41.json"))
+        assert (code, out) == (0, "derivation: OK\n")
+        assert len(calls) == len(list(relations(2))) == 5
 
     def test_float_coefficient_exit_2(self, capsys, tmp_path):
         one_half = {"n": 1, "terms": [{"l": [0], "r": [], "c": 0.5}]}

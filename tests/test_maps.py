@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from conftest import violated_residuals
 
 from lsea import (
     AmbientMismatch,
@@ -50,7 +51,6 @@ from lsea.maps import (
     RDerivation,
     _leibniz,
     _substitute,
-    derivation_residual,
     identity_tuple,
     is_identity,
     poly_subst,
@@ -832,7 +832,7 @@ class TestRelationRecheck:
             self._assert_flags_like_reference(d, check_derivation, _reference_derivation_residual)
             if slot >= n:
                 i = slot - n + 1
-                assert derivation_residual(d, "s2", i, i) == -2 * c * gen_r(n, i)
+                assert violated_residuals(d)["s2", i, i] == -2 * c * gen_r(n, i)
 
     def test_closed_form_on_runs(self):
         # B_1 = r1 r1 r2, other images 0: [B_1, l_j] inserts r_j after each
@@ -842,11 +842,38 @@ class TestRelationRecheck:
         r1, r2 = gen_r(n, 1), gen_r(n, 2)
         zero = Element.zero(n)
         d = Derivation(n, (zero, zero), (r1 * r1 * r2, zero))
-        assert derivation_residual(d, "s2", 1, 1) == r1 * r1 * r1 * r2
-        assert derivation_residual(d, "s2", 1, 2) == r1 * r2 * r1 * r2 + r1 * r1 * r2 * r2
+        assert violated_residuals(d) == {
+            ("s2", 1, 1): r1 * r1 * r1 * r2,
+            ("s2", 1, 2): r1 * r2 * r1 * r2 + r1 * r1 * r2 * r2,
+            ("s2", 2, 1): -(r2 * r1 * r1 * r2),
+        }
         assert commutator(r1 * r1 * r2, gen_l(n, 1)) == 2 * r1 * r1 * r1 * r2 + r1 * r1 * r2 * r1
         d = Derivation(1, (Element.zero(1),), (gen_r(1, 1) ** 3,))
-        assert derivation_residual(d, "s2", 1, 1) == gen_r(1, 1) ** 4
+        assert violated_residuals(d) == {("s2", 1, 1): gen_r(1, 1) ** 4}
+
+    def test_each_image_is_read_once(self, monkeypatch):
+        # one check reads each image's terms once, however many relation
+        # instances its slot enters, and puts them over one denominator
+        n = 3
+        images = tuple(
+            Fraction(k, k + 1) * mul(gen_l(n, k % n + 1), gen_r(n, 1)) + gen_r(n, k % n + 1)
+            for k in range(2 * n)
+        )
+        d = Derivation(n, images[:n], images[n:])
+        reads = {id(g): 0 for g in images}
+        int_terms = Element.int_terms
+
+        def counted(g):
+            if id(g) in reads:
+                reads[id(g)] += 1
+            return int_terms(g)
+
+        monkeypatch.setattr(Element, "int_terms", counted)
+        flagged, violations = check_derivation(d)
+        monkeypatch.undo()
+        assert not flagged.verified and violations
+        assert list(reads.values()) == [1] * (2 * n)
+        self._assert_flags_like_reference(d, check_derivation, _reference_derivation_residual)
 
     def test_image_of_other_ambient_refused(self):
         z = Element.zero(2)

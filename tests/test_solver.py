@@ -11,7 +11,7 @@ from functools import partial
 from math import comb
 
 import pytest
-from conftest import _position, _positions, derivation_residual_terms
+from conftest import _position, _positions, derivation_residual_terms, violated_residuals
 
 from lsea import (
     AnomalyError,
@@ -44,7 +44,7 @@ from lsea import solver
 from lsea.algebra import _wdegree
 from lsea.cli import main as cli_main
 from lsea.linalg import RowReduction
-from lsea.maps import derivation_residual, relation_words, relations
+from lsea.maps import relation_words, relations
 from lsea.parser import format_element
 from lsea.verify import example41_derivation, rand_homogeneous_I, rand_rpoly
 
@@ -509,10 +509,10 @@ class TestDerivationSpace:
                 imgs = list(zero) + list(zero)
                 imgs[slot] = x
                 probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
+                residuals = violated_residuals(probe)
                 for kind, i, j in relations(n):
-                    res = derivation_residual(probe, kind, i, j)
                     if slot not in derivation_residual_terms(n, kind, i, j):
-                        assert res.is_zero, (n, slot, kind, i, j)
+                        assert (kind, i, j) not in residuals, (n, slot, kind, i, j)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_residual_table_shape(self, n):
@@ -700,14 +700,8 @@ class TestProp55UniquenessAtDeskScale:
             base = candidate([0] * len(shape))
 
             def residuals(d):
-                out = []
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        out.append(derivation_residual(d, "s1", i, j))
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        out.append(derivation_residual(d, "s2", i, j))
-                return out
+                found = violated_residuals(d)
+                return [found.get(rel, zero) for rel in relations(n)]
 
             base_res = residuals(base)
             cols = []
@@ -739,7 +733,7 @@ class TestProp55UniquenessAtDeskScale:
 
 def _derivation_rows_via_elements(n, m, into_I, weights):
     """The derivation-space system built the Element way: every relation
-    residual of a unit-image Derivation probe, by derivation_residual."""
+    residual of a unit-image Derivation probe, from its violations."""
     weights = weights or (1,) * n
     slot_slices = [weighted_slice(n, m + w, weights, into_I) for w in weights] * 2
     offsets = [0, *itertools.accumulate(map(len, slot_slices))]
@@ -754,9 +748,9 @@ def _derivation_rows_via_elements(n, m, into_I, weights):
             imgs = [zero] * (2 * n)
             imgs[slot] = Element(n, {w: 1})
             probe = Derivation(n, tuple(imgs[:n]), tuple(imgs[n:]))
-            for (kind, i, j), base, target in zip(rels, row_offsets, positions):
-                res = derivation_residual(probe, kind, i, j)
-                for word, c in res.terms():
+            residuals = violated_residuals(probe)
+            for rel, base, target in zip(rels, row_offsets, positions):
+                for word, c in residuals.get(rel, zero).terms():
                     rows[base + target[word]][offsets[slot] + local] = c
     return rows
 

@@ -232,10 +232,10 @@ def test_exports_are_reached():
 # with the workloads that pay for it: hits/misses over the four seed-0 op
 # lists of each `bench/run.py` workload, each list in its own interpreter
 MEMOS = {
-    "_rword_past_monomial": "expand 6,858/1,378, derspace 37,968/1,316, verify 50,388/2,506",
+    "_rword_past_monomial": "expand 6,858/1,378, derspace 35,578/1,316, verify 50,388/2,506",
     "_r_word_part": "derspace 47,004/3,560, verify 34,454/3,389",
-    "generator": "expand 5,072/40, derspace 2,048/40, verify 24,919/48",
-    "Element.zero": "derspace 7,560/8, verify 12,501/12",
+    "generator": "expand 5,072/40, derspace 1,304/40, verify 24,919/48",
+    "Element.zero": "derspace 68/8, verify 3,345/12",
     "Element.one": "expand 1,904/8, derspace 68/8, verify 25,465/12",
     "build_parser": "expand 412/4, derspace 412/4, verify 596/4; one parser build per process",
 }
