@@ -53,14 +53,12 @@ from .maps import (
     ad,
     apply_derivation,
     apply_endo,
-    check_derivation,
-    check_endomorphism,
+    checked_map_from_json,
     compose,
     graded_parts,
     is_affine_U,
     lift_phi,
     map_fields,
-    map_from_json,
     probe_nilpotent,
     u1_closed_form,
     violations_to_json,
@@ -450,13 +448,14 @@ def _project(args):
 
 
 def _load_map(path: str, want: str):
+    """(map, violations) of the map in the file at path, from one re-check."""
     data = _load_json(path)
     try:
         kind = data["kind"]  # checked before the map is built
         if kind != want:
             raise _UsageError(f"{path} holds {_a(kind)}, expected {_a(want)}")
         _cap(_json_int(data["n"], "n"), MAX_N, "n", path)
-        return map_from_json(data)
+        return checked_map_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"bad map file {path}: {exc}") from exc
 
@@ -465,26 +464,25 @@ def _a(kind) -> str:
     return f"an {kind}" if str(kind).startswith(tuple("aeiou")) else f"a {kind}"
 
 
-def _check_file(args, kind: str, check):
-    # loading re-checks the map, so its violations are listed only on a FAIL
-    m = _load_map(args.file, kind)
-    if m.verified:
+def _check_file(args, kind: str):
+    _, violations = _load_map(args.file, kind)
+    if not violations:
         return f"{kind}: OK"
-    return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(check(m)[1])}
+    return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(violations)}
 
 
 def _der_check(args):
-    return _check_file(args, "derivation", check_derivation)
+    return _check_file(args, "derivation")
 
 
 def _der_apply(args):
-    d = _load_map(args.file, "derivation")
+    d, _ = _load_map(args.file, "derivation")
     return apply_derivation(d, _expr(args, args.expr, d.n))
 
 
 def _der_probe(args):
     _cap(args.bound, MAX_BOUND, "bound", "--bound")
-    d = _load_map(args.file, "derivation")
+    d, _ = _load_map(args.file, "derivation")
     res = probe_nilpotent(d, _expr(args, args.expr, d.n), args.bound)
     if isinstance(res, ZeroAt):
         return {"zero_at": res.k}
@@ -492,23 +490,23 @@ def _der_probe(args):
 
 
 def _der_grade(args):
-    d = _load_map(args.file, "derivation")
+    d, _ = _load_map(args.file, "derivation")
     w = _parse_weights(args.weights)
     return {"parts": [{"wdeg": m, "map": dm} for m, dm in graded_parts(d, w).items()]}
 
 
 def _endo_check(args):
-    return _check_file(args, "endomorphism", check_endomorphism)
+    return _check_file(args, "endomorphism")
 
 
 def _endo_apply(args):
-    e = _load_map(args.file, "endomorphism")
+    e, _ = _load_map(args.file, "endomorphism")
     return apply_endo(e, _expr(args, args.expr, e.n))
 
 
 def _endo_compose(args):
-    outer = _load_map(args.outer, "endomorphism")
-    inner = _load_map(args.inner, "endomorphism")
+    outer, _ = _load_map(args.outer, "endomorphism")
+    inner, _ = _load_map(args.inner, "endomorphism")
     return compose(outer, inner)
 
 
@@ -519,7 +517,7 @@ def _endo_lift(args):
 
 
 def _endo_affine(args):
-    e = _load_map(args.file, "endomorphism")
+    e, _ = _load_map(args.file, "endomorphism")
     return "affine: yes" if is_affine_U(e) else (MATH_FAILURE, "affine: no")
 
 

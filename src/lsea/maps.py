@@ -128,13 +128,14 @@ class Endomorphism(NamedTuple):
 # - r_i . prepends the cached normal form of r_i l^s, the one-letter word
 #   r_i straightened past l^s (`_rword_past_monomial((i,), s)`).
 # So `check_derivation` reads each image's terms once, over one lcm of the
-# images' denominators, and each relation's residual is one int map over it
-# (`_letter_sum`).  No word is straightened past an l: the re-check of every
-# member of a solver's derivation space reads only the map's images and
-# shares no product with how the solver built them.  Applying a map is one
-# accumulation as well: `_leibniz` sums every Leibniz split of a call in one
-# map, and `_substitute` the last product of every word, so no Element is
-# built per product anywhere in checking or applying a map.
+# images' denominators, and adds each slot once into the int map of every
+# relation that its row in `_relation_table(n)` lists (`_letter_sum`).  No
+# word is straightened past an l: the re-check of every member of a solver's
+# derivation space reads only the map's images and shares no product with
+# how the solver built them.  Applying a map is one accumulation as well:
+# `_leibniz` sums every Leibniz split of a call in one map, and `_substitute`
+# the last product of every word, so no Element is built per product
+# anywhere in checking or applying a map.
 
 
 def relations(n: int):
@@ -201,19 +202,30 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
     return tuple((v, m) for v, m in acc.items() if m)
 
 
-def _letter_sum(parts) -> dict:
-    """sum(sign * op_k(g)) over (items, ((sign, op, k), ...)) in parts, as
-    an int map (lexp, rword) -> nonzero int: items are g's terms, ints over
-    one denominator that the caller keeps for every part.  The --max-terms
-    guard is charged after each image term."""
-    acc: dict[tuple, int] = {}
-    get = acc.get
+@lru_cache(maxsize=None)
+def _relation_table(n: int) -> tuple:
+    """(`relations(n)` as a tuple, rows): per image slot, (index in that
+    tuple, ops, the (sign, (k,)) of ops' _PREPENDs, (k,) the word r_k) for
+    each relation instance whose `_letter_operators` reach the slot."""
+    rels = tuple(relations(n))
+    table = [[] for _ in range(2 * n)]
+    for rel, (kind, i, j) in enumerate(rels):
+        for slot, ops in _letter_operators(n, kind, i, j).items():
+            prepends = tuple((sign, (k,)) for sign, op, k in ops if op == _PREPEND)
+            table[slot].append((rel, ops, prepends))
+    return rels, tuple(map(tuple, table))
+
+
+def _letter_sum(items, entries, accs) -> None:
+    """Add sum(sign * op_k(g)) into accs[rel] for each (rel, ops, prepends)
+    in entries, as int maps (lexp, rword) -> nonzero int: items are g's
+    terms, ints over one denominator that the caller keeps for every entry.
+    The --max-terms guard is charged after each image term."""
     limit = TERM_BUDGET.get()
     # every added value is nonzero, so a zero total means the key was there
-    for items, ops in parts:
-        if not items:
-            continue
-        prepends = [(sign, k) for sign, op, k in ops if op == _PREPEND]
+    for rel, ops, prepends in entries:
+        acc = accs[rel]
+        get = acc.get
         for (lexp, rword), c in items:
             for v, m in _r_word_part(ops, rword):
                 key = (lexp, v)
@@ -222,9 +234,9 @@ def _letter_sum(parts) -> dict:
                     acc[key] = total
                 else:
                     del acc[key]
-            for sign, k in prepends:
+            for sign, rk in prepends:
                 ck = sign * c
-                for s, v, m in _rword_past_monomial((k,), lexp):
+                for s, v, m in _rword_past_monomial(rk, lexp):
                     key = (s, v + rword)
                     total = get(key, 0) + ck * m
                     if total:
@@ -233,7 +245,6 @@ def _letter_sum(parts) -> dict:
                         del acc[key]
             if limit is not None and len(acc) > limit:
                 _charge(len(acc))
-    return acc
 
 
 def endo_residual(n: int, images, kind: str, i: int, j: int) -> Element:
@@ -255,24 +266,22 @@ def check_derivation(d: Derivation) -> tuple[Derivation, list]:
     """Re-check the relation families; returns (flagged copy, violations).
 
     A violation is (kind, i, j, residual) for each relation instance whose
-    residual is nonzero; each half of d must hold n images of U_n, checked
-    before any relation is evaluated.  Each image's terms are read once and
-    scaled to the lcm den of the images' denominators; a residual is then
-    one `_letter_sum` over the scaled terms of its slots, put over den.
+    residual is nonzero, in `relations(n)` order; each half of d must hold n
+    images of U_n, checked before any relation is evaluated.  Each image's
+    terms are read once and scaled to the lcm den of the images'
+    denominators; each nonzero slot is one `_letter_sum` into the relation
+    accumulators its `_relation_table` row lists, each put over den.
     """
     n, images = d.n, _as_images(d.n, d.l_images) + _as_images(d.n, d.r_images)
     terms = [g.int_terms() for g in images]
     den = lcm(*(dg for dg, _ in terms))
-    slots = [
-        items if dg == den else [(w, c * (den // dg)) for w, c in items]
-        for dg, items in terms
-    ]
-    violations = []
-    for kind, i, j in relations(n):
-        ops = _letter_operators(n, kind, i, j)
-        acc = _letter_sum((slots[slot], o) for slot, o in ops.items())
-        if acc:
-            violations.append((kind, i, j, _from_ints(n, acc, den)))
+    rels, table = _relation_table(n)
+    accs = [{} for _ in rels]
+    for (dg, items), entries in zip(terms, table):
+        if items:
+            scaled = items if dg == den else [(w, c * (den // dg)) for w, c in items]
+            _letter_sum(scaled, entries, accs)
+    violations = [(*rel, _from_ints(n, acc, den)) for rel, acc in zip(rels, accs) if acc]
     return d._replace(verified=not violations), violations
 
 
@@ -421,15 +430,19 @@ def apply_endo(e: Endomorphism, g: Element) -> Element:
 def ad(a: Element) -> Derivation:
     """Inner derivation x -> a*x - x*a; always satisfies the relations.
 
-    Its images are the letter operators of the closed form above, each one
-    `_letter_sum` on a: [a, l_k] is the bracket, and [a, r_k] = a r_k - r_k a
-    an append minus a prepend, so no commutator product is built.
+    Its images are the letter operators of the closed form above, all in
+    one `_letter_sum` on a with one entry per image: [a, l_k] is the
+    bracket, and [a, r_k] = a r_k - r_k a an append minus a prepend, so no
+    commutator product is built.
     """
     n = a.n
-    ops = [((1, _BRACKET, k),) for k in range(1, n + 1)]
-    ops += [((1, _APPEND, k), (-1, _PREPEND, k)) for k in range(1, n + 1)]
+    ks = range(1, n + 1)
+    entries = [(k - 1, ((1, _BRACKET, k),), ()) for k in ks]
+    entries += [(n + k - 1, ((1, _APPEND, k), (-1, _PREPEND, k)), ((-1, (k,)),)) for k in ks]
     den, items = a.int_terms()
-    images = (_from_ints(n, _letter_sum([(items, o)]), den) for o in ops)
+    accs = [{} for _ in entries]
+    _letter_sum(items, entries, accs)
+    images = (_from_ints(n, acc, den) for acc in accs)
     return _from_slots(Derivation, n, images, verified=True)
 
 
@@ -731,10 +744,13 @@ def map_to_json(m) -> dict:
 
 
 def map_from_json(data: dict):
-    """The map stored in `data`, flagged by re-checking its relations.
+    """The map stored in `data`, flagged by re-checking its relations."""
+    return checked_map_from_json(data)[0]
 
-    A stored "verified" field is ignored: input data never carries a proof.
-    """
+
+def checked_map_from_json(data: dict) -> tuple:
+    """(flagged map, violations) of the map stored in `data`, from one re-check
+    of its relations: a stored "verified" field is ignored, as data is no proof."""
     n = _json_int(data["n"], "n")
     l_images = tuple(element_from_json(d) for d in data["l_images"])
     r_images = tuple(element_from_json(d) for d in data["r_images"])
@@ -742,4 +758,4 @@ def map_from_json(data: dict):
         "derivation": (Derivation, check_derivation),
         "endomorphism": (Endomorphism, check_endomorphism),
     }[data["kind"]]
-    return check(cls(n, l_images, r_images))[0]
+    return check(cls(n, l_images, r_images))

@@ -24,6 +24,7 @@ from .algebra import (
     _from_ints,
     _insert_letter,
     _r_gradient,
+    _signed_products,
     _weight_vector,
     commutator,
     element_to_json,
@@ -261,7 +262,8 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
 
     _charge(n * comb(d + n - 3, n - 1))
     members = [(j, t) for t in _lmonomials(d - 2, (1,) * n) for j in range(1, n + 1)]
-    li, ri = gen_l(n, i), gen_r(n, i)
+    ri = gen_r(n, i)
+    l_num, r_num = gen_l(n, i).int_terms()[1], ri.int_terms()[1]  # over denominator 1
     out = []
     for j, t in sorted(members, key=least_word, reverse=True):
         boxes = itertools.product(*(range(k + 1) for k in t))
@@ -269,8 +271,11 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
         lt = _from_ints(n, {(t, ()): 1}, prod(map(factorial, t)))
         g = mul(mul(ri, lt), gen_r(n, j))
         payload = {"n": n, "i": i, "degree": d}
-        residual = commutator(g, li) - mul(ri, g) - mul(g, ri)
-        if not residual.is_zero:
+        # [g, l_i] - r_i g - g r_i, one map over g's denominator
+        den, x = g.int_terms()
+        acc = _signed_products(((1, x, l_num), (-1, l_num, x), (-1, r_num, x), (-1, x, r_num)))
+        if acc:
+            residual = _from_ints(n, acc, den)
             payload.update(solution=element_to_json(g), residual=element_to_json(residual))
             raise AnomalyError("Lemma 2.7 solution failed its re-check", payload)
         if not all(len(v) == 2 and v[0] == i for (_, v), _ in lm_lc(g)[1].int_terms()[1]):

@@ -48,7 +48,7 @@ from lsea.cli import (
     build_parser,
     main,
 )
-from lsea.maps import _letter_sum, relations, violations_to_json
+from lsea.maps import _letter_sum, _relation_table, _slots, map_from_json, violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import (
     rand_element,
@@ -718,18 +718,26 @@ class TestCliMaps:
         assert out == "derivation: OK\n"
 
     def test_der_check_evaluates_each_relation_once(self, capsys, monkeypatch):
-        # loading the file re-checks the map, and an OK answer reads the
-        # flag that the re-check set: one residual per relation instance
-        calls = []
+        # loading the file re-checks the map, and the answer, OK or FAIL,
+        # reads that re-check: each nonzero image slot is summed once into
+        # the relations its row of the table lists
+        for name, code, first in (
+            ("example41.json", 0, "derivation: OK"),
+            ("der_fails_relations.json", 1, "derivation: FAIL"),
+        ):
+            calls = []
 
-        def counted(parts):
-            calls.append(parts)
-            return _letter_sum(parts)
+            def counted(items, entries, accs):
+                calls.append(entries)
+                return _letter_sum(items, entries, accs)
 
-        monkeypatch.setattr("lsea.maps._letter_sum", counted)
-        code, out, _ = run_cli(capsys, "der", "check", str(DATA / "example41.json"))
-        assert (code, out) == (0, "derivation: OK\n")
-        assert len(calls) == len(list(relations(2))) == 5
+            monkeypatch.setattr("lsea.maps._letter_sum", counted)
+            got, out, _ = run_cli(capsys, "der", "check", str(DATA / name))
+            monkeypatch.undo()
+            assert (got, out.splitlines()[0]) == (code, first)
+            d = map_from_json(json.loads((DATA / name).read_text()))
+            table = _relation_table(d.n)[1]
+            assert calls == [table[slot] for slot, g in enumerate(_slots(d)) if not g.is_zero]
 
     def test_float_coefficient_exit_2(self, capsys, tmp_path):
         one_half = {"n": 1, "terms": [{"l": [0], "r": [], "c": 0.5}]}

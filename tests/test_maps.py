@@ -28,6 +28,7 @@ from lsea import (
     compose,
     compose_tuples,
     der_bracket,
+    derivation_space,
     elementary_tuple,
     extend_lnd_prop55,
     gen_l,
@@ -874,6 +875,44 @@ class TestRelationRecheck:
         assert not flagged.verified and violations
         assert list(reads.values()) == [1] * (2 * n)
         self._assert_flags_like_reference(d, check_derivation, _reference_derivation_residual)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relation_table_lists_each_operator_once(self, n):
+        # one row per image slot; each (relation, slot, ops) of
+        # `_letter_operators` sits in exactly one row, with the prepends of
+        # s2(i, j): r_i . on A_j and -r_i . on B_j
+        rels, table = maps._relation_table(n)
+        assert rels == tuple(maps.relations(n))
+        assert len(table) == 2 * n
+        listed = [(rel, slot, ops) for slot, row in enumerate(table) for rel, ops, _ in row]
+        expected = [
+            (rel, slot, ops)
+            for rel, (kind, i, j) in enumerate(rels)
+            for slot, ops in maps._letter_operators(n, kind, i, j).items()
+        ]
+        assert len(set(listed)) == len(listed) == len(expected)
+        assert set(listed) == set(expected)
+        for slot, row in enumerate(table):
+            for rel, _, prepends in row:
+                kind, i, j = rels[rel]
+                want = {j - 1: ((1, (i,)),), n + j - 1: ((-1, (i,)),)} if kind == "s2" else {}
+                assert prepends == want.get(slot, ())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_perturbed_space_members(self, n):
+        # members of a solver's space with one rational term added to one
+        # slot at a time: every relation accumulator that the slot enters
+        # against the Leibniz products written out
+        space = derivation_space(n, 1)
+        kinds = set()
+        for member in space:
+            assert not check_derivation(member)[1]
+            for slot in range(2 * n):
+                extra = Fraction(slot + 1, 7) * mul(gen_l(n, slot % n + 1), gen_r(n, n - slot % n))
+                kinds |= self._assert_flags_like_reference(
+                    _perturbed(member, slot, extra), check_derivation, _reference_derivation_residual
+                )
+        assert kinds == {"s1", "s2"}
 
     def test_image_of_other_ambient_refused(self):
         z = Element.zero(2)

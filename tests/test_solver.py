@@ -862,10 +862,11 @@ class TestAnomalyPaths:
         ],
     )
     def test_lemma27_payload_pinned(self, monkeypatch, n, i, d, digest):
-        # a commutator patched to zero fails the re-check of the first member;
-        # the payload carries the member and its residual
+        # an l_i patched to zero leaves the residual -r_i g - g r_i, which
+        # fails the re-check of the first member; the payload carries the
+        # member and its residual
         first = lemma27_solutions(n, i, d)[0]
-        monkeypatch.setattr(solver, "commutator", lambda a, b: Element.zero(n))
+        monkeypatch.setattr(solver, "gen_l", lambda n, i: Element.zero(n))
         with pytest.raises(AnomalyError, match="failed its re-check") as exc:
             lemma27_solutions(n, i, d)
         payload = exc.value.payload
