@@ -718,7 +718,8 @@ def lm_lc(g: Element) -> tuple[tuple[int, ...] | None, Element]:
 
 def wdeg(g: Element, weights):
     """Maximal weighted degree of the terms of g; NEG_INF for g = 0."""
-    return max(homogeneous_components(g, weights), default=NEG_INF)
+    weights = _weight_vector(weights, g.n)
+    return max((_wdegree(w, weights) for w in g._nums), default=NEG_INF)
 
 
 def homogeneous_components(g: Element, weights) -> dict[int, Element]:
@@ -731,7 +732,8 @@ def homogeneous_components(g: Element, weights) -> dict[int, Element]:
 
 
 def is_homogeneous(g: Element) -> bool:
-    return len(homogeneous_components(g, (1,) * g.n)) <= 1
+    """All terms of g have one total degree; true for g = 0."""
+    return len({sum(lexp) + len(rword) for lexp, rword in g._nums}) <= 1
 
 
 # -- the polynomial subalgebra ------------------------------------------------
@@ -806,14 +808,16 @@ def shift_lr(f: Element) -> Element:
 # -- serialization ------------------------------------------------------------
 
 
-def canonical_walk(g: Element) -> Iterator[tuple[tuple, tuple, bool, str]]:
-    """The terms of g in descending order, as (lexp, rword, negative, text).
+def canonical_walk(g: Element) -> Iterator[tuple[tuple, list, list]]:
+    """The terms of g in descending order, one L-monomial group at a time.
 
-    `text` is exact_str of the coefficient's magnitude, reduced with one gcd.
-    The order is `word_key` descending, read off the ints by C sorts: the
+    For each L-monomial of g, greatest first, yields (lexp, rwords, texts):
+    the r-words that carry it in descending order, and each one's
+    coefficient as signed `exact_str` text, reduced with one gcd.  The
+    order is `word_key` descending, read off the ints by C sorts: the
     L-monomials by `pdeg_key`, and within one the r-words longest first,
-    ties in ascending tuple order (letter 1 is the largest).  The words of
-    one L-monomial share its `lexp` object.
+    ties in ascending tuple order (letter 1 is the largest).  This is the
+    one place that orders an element's terms or writes their digits.
     """
     groups: dict[tuple, dict] = {}
     for (lexp, rword), c in g._nums.items():
@@ -821,21 +825,21 @@ def canonical_walk(g: Element) -> Iterator[tuple[tuple, tuple, bool, str]]:
     den = g._den
     for lexp in sorted(groups, key=pdeg_key, reverse=True):
         group = groups[lexp]
-        rwords = sorted(group)
-        rwords.sort(key=len, reverse=True)
-        for rword in rwords:
-            c = group[rword]
-            negative = c < 0
-            if negative:
-                c = -c
-            if den == 1:
-                text = _int_str(c)
-            else:
-                d = gcd(c, den)
-                text = _int_str(c // d)
-                if d != den:
-                    text = f"{text}/{_int_str(den // d)}"
-            yield lexp, rword, negative, text
+        if len(group) == 1:  # most groups of a small element: nothing to sort
+            rwords, nums = list(group), group.values()
+        else:
+            rwords = sorted(group)
+            rwords.sort(key=len, reverse=True)
+            nums = map(group.__getitem__, rwords)
+        if den == 1:
+            yield lexp, rwords, list(map(_int_str, nums))
+            continue
+        texts = []
+        for c in nums:
+            d = gcd(c, den)
+            text = _int_str(c // d)
+            texts.append(text if d == den else f"{text}/{_int_str(den // d)}")
+        yield lexp, rwords, texts
 
 
 def element_to_json(g: Element) -> dict:
@@ -843,8 +847,9 @@ def element_to_json(g: Element) -> dict:
     return {
         "n": g.n,
         "terms": [
-            {"l": list(lexp), "r": list(rword), "c": f"-{text}" if neg else text}
-            for lexp, rword, neg, text in canonical_walk(g)
+            {"l": list(lexp), "r": list(rword), "c": text}
+            for lexp, rwords, texts in canonical_walk(g)
+            for rword, text in zip(rwords, texts)
         ],
     }
 

@@ -137,13 +137,13 @@ def _indented_json(data) -> str:
 
     The stack holds text still to write (a str) and values still to write
     ((value, newline and indent) pairs), popped in output order.  An
-    `Element` is written as its `element_to_json` form straight from
-    `canonical_walk`, a `Derivation` or `Endomorphism` as its `map_to_json`
-    form with the fields of `map_fields` (a map is a NamedTuple, so this is
-    tested before lists and tuples); every other value takes the
-    encoder's rules: ASCII-escaped strings, `int.__repr__`, true/false/null,
-    keys in insertion order, "[]" and "{}" when empty, and `json.dumps` for
-    a float or for a value it refuses.  Keys must be str (`_json_key`).
+    `Element` (`_element_text`) and a `Derivation` or `Endomorphism`
+    (`_map_text`, tested before lists and tuples, as a map is a NamedTuple)
+    are written whole, from texts kept in `heads` for this call.  Every
+    other value takes the encoder's rules: ASCII-escaped strings,
+    `int.__repr__`, true/false/null, keys in insertion order, "[]" and "{}"
+    when empty, and `json.dumps` for a float or for a value it refuses.
+    Keys must be str (`_json_key`).
     """
     out: list[str] = []
     heads: dict[tuple, str] = {}
@@ -156,10 +156,9 @@ def _indented_json(data) -> str:
         obj, nl = item
         if isinstance(obj, Element):
             out.append(_element_text(obj, nl, heads))
-            continue
-        if isinstance(obj, (Derivation, Endomorphism)):
-            obj = map_fields(obj)
-        if isinstance(obj, dict):
+        elif isinstance(obj, (Derivation, Endomorphism)):
+            out.append(_map_text(obj, nl, heads))
+        elif isinstance(obj, dict):
             if not obj:
                 out.append("{}")
             else:
@@ -199,23 +198,44 @@ def _indented_json(data) -> str:
 def _element_text(g: Element, nl: str, heads: dict) -> str:
     """The indented text of element_to_json(g) at indent `nl`.
 
-    A term's text up to its coefficient's digits is kept in `heads` under
-    (nl, lexp, rword); the digits of `canonical_walk` need no escaping.
+    `heads` keeps a zero element's text under (nl, n), and under (nl, lexp)
+    a dict from r-word to the text of a term up to its coefficient's
+    digits; the digits of `canonical_walk` need no escaping.
     """
     inner = nl + "  "
+    if g.is_zero:
+        text = heads.get((nl, g.n))
+        if text is None:
+            text = heads[nl, g.n] = f'{{{inner}"n": {g.n},{inner}"terms": []{nl}}}'
+        return text
     close = '"' + inner + "  }"
     terms = []
-    for lexp, rword, neg, text in canonical_walk(g):
-        head = heads.get((nl, lexp, rword))
-        if head is None:
-            at = inner + "    "
-            head = heads[nl, lexp, rword] = (
-                f'{inner}  {{{at}"l": {_ints_text(lexp, at)},'
-                f'{at}"r": {_ints_text(rword, at)},{at}"c": "'
-            )
-        terms.append(f"{head}-{text}{close}" if neg else f"{head}{text}{close}")
-    body = f"[{','.join(terms)}{inner}]" if terms else "[]"
-    return f'{{{inner}"n": {g.n},{inner}"terms": {body}{nl}}}'
+    for lexp, rwords, texts in canonical_walk(g):
+        group = heads.setdefault((nl, lexp), {})
+        for rword, text in zip(rwords, texts):
+            head = group.get(rword)
+            if head is None:
+                at = inner + "    "
+                head = group[rword] = (
+                    f'{inner}  {{{at}"l": {_ints_text(lexp, at)},'
+                    f'{at}"r": {_ints_text(rword, at)},{at}"c": "'
+                )
+            terms.append(f"{head}{text}{close}")
+    return f'{{{inner}"n": {g.n},{inner}"terms": [{",".join(terms)}{inner}]{nl}}}'
+
+
+def _map_text(m, nl: str, heads: dict) -> str:
+    """The indented text of map_to_json(m) at indent `nl`: the fields of
+    `map_fields` in their order, each image by `_element_text`; `verified`
+    is a bool, as every map `lsea` builds holds one."""
+    inner, at = nl + "  ", nl + "    "
+    fields = map_fields(m, lambda g: _element_text(g, at, heads))
+    for key in ("l_images", "r_images"):
+        images = fields[key]
+        fields[key] = f"[{at}{(',' + at).join(images)}{inner}]" if images else "[]"
+    fields["kind"] = _quote(fields["kind"])
+    fields["verified"] = "true" if fields["verified"] else "false"
+    return "{" + ",".join(f'{inner}"{k}": {text}' for k, text in fields.items()) + nl + "}"
 
 
 def _ints_text(values: tuple, nl: str) -> str:

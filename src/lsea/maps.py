@@ -111,9 +111,10 @@ class Endomorphism(NamedTuple):
 #
 # Each relation instance is written once, as signed two-letter words over the
 # generator slots (`relation_words`).  An endomorphism's residual applies phi
-# letter by letter: one `algebra._signed_products` sum over the lcm of the
-# products' denominators (`endo_residual`).  A derivation's residual is read
-# off the images in closed form.  With A_k = D(l_k) and B_k = D(r_k),
+# letter by letter: one `algebra._signed_products` sum over the square of the
+# lcm of the images' denominators (`check_endomorphism`).  A derivation's
+# residual is read off the images in closed form.  With A_k = D(l_k) and
+# B_k = D(r_k),
 #
 #     s1(i, j) = [A_i, l_j] - [A_j, l_i],
 #     s2(i, j) = [B_i, l_j] + r_i A_j - A_j r_i - B_i r_j - r_i B_j,
@@ -247,52 +248,48 @@ def _letter_sum(items, entries, accs) -> None:
                 _charge(len(acc))
 
 
-def endo_residual(n: int, images, kind: str, i: int, j: int) -> Element:
-    """phi applied letter by letter to relation instance (kind, i, j), phi
-    given by its images in slot order: sum(sign * phi(a) * phi(b)) over its
-    signed words, one `_signed_products` map over the lcm of the products'
-    denominators."""
-    terms = []
-    for sign, a, b in relation_words(n, kind, i, j):
-        x, y = images[a], images[b]
-        (den_x, items_x), (den_y, items_y) = x.int_terms(), y.int_terms()
-        terms.append((sign, den_x * den_y, items_x, items_y))
-    den = lcm(*(d for _, d, _, _ in terms))
-    acc = _signed_products((sign * (den // d), ix, iy) for sign, d, ix, iy in terms)
-    return _from_ints(n, acc, den)
+def _scaled_slots(m) -> tuple[int, list]:
+    """(den, slots): den the lcm of m's image denominators, and each image's
+    (word, int) pairs over den in slot order; each half must hold n images."""
+    images = _as_images(m.n, m.l_images) + _as_images(m.n, m.r_images)
+    terms = [g.int_terms() for g in images]
+    den = lcm(*(dg for dg, _ in terms))
+    return den, [
+        items if dg == den else [(w, c * (den // dg)) for w, c in items]
+        for dg, items in terms
+    ]
 
 
 def check_derivation(d: Derivation) -> tuple[Derivation, list]:
     """Re-check the relation families; returns (flagged copy, violations).
 
     A violation is (kind, i, j, residual) for each relation instance whose
-    residual is nonzero, in `relations(n)` order; each half of d must hold n
-    images of U_n, checked before any relation is evaluated.  Each image's
-    terms are read once and scaled to the lcm den of the images'
-    denominators; each nonzero slot is one `_letter_sum` into the relation
-    accumulators its `_relation_table` row lists, each put over den.
+    residual is nonzero, in `relations(n)` order; the images are checked
+    and read by `_scaled_slots` before any relation is evaluated.  Each
+    nonzero slot is one `_letter_sum` into the relation accumulators its
+    `_relation_table` row lists, each put over den.
     """
-    n, images = d.n, _as_images(d.n, d.l_images) + _as_images(d.n, d.r_images)
-    terms = [g.int_terms() for g in images]
-    den = lcm(*(dg for dg, _ in terms))
+    n, (den, slots) = d.n, _scaled_slots(d)
     rels, table = _relation_table(n)
     accs = [{} for _ in rels]
-    for (dg, items), entries in zip(terms, table):
+    for items, entries in zip(slots, table):
         if items:
-            scaled = items if dg == den else [(w, c * (den // dg)) for w, c in items]
-            _letter_sum(scaled, entries, accs)
+            _letter_sum(items, entries, accs)
     violations = [(*rel, _from_ints(n, acc, den)) for rel, acc in zip(rels, accs) if acc]
     return d._replace(verified=not violations), violations
 
 
 def check_endomorphism(e: Endomorphism) -> tuple[Endomorphism, list]:
-    """As `check_derivation`, each residual by `endo_residual`."""
-    n, images = e.n, _as_images(e.n, e.l_images) + _as_images(e.n, e.r_images)
+    """As `check_derivation`: each relation instance is phi applied letter
+    by letter to its signed words (`relation_words`), sum(sign * phi(a) *
+    phi(b)) as one `_signed_products` map over den^2."""
+    n, (den, slots) = e.n, _scaled_slots(e)
     violations = []
     for kind, i, j in relations(n):
-        res = endo_residual(n, images, kind, i, j)
-        if not res.is_zero:
-            violations.append((kind, i, j, res))
+        words = relation_words(n, kind, i, j)
+        acc = _signed_products((sign, slots[a], slots[b]) for sign, a, b in words)
+        if acc:
+            violations.append((kind, i, j, _from_ints(n, acc, den * den)))
     return e._replace(verified=not violations), violations
 
 

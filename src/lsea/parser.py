@@ -16,10 +16,11 @@ other role.  Parentheses and unary minus nest at most MAX_NESTING (100)
 levels deep; deeper input is a syntax error.
 
 `format_element` prints the canonical form, read off
-`algebra.canonical_walk`: terms in descending order,
-coefficients as p/q with positive denominators, l-parts with exponents and
-r-parts as spelled-out letters, e.g. `l1^2*r1 + 2*l1*r1*r1`.  Parsing a
-formatted string returns the identical element.
+`algebra.canonical_walk` one L-monomial group at a time: terms in
+descending order, coefficients as p/q with positive denominators, l-parts
+with exponents and r-parts as spelled-out letters, e.g.
+`l1^2*r1 + 2*l1*r1*r1`.  Parsing a formatted string returns the identical
+element.
 """
 
 from __future__ import annotations
@@ -182,26 +183,36 @@ def parse_element(text: str, n: int) -> Element:
 
 
 def format_element(g: Element) -> str:
-    """Canonical text form; parse(format(g)) == g."""
+    """Canonical text form; parse(format(g)) == g.  Each l-part of
+    `canonical_walk` is spelled once, and each r-word once per call."""
     if g.is_zero:
         return "0"
     letters = [f"r{j}" for j in range(g.n + 1)]
-    pieces = []
-    last = None
-    for lexp, rword, negative, text in canonical_walk(g):
-        if lexp is not last:
-            last = lexp
-            lpart = "*".join(
-                f"l{i}" if e == 1 else f"l{i}^{e}" for i, e in enumerate(lexp, 1) if e
-            )
-        rpart = "*".join(map(letters.__getitem__, rword))
-        word = f"{lpart}*{rpart}" if lpart and rpart else lpart or rpart
-        if not word:
-            body = text
-        elif text == "1":
-            body = word
-        else:
-            body = f"{text}*{word}"
-        pieces.append(f"- {body}" if negative else f"+ {body}")
-    out = " ".join(pieces)
-    return out[2:] if out[0] == "+" else f"-{out[2:]}"
+    spelled: dict[tuple, str] = {}
+    bodies: list[str] = []
+    for lexp, rwords, texts in canonical_walk(g):
+        factors = []  # a loop: a generator costs more than a short l-part
+        for i, e in enumerate(lexp, 1):
+            if e:
+                factors.append(f"l{i}" if e == 1 else f"l{i}^{e}")
+        lpart = "*".join(factors)
+        lprefix = lpart + "*" if lpart else ""
+        for rword, text in zip(rwords, texts):
+            rpart = spelled.get(rword)
+            if rpart is None:
+                # most r-words put one letter before an r-word spelled already
+                tail = spelled.get(rword[1:]) if rword else None
+                rpart = spelled[rword] = (
+                    f"{letters[rword[0]]}*{tail}"
+                    if tail
+                    else "*".join(map(letters.__getitem__, rword))
+                )
+            word = lprefix + rpart if rpart else lpart
+            if not word:
+                bodies.append(text)
+            elif text == "1" or text == "-1":
+                bodies.append(text[:-1] + word)  # the unit's sign alone
+            else:
+                bodies.append(f"{text}*{word}")
+    # a term holds no space, so " + -" is exactly a negative term's separator
+    return " + ".join(bodies).replace(" + -", " - ")

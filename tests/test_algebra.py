@@ -22,6 +22,7 @@ from lsea import (
     gen_r,
     generator,
     homogeneous_components,
+    is_homogeneous,
     lm_lc,
     membership,
     mul,
@@ -679,6 +680,20 @@ class TestGrading:
             assert not p.is_zero
             for word, _ in p.terms():
                 assert _wdegree(word, w) == da + db
+
+    def test_degree_reads_agree_with_components(self):
+        # wdeg and is_homogeneous read the word degrees directly; both must
+        # say what the homogeneous components say, zero and one-term included
+        rng = random.Random(47)
+        for k in range(120):
+            n = rng.randint(1, 3)
+            g = Element.zero(n) if k % 10 == 0 else rand_element(rng, n, 4, terms=k % 5 + 1)
+            w = rand_weights(rng, n)
+            assert wdeg(g, w) == max(homogeneous_components(g, w), default=NEG_INF)
+            standard = homogeneous_components(g, (1,) * n)
+            assert is_homogeneous(g) is (len(standard) <= 1)
+            for d, part in standard.items():
+                assert is_homogeneous(part) and wdeg(part, (1,) * n) == d
 
     def test_wdeg_additive_on_products(self):
         rng = random.Random(13)

@@ -1164,8 +1164,11 @@ def elements(draw, n=None):
 
 @st.composite
 def maps(draw):
-    n = draw(st.integers(1, 3))
-    images = st.lists(elements(n), min_size=n, max_size=n).map(tuple)
+    # two-digit n reaches the map template's images and zero-image texts;
+    # zero images are as common as in a derivation-space basis
+    n = draw(st.integers(1, 12))
+    image = st.just(Element.zero(n)) | elements(n)
+    images = st.lists(image, min_size=n, max_size=n).map(tuple)
     kind = draw(st.sampled_from([Derivation, Endomorphism]))
     return kind(n, draw(images), draw(images), draw(st.booleans()))
 
@@ -1193,6 +1196,7 @@ def _call_site_payloads(seed):
     phi1, psi1 = u1_closed_form(alpha, rand_rpoly(rng, 1, 3))
     bad = check_derivation(Derivation(2, (gen_r(2, 1), z), (z, z)))[1]
     space = derivation_space(2, 1, into_I=True)
+    space0 = derivation_space(3, 0)  # most images are zero
     sols = lemma27_solutions(2, 1, 2)
     g = rand_element(rng, 2, 4)
     d = rand_verified_derivation(rng, 2)
@@ -1204,6 +1208,7 @@ def _call_site_payloads(seed):
         "parts": {"parts": [{"wdeg": 1, "element": g}, {"wdeg": 2, "element": z}]},
         "grade": {"parts": [{"wdeg": 0, "map": d}]},
         "derspace": {"dim": len(space), "basis": space},
+        "derspace wdeg 0": {"dim": len(space0), "basis": space0},
         "ad-preimage": {"g": g_pre, "kernel_dim": 0},
         "lemma27": {"dim": len(sols), "basis": sols},
         "rfactor": {"u": u, "v": v},
