@@ -201,9 +201,7 @@ class Element:
         `_ratio`, anything else by `as_fraction`), and the p * (den // q) are
         summed over den, the lcm of the q's.
         """
-        n = _json_int(n, "ambient n")
-        if n < 1:
-            raise DomainError("ambient n must be >= 1")
+        n = _ambient(n)
         parts = []
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
@@ -306,19 +304,11 @@ class Element:
             raise AmbientMismatch(f"ambient mismatch: U_{self.n} vs U_{other.n}")
 
     def _merge(self, other: "Element", sign: int) -> "Element":
-        """self + sign * other, one int map merge over the common denominator."""
+        """self + sign * other by `_add_into`, into a copy of self's map unless rescaled."""
         self._require_same_ambient(other)
-        den_a, den_b = self._den, other._den
-        den = lcm(den_a, den_b)
-        fa, fb = den // den_a, sign * (den // den_b)
-        out = dict(self._nums) if fa == 1 else {w: c * fa for w, c in self._nums.items()}
-        for word, c in other._nums.items():
-            acc = out.get(word, 0) + c * fb
-            if acc:
-                out[word] = acc
-            else:
-                del out[word]
-        return _from_ints(self.n, out, den)
+        nums = dict(self._nums) if self._den % other._den == 0 else self._nums
+        nums, den = _add_into(nums, self._den, other._nums.items(), other._den, sign)
+        return _from_ints(self.n, nums, den)
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -396,6 +386,23 @@ def _reduced(nums: dict, den: int) -> tuple[dict, int]:
     return nums, den
 
 
+def _add_into(acc: dict, den: int, items, den_b: int, sign: int) -> tuple[dict, int]:
+    """acc / den + sign * items / den_b over their lcm, as (int map, lcm): acc is
+    added into in place, or rescaled into a new map first; a zero total drops its word."""
+    common = lcm(den, den_b)
+    if common != den:
+        factor = common // den
+        acc = {w: c * factor for w, c in acc.items()}
+    factor, get = sign * (common // den_b), acc.get
+    for word, c in items:
+        total = get(word, 0) + c * factor
+        if total:
+            acc[word] = total
+        else:
+            del acc[word]
+    return acc, common
+
+
 def _from_ints(n: int, nums: dict, den: int = 1) -> Element:
     """The element sum(nums[word] / den * word) of U_n, from trusted parts.
 
@@ -418,10 +425,10 @@ def generator(n: int, kind: str, index: int) -> Element:
     """The canonical one-term element l_index or r_index of U_n.
 
     Cached: elements are immutable, so every caller may share one instance.
-    n and the index must be plain ints; the typed cache keeps True off 1's
-    entry.
+    n must be a plain int >= 1 (`_ambient`) and the index a plain int; the
+    typed cache keeps True off 1's entry.
     """
-    n = _json_int(n, "ambient n")
+    n = _ambient(n)
     index = _json_int(index, "generator index")
     if not 1 <= index <= n:
         raise DomainError(f"generator index {index} out of range 1..{n}")
@@ -861,6 +868,14 @@ def _json_int(x, what: str) -> int:
     if type(x) is not int:
         raise DomainError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _ambient(n) -> int:
+    """n if it is a plain int >= 1 (`_json_int`), else a DomainError."""
+    n = _json_int(n, "ambient n")
+    if n < 1:
+        raise DomainError("ambient n must be >= 1")
+    return n
 
 
 def _weight_vector(weights, n: int) -> tuple[int, ...]:

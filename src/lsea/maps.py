@@ -74,7 +74,7 @@ def _as_images(n: int, images) -> tuple[Element, ...]:
 
 def _slots(m) -> tuple[Element, ...]:
     """m's images in generator-slot order: l_1..l_n, then r_1..r_n."""
-    return m.l_images + m.r_images
+    return (*m.l_images, *m.r_images)
 
 
 def _from_slots(cls, n: int, images, **flags):
@@ -251,8 +251,8 @@ def _letter_sum(items, entries, accs) -> None:
 def _scaled_slots(m) -> tuple[int, list]:
     """(den, slots): den the lcm of m's image denominators, and each image's
     (word, int) pairs over den in slot order; each half must hold n images."""
-    images = _as_images(m.n, m.l_images) + _as_images(m.n, m.r_images)
-    terms = [g.int_terms() for g in images]
+    _as_images(m.n, m.l_images), _as_images(m.n, m.r_images)
+    terms = [g.int_terms() for g in _slots(m)]
     den = lcm(*(dg for dg, _ in terms))
     return den, [
         items if dg == den else [(w, c * (den // dg)) for w, c in items]

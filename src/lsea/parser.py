@@ -15,6 +15,11 @@ exponent is a DomainError.  Rational literals are INT '/' INT; `/` has no
 other role.  Parentheses and unary minus nest at most MAX_NESTING (100)
 levels deep; deeper input is a syntax error.
 
+Each parsed value is an int map over one denominator, ({(lexp, rword):
+numerator}, den): `algebra._signed_products` multiplies factors, the terms
+of a sum are added into one map by `algebra._add_into`, and outside of
+`^`, which goes through `Element.__pow__`, only the answer is an Element.
+
 `format_element` prints the canonical form, read off
 `algebra.canonical_walk` one L-monomial group at a time: terms in
 descending order, coefficients as p/q with positive denominators, l-parts
@@ -26,9 +31,9 @@ element.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .algebra import DomainError, Element, _str_int, canonical_walk, gen_l, gen_r
+from .algebra import DomainError, Element, _add_into, _ambient, _charge, _from_ints
+from .algebra import _signed_products, _str_int, canonical_walk, generator
 
 
 class ExprSyntaxError(ValueError):
@@ -78,25 +83,18 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text: str, n: int):
+        self.n = _ambient(n)  # a bad n is refused before the text is read
         self.tokens = _tokenize(text)
-        self.n = n
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.i = self.depth = 0
+        self.words: dict[tuple, tuple] = {}  # generator token -> its basis word
+        self.one = ((0,) * self.n, ())
 
     def take(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-
-    def nested(self, parse, pos: int) -> Element:
+    def nested(self, parse, pos: int) -> tuple[dict, int]:
         """parse() one level deeper, refusing past MAX_NESTING levels."""
         if self.depth >= MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
@@ -106,79 +104,87 @@ class _Parser:
         return out
 
     def parse(self) -> Element:
-        out = self.expr()
-        kind, _, pos = self.peek()
+        nums, den = self.expr()
+        kind, _, pos = self.tokens[self.i]
         if kind != "end":
             raise ExprSyntaxError("trailing input", pos)
-        return out
+        return _from_ints(self.n, nums, den)
 
-    def expr(self) -> Element:
-        out = self.term()
+    def expr(self) -> tuple[dict, int]:
+        nums, den = self.term()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                out = out + rhs if val == "+" else out - rhs
-            else:
-                return out
+            kind, val, _ = self.tokens[self.i]
+            if kind != "op" or val not in "+-":
+                return nums, den
+            self.i += 1
+            rhs, rden = self.term()
+            nums, den = _add_into(nums, den, rhs.items(), rden, 1 if val == "+" else -1)
+            _charge(len(nums))
 
-    def term(self) -> Element:
-        out = self.atom()
+    def term(self) -> tuple[dict, int]:
+        nums, den = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _ = self.tokens[self.i]
             if kind == "op" and val == "*":
-                self.take()
-                out = out * self.atom()
+                self.i += 1
+                rhs, rden = self.atom()
+                nums, den = _signed_products(((1, nums.items(), rhs.items()),)), den * rden
             else:
-                return out
+                return nums, den
 
-    def atom(self) -> Element:
-        kind, val, pos = self.peek()
+    def atom(self) -> tuple[dict, int]:
+        kind, val, pos = self.tokens[self.i]
         if kind == "op" and val == "-":
-            self.take()
-            return -self.nested(self.atom, pos)
+            self.i += 1
+            nums, den = self.nested(self.atom, pos)
+            return {w: -c for w, c in nums.items()}, den
         return self.power()
 
-    def power(self) -> Element:
+    def power(self) -> tuple[dict, int]:
         base = self.primary()
-        kind, val, _ = self.peek()
+        kind, val, _ = self.tokens[self.i]
         if kind == "op" and val == "^":
-            self.take()
+            self.i += 1
             ekind, exp, pos = self.take()
             if ekind != "int":
                 raise ExprSyntaxError("exponent must be a non-negative integer", pos)
-            return base**exp
+            den, items = (_from_ints(self.n, *base) ** exp).int_terms()
+            return dict(items), den
         return base
 
-    def primary(self) -> Element:
+    def primary(self) -> tuple[dict, int]:
         kind, val, pos = self.take()
         if kind == "int":
-            nkind, nval, _ = self.peek()
+            den = 1
+            nkind, nval, _ = self.tokens[self.i]
             if nkind == "op" and nval == "/":
-                self.take()
+                self.i += 1
                 dkind, den, dpos = self.take()
                 if dkind != "int":
                     raise ExprSyntaxError("expected integer denominator", dpos)
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", dpos)
-                return Element.one(self.n) * Fraction(val, den)
-            return Element.one(self.n) * val
+            return ({self.one: val} if val else {}), den
         if kind == "gen":
-            letter, idx = val
-            try:
-                return gen_l(self.n, idx) if letter == "l" else gen_r(self.n, idx)
-            except DomainError as exc:
-                raise ExprSyntaxError(str(exc), pos) from exc
+            word = self.words.get(val)
+            if word is None:
+                try:
+                    ((word, _),) = generator(self.n, *val).int_terms()[1]
+                except DomainError as exc:
+                    raise ExprSyntaxError(str(exc), pos) from exc
+                self.words[val] = word
+            return {word: 1}, 1
         if kind == "op" and val == "(":
             out = self.nested(self.expr, pos)
-            self.expect_op(")")
+            kind, val, pos = self.take()
+            if kind != "op" or val != ")":
+                raise ExprSyntaxError("expected ')'", pos)
             return out
         raise ExprSyntaxError("expected a literal, generator, or '('", pos)
 
 
 def parse_element(text: str, n: int) -> Element:
-    """Parse expression text into a canonical element of U_n."""
+    """Parse text into a canonical element of U_n; a bad n is a DomainError."""
     return _Parser(text, n).parse()
 
 

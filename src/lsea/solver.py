@@ -20,6 +20,7 @@ from .algebra import (
     BasisWord,
     DomainError,
     Element,
+    _ambient,
     _charge,
     _from_ints,
     _insert_letter,
@@ -82,9 +83,7 @@ def weighted_slice(
     """The basis words of w-degree m for strictly positive weights, sorted
     by `word_key`, greatest first; their number is charged to the term
     budget before they are listed."""
-    if n < 1:
-        raise DomainError("ambient n must be >= 1")
-    weights = _weight_vector(weights, n)
+    weights = _weight_vector(weights, _ambient(n))
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
     if m >= 0:

@@ -48,6 +48,7 @@ from lsea.cli import (
     build_parser,
     main,
 )
+from lsea import algebra, parser
 from lsea.maps import _letter_sum, _relation_table, _slots, map_from_json, violations_to_json
 from lsea.parser import ExprSyntaxError, format_element, parse_element
 from lsea.verify import (
@@ -123,6 +124,37 @@ class TestParser:
     def test_no_implicit_multiplication(self):
         with pytest.raises(ExprSyntaxError):
             parse_element("2 l1", 1)
+
+    def test_sum_of_products_builds_one_element(self, monkeypatch):
+        # factors are int maps multiplied by `_signed_products` and the terms
+        # are added into one map, so only the answer is an Element
+        def refuse(*args):
+            raise AssertionError("an Element built per factor or per partial sum")
+
+        built = []
+        monkeypatch.setattr(Element, "_merge", refuse)
+        monkeypatch.setattr(algebra, "mul", refuse)
+        monkeypatch.setattr(
+            parser, "_from_ints", lambda *args: built.append(args) or algebra._from_ints(*args)
+        )
+        g = parse_element("3*l1*r2 - 1/2*r1*l2*l2 + r2*r1*l1 + 5 - 2/3*r2*l1*l1", 2)
+        assert len(built) == 1
+        monkeypatch.undo()
+        l1, l2, r1, r2 = gen_l(2, 1), gen_l(2, 2), gen_r(2, 1), gen_r(2, 2)
+        assert g == (
+            3 * mul(l1, r2) - Fraction(1, 2) * mul(mul(r1, l2), l2) + mul(mul(r2, r1), l1)
+            + 5 * Element.one(2) - Fraction(2, 3) * mul(mul(r2, l1), l1)
+        )
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [("(3*l1 + l2 + 5*r1 + 6*r2)^10", 4083), ("(1/2*l1 - 2/3*r1 + 3/4*r2)^7", 255)],
+    )
+    def test_large_answer_round_trips(self, text, terms):
+        # a sum of T terms is read back in time linear in T
+        g = parse_element(text, 2)
+        assert len(g) == terms
+        assert parse_element(format_element(g), 2) == g
 
 
 class TestFormat:
@@ -350,6 +382,10 @@ CLI_CASES = {
         ("ad-800", "-n 2 ad l1^800*r1 l2^800*r2", 0, lambda out: hashlib.sha256(
             out.encode()).hexdigest() == AD_800_SHA256, {**CAP, "timeout": 5}),
         ("ad-u1-200", "-n 1 ad l1^200 r1^200", 0, lambda out: len(out) == 239355, CAP),
+        # the running sum is charged after each term, so the sixth term trips it
+        ("sum-budget", "-n 2 --max-terms 5 norm 'l1 + l2 + r1 + r2 + l1*r1 + l2*r2 + r1*r2'",
+         2, "lsea: term budget exceeded: intermediate result has 6 terms, over the "
+         "--max-terms bound 5\n"),
         ("zero-denominator", "-n 1 norm 1/0", 2, syntax("zero denominator", 2)),
         ("dangling-power", "-n 2 norm l1^", 2,
          syntax("exponent must be a non-negative integer", 3)),

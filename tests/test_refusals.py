@@ -31,6 +31,7 @@ from lsea import (
     u1_closed_form,
 )
 from lsea.maps import poly_subst
+from lsea.parser import parse_element
 from lsea.verify import run_suite
 
 
@@ -114,8 +115,18 @@ REFUSALS = {
         "a zero member has no pivot"),
     "generator-kind": (
         lambda: generator(2, "x", 1), DomainError, "unknown generator kind 'x'"),
+    "generator-n": (lambda: generator(0, "l", 1), DomainError, "ambient n must be >= 1"),
     "Element-divided-by-zero": (
         lambda: gen_l(1, 1) / 0, ZeroDivisionError, "division of an element by zero"),
+    # a bad ambient n is refused before the text is read, whatever comes first
+    "parse_element-n-literal": (
+        lambda: parse_element("2", 0), DomainError, "ambient n must be >= 1"),
+    "parse_element-n-generator": (
+        lambda: parse_element("l1", 0), DomainError, "ambient n must be >= 1"),
+    "parse_element-n-bool": (
+        lambda: parse_element("l1", True), DomainError, "ambient n must be an integer, got True"),
+    "parse_element-n-before-text": (
+        lambda: parse_element("l1 +", 0), DomainError, "ambient n must be >= 1"),
     "run_suite-cases": (
         lambda: run_suite("cor23", cases=0), DomainError, "cases must be at least 1, got 0"),
     "run_suite-unknown": (
