@@ -39,7 +39,7 @@ import re
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import add as _add
 from typing import Iterable, Iterator, NamedTuple
@@ -145,10 +145,6 @@ class BasisWord(NamedTuple):
     rword: tuple[int, ...]
 
 
-# BasisWord from a (lexp, rword) pair built here, without `_make`'s length check
-_basis_word = partial(tuple.__new__, BasisWord)
-
-
 def _wdegree(word, weights) -> int:
     """Weighted degree of a `BasisWord` or a plain (lexp, rword) pair."""
     lexp, rword = word
@@ -199,10 +195,10 @@ class Element:
         Coefficients are Fractions, ints or strings; repeated words add up.
         Each coefficient becomes p over q (an int as p over 1, a str by
         `_ratio`, anything else by `as_fraction`), and the p * (den // q) are
-        summed over den, the lcm of the q's.
+        summed over den, the lcm of the q's, by `_add_into` (rescaled if den > 1).
         """
         n = _ambient(n)
-        parts = []
+        parts, qs = [], []
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
             lexp, rword = tuple(word[0]), tuple(word[1])
@@ -222,16 +218,12 @@ class Element:
             else:
                 p, q = as_fraction(c).as_integer_ratio()
             if p:
-                parts.append(((lexp, rword), p, q))
-        den = lcm(*[q for _, _, q in parts])
-        nums: dict[tuple, int] = {}
-        # every added value is nonzero, so a zero total means the key was there
-        for key, p, q in parts:
-            total = nums.get(key, 0) + p * (den // q)
-            if total:
-                nums[key] = total
-            else:
-                del nums[key]
+                parts.append(((lexp, rword), p))
+                qs.append(q)
+        den = lcm(*qs)
+        if den != 1:
+            parts = [(key, p * (den // q)) for (key, p), q in zip(parts, qs)]
+        nums, den = _add_into({}, den, parts, den, 1)
         self.n = n
         self._nums, self._den = _reduced(nums, den)
         _charge(len(nums))
@@ -248,8 +240,8 @@ class Element:
     @staticmethod
     @lru_cache(maxsize=None, typed=True)
     def one(n: int) -> "Element":
-        """The unit of U_n, cached like `generator`; the constructor checks n."""
-        return Element(n, {((0,) * _json_int(n, "ambient n"), ()): 1})
+        """The unit of U_n, cached like `generator`; `_ambient` checks n."""
+        return Element(n, {((0,) * _ambient(n), ()): 1})
 
     @classmethod
     def from_word(cls, n, lexp, rword, coeff=1) -> "Element":
@@ -263,7 +255,7 @@ class Element:
 
     def terms(self) -> Iterator[tuple[BasisWord, Fraction]]:
         den = self._den
-        return ((_basis_word(w), Fraction(c, den)) for w, c in self._nums.items())
+        return ((BasisWord._make(w), Fraction(c, den)) for w, c in self._nums.items())
 
     def int_terms(self) -> tuple[int, Iterable[tuple[tuple, int]]]:
         """(den, ((lexp, rword), numerator) pairs) with

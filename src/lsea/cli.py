@@ -139,11 +139,11 @@ def _indented_json(data) -> str:
     ((value, newline and indent) pairs), popped in output order.  An
     `Element` (`_element_text`) and a `Derivation` or `Endomorphism`
     (`_map_text`, tested before lists and tuples, as a map is a NamedTuple)
-    are written whole, from texts kept in `heads` for this call.  Every
-    other value takes the encoder's rules: ASCII-escaped strings,
-    `int.__repr__`, true/false/null, keys in insertion order, "[]" and "{}"
-    when empty, and `json.dumps` for a float or for a value it refuses.
-    Keys must be str (`_json_key`).
+    are written whole, from texts kept in `heads` for this call.  A dict or
+    a list takes the encoder's layout: keys in insertion order, "[]" and
+    "{}" when empty.  Any other value, a str, int, bool, None or float, is
+    `json.dumps(value)`, which also refuses what the encoder refuses.  Keys
+    must be str (`_json_key`).
     """
     out: list[str] = []
     heads: dict[tuple, str] = {}
@@ -180,16 +180,6 @@ def _indented_json(data) -> str:
                 for k in range(len(obj) - 1, -1, -1):
                     stack.append((obj[k], inner))
                     stack.append(sep if k else inner)
-        elif isinstance(obj, str):
-            out.append(_quote(obj))
-        elif obj is None:
-            out.append("null")
-        elif obj is True:
-            out.append("true")
-        elif obj is False:
-            out.append("false")
-        elif isinstance(obj, int):
-            out.append(int.__repr__(obj))
         else:
             out.append(json.dumps(obj))
     return "".join(out)
@@ -382,8 +372,6 @@ def _need_n(args, fallback: int | None = None) -> int:
     n = args.n if args.n is not None else fallback
     if n is None:
         raise _UsageError("this command needs -n")
-    if n < 1:
-        raise _UsageError("-n must be >= 1")
     return _cap(n, MAX_N, "n", "-n")
 
 

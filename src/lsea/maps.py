@@ -29,10 +29,10 @@ from .algebra import (
     AmbientMismatch,
     DomainError,
     Element,
+    _ambient,
     _charge,
     _from_ints,
     _insert_letter,
-    _json_int,
     _require_exponent,
     _r_gradient,
     _rword_past_monomial,
@@ -63,6 +63,9 @@ class AnomalyError(RuntimeError):
 
 
 def _as_images(n: int, images) -> tuple[Element, ...]:
+    """images as a tuple of n elements of U_n: the one reader of a map's
+    ambient n (through `algebra._ambient`) and of its images."""
+    n = _ambient(n)
     images = tuple(images)
     if len(images) != n:
         raise DomainError(f"expected {n} generator images, got {len(images)}")
@@ -721,17 +724,13 @@ def affine_tuple(n: int, matrix, shift=None):
 # -- serialization ---------------------------------------------------------------
 
 
-def map_fields(m, image=None) -> dict:
-    """The fields of m's JSON form in their order, each image as
-    image(g), or the `Element` itself when image is None."""
-    l_images, r_images = m.l_images, m.r_images
-    if image is not None:
-        l_images, r_images = list(map(image, l_images)), list(map(image, r_images))
+def map_fields(m, image) -> dict:
+    """The fields of m's JSON form in their order, each image as image(g)."""
     return {
         "n": m.n,
         "kind": "derivation" if isinstance(m, Derivation) else "endomorphism",
-        "l_images": l_images,
-        "r_images": r_images,
+        "l_images": list(map(image, m.l_images)),
+        "r_images": list(map(image, m.r_images)),
         "verified": m.verified,
     }
 
@@ -747,12 +746,12 @@ def map_from_json(data: dict):
 
 def checked_map_from_json(data: dict) -> tuple:
     """(flagged map, violations) of the map stored in `data`, from one re-check
-    of its relations: a stored "verified" field is ignored, as data is no proof."""
-    n = _json_int(data["n"], "n")
+    of its relations: a stored "verified" field is ignored, as data is no proof.
+    n is passed as it is, so the re-check's `_as_images` refuses a bad one."""
     l_images = tuple(element_from_json(d) for d in data["l_images"])
     r_images = tuple(element_from_json(d) for d in data["r_images"])
     cls, check = {
         "derivation": (Derivation, check_derivation),
         "endomorphism": (Endomorphism, check_endomorphism),
     }[data["kind"]]
-    return check(cls(n, l_images, r_images))
+    return check(cls(data["n"], l_images, r_images))

@@ -249,6 +249,7 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     x = S(y_i) = 0; beyond, x = r_i y_i and E(y_i) = x - r_i y_i = 0, so
     |y_i| = 1.
     """
+    n = _ambient(n)
     if not 1 <= i <= n:
         raise DomainError("index out of range")
     if d < 2:

@@ -233,6 +233,8 @@ AD_800_SHA256 = "9854afac916819955f2cc5eb048ed5af56ba75a5221457de0167372b08d2e3e
 POWER_12_SHA256 = "f27d762d41439f29c30bc4bb9bb461b236a9fdb2a84e373c2ea2c4cded7315e4"
 PROBED = json.dumps({"nonzero_through": 100, "degrees": list(range(2, 102))}, indent=2)
 INFINITE_N = '{"n": Infinity, "kind": "derivation", "l_images": [], "r_images": []}'
+EMPTY_MAP = '{{"n": {}, "kind": "{}", "l_images": [], "r_images": []}}'.format
+AMBIENT_N = re.compile(r"\Alsea: bad map file \S+: ambient n must be >= 1\n\Z")
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 WEIGHT_LENGTH = "lsea: weight vector length must equal the ambient n\n"
@@ -349,7 +351,23 @@ CLI_CASES = {
         ("derspace-weights", "-n 2 solve derspace --wdeg 1 --weights 1", 2, WEIGHT_LENGTH),
     ],
     "test_case": [
+        # a map file's n, like -n, is refused by `algebra._ambient`
+        ("der-check-n0", "der check {tmp}/d0.json", 2, AMBIENT_N,
+         {"files": {"d0.json": EMPTY_MAP(0, "derivation")}}),
+        ("der-grade-n0", "der grade {tmp}/d0.json --weights 1", 2, AMBIENT_N,
+         {"files": {"d0.json": EMPTY_MAP(0, "derivation")}}),
+        ("der-apply-n0", "der apply {tmp}/d0.json 1", 2, AMBIENT_N,
+         {"files": {"d0.json": EMPTY_MAP(0, "derivation")}}),
+        ("endo-check-n-3", "endo check {tmp}/e.json", 2, AMBIENT_N,
+         {"files": {"e.json": EMPTY_MAP(-3, "endomorphism")}}),
+        ("lemma27-n0", "-n 0 solve lemma27 --i 1 --degree 2", 2,
+         "lsea: ambient n must be >= 1\n"),
         ("cube", "-n 1 norm '(l1+r1)^3'", 0, "l1^3 + 3*l1^2*r1 + 6*l1*r1*r1 + 6*r1*r1*r1\n"),
+        ("der-apply", "-n 2 der apply {data}/example41.json 'l1^2*r2'", 0,
+         "l1^2*r1*r2 - l1^2*r2*r1 + 2*l1*r1*r1*r2 + 2*r1*r1*r1*r2\n"),
+        # a derivation-space basis, mostly zero images, from the map template
+        ("derspace-json", "-n 3 solve derspace --wdeg 0", 0,
+         lambda out: out == json.dumps(json.loads(out), indent=2) + "\n"),
         # without a budget a linear base's power is read off in closed form;
         # its 1025 terms sum_m 1024!/m! l1^m r1^(1024-m) are all positive
         ("power-1024", "-n 1 norm '(l1+r1)^1024'", 0,
@@ -464,6 +482,14 @@ class TestCliChildren:
         assert lifted.returncode == 0
         checked = run_lsea(["endo", "check", "{tmp}/phi.json"], {"phi.json": lifted.stdout})
         assert (checked.returncode, checked.stdout) == (0, "endomorphism: OK\n")
+
+    def test_large_answer_read_back(self, run_lsea):
+        # 2,036 terms, one sum for the parser; the ^10 answer, 171,416
+        # characters, is over Linux's limit on one argument
+        first = run_lsea(["-n", "2", "norm", "(3*l1 + l2 + 5*r1 + 6*r2)^9"])
+        again = run_lsea(["-n", "2", "norm", "--", first.stdout.rstrip("\n")])
+        assert first.returncode == again.returncode == 0
+        assert len(first.stdout) == 76658 and again.stdout == first.stdout
 
     def test_reader_closing_early(self, subprocess_env):
         # the answer, about 260 KB, outgrows the pipe buffer, so the child is

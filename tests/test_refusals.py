@@ -12,12 +12,15 @@ from lsea import (
     Derivation,
     DomainError,
     Element,
+    Endomorphism,
     UnverifiedMapError,
     ad,
     ad_preimage,
     affine_tuple,
     apply_derivation,
     apply_endo,
+    check_derivation,
+    check_endomorphism,
     derivation_coords,
     elementary_tuple,
     gen_l,
@@ -76,6 +79,16 @@ REFUSALS = {
         "cofactor must lie in R_n"),
     "lemma27_solutions-index": (
         lambda: lemma27_solutions(2, 3, 4), DomainError, "index out of range"),
+    # a map's ambient n is read by `maps._as_images`, and the Lemma 2.7 basis
+    # reads its n, through `algebra._ambient` like every other ambient
+    "lemma27_solutions-n": (
+        lambda: lemma27_solutions(0, 1, 2), DomainError, "ambient n must be >= 1"),
+    "check_derivation-n": (
+        lambda: check_derivation(Derivation(0, (), ())), DomainError, "ambient n must be >= 1"),
+    "check_endomorphism-n": (
+        lambda: check_endomorphism(Endomorphism(-3, (), ())), DomainError,
+        "ambient n must be >= 1"),
+    "lift_phi-n": (lambda: lift_phi(0, []), DomainError, "ambient n must be >= 1"),
     "probe_nilpotent-unverified": (
         lambda: probe_nilpotent(_unverified_ad(), gen_r(2, 1), 3), UnverifiedMapError,
         "probe requires a verified derivation"),
