@@ -319,18 +319,13 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return mul(self, other)
-        if type(other) is int:
-            p, q = other, 1
-        else:
-            c = as_fraction(other)
-            p, q = c.numerator, c.denominator
+        p, q = as_fraction(other).as_integer_ratio()
         if not p:
             return Element.zero(self.n)
         scaled = {w: k * p for w, k in self._nums.items()}
         return _from_ints(self.n, scaled, self._den * q)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = as_fraction(other)
@@ -417,13 +412,11 @@ def generator(n: int, kind: str, index: int) -> Element:
     """The canonical one-term element l_index or r_index of U_n.
 
     Cached: elements are immutable, so every caller may share one instance.
-    n must be a plain int >= 1 (`_ambient`) and the index a plain int; the
-    typed cache keeps True off 1's entry.
+    n is read by `_ambient` and the index by `_index`; the typed cache keeps
+    True off 1's entry.
     """
     n = _ambient(n)
-    index = _json_int(index, "generator index")
-    if not 1 <= index <= n:
-        raise DomainError(f"generator index {index} out of range 1..{n}")
+    index = _index(index, n, "generator index")
     kind = kind.lower()
     if kind == "l":
         lexp = tuple(1 if i == index - 1 else 0 for i in range(n))
@@ -763,8 +756,7 @@ def project_to_L(g: Element) -> tuple[Element, Element]:
 
 def pderiv_l(j: int, f: Element) -> Element:
     """Partial derivative of a polynomial f in L_n with respect to l_j."""
-    if not 1 <= j <= f.n:
-        raise DomainError(f"variable index {j} out of range 1..{f.n}")
+    j = _index(j, f.n, "variable index")
     if not in_L(f):
         raise DomainError("partial derivative only defined on L_n")
     # lowering l_j is injective on the words that hold it, so nothing collides
@@ -854,12 +846,21 @@ def element_to_json(g: Element) -> dict:
 
 
 def _json_int(x, what: str) -> int:
-    """x if it is a plain int, the one test of every int input field (n, an
-    exponent, an r-letter, a generator index, a weight); anything else is a
-    DomainError."""
+    """x if it is a plain int, the one test of every int input field and
+    int argument (n, an exponent, an r-letter, an index, a weight, a degree,
+    a power, a bound); anything else, a bool too, is a DomainError."""
     if type(x) is not int:
         raise DomainError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _index(i, n: int, what: str) -> int:
+    """i if it is a plain int (`_json_int`) from 1 to n, the one check of an
+    index of U_n but `normal_form_oracle`'s own; else a DomainError."""
+    i = _json_int(i, what)
+    if not 1 <= i <= n:
+        raise DomainError(f"{what} {i} out of range 1..{n}")
+    return i
 
 
 def _ambient(n) -> int:

@@ -122,14 +122,20 @@ def _parse_weights(text: str):
         raise _UsageError(f"bad weight vector: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _read_file(path: str, what: str, build):
+    """build(data) of the JSON in the file at path, the one reader of an input
+    file: a read error, or build's KeyError, ValueError or TypeError, names path."""
     # ValueError covers JSONDecodeError and bytes that are not UTF-8, and the
     # decoder recurses once per nesting level of arrays and objects
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        return build(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _UsageError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _indented_json(data) -> str:
@@ -244,11 +250,11 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
-def _leaf(sub, name: str, run, help: str, *positionals: str):
+def _leaf(sub, name: str, run, help: str, *positionals: str, **defaults):
     p = sub.add_parser(name, help=help)
     for arg in positionals:
         p.add_argument(arg)
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, **defaults)
     return p
 
 
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(sub, "project", _project, "split into L_n part and ideal part", "expr")
 
     der = _group(sub, "der", "derivation operations")
-    _leaf(der, "check", _der_check, "check the defining relations", "file")
+    _leaf(der, "check", _check_file, "check the defining relations", "file", kind="derivation")
     _leaf(der, "apply", _der_apply, "apply a verified derivation", "file", "expr")
     p = _leaf(der, "probe", _der_probe, "bounded nilpotency probe", "file", "expr")
     p.add_argument(
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
 
     endo = _group(sub, "endo", "endomorphism operations")
-    _leaf(endo, "check", _endo_check, "check relation preservation", "file")
+    _leaf(endo, "check", _check_file, "check relation preservation", "file", kind="endomorphism")
     _leaf(endo, "apply", _endo_apply, "apply a verified endomorphism", "file", "expr")
     _leaf(
         endo,
@@ -457,30 +463,26 @@ def _project(args):
 
 def _load_map(path: str, want: str):
     """(map, violations) of the map in the file at path, from one re-check."""
-    data = _load_json(path)
-    try:
+
+    def build(data):
         kind = data["kind"]  # checked before the map is built
         if kind != want:
             raise _UsageError(f"{path} holds {_a(kind)}, expected {_a(want)}")
         _cap(_json_int(data["n"], "n"), MAX_N, "n", path)
         return checked_map_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"bad map file {path}: {exc}") from exc
+
+    return _read_file(path, "map", build)
 
 
 def _a(kind) -> str:
     return f"an {kind}" if str(kind).startswith(tuple("aeiou")) else f"a {kind}"
 
 
-def _check_file(args, kind: str):
-    _, violations = _load_map(args.file, kind)
+def _check_file(args):
+    _, violations = _load_map(args.file, args.kind)
     if not violations:
-        return f"{kind}: OK"
-    return MATH_FAILURE, f"{kind}: FAIL", {"violations": violations_to_json(violations)}
-
-
-def _der_check(args):
-    return _check_file(args, "derivation")
+        return f"{args.kind}: OK"
+    return MATH_FAILURE, f"{args.kind}: FAIL", {"violations": violations_to_json(violations)}
 
 
 def _der_apply(args):
@@ -501,10 +503,6 @@ def _der_grade(args):
     d, _ = _load_map(args.file, "derivation")
     w = _parse_weights(args.weights)
     return {"parts": [{"wdeg": m, "map": dm} for m, dm in graded_parts(d, w).items()]}
-
-
-def _endo_check(args):
-    return _check_file(args, "endomorphism")
 
 
 def _endo_apply(args):
@@ -541,15 +539,13 @@ def _u1_pair(args):
 
 
 def _solve_ad_preimage(args):
-    data = _load_json(args.file)
-    try:
+    def build(data):
         for d in data["images"]:
             _cap(_json_int(d["n"], "n"), MAX_N, "n", args.file)
-        us = [element_from_json(d) for d in data["images"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"bad image file: {exc}") from exc
+        return [element_from_json(d) for d in data["images"]]
+
     # the preimage is unique: ad_preimage's docstring proves the kernel is 0
-    return {"g": ad_preimage(us), "kernel_dim": 0}
+    return {"g": ad_preimage(_read_file(args.file, "image", build)), "kernel_dim": 0}
 
 
 def _solve_lemma27(args):

@@ -30,9 +30,12 @@ from .algebra import (
     DomainError,
     Element,
     _ambient,
+    _add_into,
     _charge,
     _from_ints,
+    _index,
     _insert_letter,
+    _json_int,
     _require_exponent,
     _r_gradient,
     _rword_past_monomial,
@@ -63,8 +66,8 @@ class AnomalyError(RuntimeError):
 
 
 def _as_images(n: int, images) -> tuple[Element, ...]:
-    """images as a tuple of n elements of U_n: the one reader of a map's
-    ambient n (through `algebra._ambient`) and of its images."""
+    """images as a tuple of n elements of U_n (n read by `algebra._ambient`): the
+    one reader of a map's, a substitution's or `solver.ad_preimage`'s images."""
     n = _ambient(n)
     images = tuple(images)
     if len(images) != n:
@@ -201,9 +204,8 @@ def _r_word_part(ops: tuple, rword: tuple) -> tuple:
             words = [(rword + (k,), 1)]
         else:
             continue
-        for v, m in words:
-            acc[v] = acc.get(v, 0) + sign * m
-    return tuple((v, m) for v, m in acc.items() if m)
+        acc, _ = _add_into(acc, 1, words, 1, sign)
+    return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
@@ -447,11 +449,7 @@ def ad(a: Element) -> Derivation:
 
 
 def der_bracket(d: Derivation, e: Derivation) -> Derivation:
-    """The commutator D∘E - E∘D, itself a derivation."""
-    if not (d.verified and e.verified):
-        raise UnverifiedMapError("bracket requires verified derivations")
-    if d.n != e.n:
-        raise AmbientMismatch("derivation ambients differ")
+    """The commutator D∘E - E∘D of verified derivations of one U_n, itself one."""
     images = (d(x) - e(y) for x, y in zip(_slots(e), _slots(d)))
     return _from_slots(Derivation, d.n, images, verified=True)
 
@@ -531,7 +529,7 @@ def probe_nilpotent(d: Derivation, x: Element, bound: int):
     """Iterate D on x up to `bound` times, reporting the first zero if any."""
     if not d.verified:
         raise UnverifiedMapError("probe requires a verified derivation")
-    if bound < 1:
+    if _json_int(bound, "bound") < 1:
         raise DomainError("bound must be >= 1")
     if x.is_zero:
         return ZeroAt(0)
@@ -554,7 +552,7 @@ def extend_lnd_prop55(n: int, g: Element) -> Derivation:
     Extends the L_n derivation g(l_n) d/dl_1 to U_n; it kills l_1 and r_1 in
     two steps, hence is locally nilpotent.
     """
-    if n < 2:
+    if _ambient(n) < 2:
         raise DomainError("requires ambient n >= 2")
     if g.n != n:
         raise AmbientMismatch("ambient mismatch")
@@ -594,8 +592,6 @@ def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     """(phi ∘ psi)(x) = phi(psi(x)); composition of verified maps is verified."""
     if not (phi.verified and psi.verified):
         raise UnverifiedMapError("compose requires verified endomorphisms")
-    if phi.n != psi.n:
-        raise AmbientMismatch("ambient mismatch")
     images = (apply_endo(phi, g) for g in _slots(psi))
     return _from_slots(Endomorphism, phi.n, images, verified=True)
 
@@ -682,7 +678,7 @@ def compose_tuples(
 
 
 def identity_tuple(n: int) -> tuple[Element, ...]:
-    return tuple(gen_l(n, i) for i in range(1, n + 1))
+    return tuple(gen_l(n, i) for i in range(1, _ambient(n) + 1))
 
 
 def elementary_tuple(n: int, i: int, alpha, f: Element):
@@ -690,8 +686,7 @@ def elementary_tuple(n: int, i: int, alpha, f: Element):
     alpha = as_fraction(alpha)
     if not alpha:
         raise DomainError("elementary scale must be nonzero")
-    if not 1 <= i <= n:
-        raise DomainError("variable index out of range")
+    i = _index(i, _ambient(n), "variable index")
     if not in_L(f) or f.n != n:
         raise DomainError("added term must be a polynomial of the same ambient")
     if any(lexp[i - 1] for (lexp, _), _ in f.int_terms()[1]):
@@ -706,8 +701,8 @@ def elementary_tuple(n: int, i: int, alpha, f: Element):
 def affine_tuple(n: int, matrix, shift=None):
     """l_i -> sum_j A[i][j] l_j + c_i for invertible A; returns both tuples."""
     a = [[as_fraction(x) for x in row] for row in matrix]
-    c = [as_fraction(x) for x in (shift or [0] * n)]
-    if len(a) != n or any(len(row) != n for row in a) or len(c) != n:
+    c = [as_fraction(x) for x in (shift or [0] * len(a))]
+    if len(a) != _ambient(n) or any(len(row) != n for row in a) or len(c) != n:
         raise DomainError("affine data has wrong shape")
     a_inv = linalg.invert_dense(a)  # raises ValueError when singular
     # each image is one constructor call; the unit word's terms add up

@@ -23,7 +23,9 @@ from .algebra import (
     _ambient,
     _charge,
     _from_ints,
+    _index,
     _insert_letter,
+    _json_int,
     _r_gradient,
     _signed_products,
     _weight_vector,
@@ -39,7 +41,7 @@ from .algebra import (
     word_key,
 )
 from .linalg import RowReduction
-from .maps import AnomalyError, Derivation, _from_slots, _slots, ad, require_verified
+from .maps import AnomalyError, Derivation, _as_images, _from_slots, _slots, ad, require_verified
 
 
 def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> tuple[BasisWord, ...]:
@@ -49,7 +51,8 @@ def graded_slice(n: int, m: int, restrict_to_I: bool = False) -> tuple[BasisWord
 
 def dim(n: int, m: int) -> int:
     """Dimension of the degree-m component of U_n, by `_slice_size`."""
-    return _slice_size(m, (1,) * n, False) if m >= 0 else 0
+    weights = (1,) * _ambient(n)
+    return _slice_size(m, weights, False) if _json_int(m, "degree") >= 0 else 0
 
 
 def _slice_size(m: int, weights: tuple[int, ...], restrict_to_I: bool) -> int:
@@ -86,7 +89,7 @@ def weighted_slice(
     weights = _weight_vector(weights, _ambient(n))
     if any(w < 1 for w in weights):
         raise DomainError("weighted slices are finite only for positive weights")
-    if m >= 0:
+    if _json_int(m, "degree") >= 0:
         _charge(_slice_size(m, weights, restrict_to_I))
     rwords = [[()]]  # rwords[k]: the r-words of w-degree k
     for k in range(1, m + 1):
@@ -154,13 +157,10 @@ def ad_preimage(us) -> Element:
     if not us:
         raise DomainError("empty image tuple")
     n = us[0].n
-    if len(us) != n:
-        raise DomainError(f"expected {n} images for ambient n={n}")
+    us = _as_images(n, us)
     if n < 2:
         raise DomainError("preimages need ambient n >= 2")
     for u in us:
-        if u.n != n:
-            raise DomainError("ambient mismatch among images")
         if not in_I(u):
             raise DomainError("images must lie in the ideal generated by the r's")
         if not is_homogeneous(u):
@@ -250,9 +250,8 @@ def lemma27_solutions(n: int, i: int, d: int) -> list[Element]:
     |y_i| = 1.
     """
     n = _ambient(n)
-    if not 1 <= i <= n:
-        raise DomainError("index out of range")
-    if d < 2:
+    i = _index(i, n, "index")
+    if _json_int(d, "degree") < 2:
         raise DomainError("degree must be >= 2")
 
     def least_word(member):
@@ -295,11 +294,10 @@ def rfactor_decompose(k: int, i: int, j: int, h: Element) -> tuple[Element, Elem
     v=h); the identity is re-verified by multiplication before returning.
     """
     n = h.n
+    i, j = _index(i, n, "index"), _index(j, n, "index")
     if i == j:
         raise DomainError("indices must differ")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError("index out of range")
-    if k < 1:
+    if _json_int(k, "power") < 1:
         raise DomainError("power must be >= 1")
     if not in_R(h):
         raise DomainError("cofactor must lie in R_n")
@@ -363,8 +361,8 @@ def derivation_space(
     for s >= 1 the l^(s+1), l^s r_1^2 and l^(s-1) r_1^3 coefficients of
     relation s2(1,1) give a s = 0; for s = 0 it is a times the last member.
     """
-    weights = tuple(weights) if weights is not None else (1,) * n
     zero = Element.zero(n)
+    weights = tuple(weights) if weights is not None else (1,) * n
     gens = [gen_l(n, k) for k in range(1, n + 1)] + [gen_r(n, k) for k in range(1, n + 1)]
     words_in_I = weighted_slice(n, m, weights, restrict_to_I=True)
     inner = [ad(_from_ints(n, {tuple(w): 1})) for w in words_in_I]

@@ -362,6 +362,13 @@ CLI_CASES = {
          {"files": {"e.json": EMPTY_MAP(-3, "endomorphism")}}),
         ("lemma27-n0", "-n 0 solve lemma27 --i 1 --degree 2", 2,
          "lsea: ambient n must be >= 1\n"),
+        # an index, like -n, is refused by its library owner, `algebra._index`
+        ("lemma27-index", "-n 2 solve lemma27 --i 3 --degree 2", 2,
+         "lsea: index 3 out of range 1..2\n"),
+        # `cli._read_file` reads every input file, so a refusal names the file
+        ("ad-preimage-no-terms", "solve ad-preimage {tmp}/img.json", 2,
+         re.compile(r"\Alsea: bad image file \S+/img\.json: 'terms'\n\Z"),
+         {"files": {"img.json": '{"images": [{"n": 2}, {"n": 2}]}'}}),
         ("cube", "-n 1 norm '(l1+r1)^3'", 0, "l1^3 + 3*l1^2*r1 + 6*l1*r1*r1 + 6*r1*r1*r1\n"),
         ("der-apply", "-n 2 der apply {data}/example41.json 'l1^2*r2'", 0,
          "l1^2*r1*r2 - l1^2*r2*r1 + 2*l1*r1*r1*r2 + 2*r1*r1*r1*r2\n"),

@@ -586,15 +586,19 @@ def _foreign_image_endo():
 # (call, exception type, message) of each refusal of the maps built from
 # generator images; the exception type is matched exactly
 MAP_REFUSALS = {
+    # a bracket or a composite applies its maps, and the application refuses
     "der_bracket-unverified": (
         lambda: der_bracket(_unverified_ad(), ad(gen_l(2, 2))),
-        UnverifiedMapError, "bracket requires verified derivations"),
+        UnverifiedMapError, "refusing to apply an unverified derivation"),
+    "der_bracket-unverified-second": (
+        lambda: der_bracket(ad(gen_l(2, 2)), _unverified_ad()),
+        UnverifiedMapError, "refusing to apply an unverified derivation"),
     "der_bracket-ambients": (
         lambda: der_bracket(ad(gen_l(2, 1)), ad(gen_l(3, 1))),
-        AmbientMismatch, "derivation ambients differ"),
+        AmbientMismatch, "derivation and element ambients differ"),
     "compose-ambients": (
         lambda: compose(identity_endo(2), identity_endo(3)),
-        AmbientMismatch, "ambient mismatch"),
+        AmbientMismatch, "endomorphism and element ambients differ"),
     "check_endomorphism-foreign-image": (
         lambda: check_endomorphism(_foreign_image_endo()),
         AmbientMismatch, "image ambient differs from map ambient"),

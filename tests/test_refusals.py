@@ -22,18 +22,22 @@ from lsea import (
     check_derivation,
     check_endomorphism,
     derivation_coords,
+    derivation_space,
+    dim,
     elementary_tuple,
+    extend_lnd_prop55,
     gen_l,
     gen_r,
     generator,
     lemma27_solutions,
     lift_phi,
     mul,
+    pderiv_l,
     probe_nilpotent,
     rfactor_decompose,
     u1_closed_form,
 )
-from lsea.maps import poly_subst
+from lsea.maps import identity_tuple, poly_subst
 from lsea.parser import parse_element
 from lsea.verify import run_suite
 
@@ -54,13 +58,14 @@ def _identity_lift():
 # name -> (call, exception type, message); the type is matched exactly
 REFUSALS = {
     "ad_preimage-empty": (lambda: ad_preimage([]), DomainError, "empty image tuple"),
+    # the u_i are read by `maps._as_images`, as a map's images are
     "ad_preimage-count": (
-        lambda: ad_preimage([gen_r(2, 1)]), DomainError, "expected 2 images for ambient n=2"),
+        lambda: ad_preimage([gen_r(2, 1)]), DomainError, "expected 2 generator images, got 1"),
     "ad_preimage-u1": (
         lambda: ad_preimage([gen_r(1, 1)]), DomainError, "preimages need ambient n >= 2"),
     "ad_preimage-ambients": (
-        lambda: ad_preimage([gen_r(2, 1), gen_r(3, 1)]), DomainError,
-        "ambient mismatch among images"),
+        lambda: ad_preimage([gen_r(2, 1), gen_r(3, 1)]), AmbientMismatch,
+        "image ambient differs from map ambient"),
     "ad_preimage-outside-I": (
         lambda: ad_preimage([gen_l(2, 1), gen_r(2, 1)]), DomainError,
         "images must lie in the ideal generated by the r's"),
@@ -70,15 +75,49 @@ REFUSALS = {
     "ad_preimage-degrees": (
         lambda: ad_preimage([gen_r(2, 1), mul(gen_r(2, 1), gen_r(2, 2))]), DomainError,
         "images must share one degree"),
+    # an index is read by `algebra._index`, a plain int from 1 to n
     "rfactor_decompose-index": (
-        lambda: rfactor_decompose(1, 1, 3, gen_r(2, 1)), DomainError, "index out of range"),
+        lambda: rfactor_decompose(1, 1, 3, gen_r(2, 1)), DomainError,
+        "index 3 out of range 1..2"),
+    "rfactor_decompose-index-str": (
+        lambda: rfactor_decompose(2, "1", 2, gen_r(2, 1)), DomainError,
+        "index must be an integer, got '1'"),
     "rfactor_decompose-power": (
         lambda: rfactor_decompose(0, 1, 2, gen_r(2, 1)), DomainError, "power must be >= 1"),
     "rfactor_decompose-outside-R": (
         lambda: rfactor_decompose(1, 1, 2, gen_l(2, 1)), DomainError,
         "cofactor must lie in R_n"),
     "lemma27_solutions-index": (
-        lambda: lemma27_solutions(2, 3, 4), DomainError, "index out of range"),
+        lambda: lemma27_solutions(2, 3, 4), DomainError, "index 3 out of range 1..2"),
+    "pderiv_l-index-float": (
+        lambda: pderiv_l(1.0, gen_l(2, 2)), DomainError,
+        "variable index must be an integer, got 1.0"),
+    "pderiv_l-index-bool": (
+        lambda: pderiv_l(True, gen_l(2, 2)), DomainError,
+        "variable index must be an integer, got True"),
+    "elementary_tuple-index-float": (
+        lambda: elementary_tuple(2, 1.0, 1, gen_l(2, 2)), DomainError,
+        "variable index must be an integer, got 1.0"),
+    # a degree, a power or a bound is read by `algebra._json_int`
+    "derivation_space-degree-float": (
+        lambda: derivation_space(2, 1.5), DomainError, "degree must be an integer, got 1.5"),
+    "derivation_space-degree-bool": (
+        lambda: derivation_space(2, True), DomainError, "degree must be an integer, got True"),
+    "lemma27_solutions-degree-float": (
+        lambda: lemma27_solutions(2, 1, 2.5), DomainError,
+        "degree must be an integer, got 2.5"),
+    "rfactor_decompose-power-float": (
+        lambda: rfactor_decompose(2.0, 1, 2, gen_r(2, 1)), DomainError,
+        "power must be an integer, got 2.0"),
+    "rfactor_decompose-power-bool": (
+        lambda: rfactor_decompose(True, 1, 2, gen_r(2, 1)), DomainError,
+        "power must be an integer, got True"),
+    "probe_nilpotent-bound-float": (
+        lambda: probe_nilpotent(ad(gen_l(2, 1)), gen_r(2, 1), 2.5), DomainError,
+        "bound must be an integer, got 2.5"),
+    "probe_nilpotent-bound-bool": (
+        lambda: probe_nilpotent(ad(gen_l(2, 1)), gen_r(2, 1), True), DomainError,
+        "bound must be an integer, got True"),
     # a map's ambient n is read by `maps._as_images`, and the Lemma 2.7 basis
     # reads its n, through `algebra._ambient` like every other ambient
     "lemma27_solutions-n": (
@@ -89,6 +128,15 @@ REFUSALS = {
         lambda: check_endomorphism(Endomorphism(-3, (), ())), DomainError,
         "ambient n must be >= 1"),
     "lift_phi-n": (lambda: lift_phi(0, []), DomainError, "ambient n must be >= 1"),
+    "dim-n": (lambda: dim(0, 2), DomainError, "ambient n must be >= 1"),
+    "dim-degree-float": (lambda: dim(2, 1.5), DomainError, "degree must be an integer, got 1.5"),
+    "identity_tuple-n": (lambda: identity_tuple(0), DomainError, "ambient n must be >= 1"),
+    "affine_tuple-n": (lambda: affine_tuple(0, [], []), DomainError, "ambient n must be >= 1"),
+    "extend_lnd_prop55-n": (
+        lambda: extend_lnd_prop55(2.0, gen_l(2, 2)), DomainError,
+        "ambient n must be an integer, got 2.0"),
+    "derivation_space-n": (
+        lambda: derivation_space(2.0, 1), DomainError, "ambient n must be an integer, got 2.0"),
     "probe_nilpotent-unverified": (
         lambda: probe_nilpotent(_unverified_ad(), gen_r(2, 1), 3), UnverifiedMapError,
         "probe requires a verified derivation"),
@@ -105,7 +153,7 @@ REFUSALS = {
         "elementary scale must be nonzero"),
     "elementary_tuple-index": (
         lambda: elementary_tuple(2, 3, 1, gen_l(2, 2)), DomainError,
-        "variable index out of range"),
+        "variable index 3 out of range 1..2"),
     "elementary_tuple-term": (
         lambda: elementary_tuple(2, 1, 1, gen_r(2, 2)), DomainError,
         "added term must be a polynomial of the same ambient"),

@@ -112,6 +112,33 @@ def test_slots_joined_only_in_maps_slots():
     assert found == []
 
 
+def test_index_range_checked_only_in_algebra_index():
+    # U_n's generators are indexed 1..n; `algebra._index` is the one check of
+    # an index, and `normal_form_oracle` keeps its own to stay independent of
+    # the kernel, so no other comparison is a chained `1 <= i <= n`
+    owners = {"algebra.py": ("_index", "normal_form_oracle")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if getattr(fn, "name", None) in owners.get(path.name, ())
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.LtE, ast.LtE]
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 1
+            and id(node) not in allowed
+        ]
+    assert list(SRC.glob("*.py"))
+    assert found == []
+
+
 def test_term_budget_read_only_to_refuse():
     # a budget decides whether a result is refused, never which algorithm
     # computes it: the bound is read inside `_charge` or as
