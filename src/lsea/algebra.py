@@ -339,15 +339,16 @@ class Element:
         The base alone picks the path.  Of degree <= 1, x^k is read off in
         closed form by `_linear_power`, which refuses under --max-terms
         exactly when x^k itself has more terms than the bound.  Of higher
-        degree, x^k is k right multiplications, out <- mul(out, x) from one:
-        each step straightens words past the terms of x only.
+        degree, x^k is k left multiplications, out <- mul(x, out) from one:
+        each step straightens only the few short r-words of x, past the
+        l-monomials of out, so the straightening memo stays small.
         """
         _require_exponent(k)
         if self.degree() <= 1:
             return _linear_power(self, k)
         out = Element.one(self.n)
         for _ in range(k):
-            out = mul(out, self)
+            out = mul(self, out)
         return out
 
 
@@ -355,8 +356,8 @@ _ZERO = Fraction(0)
 
 
 def _require_exponent(k) -> None:
-    """A DomainError unless k is an int from 0 to MAX_EXPONENT."""
-    if not isinstance(k, int) or k < 0:
+    """A DomainError unless k is a plain int (`_json_int`) from 0 to MAX_EXPONENT."""
+    if _json_int(k, "exponent") < 0:
         raise DomainError("exponent must be a non-negative integer")
     if k > MAX_EXPONENT:
         raise DomainError(f"exponent {k} exceeds the limit {MAX_EXPONENT}")

@@ -7,11 +7,10 @@ by the lcm of its denominators, and every step replaces a row by an int
 combination of it and the pivot row, with its content divided out.  The
 reduced rows are read off those int rows as numerators over their pivots
 (`echelon_rows`, the row space a derivation space is read from), and
-kernel bases from the same rows.  There is no operation log: solutions,
-certificates and inverses are read off the echelon forms of small augmented
-systems [M | B] with M square and invertible, whose reduced form is
-[I | M^-1 B].  Dense row lists enter only through `reduction_of` and
-`invert_dense`.
+kernel bases from the same rows.  There is no operation log: solutions
+and certificates are read off the echelon forms of small augmented systems
+[M | B] with M square and invertible, whose reduced form is [I | M^-1 B].
+Dense row lists enter only through `reduction_of`.
 """
 
 from __future__ import annotations
@@ -213,11 +212,3 @@ def solve(rows_data, b) -> SolveResult:
         return SolveResult(None, [], cert)
     return SolveResult(x, red.kernel_basis(), None)
 
-
-def invert_dense(rows_data) -> list[list[Fraction]]:
-    """Inverse of a small square matrix, the right half of the reduced
-    echelon form [I | A^-1] of [A | I]; raises ValueError if singular."""
-    sparse, k = _sparse_of(rows_data)
-    if len(sparse) != k:
-        raise ValueError("only square matrices can be inverted")
-    return _solve_square(sparse, [[int(i == j) for j in range(k)] for i in range(k)])

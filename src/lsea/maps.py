@@ -49,7 +49,6 @@ from .algebra import (
     homogeneous_components,
     in_L,
     in_R,
-    mul,
 )
 
 
@@ -373,37 +372,46 @@ def _substitute(g: Element, l_images, r_images) -> Element:
     """g with each generator replaced by its image, multiplied out along
     each basis word: the l-part first, then the r-letters in order.
 
-    Each power of an l-image is built once per call, by right
-    multiplications up a ladder shared by all words.  A word's factors but
-    the last are multiplied into an int map over the product of their
-    denominators; the last product of every word goes into one
-    `_signed_products` map over g's denominator times the lcm of the words'
-    denominators, so one Element is built for the whole image.
+    A power of an l-image is built, as an int map, the first time a word
+    needs it, by left multiplications up a ladder kept for the call, so a
+    step straightens only the image's own r-words.  A word's factors are
+    folded from the last one, the running map the right operand; its first
+    factor (the unit for a constant word) and that fold go into one
+    `_signed_products` map over g's denominator times the lcm of the
+    words' denominators, so one Element is built for the whole image.
     """
     n = g.n
     den, items = g.int_terms()
-    unit = (((0,) * n, ()), 1)
-    ladders = [[Element.one(n), f] for f in l_images]
-    words = []
+    unit = ((((0,) * n, ()), 1),)
+    ladders = {}  # slot -> [(den, terms) of l_images[slot] ** s for s = 1, 2, ...]
+    words, words_den = [], 1
     for (lexp, rword), c in items:
         factors = []
         for i, s in enumerate(lexp):
             if s:
                 _require_exponent(s)
-                ladder = ladders[i]
-                while len(ladder) <= s:
-                    ladder.append(mul(ladder[-1], l_images[i]))
-                factors.append(ladder[s].int_terms())
-        factors.extend(r_images[j - 1].int_terms() for j in rword)
-        last_den, last = factors.pop() if factors else (1, (unit,))
-        word_den, left = 1, (unit,)
-        for d, right in factors:
+                ladder = ladders.get(i)
+                if ladder is None:
+                    ladder = ladders[i] = [l_images[i].int_terms()]
+                d, f = ladder[0]
+                while len(ladder) < s:
+                    dp, power = ladder[-1]
+                    ladder.append((d * dp, _signed_products(((1, f, power),)).items()))
+                factors.append(ladder[s - 1])
+        if rword:
+            factors += [r_images[j - 1].int_terms() for j in rword]
+        word_den, right = factors.pop() if factors else (1, unit)
+        while len(factors) > 1:
+            d, left = factors.pop()
             word_den *= d
-            left = _signed_products(((1, left, right),)).items()
-        words.append((c, word_den * last_den, left, last))
-    words_den = lcm(*(d for _, d, _, _ in words))
+            right = _signed_products(((1, left, right),)).items()
+        d, left = factors.pop() if factors else (1, unit)
+        word_den *= d
+        if word_den != 1:
+            words_den = lcm(words_den, word_den)
+        words.append((c, word_den, left, right))
     acc = _signed_products(
-        (c * (words_den // d), left, last) for c, d, left, last in words
+        (c * (words_den // d), left, right) for c, d, left, right in words
     )
     return _from_ints(n, acc, den * words_den)
 
@@ -699,21 +707,35 @@ def elementary_tuple(n: int, i: int, alpha, f: Element):
 
 
 def affine_tuple(n: int, matrix, shift=None):
-    """l_i -> sum_j A[i][j] l_j + c_i for invertible A; returns both tuples."""
+    """l_i -> sum_j A[i][j] l_j + c_i for invertible A; returns both tuples.
+
+    Row i of [A | c] is scaled to ints by the lcm of its denominators, and
+    one `linalg.RowReduction` takes the int rows of [A | -c | I] to
+    [I | -A^-1 c | A^-1], whose right half holds the inverse's images
+    sum_j (A^-1)_ij l_j - (A^-1 c)_i.  Each image is put together by
+    `_from_ints` from one int row over its scale; a singular A is a
+    ValueError.
+    """
     a = [[as_fraction(x) for x in row] for row in matrix]
     c = [as_fraction(x) for x in (shift or [0] * len(a))]
     if len(a) != _ambient(n) or any(len(row) != n for row in a) or len(c) != n:
         raise DomainError("affine data has wrong shape")
-    a_inv = linalg.invert_dense(a)  # raises ValueError when singular
-    # each image is one constructor call; the unit word's terms add up
-    unit = ((0,) * n, ())
-    l_words = [(tuple(int(k == j) for k in range(n)), ()) for j in range(n)]
-    fwd = tuple(Element(n, [(unit, ci), *zip(l_words, row)]) for row, ci in zip(a, c))
-    inv = tuple(
-        Element(n, [*zip(l_words, row), *((unit, -x * cj) for x, cj in zip(row, c))])
-        for row in a_inv
-    )
-    return fwd, inv
+    # column j < n holds l_(j+1) and column n the unit word
+    words = [(tuple(int(k == j) for k in range(n)), ()) for j in range(n)] + [((0,) * n, ())]
+    fwd, rows = [], []
+    for i, row in enumerate(a):
+        row = [*row, c[i]]
+        den = lcm(*(x.denominator for x in row))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+        fwd.append(_from_ints(n, {words[j]: v for j, v in ints.items()}, den))
+        rows.append({j: -v if j == n else v for j, v in ints.items()} | {n + 1 + i: den})
+    red = linalg.RowReduction(n, 2 * n + 1, rows)
+    if red.pivot_cols != list(range(n)):
+        raise ValueError("matrix is singular")
+    inv_words = words[n:] + words[:n]  # columns n..2n
+    inv = [_from_ints(n, {inv_words[j - n]: v for j, v in r.items() if j >= n}, den)
+           for den, r in red.echelon_rows()]
+    return tuple(fwd), tuple(inv)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from .algebra import (
     DomainError,
     Element,
     _from_ints,
+    _json_int,
     element_to_json,
     exact_str,
     gen_l,
@@ -572,6 +573,7 @@ def _case_thm72pair(rng: random.Random, rep: RunReport) -> None:
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> RunReport:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    if cases < 1:
+    _json_int(seed, "seed")
+    if _json_int(cases, "cases") < 1:
         raise DomainError(f"cases must be at least 1, got {cases}")
     return SUITES[name](seed, cases)

@@ -12,6 +12,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,6 +67,29 @@ def run_lsea(subprocess_env, tmp_path):
 def rand_word(rng, n: int, length: int) -> list:
     """A random letter sequence [(kind, index), ...] for `normal_form_oracle`."""
     return [(rng.choice("lr"), rng.randint(1, n)) for _ in range(length)]
+
+
+def fraction_inverse(a) -> list:
+    """The inverse of a square matrix by Gauss-Jordan elimination on
+    [A | I] in Fractions, a reference apart from `lsea.linalg`; raises
+    ValueError when A is singular or not square."""
+    k = len(a)
+    if any(len(row) != k for row in a):
+        raise ValueError("only square matrices can be inverted")
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+            for i, row in enumerate(a)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if rows[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for i in range(k):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[k:] for row in rows]
 
 
 # -- reference assembly of residual systems ---------------------------------------

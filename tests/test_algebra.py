@@ -566,9 +566,13 @@ class TestPowers:
         for k in (MAX_EXPONENT + 1, 10**20):
             with pytest.raises(DomainError, match=f"exponent {k} exceeds the limit"):
                 gen_r(1, 1) ** k
-        for k in (-1, Fraction(2), 2.0):
-            with pytest.raises(DomainError, match="non-negative integer"):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            gen_r(1, 1) ** -1
+        # an exponent is read by `algebra._json_int`, so a bool is refused too
+        for k in (Fraction(2), 2.0, True):
+            with pytest.raises(DomainError) as exc:
                 gen_r(1, 1) ** k
+            assert str(exc.value) == f"exponent must be an integer, got {k!r}"
 
 
 class TestCommutator:

@@ -388,6 +388,12 @@ CLI_CASES = {
          0, lambda out: len(re.split(" [+-] ", out)) == 372),
         ("pure-l-power-budget", "-n 3 --max-terms 1000 norm '(l1+l2+l3)^10000'", 2, BUDGET,
          {"timeout": 5}),
+        # a base of degree 2 is multiplied in on the left, x^3 = x (x x), and
+        # the running product is charged after each of the three terms of x:
+        # the refusal names 42 terms (right multiplication named 31)
+        ("power-left-budget", "-n 2 --max-terms 30 norm '(l1^2+l2*r1+r2^2)^3'", 2,
+         "lsea: term budget exceeded: intermediate result has 42 terms, over the "
+         "--max-terms bound 30\n"),
         # a pure-L base has b = 0, so T^j(1) = 0 for j >= 1 and none is built;
         # the product ((j-1)ℓ + b) ... (1ℓ + b) alone has 3^(j-1) words here
         ("pure-l-power-40", "-n 3 norm '(2+l1-l2+l3)^40'", 0,

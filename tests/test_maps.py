@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from conftest import violated_residuals
+from conftest import fraction_inverse, violated_residuals
 
 from lsea import (
     AmbientMismatch,
@@ -46,11 +46,11 @@ from lsea import (
 )
 from lsea.algebra import TERM_BUDGET, TermBudgetExceeded
 from lsea import maps
-from lsea.linalg import invert_dense
 from lsea.algebra import MAX_EXPONENT
 from lsea.maps import (
     RDerivation,
     _leibniz,
+    _slots,
     _substitute,
     identity_tuple,
     is_identity,
@@ -408,17 +408,22 @@ class TestAffine:
             affine_tuple(2, [[1, 1], [1, 1]])
 
     def test_matches_merge_built_images(self):
-        # each image built by scalings and merges of generators, from the
-        # inverse matrix affine_tuple uses
+        # each image built by scalings and merges of generators, from a
+        # Fraction Gauss-Jordan inverse apart from `lsea.linalg`; A and c
+        # rational, and a singular A refused exactly when that inverse fails
         rng = random.Random(41)
-        checked = 0
-        while checked < 40:
+        checked = singular = 0
+        while checked < 60:
             n = rng.randint(1, 4)
-            a = [[rng.choice([0, 0, *range(-3, 4)]) for _ in range(n)] for _ in range(n)]
+            entry = lambda: rng.choice([0, 0, *range(-3, 4), Fraction(rng.randint(-7, 7), 6)])
+            a = [[entry() for _ in range(n)] for _ in range(n)]
             c = [rng.choice([0, Fraction(rng.randint(-5, 5), 3)]) for _ in range(n)]
             try:
-                a_inv = invert_dense(a)
+                a_inv = fraction_inverse(a)
             except ValueError:
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    affine_tuple(n, a, c)
+                singular += 1
                 continue
             consts = [Element.from_word(n, (0,) * n, (), x) for x in c]
             fwd, inv = [], []
@@ -433,6 +438,7 @@ class TestAffine:
                 inv.append(img)
             assert affine_tuple(n, a, c) == (tuple(fwd), tuple(inv)), (a, c)
             checked += 1
+        assert singular >= 10
 
 
 class TestTupleConstructors:
@@ -1032,6 +1038,50 @@ class TestApplicationReference:
             g = _with_unit(rng, rand_element(rng, n, 3))
             got = _substitute(g, images[:n], images[n:])
             assert got == _reference_substitute(g, images[:n], images[n:])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_substitute_word_shapes(self, seed):
+        # constant words and one-factor words skip the per-word fold, and one
+        # l-image is reached at several exponents, the highest first, so the
+        # lower ones are read off the powers built on the way up; the images
+        # are scaled by rationals, so words carry distinct denominators
+        rng = random.Random(300 + seed)
+        dens = set()
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            images = tuple(
+                Fraction(rng.choice([1, -2, 5]), rng.choice([1, 3, 4])) * g
+                for g in _rand_images(rng, n, 2 * n)
+            )
+            dens.update(g.int_terms()[0] for g in images)
+            i = rng.randrange(n)
+            exponents = (4, 1, 3, 0, 2)
+            words = [
+                ((tuple(s if k == i else 0 for k in range(n)), ()), Fraction(t + 1, 2))
+                for t, s in enumerate(exponents)
+            ]
+            words += [(((0,) * n, (j,)), -3) for j in range(1, n + 1)]
+            g = Element(n, words)
+            assert [lexp[i] for (lexp, _), _ in g.int_terms()[1]][:5] == list(exponents)
+            got = _substitute(g, images[:n], images[n:])
+            assert got == _reference_substitute(g, images[:n], images[n:])
+        assert max(dens) > 3
+
+    def test_compose(self):
+        rng = random.Random(23)
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            phi, psi = (lift_phi(n, rand_tame_tuple(rng, n, 2, 3)[0]) for _ in range(2))
+            expect = [_reference_substitute(g, phi.l_images, phi.r_images) for g in _slots(psi)]
+            assert list(_slots(compose(phi, psi))) == expect
+
+    def test_compose_tuples(self):
+        rng = random.Random(29)
+        for _ in range(15):
+            n = rng.randint(1, 3)
+            outer, inner = (rand_tame_tuple(rng, n, 2, 3)[0] for _ in range(2))
+            expect = tuple(_reference_substitute(g, outer, ()) for g in inner)
+            assert compose_tuples(outer, inner) == expect
 
     def test_apply_lifted_endo(self):
         rng = random.Random(11)

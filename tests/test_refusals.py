@@ -190,6 +190,17 @@ REFUSALS = {
         lambda: parse_element("l1 +", 0), DomainError, "ambient n must be >= 1"),
     "run_suite-cases": (
         lambda: run_suite("cor23", cases=0), DomainError, "cases must be at least 1, got 0"),
+    # a suite's cases and seed, and an exponent, are read by `algebra._json_int`
+    "run_suite-cases-bool": (
+        lambda: run_suite("cor23", cases=True), DomainError,
+        "cases must be an integer, got True"),
+    "run_suite-cases-float": (
+        lambda: run_suite("cor23", cases=1.5), DomainError,
+        "cases must be an integer, got 1.5"),
+    "run_suite-seed-float": (
+        lambda: run_suite("cor23", seed=1.5), DomainError, "seed must be an integer, got 1.5"),
+    "Element-power-bool": (
+        lambda: gen_l(1, 1) ** True, DomainError, "exponent must be an integer, got True"),
     "run_suite-unknown": (
         lambda: run_suite("nope"), DomainError,
         "unknown suite 'nope'; known: cor23, cor25, equ5, example41, lemma22, lemma26, "

@@ -266,12 +266,12 @@ def test_exports_are_reached():
 # with the workloads that pay for it: hits/misses over the four seed-0 op
 # lists of each `bench/run.py` workload, each list in its own interpreter
 MEMOS = {
-    "_rword_past_monomial": "expand 6,858/1,378, derspace 37,968/1,316, verify 50,388/2,506",
+    "_rword_past_monomial": "expand 6,858/1,378, derspace 35,578/1,316, verify 50,502/2,498",
     "_r_word_part": "derspace 47,004/3,560, verify 34,454/3,389",
     "_relation_table": "derspace 1,272/8, verify 1,133/12; one table per ambient n",
-    "generator": "expand 2,202/40, derspace 2,002/40, verify 24,919/48",
+    "generator": "expand 2,202/40, derspace 1,258/40, verify 24,919/48",
     "Element.zero": "derspace 68/8, verify 3,345/12",
-    "Element.one": "expand 56/4, verify 25,465/12",
+    "Element.one": "expand 56/4, verify 36/4",
     "build_parser": "expand 412/4, derspace 412/4, verify 596/4; one parser build per process",
 }
 
